@@ -1,9 +1,10 @@
 """Incremental construction of :class:`~repro.graphs.static_graph.Graph`.
 
 The builder accepts edges in any order, drops self-loops and duplicates, and
-emits the immutable adjacency-array representation.  It is the single place
-where raw edge data is normalised, so every graph in the library shares the
-same invariants (simple, undirected, sorted neighbourhoods).
+emits the immutable adjacency-array representation (simple, undirected,
+sorted neighbourhoods).  It is the incremental path for small or streamed
+edge sets, and the oracle that :meth:`Graph.from_edges`'s whole-array build
+for numpy edge arrays is tested against.
 """
 
 from __future__ import annotations

@@ -22,7 +22,8 @@ from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from ..errors import VertexError
 
-try:  # Optional acceleration for subgraph extraction; plain-Python fallback below.
+try:  # Optional acceleration for edge-array builds and subgraph extraction;
+    # plain-Python fallbacks below.
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised on numpy-less installs
     _np = None
@@ -70,7 +71,20 @@ class Graph:
         Self-loops and duplicate edges are silently dropped, matching the
         usual clean-up applied to raw SNAP edge lists.  Vertex ids must lie
         in ``[0, n)``.
+
+        A signed-integer numpy array of shape ``(k, 2)`` is built in
+        whole-array passes (see :meth:`_from_edge_array`); any other
+        iterable goes through :class:`~repro.graphs.builder.GraphBuilder`.
+        Both produce the same graph.
         """
+        if (
+            _np is not None
+            and isinstance(edges, _np.ndarray)
+            and edges.ndim == 2
+            and edges.shape[1] == 2
+            and _np.issubdtype(edges.dtype, _np.signedinteger)
+        ):
+            return cls._from_edge_array(n, edges, name)
         # Import here to avoid a circular import at module load time.
         from .builder import GraphBuilder
 
@@ -78,6 +92,49 @@ class Graph:
         for u, v in edges:
             builder.add_edge(u, v)
         return builder.build()
+
+    @classmethod
+    def _from_edge_array(cls, n: int, edges: "_np.ndarray", name: str) -> "Graph":
+        """CSR from an ``(k, 2)`` edge array: drop loops, dedupe by one sort
+        over ``min·n + max`` keys, symmetrise, sort rows, and count offsets.
+
+        Raises the :class:`VertexError` the builder would raise first.  The
+        :meth:`flat_csr` cache is filled from the same buffers, so the first
+        flat workspace does not convert the tuples again.
+        """
+        if n < 0:
+            raise VertexError(n, 0)
+        pairs = edges.astype(_np.int64, copy=False)
+        u, v = pairs[:, 0], pairs[:, 1]
+        bad = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        if bad.any():
+            first = int(bad.argmax())
+            vertex = int(u[first]) if not 0 <= u[first] < n else int(v[first])
+            raise VertexError(vertex, n)
+        base = max(n, 1)
+        loop_free = u != v
+        lo = _np.minimum(u, v)[loop_free]
+        hi = _np.maximum(u, v)[loop_free]
+        keys = _np.sort(lo * base + hi)
+        # Sort-and-mask dedupe: numpy's hashing ``unique`` is far slower here.
+        fresh = _np.ones(keys.size, dtype=bool)
+        _np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        keys = keys[fresh]
+        lo, hi = _np.divmod(keys, base)
+        both = _np.concatenate((keys, hi * base + lo))
+        both.sort()
+        rows, targets = _np.divmod(both, base)
+        offsets = _np.zeros(n + 1, dtype=_np.int64)
+        _np.cumsum(_np.bincount(rows, minlength=n), out=offsets[1:])
+        # Each vertex id is one shared int object, as in the builder's rows,
+        # rather than a fresh object per CSR slot (2m of them).
+        vertex_ids = _np.arange(n, dtype=_np.int64).astype(object)
+        graph = cls(offsets.tolist(), vertex_ids[targets].tolist(), name=name)
+        graph._flat = (
+            array("q", offsets.tobytes()),
+            array("i", targets.astype(_np.int32).tobytes()),
+        )
+        return graph
 
     @classmethod
     def empty(cls, n: int, name: str = "") -> "Graph":

@@ -4,12 +4,14 @@ import io
 
 import pytest
 
+from repro.core import linear_time, linear_time_reduce, near_linear, near_linear_reduce
 from repro.errors import GraphFormatError
 from repro.graphs import (
     Graph,
     cycle_graph,
     dumps_edge_list,
     gnm_random_graph,
+    power_law_graph,
     loads_edge_list,
     petersen_graph,
     read_dimacs,
@@ -19,6 +21,8 @@ from repro.graphs import (
     write_edge_list,
     write_metis,
 )
+from repro.graphs import io as graph_io
+from repro.graphs import static_graph
 
 
 class TestEdgeList:
@@ -189,3 +193,31 @@ class TestMetisRoundTripWithComments:
         path = tmp_path / "isolated.metis"
         write_metis(g, str(path))
         assert read_metis(str(path)) == g
+
+
+class TestArrayIngestKeepsAnswers:
+    """Solvers answer the same on the whole-array graph as on the oracle's."""
+
+    @pytest.mark.skipif(graph_io._np is None, reason="numpy is not installed")
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: power_law_graph(3000, 2.2, average_degree=6.0, seed=5),
+            lambda: gnm_random_graph(3000, 9000, seed=5),
+        ],
+        ids=["chung-lu", "gnm"],
+    )
+    def test_same_answers(self, make, tmp_path, monkeypatch):
+        path = tmp_path / "g.txt"
+        write_edge_list(make(), str(path))
+        fast, fast_labels = read_edge_list(str(path))
+        with monkeypatch.context() as patch:
+            patch.setattr(graph_io, "_np", None)
+            patch.setattr(static_graph, "_np", None)
+            oracle, oracle_labels = read_edge_list(str(path))
+        assert fast == oracle and fast_labels == oracle_labels
+        for solve, reduce in ((linear_time, linear_time_reduce), (near_linear, near_linear_reduce)):
+            got, want = solve(fast), solve(oracle)
+            assert got.independent_set == want.independent_set
+            assert got.upper_bound == want.upper_bound
+            assert len(reduce(fast)[2]) == len(reduce(oracle)[2])

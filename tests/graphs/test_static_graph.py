@@ -5,6 +5,11 @@ import pytest
 from repro.errors import VertexError
 from repro.graphs import Graph, cycle_graph, complete_graph, path_graph
 
+try:
+    import numpy as np
+except ImportError:  # pragma: no cover - numpy is an optional dependency
+    np = None
+
 
 class TestConstruction:
     def test_from_edges_basic(self):
@@ -126,3 +131,40 @@ class TestDunder:
         g = cycle_graph(4, name="c4")
         assert "n=4" in repr(g)
         assert "m=4" in repr(g)
+
+
+@pytest.mark.skipif(np is None, reason="numpy is not installed")
+class TestFromEdgeArray:
+    """The whole-array build must match the GraphBuilder path entry for entry."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_builder_on_random_multigraphs(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        edges = rng.integers(0, n, size=(int(rng.integers(0, 4 * n)), 2))
+        expected = Graph.from_edges(n, edges.tolist())
+        graph = Graph.from_edges(n, edges)
+        assert graph == expected
+        assert graph.flat_csr() == Graph(*expected.csr_arrays()).flat_csr()
+        offsets, targets = graph.csr_arrays()
+        assert all(type(x) is int for x in offsets + targets)
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_no_edges(self, n):
+        graph = Graph.from_edges(n, np.zeros((0, 2), dtype=np.int64))
+        assert graph == Graph.empty(n)
+        assert graph.flat_csr() == Graph.empty(n).flat_csr()
+
+    @pytest.mark.parametrize(
+        "edges", [[(0, 1), (1, 3), (-1, 0)], [(0, 1), (2, 7)], [(5, 1)]]
+    )
+    def test_out_of_range_raises_like_builder(self, edges):
+        with pytest.raises(VertexError) as expected:
+            Graph.from_edges(3, edges)
+        with pytest.raises(VertexError) as got:
+            Graph.from_edges(3, np.array(edges, dtype=np.int32))
+        assert str(got.value) == str(expected.value)
+
+    def test_negative_vertex_count_raises(self):
+        with pytest.raises(VertexError):
+            Graph.from_edges(-1, np.zeros((0, 2), dtype=np.int64))

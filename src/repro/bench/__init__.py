@@ -1,7 +1,6 @@
 """Benchmark harness support: datasets, runners, table/plot rendering."""
 
 from .backends import BACKENDS, resolve_backend
-from .calibrate import measure_crossovers, run_calibration
 from .convergence import ConvergenceRun, render_convergence, run_convergence_suite
 from .datasets import (
     ALL_DATASETS,
@@ -26,12 +25,10 @@ __all__ = [
     "format_number",
     "format_seconds",
     "load",
-    "measure_crossovers",
     "render_convergence",
     "render_table",
     "resolve_backend",
     "run_algorithms",
-    "run_calibration",
     "run_convergence_suite",
     "time_call",
 ]

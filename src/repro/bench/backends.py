@@ -11,10 +11,7 @@ differential harness:
   :class:`~repro.core.dominance.TriangleWorkspace`);
 * ``flat``       — the flat CSR buffers (the default);
 * ``vectorized`` — batch frontier sweeps over numpy buffers
-  (:mod:`repro.core.vectorized`);
-* ``auto``       — per-instance dispatch between ``flat`` and
-  ``vectorized`` using the calibrated size/density heuristic
-  (:mod:`repro.core.auto`; recalibrate with ``repro calibrate``).
+  (:mod:`repro.core.vectorized`).
 
 Only the three algorithms with multi-backend drivers are swapped; BDTwo
 (whose fold workspace has no alternative backend) always runs its own
@@ -25,7 +22,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict
 
-from ..core.auto import bdone_auto, linear_time_auto, near_linear_auto
 from ..core.bdone import bdone
 from ..core.dominance import TriangleWorkspace
 from ..core.linear_time import linear_time
@@ -67,11 +63,6 @@ BACKENDS: Dict[str, Dict[str, Solver]] = {
         "bdone": bdone_vec,
         "linear_time": linear_time_vec,
         "near_linear": near_linear_vec,
-    },
-    "auto": {
-        "bdone": bdone_auto,
-        "linear_time": linear_time_auto,
-        "near_linear": near_linear_auto,
     },
 }
 

@@ -19,10 +19,7 @@ Five subcommands cover the library's everyday uses:
   the async front-end with rid-level answer verification
   (:mod:`repro.serve.loadgen`);
 * ``bench``     — run the perf-regression suite with backend selection
-  (``--backend {legacy,flat,vectorized,auto,all}``);
-* ``calibrate`` — measure the flat/vectorized crossover on this machine
-  and persist the ``auto`` backend's dispatch thresholds
-  (:mod:`repro.bench.calibrate`);
+  (``--backend {legacy,flat,vectorized,all}``);
 * ``snapshot``  — summarize a service snapshot written by ``serve
   --snapshot`` or :meth:`repro.serve.SolverService.save`.
 
@@ -585,17 +582,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return bench_main(argv)
 
 
-def _cmd_calibrate(args: argparse.Namespace) -> int:
-    from .bench.calibrate import main as calibrate_main
-
-    argv = ["--repeats", str(args.repeats)]
-    if args.out:
-        argv.extend(["--out", args.out])
-    if args.dry_run:
-        argv.append("--dry-run")
-    return calibrate_main(argv)
-
-
 def _cmd_lint(args: argparse.Namespace) -> int:
     from .lint.cli import run as lint_run
 
@@ -725,13 +711,9 @@ def build_parser() -> argparse.ArgumentParser:
             "bdone_vec",
             "linear_time_vec",
             "near_linear_vec",
-            "bdone_auto",
-            "linear_time_auto",
-            "near_linear_auto",
         ],
         help="solver used for cold solves and repairs (default linear_time; "
-        "the _vec variants run the vectorized frontier-sweep backend, the "
-        "_auto variants pick flat or vectorized per graph)",
+        "the _vec variants run the vectorized frontier-sweep backend)",
     )
     serve.add_argument("--cache-capacity", type=int, default=64)
     serve.add_argument(
@@ -857,10 +839,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--backend",
         default="all",
-        choices=["legacy", "flat", "vectorized", "auto", "all"],
+        choices=["legacy", "flat", "vectorized", "all"],
         help="which backend tracks to time: the classic flat-vs-legacy "
-        "tracks, the vectorized rounds backend, the auto dispatcher, or "
-        "everything (default all)",
+        "tracks, the vectorized rounds backend, or everything (default all)",
     )
     bench.add_argument("--out", default="bench_report.json", help="report path")
     bench.add_argument(
@@ -873,27 +854,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--telemetry-out", default="bench_telemetry.jsonl")
     bench.set_defaults(handler=_cmd_bench)
-
-    calibrate = commands.add_parser(
-        "calibrate",
-        help="measure the flat/vectorized crossover for the auto backend",
-    )
-    calibrate.add_argument(
-        "--repeats", type=int, default=3, help="timing repeats (best-of)"
-    )
-    calibrate.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="calibration file to write (default: per-machine cache path, "
-        "or $REPRO_CALIBRATION when set)",
-    )
-    calibrate.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="measure and print the thresholds without writing the file",
-    )
-    calibrate.set_defaults(handler=_cmd_calibrate)
 
     lint = commands.add_parser(
         "lint", help="run reprolint, the repo's contract checker"

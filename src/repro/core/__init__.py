@@ -11,13 +11,6 @@ Public surface:
 * the Theorem-6.1 upper-bound helpers.
 """
 
-from .auto import (
-    Calibration,
-    bdone_auto,
-    choose_backend_name,
-    linear_time_auto,
-    near_linear_auto,
-)
 from .bdone import bdone
 from .bdtwo import bdtwo
 from .components import affected_region, solve_by_components, touched_components
@@ -46,7 +39,6 @@ from .workspace import ArrayWorkspace, FlatWorkspace
 __all__ = [
     "ALGORITHMS",
     "ArrayWorkspace",
-    "Calibration",
     "affected_region",
     "touched_components",
     "FlatTriangleWorkspace",
@@ -58,10 +50,8 @@ __all__ = [
     "MISResult",
     "VCResult",
     "bdone",
-    "bdone_auto",
     "bdtwo",
     "certify_maximum",
-    "choose_backend_name",
     "compute_independent_set",
     "hot_loop",
     "kernelize",
@@ -70,14 +60,12 @@ __all__ = [
     "VecWorkspace",
     "bdone_vec",
     "linear_time",
-    "linear_time_auto",
     "linear_time_reduce",
     "linear_time_vec",
     "linear_time_vec_reduce",
     "lp_reduction",
     "lp_upper_bound",
     "near_linear",
-    "near_linear_auto",
     "near_linear_reduce",
     "near_linear_vec",
     "near_linear_vec_reduce",

@@ -26,15 +26,13 @@ from .bdtwo import bdtwo
 from .linear_time import linear_time
 from .near_linear import near_linear
 from .result import MISResult
-from .auto import bdone_auto, linear_time_auto, near_linear_auto
 from .vectorized import bdone_vec, linear_time_vec, near_linear_vec
 
 __all__ = ["ALGORITHMS", "compute_independent_set"]
 
 #: The paper's four reducing-peeling algorithms (Table 1), by name, plus
 #: the vectorized backend variants (``*-vec`` — batch frontier sweeps over
-#: numpy buffers, see :mod:`repro.core.vectorized`) and the calibrated
-#: per-instance dispatchers (``*-auto``, see :mod:`repro.core.auto`).
+#: numpy buffers, see :mod:`repro.core.vectorized`).
 ALGORITHMS: Dict[str, Callable[[Graph], MISResult]] = {
     "BDOne": bdone,
     "BDTwo": bdtwo,
@@ -43,9 +41,6 @@ ALGORITHMS: Dict[str, Callable[[Graph], MISResult]] = {
     "BDOne-vec": bdone_vec,
     "LinearTime-vec": linear_time_vec,
     "NearLinear-vec": near_linear_vec,
-    "BDOne-auto": bdone_auto,
-    "LinearTime-auto": linear_time_auto,
-    "NearLinear-auto": near_linear_auto,
 }
 
 

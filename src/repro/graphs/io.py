@@ -39,6 +39,11 @@ __all__ = [
 
 PathOrFile = Union[str, "os.PathLike[str]", TextIO]
 
+#: Largest vertex count a file may declare.  CSR targets are int32
+#: (``array('i')``), so a larger graph cannot be built, and allocating
+#: for an absurd declared count would exhaust memory before failing.
+MAX_VERTEX_COUNT = 2**31 - 1
+
 
 def _open_for_read(source: PathOrFile):
     if hasattr(source, "read"):
@@ -99,6 +104,8 @@ def _declared_count(comment: str) -> int:
         for token in comment.split():
             if token.startswith("n="):
                 declared = max(declared, int(token[2:]))
+    if declared > MAX_VERTEX_COUNT:
+        raise ValueError(f"vertex count {declared} exceeds {MAX_VERTEX_COUNT}")
     return declared
 
 
@@ -168,7 +175,9 @@ def _read_edge_lines(handle: TextIO, name: str) -> Tuple[Graph, List[int]]:
             try:
                 declared_n = max(declared_n, _declared_count(line))
             except ValueError as exc:
-                raise GraphFormatError(f"bad vertex count in {line!r}", line_number) from exc
+                raise GraphFormatError(
+                    f"bad vertex count in {line!r}: {exc}", line_number
+                ) from exc
             continue
         parts = line.partition("#")[0].partition("%")[0].split()
         if not parts:
@@ -313,6 +322,10 @@ def read_dimacs(source: PathOrFile, name: str = "") -> Graph:
                     n = int(parts[2])
                 except ValueError as exc:
                     raise GraphFormatError(f"bad problem line {line!r}", line_number) from exc
+                if n > MAX_VERTEX_COUNT:
+                    raise GraphFormatError(
+                        f"vertex count {n} exceeds {MAX_VERTEX_COUNT}", line_number
+                    )
             elif parts[0] == "e":
                 if n is None:
                     raise GraphFormatError("edge line before problem line", line_number)

@@ -54,7 +54,6 @@ __all__ = [
     "METRIC_SERVE_REPAIR_COMPONENTS",
     "METRIC_SERVE_FULL_RESOLVES",
     "METRIC_SERVE_STALE_RETURNS",
-    "METRIC_AUTO_BACKEND_PICKS",
     "METRIC_FRONTEND_REQUESTS",
     "METRIC_FRONTEND_REQUEST_SECONDS",
     "METRIC_FRONTEND_QUEUE_DEPTH",
@@ -96,9 +95,6 @@ METRIC_SERVE_REPAIR_COMPONENTS = "repro_serve_repair_components_total"
 METRIC_SERVE_FULL_RESOLVES = "repro_serve_full_resolves_total"
 #: Timeout degradations: the budget ran out and a patched stale answer shipped.
 METRIC_SERVE_STALE_RETURNS = "repro_serve_stale_returns_total"
-#: The ``auto`` dispatcher's per-solve decision, labelled ``backend``
-#: (flat / vectorized) and ``family`` (bdone / linear_time / near_linear).
-METRIC_AUTO_BACKEND_PICKS = "repro_auto_backend_picks_total"
 #: Kernel-cache lookups that missed locally but hit the fleet-shared tier
 #: (a graph kernelized by one shard worker answering on another).
 METRIC_SERVE_CACHE_SHARED_HITS = "repro_serve_cache_shared_hits_total"
@@ -140,7 +136,6 @@ METRIC_KEYS = frozenset(
         METRIC_SERVE_REPAIR_COMPONENTS,
         METRIC_SERVE_FULL_RESOLVES,
         METRIC_SERVE_STALE_RETURNS,
-        METRIC_AUTO_BACKEND_PICKS,
         METRIC_FRONTEND_REQUESTS,
         METRIC_FRONTEND_REQUEST_SECONDS,
         METRIC_FRONTEND_QUEUE_DEPTH,

@@ -21,9 +21,8 @@ def summarize(records: Sequence[Dict[str, object]]) -> Dict[str, object]:
     ``span_total`` (sum of depth-0 span walls — comparable to the run's
     ``MISResult.elapsed``), ``counters``, ``timers``, ``profiles``,
     ``memory``, ``components`` (pid + wall per component), ``processes``
-    (pid → label), ``requests`` (per request id: span/wall/source/backend
-    attribution, from the serving layer's context stamps) and
-    ``backend_picks`` (the auto dispatcher's per-solve picks).
+    (pid → label) and ``requests`` (per request id: span/wall/source/backend
+    attribution, from the serving layer's context stamps).
     """
     phases: Dict[str, Dict[str, float]] = {}
     counters: Dict[str, int] = {}
@@ -33,21 +32,7 @@ def summarize(records: Sequence[Dict[str, object]]) -> Dict[str, object]:
     components: Dict[object, Dict[str, object]] = {}
     processes: Dict[object, str] = {}
     requests: Dict[str, Dict[str, object]] = {}
-    backend_picks: List[Dict[str, object]] = []
     span_total = 0.0
-
-    def _request_cell(request: object) -> Dict[str, object]:
-        return requests.setdefault(
-            str(request),
-            {
-                "spans": 0,
-                "wall": 0.0,
-                "sources": {},
-                "backends": {},
-                "components": set(),
-                "tenant": "",
-            },
-        )
 
     for record in records:
         kind = record.get("type")
@@ -78,7 +63,17 @@ def summarize(records: Sequence[Dict[str, object]]) -> Dict[str, object]:
                     comp["wall"] += wall
             request = record.get("request") or meta.get("request")
             if request is not None:
-                req = _request_cell(request)
+                req = requests.setdefault(
+                    str(request),
+                    {
+                        "spans": 0,
+                        "wall": 0.0,
+                        "sources": {},
+                        "backends": {},
+                        "components": set(),
+                        "tenant": "",
+                    },
+                )
                 req["spans"] = int(req["spans"]) + 1
                 if depth == 0:
                     req["wall"] = float(req["wall"]) + wall
@@ -107,15 +102,6 @@ def summarize(records: Sequence[Dict[str, object]]) -> Dict[str, object]:
             profiles.append(record)
         elif kind == "memory":
             memory.append(record)
-        elif kind == "backend_pick":
-            backend_picks.append(record)
-            request = record.get("request")
-            if request is not None:
-                req = _request_cell(request)
-                backend = str(record.get("backend", ""))
-                if backend:
-                    backends = req["backends"]
-                    backends[backend] = backends.get(backend, 0) + 1  # type: ignore[union-attr]
     for req in requests.values():
         req["components"] = sorted(req["components"], key=str)  # type: ignore[arg-type]
     return {
@@ -128,7 +114,6 @@ def summarize(records: Sequence[Dict[str, object]]) -> Dict[str, object]:
         "components": components,
         "processes": processes,
         "requests": requests,
-        "backend_picks": backend_picks,
     }
 
 

@@ -196,7 +196,7 @@ class Telemetry:
         return samples
 
     def record(self, record: Dict[str, object]) -> None:
-        """Append a free-form record (memory probes, backend picks …).
+        """Append a free-form record (memory probes …).
 
         Like spans and profiles, the record is stamped with the active
         :meth:`scoped` context fields (request id, tenant, component) —

@@ -18,7 +18,7 @@ Usage::
     python -m repro.perf.bench_regression                  # full suite
     python -m repro.perf.bench_regression --quick          # CI-sized suite
     python -m repro.perf.bench_regression --quick \
-        --out bench_quick.json --compare BENCH_PR7.json    # regression gate
+        --out bench_quick.json --compare BENCH_PR10.json    # regression gate
 
 ``--compare`` checks the fresh run against a committed baseline and exits
 nonzero when any gated track's flat wall time (see :data:`GATED_TRACKS`)
@@ -52,7 +52,6 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..analysis.verify import is_independent_set
-from ..core.auto import STAT_AUTO_VEC, linear_time_auto, near_linear_auto
 from ..core.bdone import bdone
 from ..core.dominance import TriangleWorkspace
 from ..core.linear_time import linear_time, linear_time_reduce
@@ -84,9 +83,7 @@ SCHEMA_VERSION = 8
 #: and the flat local-search state respectively; ServeIncremental gates
 #: the serving layer's localized-repair latency on mutation streams; the
 #: ``*_vec`` tracks gate the vectorized frontier-sweep backend
-#: (:mod:`repro.core.vectorized`); the ``*_auto`` tracks gate the
-#: calibrated dispatcher (:mod:`repro.core.auto`) — its wall time, and
-#: (inside the record) how far it sits from the best fixed backend.
+#: (:mod:`repro.core.vectorized`).
 GATED_TRACKS: Dict[str, Tuple[str, str]] = {
     "linear_time": ("LinearTime", "flat_wall"),
     "near_linear": ("NearLinear", "flat_wall"),
@@ -94,19 +91,14 @@ GATED_TRACKS: Dict[str, Tuple[str, str]] = {
     "serve_incremental": ("ServeIncremental", "repair_wall"),
     "linear_time_vec": ("LinearTime-vec", "vec_wall"),
     "near_linear_vec": ("NearLinear-vec", "vec_wall"),
-    "linear_time_auto": ("LinearTime-auto", "auto_wall"),
-    "near_linear_auto": ("NearLinear-auto", "auto_wall"),
     "serve_load": ("ServeLoad", "async_wall"),
 }
 
 #: Which track families each ``--backend`` value runs.  ``legacy`` and
 #: ``flat`` both select the classic comparative tracks (each one times the
 #: flat backend *and* its legacy oracle — they are two sides of the same
-#: record); ``vectorized`` selects the batch-rounds backend tracks;
-#: ``auto`` runs the vectorized tracks plus the dispatcher tracks (the
-#: auto record scores itself against the fixed walls the vec track just
-#: measured, so they travel together).
-BACKEND_CHOICES = ("legacy", "flat", "vectorized", "auto", "all")
+#: record); ``vectorized`` selects the batch-rounds backend tracks.
+BACKEND_CHOICES = ("legacy", "flat", "vectorized", "all")
 
 #: Edge flips per mutation round in the serve track — small enough to stay
 #: on the repair path, large enough to touch several neighbourhoods.
@@ -260,34 +252,6 @@ def _time_vec_track(
         "size": len(vec_result.independent_set),
         "flat_size": len(flat_result.independent_set),
         "upper_bound": vec_result.upper_bound,
-    }
-
-
-def _time_auto_track(
-    auto_algorithm: Callable[[Graph], object],
-    graph: Graph,
-    repeats: int,
-    vec_record: Dict[str, float],
-) -> Dict[str, object]:
-    """Time the auto dispatcher and score it against the fixed backends.
-
-    ``vec_record`` is the just-measured vec track for the same family
-    (``vec_wall`` / ``flat_wall``): the best fixed wall is their minimum,
-    and ``vs_best`` is the acceptance-criterion ratio — 1.0 means the
-    dispatcher matched the best fixed backend exactly; anything beyond
-    ~1.05 (plus timing noise) means it picked the wrong side of the
-    crossover for this graph.
-    """
-    auto_result, auto_wall = _best_of(lambda: auto_algorithm(graph), repeats)
-    assert is_independent_set(graph, auto_result.independent_set)
-    picked = "vectorized" if auto_result.stats.get(STAT_AUTO_VEC) else "flat"
-    best_fixed = min(vec_record["vec_wall"], vec_record["flat_wall"])
-    return {
-        "auto_wall": auto_wall,
-        "picked": picked,
-        "best_fixed_wall": best_fixed,
-        "vs_best": auto_wall / best_fixed if best_fixed > 0 else float("inf"),
-        "size": len(auto_result.independent_set),
     }
 
 
@@ -494,17 +458,15 @@ def run_suite(suite: str, repeats: int, backend: str = "all") -> Dict[str, objec
 
     ``backend`` selects the track families (see :data:`BACKEND_CHOICES`):
     ``legacy``/``flat`` run the classic comparative tracks, ``vectorized``
-    the batch-rounds tracks, ``auto`` those plus the dispatcher tracks,
-    ``all`` (the default, and what the committed baselines use) runs
-    everything.
+    the batch-rounds tracks, ``all`` (the default, and what the committed
+    baselines use) runs everything.
     """
     if backend not in BACKEND_CHOICES:
         raise ValueError(
             f"unknown backend {backend!r}; choose from {BACKEND_CHOICES}"
         )
     classic = backend in ("legacy", "flat", "all")
-    vectorized = backend in ("vectorized", "auto", "all")
-    auto_tracks = backend in ("auto", "all")
+    vectorized = backend in ("vectorized", "all")
     report: Dict[str, object] = {
         "schema": SCHEMA_VERSION,
         "suite": suite,
@@ -544,13 +506,6 @@ def run_suite(suite: str, repeats: int, backend: str = "all") -> Dict[str, objec
                 repeats,
                 oracle_factory=TriangleWorkspace,
                 exact_match=True,
-            )
-        if auto_tracks:
-            timings["LinearTime-auto"] = _time_auto_track(
-                linear_time_auto, graph, repeats, timings["LinearTime-vec"]
-            )
-            timings["NearLinear-auto"] = _time_auto_track(
-                near_linear_auto, graph, repeats, timings["NearLinear-vec"]
             )
         if classic and deep:
             arw_track = _time_arw_lt(graph, repeats)
@@ -748,11 +703,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 part = (
                     f"{alg} repair {rec['repair_wall']:.4f}s "
                     f"({rec['repair_speedup']:.2f}x) warm {rec['warm_speedup']:.0f}x"
-                )
-            elif "auto_wall" in rec:
-                part = (
-                    f"{alg} {rec['picked']} {rec['auto_wall']:.4f}s "
-                    f"({rec['vs_best']:.2f}x best fixed)"
                 )
             elif "vec_wall" in rec:
                 part = (

@@ -31,7 +31,6 @@ import time
 from array import array
 from typing import Callable, List, Optional, Tuple, Union
 
-from ..core.auto import bdone_auto, linear_time_auto, near_linear_auto
 from ..core.bdone import bdone
 from ..core.linear_time import linear_time
 from ..core.near_linear import near_linear
@@ -60,9 +59,7 @@ DEFAULT_PARALLEL_THRESHOLD = 2_000
 #: stays three byte strings plus two short strings per component.  The
 #: ``*_vec`` entries are the vectorized-backend solvers — module-level
 #: functions in :mod:`repro.core.vectorized`, so they pickle by reference
-#: exactly like the scalar ones.  The ``*_auto`` entries dispatch between
-#: flat and vectorized per graph (:mod:`repro.core.auto`); handed to the
-#: component pool, each *component* gets its own backend pick.
+#: exactly like the scalar ones.
 ALGORITHM_BY_NAME: dict = {
     "bdone": bdone,
     "linear_time": linear_time,
@@ -70,9 +67,6 @@ ALGORITHM_BY_NAME: dict = {
     "bdone_vec": bdone_vec,
     "linear_time_vec": linear_time_vec,
     "near_linear_vec": near_linear_vec,
-    "bdone_auto": bdone_auto,
-    "linear_time_auto": linear_time_auto,
-    "near_linear_auto": near_linear_auto,
 }
 
 

@@ -41,7 +41,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Union
 
-from ..core.auto import STAT_AUTO_FLAT, STAT_AUTO_VEC
 from ..core.kernel import KernelResult, kernelize
 from ..core.result import (
     MISResult,
@@ -73,7 +72,7 @@ from ..obs.metrics import (
     get_metrics,
 )
 from ..obs.telemetry import get_telemetry, phase
-from ..perf.parallel import DEFAULT_PARALLEL_THRESHOLD
+from ..perf.parallel import ALGORITHM_BY_NAME, DEFAULT_PARALLEL_THRESHOLD
 from .cache import CacheEntry, KernelCache
 from .context import RequestContext
 from .dynamic_graph import DynamicGraph, Mutation
@@ -99,22 +98,9 @@ _EVENT_METRICS: Dict[str, str] = {
 _CACHE_COUNTED = frozenset({STAT_SERVE_CACHE_HIT, STAT_SERVE_CACHE_MISS})
 
 
-def _backend_of(algorithm: str, rule_counts: Optional[Dict[str, int]]) -> str:
-    """Which execution backend produced a solution (span/metric label).
-
-    ``*_auto`` results carry the dispatcher's pick in their rule counters;
-    fixed backends are named by the algorithm itself.
-    """
-    if rule_counts:
-        if rule_counts.get(STAT_AUTO_VEC):
-            return "vectorized"
-        if rule_counts.get(STAT_AUTO_FLAT):
-            return "flat"
-    if algorithm.endswith("_vec"):
-        return "vectorized"
-    if algorithm.endswith("_auto"):
-        return "auto"
-    return "flat"
+def _backend_of(algorithm: str) -> str:
+    """Which execution backend produced a solution (span/metric label)."""
+    return "vectorized" if algorithm.endswith("_vec") else "flat"
 
 SNAPSHOT_VERSION = 1
 
@@ -173,9 +159,7 @@ class ServeResult:
     ``exact_bound`` marks ``upper_bound`` as a Theorem-6.1 certificate
     rather than the trivial live-vertex count.  ``backend`` attributes the
     answer to the execution backend that produced it (``"flat"`` /
-    ``"vectorized"``, resolved through the auto dispatcher's pick counters
-    for ``*_auto`` algorithms; ``"none"`` for stale returns, where no
-    solver ran).
+    ``"vectorized"``; ``"none"`` for stale returns, where no solver ran).
     """
 
     graph_id: str
@@ -230,6 +214,11 @@ class SolverService:
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.config = config or ServiceConfig()
+        if self.config.algorithm not in ALGORITHM_BY_NAME:
+            raise ReproError(
+                f"unknown algorithm name {self.config.algorithm!r}; "
+                f"registered: {sorted(ALGORITHM_BY_NAME)}"
+            )
         #: One registry shared by the service, its cache, and — when the
         #: process enabled metrics globally — the exposition endpoints.
         #: Sharing is load-bearing: it is what keeps :meth:`counters` and a
@@ -485,7 +474,7 @@ class SolverService:
                 is_exact=entry.is_exact,
                 exact_bound=entry.exact_bound,
                 source="cache",
-                backend=_backend_of(algorithm, entry.rule_counts),
+                backend=_backend_of(algorithm),
                 elapsed=time.perf_counter() - start,
             )
         self._bump(STAT_SERVE_CACHE_MISS, 1, telemetry)
@@ -563,7 +552,7 @@ class SolverService:
         self._bump(STAT_SERVE_REPAIR, 1, telemetry)
         self._bump(STAT_SERVE_REPAIR_VERTICES, outcome.region_size, telemetry)
         self._bump(STAT_SERVE_REPAIR_COMPONENTS, outcome.components, telemetry)
-        backend = _backend_of(self.config.algorithm, None)
+        backend = _backend_of(self.config.algorithm)
         self.metrics.observe(
             METRIC_SERVE_SOLVER_SECONDS,
             outcome.solver_elapsed,
@@ -640,7 +629,7 @@ class SolverService:
             is_exact=entry.is_exact,
             exact_bound=True,
             source="cold",
-            backend=_backend_of(self.config.algorithm, entry.rule_counts),
+            backend=_backend_of(self.config.algorithm),
             elapsed=time.perf_counter() - start,
         )
 
@@ -668,7 +657,7 @@ class SolverService:
             METRIC_SERVE_SOLVER_SECONDS,
             result.elapsed,
             mode="cold",
-            backend=_backend_of(self.config.algorithm, dict(result.stats)),
+            backend=_backend_of(self.config.algorithm),
         )
         entry = CacheEntry(
             fingerprint=fingerprint,

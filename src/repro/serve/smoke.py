@@ -18,8 +18,9 @@ With ``--metrics-out`` / ``--trace-out`` the gauntlet also exercises the
 observability stack: the run executes inside a metrics session (and a
 telemetry session for tracing), and extra gates assert that the Prometheus
 exposition parses, that solve-latency p99 quantiles are populated, that
-every request produced stamped spans, and — under an ``*_auto`` algorithm
-— that backend-pick attribution reached both metrics and the trace.
+every request produced stamped spans, and that every non-stale solve span
+names the backend of the configured algorithm (``"vectorized"`` for the
+``*_vec`` names, ``"flat"`` otherwise).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from typing import List, Optional
 from ..analysis import assert_valid_solution
 from ..graphs.generators import power_law_graph
 from ..obs.metrics import (
-    METRIC_AUTO_BACKEND_PICKS,
     METRIC_SERVE_REQUEST_SECONDS,
     METRIC_SERVE_REQUESTS,
     METRIC_SERVE_SOLVER_SECONDS,
@@ -47,7 +47,7 @@ from ..obs.telemetry import Telemetry, telemetry_session
 from ..obs.trace_io import write_trace
 from .dynamic_graph import DynamicGraph, Mutation
 from .repair import cold_solve
-from .service import ServiceConfig, SolverService
+from .service import ServiceConfig, SolverService, _backend_of
 
 __all__ = ["main", "run_smoke"]
 
@@ -90,7 +90,7 @@ def _verify_observability(
     algorithm: str,
     verbose: bool,
 ) -> int:
-    """Gate the obs leg of the smoke: exposition, quantiles, spans, picks."""
+    """Gate the obs leg of the smoke: exposition, quantiles, spans, backend."""
     failures = 0
 
     def gate(ok: bool, label: str) -> None:
@@ -123,11 +123,6 @@ def _verify_observability(
             any(value > 0 for value in solver_p99),
             "solver-latency p99 quantiles populated",
         )
-        if algorithm.endswith("_auto"):
-            gate(
-                metrics.total(METRIC_AUTO_BACKEND_PICKS) > 0,
-                "auto backend picks counted",
-            )
     if telemetry is not None:
         records = telemetry.to_records()
         requests = {
@@ -136,18 +131,19 @@ def _verify_observability(
             if record.get("type") == "span" and record.get("meta", {}).get("request")
         }
         gate(bool(requests), f"spans stamped with request ids ({len(requests)})")
+        expected = _backend_of(algorithm)
         backends = {
-            record.get("meta", {}).get("backend")
+            record["meta"].get("backend")
             for record in records
             if record.get("type") == "span"
+            and record.get("name") == "serve:solve"
+            and record["meta"].get("source") != "stale"
         }
         gate(
-            any(backends - {None, ""}),
-            "solve spans carry backend attribution",
+            backends == {expected},
+            f"non-stale solve spans report backend {expected!r} "
+            f"({sorted(map(str, backends))})",
         )
-        if algorithm.endswith("_auto"):
-            picks = [r for r in records if r.get("type") == "backend_pick"]
-            gate(bool(picks), "backend_pick records present in trace")
     return failures
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.bench import (
     ALL_DATASETS,
+    BACKENDS,
     EASY_DATASETS,
     HARD_DATASETS,
     RunRecord,
@@ -12,11 +13,26 @@ from repro.bench import (
     format_seconds,
     load,
     render_table,
+    resolve_backend,
     run_algorithms,
     time_call,
 )
 from repro.core import bdone, linear_time
 from repro.errors import ReproError
+
+
+class TestBackends:
+    def test_three_backends(self):
+        assert set(BACKENDS) == {"legacy", "flat", "vectorized"}
+        assert resolve_backend("flat")["linear_time"] is linear_time
+
+    @pytest.mark.parametrize("name", ["turbo", "auto"])
+    def test_resolve_backend_rejects_unknown_and_lists_choices(self, name):
+        with pytest.raises(ValueError) as excinfo:
+            resolve_backend(name)
+        message = str(excinfo.value)
+        for choice in sorted(BACKENDS):
+            assert repr(choice) in message
 
 
 class TestDatasets:

@@ -209,9 +209,6 @@ class TestFrameworkDispatch:
             "BDOne-vec",
             "LinearTime-vec",
             "NearLinear-vec",
-            "BDOne-auto",
-            "LinearTime-auto",
-            "NearLinear-auto",
         }
 
     def test_dispatch_case_insensitive(self):
@@ -222,6 +219,15 @@ class TestFrameworkDispatch:
     def test_dispatch_unknown_raises(self):
         with pytest.raises(ReproError):
             compute_independent_set(cycle_graph(5), "Magic")
+
+    @pytest.mark.parametrize(
+        "name", ["BDOne-auto", "LinearTime-auto", "NearLinear-auto"]
+    )
+    def test_removed_auto_names_raise(self, name):
+        # The per-graph flat/vectorized picker is gone; its registry names
+        # hit the ordinary unknown-name error, which lists the survivors.
+        with pytest.raises(ReproError, match="LinearTime-vec"):
+            compute_independent_set(cycle_graph(5), name)
 
     def test_stats_are_populated(self):
         result = linear_time(paper_figure5())

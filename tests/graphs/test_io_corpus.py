@@ -64,6 +64,8 @@ EDGE_LIST_MALFORMED = [
     ("float-label", "0 1\n1.5 2\n", 2),
     ("comment-glued-to-first-label", "1#c 2\n", 1),
     ("bad-header-count", "# repro graph: n=abc\n0 1\n", 1),
+    ("absurd-header-count", "# repro graph: n=1000000000000\n0 1\n", 1),
+    ("header-count-past-int32", "0 1\n% repro graph: n=2147483648\n", 2),
     ("bad-line-after-crlf", "0 1\r\n1 y\r\n", 2),
 ]
 
@@ -102,6 +104,8 @@ DIMACS_MALFORMED = [
     ("out-of-range", "p edge 2 1\ne 1 3\n", 2),
     ("zero-id", "p edge 2 1\ne 0 1\n", 2),
     ("non-integer-count", "p edge x 3\n", 1),
+    ("absurd-count", "p edge 1000000000000 1\ne 1 2\n", 1),
+    ("count-past-int32", "p edge 2147483648 0\n", 1),
     ("non-integer-vertex", "p edge 3 1\ne 1 b\n", 2),
     ("short-edge-line", "p edge 3 1\ne 1\n", 2),
 ]

@@ -12,7 +12,7 @@ import math
 import pytest
 
 from repro.obs.metrics import (
-    METRIC_AUTO_BACKEND_PICKS,
+    METRIC_FRONTEND_SHED,
     METRIC_KEYS,
     METRIC_SERVE_CACHE_ENTRIES,
     METRIC_SERVE_REQUEST_SECONDS,
@@ -49,10 +49,10 @@ class TestRegistryBasics:
 
     def test_label_order_does_not_mint_new_series(self):
         registry = MetricsRegistry()
-        registry.inc(METRIC_AUTO_BACKEND_PICKS, family="lt", backend="flat")
-        registry.inc(METRIC_AUTO_BACKEND_PICKS, backend="flat", family="lt")
-        assert registry.value(METRIC_AUTO_BACKEND_PICKS, family="lt", backend="flat") == 2
-        assert len(registry.counter_series(METRIC_AUTO_BACKEND_PICKS)) == 1
+        registry.inc(METRIC_FRONTEND_SHED, shard="0", reason="deadline")
+        registry.inc(METRIC_FRONTEND_SHED, reason="deadline", shard="0")
+        assert registry.value(METRIC_FRONTEND_SHED, shard="0", reason="deadline") == 2
+        assert len(registry.counter_series(METRIC_FRONTEND_SHED)) == 1
 
     def test_gauge_overwrites(self):
         registry = MetricsRegistry()
@@ -71,7 +71,7 @@ class TestRegistryBasics:
 
     def test_metric_keys_cover_every_constant(self):
         assert METRIC_SERVE_REQUESTS in METRIC_KEYS
-        assert METRIC_AUTO_BACKEND_PICKS in METRIC_KEYS
+        assert METRIC_FRONTEND_SHED in METRIC_KEYS
         # Exposition names stay Prometheus-legal.
         assert all(name.replace("_", "a").isalnum() for name in METRIC_KEYS)
 

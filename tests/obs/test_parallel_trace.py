@@ -114,14 +114,13 @@ class TestMergedParallelReport:
 
 class TestBackendAttributionAcrossProcesses:
     """Traces merge with backend/request attribution intact under the
-    vectorized and auto backends, not just the flat one."""
+    vectorized backend, not just the flat one."""
 
-    @pytest.mark.parametrize("algorithm", ["linear_time_vec", "linear_time_auto"])
-    def test_worker_attribution_survives_backend_choice(self, algorithm):
+    def test_worker_attribution_survives_backend_choice(self):
         union, pooled, inline = _union()
         with telemetry_session("parallel-run") as tele:
             solve_by_components_parallel(
-                union, algorithm, processes=2, min_component_size=100
+                union, "linear_time_vec", processes=2, min_component_size=100
             )
         merged = merge_traces([tele.to_records()])
         components = merged["components"]
@@ -131,26 +130,6 @@ class TestBackendAttributionAcrossProcesses:
             assert components[index]["pid"] != parent_pid
         for index in inline:
             assert components[index]["pid"] == parent_pid
-
-    def test_auto_backend_pick_records_attributed_per_component(self):
-        union, pooled, inline = _union()
-        with telemetry_session("parallel-run") as tele:
-            solve_by_components_parallel(
-                union, "linear_time_auto", processes=2, min_component_size=100
-            )
-        records = tele.to_records()
-        picks = [r for r in records if r.get("type") == "backend_pick"]
-        # Every component's solve went through the dispatcher and said so.
-        assert {_component_of(r) for r in picks} == pooled | inline
-        assert all(r.get("backend") in ("flat", "vectorized") for r in picks)
-        # Pooled picks were recorded by the worker that made them; inline
-        # picks by the parent.
-        parent_pid = os.getpid()
-        for record in picks:
-            if _component_of(record) in pooled:
-                assert record["pid"] != parent_pid
-            else:
-                assert record["pid"] == parent_pid
 
     def test_request_stamp_propagates_to_worker_records(self):
         union, pooled, _inline = _union()

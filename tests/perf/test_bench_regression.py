@@ -3,6 +3,8 @@
 import copy
 import json
 
+import pytest
+
 from repro.perf import bench_regression
 
 
@@ -60,8 +62,6 @@ def test_gated_tracks_cover_all_flat_backends():
         "serve_incremental",
         "linear_time_vec",
         "near_linear_vec",
-        "linear_time_auto",
-        "near_linear_auto",
         "serve_load",
     }
     for track, (record, field) in bench_regression.GATED_TRACKS.items():
@@ -74,12 +74,17 @@ def test_gated_tracks_cover_all_flat_backends():
         elif track.endswith("_vec"):
             assert record in {"LinearTime-vec", "NearLinear-vec"}
             assert field == "vec_wall"
-        elif track.endswith("_auto"):
-            assert record in {"LinearTime-auto", "NearLinear-auto"}
-            assert field == "auto_wall"
         else:
             assert field == "flat_wall"
             assert record in {"LinearTime", "NearLinear", "ARW-LT"}
+
+
+def test_run_suite_rejects_unknown_backend():
+    # "all" is legacy + flat + vectorized; the removed dispatcher's
+    # "auto" is as unknown as any other name.
+    assert bench_regression.BACKEND_CHOICES == ("legacy", "flat", "vectorized", "all")
+    with pytest.raises(ValueError, match="unknown backend 'auto'"):
+        bench_regression.run_suite("smoke", repeats=1, backend="auto")
 
 
 def test_compare_self_passes(tmp_path):

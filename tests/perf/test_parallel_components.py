@@ -94,7 +94,6 @@ def test_threshold_above_all_components_solves_inline():
 
 
 def test_registry_names_cover_every_dispatchable_algorithm():
-    from repro.core.auto import bdone_auto, linear_time_auto, near_linear_auto
     from repro.core.vectorized import bdone_vec, linear_time_vec, near_linear_vec
 
     assert ALGORITHM_BY_NAME == {
@@ -104,9 +103,6 @@ def test_registry_names_cover_every_dispatchable_algorithm():
         "bdone_vec": bdone_vec,
         "linear_time_vec": linear_time_vec,
         "near_linear_vec": near_linear_vec,
-        "bdone_auto": bdone_auto,
-        "linear_time_auto": linear_time_auto,
-        "near_linear_auto": near_linear_auto,
     }
 
 

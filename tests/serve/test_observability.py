@@ -163,11 +163,6 @@ class TestBackendAttribution:
         gid = service.register(gnm_random_graph(60, 120, seed=3))
         assert service.solve(gid).backend == "vectorized"
 
-    def test_auto_backend_resolves_to_actual_pick(self):
-        service = SolverService(ServiceConfig(algorithm="linear_time_auto"))
-        gid = service.register(gnm_random_graph(60, 120, seed=3))
-        assert service.solve(gid).backend in ("flat", "vectorized")
-
 
 class TestRequestSpans:
     def test_solve_spans_stamped_with_request(self):
@@ -235,7 +230,7 @@ class TestSmokeObsLeg:
             mutations=10,
             batch=5,
             seed=11,
-            algorithm="linear_time_auto",
+            algorithm="linear_time_vec",
             verbose=False,
             metrics_out=str(metrics_out),
             trace_out=str(trace_out),
@@ -253,7 +248,11 @@ class TestSmokeObsLeg:
             json.loads(line)
             for line in trace_out.read_text().strip().splitlines()
         ]
-        assert any(r.get("type") == "backend_pick" for r in records)
+        solves = [
+            r for r in records if r.get("type") == "span" and r["name"] == "serve:solve"
+        ]
+        assert solves
+        assert {r["meta"]["backend"] for r in solves} <= {"vectorized", "none"}
 
     def test_smoke_sessions_leave_no_global_residue(self, tmp_path):
         from repro.obs.metrics import get_metrics

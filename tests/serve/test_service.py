@@ -61,6 +61,11 @@ class TestRegistration:
         with pytest.raises(ReproError, match="unknown graph id"):
             service.solve("nope")
 
+    def test_unknown_algorithm_rejected_at_construction(self):
+        # Caught when the service is built, not by the first solve.
+        with pytest.raises(ReproError, match="registered: .*'linear_time_vec'"):
+            SolverService(ServiceConfig(algorithm="nope"))
+
     def test_unregister(self):
         service = SolverService()
         gid = service.register(cycle_graph(5))
@@ -258,6 +263,16 @@ class TestPersistence:
     def test_version_gate(self):
         with pytest.raises(ReproError, match="snapshot version"):
             SolverService.restore({"version": 99})
+
+    def test_restore_rejects_unregistered_algorithm(self):
+        # A snapshot taken while the per-graph picker existed names it;
+        # restore must refuse it up front and list the registered names.
+        service = SolverService()
+        service.register(cycle_graph(5))
+        payload = service.snapshot_payload()
+        payload["config"]["algorithm"] = "linear_time_auto"
+        with pytest.raises(ReproError, match="registered: .*'near_linear_vec'"):
+            SolverService.restore(payload)
 
     def test_config_round_trips(self, tmp_path):
         config = ServiceConfig(

@@ -304,6 +304,26 @@ class TestServe:
         assert '"ok": false' in out
 
 
+class TestRemovedAutoSurface:
+    """The per-graph backend picker and its calibration command are gone;
+    their spellings are ordinary argparse usage errors (exit code 2)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "-", "--algorithm", "linear_time_auto"],
+            ["calibrate"],
+            ["bench", "--backend", "auto"],
+        ],
+        ids=["serve-auto", "calibrate", "bench-auto"],
+    )
+    def test_removed_spelling_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
 class TestLoadgen:
     def test_loadgen_report_round_trip(self, tmp_path, capsys):
         import json

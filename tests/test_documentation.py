@@ -2,7 +2,8 @@
 
 Extracts fenced ``python`` blocks from README.md and executes them in a
 shared namespace (skipping blocks that need external files), so the docs
-can never drift from the API.
+can never drift from the API, and checks the performance guide's headline
+table against the committed benchmark baseline it quotes.
 """
 
 import os
@@ -81,3 +82,57 @@ class TestDesignAndExperiments:
     def test_docs_directory(self):
         for name in ("algorithms.md", "reductions.md", "api.md"):
             assert os.path.getsize(os.path.join(REPO_ROOT, "docs", name)) > 1_000
+
+
+class TestPerformanceClaims:
+    """The plr-50k headline table in docs/performance.md quotes the
+    committed baseline; every figure must match its record."""
+
+    BASELINE = "BENCH_PR10.json"
+
+    def _rows(self):
+        path = os.path.join(REPO_ROOT, "docs", "performance.md")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        header = "| algorithm | legacy oracle | flat | vectorized |"
+        assert header in text
+        table = text.split(header, 1)[1].split("\n\n", 1)[0]
+        rows = {}
+        for line in table.strip().splitlines()[1:]:
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            rows[cells[0]] = cells[1:]
+        return rows
+
+    def _records(self):
+        import json
+
+        with open(os.path.join(REPO_ROOT, self.BASELINE), encoding="utf-8") as handle:
+            return json.load(handle)["timings"]["plr-50k"]
+
+    @staticmethod
+    def _figures(cell):
+        """``(ms, ratio or None)`` of a cell like ``**38 ms (2.1× vs flat)**``."""
+        match = re.match(r"\**(\d+) ms(?: \((\d+\.\d)×)?", cell)
+        assert match, f"no ms figure in {cell!r}"
+        ratio = match.group(2)
+        return int(match.group(1)), None if ratio is None else float(ratio)
+
+    def test_table_covers_the_gated_algorithms(self):
+        assert set(self._rows()) == {"LinearTime", "NearLinear", "BDOne"}
+
+    def test_every_figure_matches_the_baseline(self):
+        records = self._records()
+        for algorithm, (legacy, flat, vectorized) in self._rows().items():
+            record = records[algorithm]
+            legacy_ms, _ = self._figures(legacy)
+            assert legacy_ms == round(record["oracle_wall"] * 1000), algorithm
+            flat_ms, speedup = self._figures(flat)
+            assert flat_ms == round(record["flat_wall"] * 1000), algorithm
+            assert speedup == round(record["speedup"], 1), algorithm
+            if f"{algorithm}-vec" not in records:
+                assert vectorized.startswith("—"), algorithm
+                continue
+            vec = records[f"{algorithm}-vec"]
+            vec_ms, vs_flat = self._figures(vectorized)
+            assert vec_ms == round(vec["vec_wall"] * 1000), algorithm
+            assert vs_flat == round(vec["speedup_vs_flat"], 1), algorithm

@@ -16,19 +16,29 @@ a specialized loop for :class:`~repro.core.workspace.FlatWorkspace` that
 binds the flat buffers to locals once and appends decision-log entries
 directly, eliminating the per-reduction attribute lookups and method calls
 that otherwise dominate the constant factor.  Both paths produce identical
-decision logs — the differential tests assert this entry-for-entry.
+decision logs — the differential tests assert this entry-for-entry — while
+the degree-one worklist stays narrower than
+:data:`~repro.core.vectorized.BATCH_MIN_FRONTIER`; the flat loop resolves
+a wider frontier in whole-array rounds
+(:func:`~repro.core.vectorized._degree_one_rounds`).
 """
 
 from __future__ import annotations
 
 import time
+from sys import maxsize
 from typing import Any, Callable, Optional
 
 from ..graphs.static_graph import Graph
 from .hotpath import hot_loop
 from .result import STAT_DEGREE_ONE, STAT_PEEL, MISResult
 from .trace import EXCLUDE, INCLUDE, PEEL
-from .vectorized import VecWorkspace, drive_bdone_vec
+from .vectorized import (
+    BATCH_MIN_FRONTIER,
+    VecWorkspace,
+    _degree_one_rounds,
+    drive_bdone_vec,
+)
 from .workspace import FlatWorkspace
 from ..obs.instrument import finish_profile, instrumented_factory, traced_replay
 from ..obs.telemetry import get_telemetry, phase
@@ -63,16 +73,23 @@ def _run_generic(workspace: Any) -> None:
 def _run_flat(workspace: FlatWorkspace) -> None:
     """BDOne specialized to the flat CSR buffers.
 
-    Identical decision sequence to :func:`_run_generic`; the degree-one
-    cascade and the deletions are fused into one loop over locals.
+    Identical decision sequence to :func:`_run_generic` below the batching
+    width; the degree-one cascade and the deletions are fused into one loop
+    over locals, and a frontier of at least :data:`BATCH_MIN_FRONTIER`
+    vertices runs in batched rounds (as in the LinearTime driver).
     """
     log = workspace.log
-    append_entry = log.entries.append
+    entries = log.entries
+    append_entry = entries.append
+    arrays = workspace.arrays
+    batch_min = maxsize if arrays is None else BATCH_MIN_FRONTIER
+    np_adj, np_xadj, np_deg, np_alive = arrays or (None, None, None, None)
     adj = workspace.adj
     xadj = workspace.xadj
     deg = workspace.deg
     alive = workspace.alive
     v1 = workspace.v1
+    v2 = workspace.v2
     v1_pop = v1.pop
     v1_append = v1.append
     pop_max_degree = workspace.pop_max_degree
@@ -80,7 +97,18 @@ def _run_flat(workspace: FlatWorkspace) -> None:
     deg_sum_drop = 0
     degree_one_count = 0
     peel_count = 0
+    batch_rounds = 0
     while True:
+        # --- wide degree-one frontier: whole-array rounds --------------
+        if len(v1) >= batch_min:
+            excluded, rounds, nlive_drop, deg_drop = _degree_one_rounds(
+                np_adj, np_xadj, np_deg, np_alive, v1, v2, False, entries,
+                batch_min,
+            )
+            degree_one_count += excluded
+            batch_rounds += rounds
+            dead += nlive_drop
+            deg_sum_drop += deg_drop
         # --- degree-one rule: delete the sole live neighbour of u ------
         u = -1
         while v1:
@@ -109,6 +137,10 @@ def _run_flat(workspace: FlatWorkspace) -> None:
             degree_one_count += 1
             continue
         # --- peel the maximum-degree vertex ----------------------------
+        # The selector skips its O(n) build once nothing is live, which
+        # it reads off the workspace counter: flush the local count.
+        workspace._nlive -= dead
+        dead = 0
         u = pop_max_degree()
         if u is None:
             break
@@ -129,6 +161,7 @@ def _run_flat(workspace: FlatWorkspace) -> None:
         peel_count += 1
     workspace._nlive -= dead
     workspace._live_deg_sum -= deg_sum_drop
+    workspace._rounds += batch_rounds
     if degree_one_count:
         log.bump(STAT_DEGREE_ONE, degree_one_count)
     if peel_count:

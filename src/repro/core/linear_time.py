@@ -18,12 +18,17 @@ protocol, while :func:`_reduce_flat` binds the
 :class:`~repro.core.workspace.FlatWorkspace` buffers to locals and fuses
 the degree-one cascade, deletions and log appends (the degree-two path
 reductions stay in the shared Lemma 4.1 driver).  The decision logs are
-identical either way.
+identical either way while the degree-one worklist stays narrower than
+:data:`~repro.core.vectorized.BATCH_MIN_FRONTIER`; a wider frontier is
+resolved in whole-array rounds
+(:func:`~repro.core.vectorized._degree_one_rounds`), which may pick a
+different, equally valid set of exclusions.
 """
 
 from __future__ import annotations
 
 import time
+from sys import maxsize
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..graphs.static_graph import Graph
@@ -31,7 +36,12 @@ from .hotpath import hot_loop
 from .degree_two_paths import RULE_IRREDUCIBLE, apply_degree_two_path_reduction
 from .result import STAT_DEGREE_ONE, STAT_PEEL, MISResult
 from .trace import EXCLUDE, INCLUDE, PEEL, DecisionLog
-from .vectorized import VecWorkspace, drive_linear_time_vec
+from .vectorized import (
+    BATCH_MIN_FRONTIER,
+    VecWorkspace,
+    _degree_one_rounds,
+    drive_linear_time_vec,
+)
 from .workspace import FlatWorkspace
 from ..obs.instrument import finish_profile, instrumented_factory, traced_replay
 from ..obs.telemetry import get_telemetry, phase
@@ -84,10 +94,16 @@ def _reduce_flat(workspace: FlatWorkspace, stop_before_peel: bool) -> bool:
     The degree-one rule, the deletions and the peels operate on locals
     (``adj``/``deg``/``alive``/worklists) and append decision entries
     directly; rule counters are accumulated locally and committed to the
-    log in one batch when the loop exits.
+    log in one batch when the loop exits.  While the degree-one worklist
+    holds at least :data:`BATCH_MIN_FRONTIER` vertices (and the workspace
+    has numpy buffers), its rounds run batched instead.
     """
     log = workspace.log
-    append_entry = log.entries.append
+    entries = log.entries
+    append_entry = entries.append
+    arrays = workspace.arrays
+    batch_min = maxsize if arrays is None else BATCH_MIN_FRONTIER
+    np_adj, np_xadj, np_deg, np_alive = arrays or (None, None, None, None)
     adj = workspace.adj
     xadj = workspace.xadj
     deg = workspace.deg
@@ -103,9 +119,20 @@ def _reduce_flat(workspace: FlatWorkspace, stop_before_peel: bool) -> bool:
     deg_sum_drop = 0
     degree_one_count = 0
     peel_count = 0
+    batch_rounds = 0
     rule_counts: Dict[str, int] = {}
     consumed = True
     while True:
+        # --- wide degree-one frontier: whole-array rounds --------------
+        if len(v1) >= batch_min:
+            excluded, rounds, nlive_drop, deg_drop = _degree_one_rounds(
+                np_adj, np_xadj, np_deg, np_alive, v1, v2, True, entries,
+                batch_min,
+            )
+            degree_one_count += excluded
+            batch_rounds += rounds
+            dead += nlive_drop
+            deg_sum_drop += deg_drop
         # --- degree-one rule: delete the sole live neighbour of u ------
         u = -1
         while v1:
@@ -155,6 +182,10 @@ def _reduce_flat(workspace: FlatWorkspace, stop_before_peel: bool) -> bool:
                 rule_counts[rule] = rule_counts.get(rule, 0) + 1
             continue
         # --- peel the maximum-degree vertex ----------------------------
+        # The selector skips its O(n) build once nothing is live, which
+        # it reads off the workspace counter: flush the local count.
+        workspace._nlive -= dead
+        dead = 0
         u = pop_max_degree()
         if u is None:
             break
@@ -182,6 +213,7 @@ def _reduce_flat(workspace: FlatWorkspace, stop_before_peel: bool) -> bool:
         peel_count += 1
     workspace._nlive -= dead
     workspace._live_deg_sum -= deg_sum_drop
+    workspace._rounds += batch_rounds
     if degree_one_count:
         log.bump(STAT_DEGREE_ONE, degree_one_count)
     for rule, count in rule_counts.items():
@@ -209,7 +241,8 @@ def linear_time(
     ``workspace_factory`` selects the mutable-state backend (default
     :class:`~repro.core.workspace.FlatWorkspace`; pass
     :class:`~repro.core.workspace.ArrayWorkspace` for the list-of-lists
-    oracle — both yield identical decision logs).
+    oracle — both yield identical decision logs while the degree-one
+    worklist stays below :data:`~repro.core.vectorized.BATCH_MIN_FRONTIER`).
     """
     start = time.perf_counter()
     telemetry = get_telemetry()  # one global check per run

@@ -178,8 +178,14 @@ def _solve_csr(
     therefore the final matching are the same; only the constant factor
     differs (no per-vertex adjacency lists, no per-root stack allocations,
     no boxed-float distances).  Returns ``(match_left, match_right)``.
+
+    Both phases skip the isolated vertices: they never match and no edge
+    reaches them, so the matching is the same.  On inputs the exact rules
+    have mostly consumed (the NearLinear residual of a power-law graph is
+    ~80% isolated vertices) this removes most of each phase's scan.
     """
     inf = n + 1  # strictly above any reachable BFS layer
+    active = [u for u in range(n) if xadj[u] != xadj[u + 1]]
     match_left = [-1] * n
     match_right = [-1] * n
     dist = [0] * n
@@ -194,7 +200,7 @@ def _solve_csr(
     chosen: List[int] = []
     while True:
         # --- BFS phase: layer left vertices by alternating distance.
-        for u in range(n):
+        for u in active:
             if match_left[u] == -1:
                 dist[u] = 0
                 queue_append(u)
@@ -214,7 +220,7 @@ def _solve_csr(
         if not found:
             return match_left, match_right
         # --- DFS phase: one shortest augmenting path per free left vertex.
-        for root in range(n):
+        for root in active:
             if match_left[root] != -1:
                 continue
             nodes.append(root)

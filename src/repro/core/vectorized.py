@@ -44,9 +44,16 @@ lazy max-degree selector and every generic consumer (instrumentation,
 kernel export, the serve layer) unchanged.
 
 The decision *sequence* may differ from the flat backend inside a round
-(batch order instead of LIFO order), so the differential contract is the
-canonicalized one: a valid independent set of identical size, with the
-log replaying cleanly.  :func:`vectorized_one_pass_dominance` is stronger:
+(batch order instead of LIFO order): a round may exclude a different,
+equally valid set of vertices.  The differential contract is therefore a
+valid independent set whose log replays cleanly, with the same exact-rule
+kernel size.  The answer's size matches the flat backend on the
+differential corpus but not on every graph: once peels happen, replay's
+surviving-peel salvage can keep a different number of peeled vertices
+(``gnm_random_graph(200, 600, seed=15)``: 79 flat, 80 here, with equal
+rule stats and bound).  The default flat drivers batch wide frontiers with
+the same rounds (:data:`BATCH_MIN_FRONTIER`) and inherit this contract
+above that width.  :func:`vectorized_one_pass_dominance` is stronger:
 it returns the byte-identical removed list of
 :func:`~repro.core.flat_dominance.flat_one_pass_dominance` (the numpy wave
 only pre-certifies vertices that are provably removed at their sweep turn).
@@ -56,7 +63,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import replace
-from itertools import repeat as _repeat
 from typing import Any, List, Optional, Tuple
 
 from ..graphs.static_graph import Graph
@@ -67,6 +73,7 @@ from .hotpath import hot_loop
 from .result import STAT_DEGREE_ONE, STAT_PEEL, MISResult
 from .trace import EXCLUDE, INCLUDE, DecisionLog
 from .vec_paths import PathPairCache, run_path_rounds, vec_delete_vertex
+from .workspace import export_kernel_arrays, numpy_buffers, push_entries
 
 try:  # pragma: no cover - exercised implicitly by every import site
     import numpy as _np
@@ -84,6 +91,15 @@ __all__ = [
 ]
 
 
+#: Frontier width at which the fused flat LinearTime/BDOne drivers hand a
+#: degree-one round to :func:`_degree_one_rounds`, and below which they
+#: return to their scalar LIFO loop.  Every batched round pays a fixed
+#: numpy cost, which a wide frontier amortises and a narrow one does not
+#: (``docs/performance.md`` § "Per-round batching in the default driver"
+#: gives the frontier widths behind the value).
+BATCH_MIN_FRONTIER = 1024
+
+
 def _require_numpy() -> Any:
     if _np is None:
         raise RuntimeError(
@@ -91,23 +107,6 @@ def _require_numpy() -> Any:
             "use the flat backend (FlatWorkspace) instead"
         )
     return _np
-
-
-@hot_loop
-def _push_entries(
-    entries: List[Tuple[int, Tuple[int, ...]]], kind: int, batch: Any
-) -> None:
-    """Append one ``(kind, (v,))`` record per batch member.
-
-    ``batch`` is a numpy index array; ``tolist()`` converts once at C speed
-    so the log holds pure Python ints (the JSON snapshot path and the
-    differential tests both require that).  The ``zip``/``repeat`` pairing
-    builds every ``(kind, (v,))`` tuple in C — at tens of thousands of
-    entries per sweep the interpreted genexp equivalent is a measurable
-    slice of the whole sweep.  Kept outside the hot loop so the sweep
-    kernel stays comprehension-free (RL001).
-    """
-    entries.extend(zip(_repeat(kind), zip(batch.tolist())))
 
 
 class VecWorkspace:
@@ -143,40 +142,24 @@ class VecWorkspace:
     )
 
     def __init__(self, graph: Graph, track_degree_two: bool = False) -> None:
-        np = _require_numpy()
+        _require_numpy()
         self.graph = graph
-        n = self.n = graph.n
-        offsets, targets = graph.flat_csr()
-        if n:
-            self.xadj = np.frombuffer(offsets, dtype=np.int64)
-        else:
-            self.xadj = np.zeros(1, dtype=np.int64)
-        if len(targets):
-            self.adj = np.frombuffer(targets, dtype=np.int32).copy()
-        else:
-            self.adj = np.zeros(0, dtype=np.int32)
-        self.deg = np.diff(self.xadj).astype(np.int32)
-        self.alive = np.ones(n, dtype=np.uint8)
+        self.n = graph.n
+        adj, xadj, deg, alive, v1, v2, zeros = numpy_buffers(graph, track_degree_two)
+        self.adj, self.xadj, self.deg, self.alive = adj, xadj, deg, alive
+        self.v1: List[int] = v1
+        self.v2: List[int] = v2
         self.log = DecisionLog()
         self._selector: Optional[MaxDegreeSelector] = None
         self._track2 = track_degree_two
-        self._nlive = n
-        self._live_deg_sum = int(len(targets))
+        self._nlive = graph.n - len(zeros)
+        self._live_deg_sum = len(adj)
         self._rounds = 0
         # Batched path rounds install a list here; the sweep then feeds it
         # every new degree-two arrival so pair gathers stay incremental.
         self._pair_pending: Optional[List[Any]] = None
         self._v2_filter_at = 512
-        zeros = np.flatnonzero(self.deg == 0)
-        if zeros.size:
-            self.alive[zeros] = 0
-            self._nlive -= int(zeros.size)
-            _push_entries(self.log.entries, INCLUDE, zeros)
-        self.v1: List[int] = np.flatnonzero(self.deg == 1).tolist()
-        if track_degree_two:
-            self.v2: List[int] = np.flatnonzero(self.deg == 2).tolist()
-        else:
-            self.v2 = []
+        push_entries(self.log.entries, INCLUDE, zeros)
 
     # ------------------------------------------------------------------
     # Queries
@@ -346,52 +329,46 @@ class VecWorkspace:
     # Kernel export
     # ------------------------------------------------------------------
     def export_kernel(self) -> Tuple[Graph, List[int]]:
-        """The live residual graph, compacted, plus the id mapping.
-
-        One vectorized pass: live slots are selected with a boolean mask
-        (row and target both alive), remapped through the cumulative-sum
-        id map and sorted per row with a single ``lexsort`` — the same
-        sorted-row kernel :meth:`FlatWorkspace.export_kernel` builds.
-        """
-        np = _require_numpy()
-        alive_mask = self.alive != 0
-        old_ids: List[int] = np.flatnonzero(alive_mask).tolist()
-        name = f"{self.graph.name}-kernel" if self.graph.name else "kernel"
-        if not old_ids:
-            return Graph([0], [], name=name), old_ids
-        remap = np.cumsum(alive_mask.astype(np.int64)) - 1
-        slot_rows = np.repeat(
-            np.arange(self.n, dtype=np.int64), np.diff(self.xadj)
-        )
-        live_slots = alive_mask[self.adj] & alive_mask[slot_rows]
-        rows = remap[slot_rows[live_slots]]
-        tgts = remap[self.adj[live_slots]]
-        order = np.lexsort((tgts, rows))
-        counts = np.bincount(rows, minlength=len(old_ids))
-        offsets = np.zeros(len(old_ids) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return (
-            Graph(offsets.tolist(), tgts[order].tolist(), name=name),
-            old_ids,
-        )
+        """The live residual graph, compacted, plus the id mapping (one
+        vectorized pass, the same kernel as :meth:`FlatWorkspace.export_kernel`)."""
+        _require_numpy()
+        return export_kernel_arrays(self.graph, self.adj, self.xadj, self.alive)
 
 
 @hot_loop
-def _degree_one_rounds(workspace: VecWorkspace) -> Tuple[int, int]:
+def _degree_one_rounds(
+    adj: Any,
+    xadj: Any,
+    deg: Any,
+    alive: Any,
+    v1: List[int],
+    v2: List[int],
+    track2: bool,
+    entries: List[Tuple[int, Tuple[int, ...]]],
+    min_width: int = 1,
+    pair_pending: Optional[List[Any]] = None,
+) -> Tuple[int, int, int, int]:
     """Drain the degree-one frontier in vectorized rounds.
 
-    Merges the scalar ``v1`` worklist into the pending frontier, then
-    repeats: validate & de-duplicate the frontier, gather every member's
-    sole live neighbour in one ragged segment gather, resolve the batch
-    (K₂ pairs keep the larger id, every other target is excluded), mark the
-    dying wave dead, decrement the surviving neighbours with one scatter,
-    and classify the crossings (0 → include, 1 → next frontier, 2 → V₌₂).
+    Works on any workspace's numpy buffers (``adj``/``xadj``/``deg``/
+    ``alive``), its scalar ``v1``/``v2`` worklists (``v2`` is fed only
+    when ``track2``) and its decision-log ``entries``.  Merges ``v1`` into
+    the pending frontier, then repeats: validate & de-duplicate the
+    frontier, gather every member's sole live neighbour in one ragged
+    segment gather, resolve the batch (K₂ pairs keep the larger id, every
+    other target is excluded), mark the dying wave dead, decrement the
+    surviving neighbours with one scatter, and classify the crossings
+    (0 → include, 1 → next frontier, 2 → V₌₂).
 
-    Returns ``(excluded, rounds)``: the number of degree-one applications
-    (one per excluded vertex, matching the flat driver's counter) and the
-    number of non-empty rounds.  Counter deltas are flushed to the
-    workspace before returning, so the scalar protocol sees consistent
-    state.
+    A validated frontier narrower than ``min_width`` is handed back to
+    ``v1`` (ascending) unresolved, so a caller with a scalar loop can take
+    over once batching no longer pays.
+
+    Returns ``(excluded, rounds, nlive_drop, deg_sum_drop)``: the number of
+    degree-one applications (one per excluded vertex, matching the flat
+    driver's counter), the number of resolved rounds, and the drops of the
+    live-vertex count and the live degree sum, which the caller applies to
+    its counters.
     """
     np = _np
     np_unique = np.unique
@@ -407,16 +384,9 @@ def _degree_one_rounds(workspace: VecWorkspace) -> Tuple[int, int]:
     subtract_at = np.subtract.at
     int32 = np.int32
     int64 = np.int64
-    n = workspace.n
-    adj = workspace.adj
-    xadj = workspace.xadj
-    deg = workspace.deg
-    alive = workspace.alive
-    v1 = workspace.v1
-    v2_extend = workspace.v2.extend
-    entries = workspace.log.entries
-    track2 = workspace._track2
-    pair_pending = workspace._pair_pending
+    n = int(alive.size)
+    v2_extend = v2.extend
+    v1_extend = v1.extend
     pending = np_empty(0, dtype=int32)
     excluded = 0
     rounds = 0
@@ -441,6 +411,9 @@ def _degree_one_rounds(workspace: VecWorkspace) -> Tuple[int, int]:
         fsize = int(frontier.size)
         if fsize == 0:
             continue
+        if fsize < min_width:
+            v1_extend(frontier.tolist())
+            break
         rounds += 1
         # -- sole live neighbour per frontier vertex (ragged gather) ----
         starts = xadj[frontier]
@@ -494,9 +467,9 @@ def _degree_one_rounds(workspace: VecWorkspace) -> Tuple[int, int]:
         crossed_zero = affected[new_deg == 0]
         alive[crossed_zero] = 0
         nlive_drop += int(crossed_zero.size)
-        _push_entries(entries, EXCLUDE, dying)
-        _push_entries(entries, INCLUDE, included_pair)
-        _push_entries(entries, INCLUDE, crossed_zero)
+        push_entries(entries, EXCLUDE, dying)
+        push_entries(entries, INCLUDE, included_pair)
+        push_entries(entries, INCLUDE, crossed_zero)
         excluded += int(dying.size)
         if track2:
             twos = affected[new_deg == 2]
@@ -507,6 +480,27 @@ def _degree_one_rounds(workspace: VecWorkspace) -> Tuple[int, int]:
                 # degree-two, which (degrees only fall) is once.
                 pair_pending.append(twos)
         pending = affected[new_deg == 1]
+    return excluded, rounds, nlive_drop, deg_sum_drop
+
+
+def _vec_degree_one_rounds(workspace: VecWorkspace) -> Tuple[int, int]:
+    """:func:`_degree_one_rounds` over a :class:`VecWorkspace`.
+
+    Returns ``(excluded, rounds)``; the counter deltas are flushed to the
+    workspace before returning, so the scalar protocol sees consistent
+    state.
+    """
+    excluded, rounds, nlive_drop, deg_sum_drop = _degree_one_rounds(
+        workspace.adj,
+        workspace.xadj,
+        workspace.deg,
+        workspace.alive,
+        workspace.v1,
+        workspace.v2,
+        workspace._track2,
+        workspace.log.entries,
+        pair_pending=workspace._pair_pending,
+    )
     workspace._nlive -= nlive_drop
     workspace._live_deg_sum -= deg_sum_drop
     workspace._rounds += rounds
@@ -521,12 +515,12 @@ def _sweep(workspace: VecWorkspace, telemetry: Any, algorithm: str) -> int:
     once reductions run in bulk.
     """
     if telemetry is None or not workspace.v1:
-        excluded, _ = _degree_one_rounds(workspace)
+        excluded, _ = _vec_degree_one_rounds(workspace)
         return excluded
     with phase(
         telemetry, "vec-sweep", algorithm=algorithm, graph=workspace.graph.name
     ) as span:
-        excluded, rounds = _degree_one_rounds(workspace)
+        excluded, rounds = _vec_degree_one_rounds(workspace)
         span.meta["rounds"] = rounds
         span.meta["excluded"] = excluded
     return excluded

@@ -8,12 +8,15 @@ Two interchangeable backends implement the same mutation protocol:
   vertices are *marked* deleted (Section 3.2, "Implementation Details") and
   the degree-two path reductions mutate adjacency entries in place instead
   of inserting edges (Section 4, "Analysis and Implementation Details").
-* :class:`FlatWorkspace` — the production backend: one flat ``array('i')``
-  of adjacency targets indexed by the graph's CSR offsets, flat degree and
-  alive buffers, incrementally maintained live-vertex/live-edge counters,
-  and a per-vertex position hint that makes repeated rewiring of the same
-  slot O(1).  Construction is a C-level buffer copy instead of ``n`` list
-  allocations.  This is the layout the paper itself describes (Section 2).
+* :class:`FlatWorkspace` — the production backend: one flat ``int32``
+  buffer of adjacency targets indexed by the graph's CSR offsets, flat
+  degree and alive buffers, incrementally maintained live-vertex/live-edge
+  counters, and a per-vertex position hint that makes repeated rewiring of
+  the same slot O(1).  Construction is a C-level buffer copy instead of
+  ``n`` list allocations.  This is the layout the paper itself describes
+  (Section 2).  With numpy the buffers are numpy arrays, read by the scalar
+  code through ``memoryview`` aliases and by the batched degree-one rounds
+  (:func:`repro.core.vectorized._degree_one_rounds`) as whole arrays.
 
 Both workspaces own the degree-one / degree-two worklists (``V₌₁`` / ``V₌₂``
 in the pseudocode), the lazy max-degree selector used by peeling, and the
@@ -26,20 +29,106 @@ i.e. O(m).
 Given the same graph, the two backends make **identical decision sequences**:
 adjacency rows start in the same (sorted) order, rewiring replaces the same
 (unique) entry, and deletions re-file neighbours in the same order — a
-property the differential test suite asserts log-for-log.
+property the differential test suite asserts log-for-log.  (The fused flat
+drivers batch a degree-one worklist of at least
+:data:`~repro.core.vectorized.BATCH_MIN_FRONTIER` vertices, which can
+reorder decisions; below that width the logs stay identical.)
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import repeat
 from operator import sub
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..graphs.static_graph import Graph
 from .bucket_queue import MaxDegreeSelector
-from .trace import DecisionLog
+from .hotpath import hot_loop
+from .trace import INCLUDE, DecisionLog
+
+try:  # pragma: no cover - exercised implicitly by every import site
+    import numpy as _np
+except ImportError:  # pragma: no cover - the CI image always has numpy
+    _np = None  # type: ignore[assignment]
 
 __all__ = ["ArrayWorkspace", "FlatWorkspace", "compact_remap"]
+
+
+@hot_loop
+def push_entries(
+    entries: List[Tuple[int, Tuple[int, ...]]], kind: int, batch: Any
+) -> None:
+    """Append one ``(kind, (v,))`` record per member of a numpy index array.
+
+    ``tolist()`` converts once at C speed so the log holds pure Python ints
+    (the JSON snapshot path and the differential tests both require that).
+    The ``zip``/``repeat`` pairing builds every ``(kind, (v,))`` tuple in
+    C — at tens of thousands of entries per sweep the interpreted genexp
+    equivalent is a measurable slice of the whole sweep.  Kept outside the
+    sweep kernels so they stay comprehension-free (RL001).
+    """
+    entries.extend(zip(repeat(kind), zip(batch.tolist())))
+
+
+def numpy_buffers(
+    graph: Graph, track_degree_two: bool
+) -> Tuple[Any, Any, Any, Any, List[int], List[int], Any]:
+    """Fresh numpy workspace buffers of ``graph`` and their starting worklists.
+
+    Returns ``(adj, xadj, deg, alive, v1, v2, zeros)``: a mutable ``int32``
+    copy of the CSR targets, an ``int64`` view of the offsets, ``int32``
+    degrees and ``uint8`` alive flags; the ascending degree-one and (when
+    tracked) degree-two vertices; and the isolated vertices, already
+    marked dead, for the caller to log as inclusions.  One whole-array
+    pass, in the order the scalar classification loop files them.
+    """
+    np = _np
+    offsets, targets = graph.flat_csr()
+    if graph.n:
+        xadj = np.frombuffer(offsets, dtype=np.int64)
+    else:
+        xadj = np.zeros(1, dtype=np.int64)
+    if len(targets):
+        adj = np.frombuffer(targets, dtype=np.int32).copy()
+    else:
+        adj = np.zeros(0, dtype=np.int32)
+    deg = np.diff(xadj).astype(np.int32)
+    alive = np.ones(graph.n, dtype=np.uint8)
+    zeros = np.flatnonzero(deg == 0)
+    alive[zeros] = 0
+    v1: List[int] = np.flatnonzero(deg == 1).tolist()
+    v2: List[int] = np.flatnonzero(deg == 2).tolist() if track_degree_two else []
+    return adj, xadj, deg, alive, v1, v2, zeros
+
+
+def export_kernel_arrays(
+    graph: Graph, adj: Any, xadj: Any, alive: Any
+) -> Tuple[Graph, List[int]]:
+    """The live residual graph of numpy workspace buffers, compacted.
+
+    One vectorized pass: live slots are selected with a boolean mask (row
+    and target both alive), remapped through the cumulative-sum id map and
+    sorted per row with a single ``lexsort`` — the same sorted-row kernel
+    and ``old_ids`` list the scalar export builds.
+    """
+    np = _np
+    n = graph.n
+    alive_mask = alive != 0
+    old_ids: List[int] = np.flatnonzero(alive_mask).tolist()
+    name = f"{graph.name}-kernel" if graph.name else "kernel"
+    if not old_ids:
+        return Graph([0], [], name=name), old_ids
+    remap = np.cumsum(alive_mask.astype(np.int64)) - 1
+    slot_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(xadj))
+    live_slots = alive_mask[adj] & alive_mask[slot_rows]
+    rows = remap[slot_rows[live_slots]]
+    tgts = remap[adj[live_slots]]
+    order = np.lexsort((tgts, rows))
+    counts = np.bincount(rows, minlength=len(old_ids))
+    offsets = np.zeros(len(old_ids) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return Graph(offsets.tolist(), tgts[order].tolist(), name=name), old_ids
 
 
 def compact_remap(alive: Sequence[int], n: int) -> Tuple[array, List[int]]:
@@ -275,19 +364,26 @@ class FlatWorkspace:
     :class:`ArrayWorkspace`; the representation differs:
 
     ``adj``
-        One flat ``array('i')`` holding every adjacency entry, a mutable
-        copy of the graph's cached CSR target buffer (2m words).
+        Every adjacency entry in one flat ``int32`` buffer, a mutable copy
+        of the graph's cached CSR target buffer (2m words).
     ``xadj``
         The graph's CSR offsets (``array('q')``, shared read-only);
         vertex ``v``'s entries live at ``adj[xadj[v] : xadj[v + 1]]``.
     ``deg`` / ``alive``
-        Flat ``array('i')`` / ``bytearray`` buffers (O(n) words).
+        Flat ``int32`` / ``uint8`` buffers (O(n) words).
+    ``arrays``
+        With numpy, the ``(adj, xadj, deg, alive)`` numpy arrays
+        (``int32``, ``int64``, ``int32``, ``uint8``); ``adj``/``deg``/
+        ``alive`` above are ``memoryview`` aliases of the same memory, which
+        index at ``array('i')`` speed and yield plain ints.  ``None``
+        without numpy, where the buffers are ``array('i')``/``bytearray``.
 
     Live-vertex and live-edge counts are maintained incrementally on every
     mutation, so kernel snapshots and progress reporting are O(1) instead
     of an O(n) rescan.  ``rewire`` keeps a per-vertex position hint: the
     Lemma 4.1 rewirings repeatedly retarget the *same* adjacency slot of a
     path anchor, so the hint turns the entry search into O(1) amortised.
+    ``_rounds`` counts the batched degree-one rounds the fused drivers ran.
     """
 
     __slots__ = (
@@ -297,6 +393,7 @@ class FlatWorkspace:
         "xadj",
         "deg",
         "alive",
+        "arrays",
         "log",
         "v1",
         "v2",
@@ -304,6 +401,7 @@ class FlatWorkspace:
         "_hint",
         "_nlive",
         "_live_deg_sum",
+        "_rounds",
     )
 
     def __init__(self, graph: Graph, track_degree_two: bool = False) -> None:
@@ -311,9 +409,6 @@ class FlatWorkspace:
         n = self.n = graph.n
         offsets, targets = graph.flat_csr()
         self.xadj = offsets
-        self.adj = targets[:]  # C-level memcpy; rewiring mutates the copy
-        self.deg = array("i", map(sub, offsets[1:], offsets))
-        self.alive = bytearray([1]) * n if n else bytearray()
         self.log = DecisionLog()
         self.v1: List[int] = []
         self.v2: List[int] = []
@@ -321,6 +416,26 @@ class FlatWorkspace:
         self._hint = array("q", offsets[:-1]) if n else array("q")
         self._nlive = n
         self._live_deg_sum = len(targets)
+        self._rounds = 0
+        if _np is not None:
+            np_adj, np_xadj, np_deg, np_alive, v1, v2, zeros = numpy_buffers(
+                graph, track_degree_two
+            )
+            self.arrays: Optional[Tuple[Any, Any, Any, Any]] = (
+                np_adj, np_xadj, np_deg, np_alive
+            )
+            self.adj: Any = memoryview(np_adj)
+            self.deg: Any = memoryview(np_deg)
+            self.alive: Any = memoryview(np_alive)
+            self.v1 = v1
+            self.v2 = v2
+            self._nlive -= len(zeros)
+            push_entries(self.log.entries, INCLUDE, zeros)
+            return
+        self.arrays = None
+        self.adj = targets[:]  # C-level memcpy; rewiring mutates the copy
+        self.deg = array("i", map(sub, offsets[1:], offsets))
+        self.alive = bytearray([1]) * n if n else bytearray()
         deg = self.deg
         log_include = self.log.include
         alive = self.alive
@@ -490,8 +605,15 @@ class FlatWorkspace:
     # Peeling support
     # ------------------------------------------------------------------
     def pop_max_degree(self) -> Optional[int]:
-        """A live vertex of maximum degree (lazy bucket queue; O(m) total)."""
+        """A live vertex of maximum degree (lazy bucket queue; O(m) total).
+
+        Short-circuits when the graph is already consumed — the common
+        case for LinearTime on sparse inputs, where building the selector
+        would be the only O(n) scan left in the run.
+        """
         if self._selector is None:
+            if self._nlive == 0:
+                return None
             self._selector = MaxDegreeSelector(self.deg, self.alive)
         return self._selector.pop_max()
 
@@ -500,6 +622,9 @@ class FlatWorkspace:
     # ------------------------------------------------------------------
     def export_kernel(self) -> Tuple[Graph, List[int]]:
         """The live residual graph, compacted, plus the id mapping."""
+        if self.arrays is not None:
+            adj_np, xadj_np, _, alive_np = self.arrays
+            return export_kernel_arrays(self.graph, adj_np, xadj_np, alive_np)
         alive = self.alive
         adj = self.adj
         xadj = self.xadj

@@ -99,10 +99,13 @@ def boosted_arw(
         kernel_result = kernelize(graph, method=method)
         if not kernel_result.is_solved:
             span.meta["kernel_vertices"] = kernel_result.kernel.n
-    full = linear_time(graph) if method == "linear_time" else near_linear(graph)
     if kernel_result.is_solved:
-        recorder.record(full.size)
-        return BoostedResult(full.independent_set, recorder, kernel_result)
+        # The reductions alone solved the graph: replaying their log is the
+        # full algorithm's answer (it never peels), without a second run.
+        solved = kernel_result.lift(())
+        recorder.record(len(solved))
+        return BoostedResult(solved, recorder, kernel_result)
+    full = linear_time(graph) if method == "linear_time" else near_linear(graph)
     with phase(telemetry, "seed-induce", algorithm="BoostedARW", graph=graph.name):
         seed_solution = _induce_on_kernel(
             kernel_result.kernel,

@@ -81,3 +81,93 @@ class TestAssertAndExtend:
         g = cycle_graph(6)
         extended = greedy_maximal_extension(g, set())
         assert is_maximal_independent_set(g, extended)
+
+
+# ----------------------------------------------------------------------
+# Whole-array path vs the per-vertex loop
+# ----------------------------------------------------------------------
+def _reference(graph, vertices):
+    """Independence and maximality straight from the definitions."""
+    selected = set(vertices)
+    if any(not 0 <= v < graph.n for v in selected):
+        return False, False
+    independent = all(
+        not (u in selected and v in selected) for u, v in graph.edges()
+    )
+    dominated = all(
+        v in selected or any(w in selected for w in graph.neighbors(v))
+        for v in range(graph.n)
+    )
+    return independent, independent and dominated
+
+
+def _candidate_sets(graph):
+    """A maximal set, then the cases each check must tell apart."""
+    from repro.core.linear_time import linear_time
+
+    solution = sorted(linear_time(graph).independent_set)
+    outside = [v for v in range(graph.n) if v not in set(solution)]
+    yield solution
+    yield []  # empty
+    yield solution[1:]  # non-maximal
+    yield solution + outside[:1]  # dependent
+    yield solution + solution[:3]  # duplicates
+    yield solution + [-1]  # negative id
+    yield solution + [graph.n]  # id == n
+    yield [graph.n + 7]  # id > n only
+
+
+@pytest.fixture(params=["numpy", "loop"])
+def verify_path(request, monkeypatch):
+    import repro.analysis.verify as verify_mod
+
+    if request.param == "loop":
+        monkeypatch.setattr(verify_mod, "_np", None)
+    return request.param
+
+
+class TestWholeArrayVerification:
+    def test_both_paths_match_definitions_on_corpus(self, verify_path):
+        from tests.core.test_differential_backends import CORPUS
+
+        for graph in CORPUS[::3]:
+            for vertices in _candidate_sets(graph):
+                independent, maximal = _reference(graph, vertices)
+                assert is_independent_set(graph, vertices) == independent
+                assert is_maximal_independent_set(graph, vertices) == maximal
+
+    def test_edge_cases(self, verify_path):
+        g = cycle_graph(6)
+        assert is_independent_set(g, [])
+        assert not is_maximal_independent_set(g, [])
+        assert is_maximal_independent_set(g, [0, 2, 4, 4, 2])  # duplicates
+        assert not is_maximal_independent_set(g, [0, 2])  # non-maximal
+        assert is_independent_set(g, [0, 2])
+        assert not is_independent_set(g, [0, 1, 3])  # dependent
+        assert not is_independent_set(g, [-1, 2])  # negative id
+        assert not is_independent_set(g, [0, 6])  # id == n
+        assert not is_maximal_independent_set(g, [0, 2, 4, 9])  # id > n
+        assert is_maximal_independent_set(path_graph(0), [])
+
+    def test_whole_array_path_taken_for_plain_ints(self):
+        pytest.importorskip("numpy")
+        from repro.analysis.verify import _mark, _on_array_path
+
+        g = cycle_graph(6)
+        assert _on_array_path({0, 2, 4}) and _on_array_path(set())
+        assert _on_array_path({0, 9}) and _on_array_path({-1})
+        # Anything but plain ints takes the loop, which keeps the old answers.
+        assert not _on_array_path({True})
+        assert not _on_array_path({0, "a"})
+        assert _mark(g, {0, 2, 4}) is not None
+        assert _mark(g, set()) is not None
+        # An int outside [0, n) fails without any pass over the graph.
+        assert _mark(g, {0, 9}) is None
+        assert _mark(g, {-1}) is None
+
+    def test_numpy_integer_ids_answer_like_ints(self):
+        np = pytest.importorskip("numpy")
+        g = cycle_graph(6)
+        ids = [np.int64(0), np.int32(2), np.int64(4)]
+        assert is_maximal_independent_set(g, ids)
+        assert not is_independent_set(g, [np.int64(0), np.int64(1)])

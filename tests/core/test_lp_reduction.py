@@ -2,14 +2,21 @@
 
 import pytest
 
-from repro.core.lp_reduction import HopcroftKarp, lp_reduction, lp_upper_bound
+from repro.core.lp_reduction import (
+    HopcroftKarp,
+    _solve_csr,
+    lp_reduction,
+    lp_upper_bound,
+)
 from repro.exact import brute_force_alpha
 from repro.graphs import (
     complete_bipartite_graph,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     gnm_random_graph,
     path_graph,
+    power_law_graph,
     star_graph,
 )
 
@@ -93,3 +100,26 @@ class TestLPReduction:
         result = lp_reduction(g)
         sub, _ = g.subgraph(result.remaining)
         assert len(result.included) + brute_force_alpha(sub) == 3
+
+
+class TestCsrSolverMatchesOracle:
+    """``_solve_csr`` skips isolated vertices; the matching must not change."""
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            gnm_random_graph(300, 500, seed=5),
+            gnm_random_graph(400, 150, seed=6),  # mostly isolated vertices
+            power_law_graph(600, beta=2.2, average_degree=2.0, seed=7),
+            disjoint_union([path_graph(1), cycle_graph(7), path_graph(1), star_graph(4)]),
+            path_graph(1),
+            path_graph(0),
+        ],
+    )
+    def test_same_matching_as_hopcroft_karp(self, graph):
+        xadj, adj = graph.csr_arrays()
+        oracle = HopcroftKarp(
+            graph.n, graph.n, [list(graph.neighbors(v)) for v in range(graph.n)]
+        )
+        oracle.solve()
+        assert _solve_csr(graph.n, xadj, adj) == (oracle.match_left, oracle.match_right)

@@ -1,5 +1,7 @@
 """Tests for the kernel-boosted ARW variants (ARW-LT / ARW-NL)."""
 
+import random
+
 import pytest
 
 from repro.analysis import is_independent_set
@@ -56,3 +58,56 @@ class TestBoostedDispatch:
         # And on one shared clock: timestamps never go backwards.
         times = [t for t, _ in result.recorder.events]
         assert times == sorted(times)
+
+
+class TestSolvedKernelSkipsSecondRun:
+    """A solved kernel is lifted instead of re-running the full algorithm."""
+
+    @pytest.mark.parametrize(
+        "boost, full",
+        [(arw_lt, "linear_time"), (arw_nl, "near_linear")],
+    )
+    def test_solved_graph_answer_and_events_unchanged(self, boost, full):
+        import repro.core as core
+
+        g = power_law_graph(3000, 2.2, average_degree=4, seed=7)
+        result = boost(g, time_budget=3600.0, max_iterations=20, rng=random.Random(3))
+        assert result.kernel_result.is_solved
+        expected = getattr(core, full)(g)
+        assert result.independent_set == expected.independent_set
+        assert [size for _, size in result.recorder.events] == [expected.size]
+
+    def test_solved_graph_runs_no_full_solve(self, monkeypatch):
+        from repro.localsearch import boosted
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("full algorithm re-run on a solved kernel")
+
+        monkeypatch.setattr(boosted, "linear_time", forbidden)
+        monkeypatch.setattr(boosted, "near_linear", forbidden)
+        g = path_graph(60)
+        for boost in (arw_lt, arw_nl):
+            assert boost(g, time_budget=0.05, max_iterations=2).size == 30
+
+    @pytest.mark.parametrize(
+        "boost, expected",
+        [
+            (
+                arw_lt,
+                [0, 6, 7, 12, 15, 19, 20, 21, 23, 28, 30, 31, 33, 36, 37, 38, 40,
+                 44, 45, 46, 51, 53, 54, 55, 58, 61, 62, 65, 67, 68, 69, 72, 73, 79],
+            ),
+            (
+                arw_nl,
+                [0, 6, 7, 12, 15, 19, 20, 21, 23, 28, 30, 31, 33, 36, 37, 38, 40,
+                 44, 45, 46, 51, 53, 54, 55, 58, 61, 65, 67, 68, 69, 72, 73, 76, 79],
+            ),
+        ],
+    )
+    def test_unsolved_graph_answer_and_events_unchanged(self, boost, expected):
+        # Pinned from the implementation that always re-ran the full solve.
+        g = gnm_random_graph(80, 200, seed=11)
+        result = boost(g, time_budget=3600.0, max_iterations=20, rng=random.Random(3))
+        assert not result.kernel_result.is_solved
+        assert sorted(result.independent_set) == expected
+        assert [size for _, size in result.recorder.events] == [34]

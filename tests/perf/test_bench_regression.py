@@ -1,10 +1,19 @@
 """Tests for the perf-regression harness (smoke suite only — fast)."""
 
 import copy
+import dataclasses
 import json
 
 import pytest
 
+from repro.core.linear_time import linear_time
+from repro.core.workspace import ArrayWorkspace
+from repro.graphs.generators import (
+    disjoint_union,
+    gnm_random_graph,
+    path_graph,
+    power_law_graph,
+)
 from repro.perf import bench_regression
 
 
@@ -331,3 +340,51 @@ def test_watch_clean_trajectory_passes(tmp_path):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["trajectory"]["regressions"] == []
+
+
+def _flat_set_minus_one(graph, workspace_factory=None):
+    """LinearTime whose flat-backend answer loses one vertex."""
+    result = linear_time(graph, workspace_factory=workspace_factory)
+    if workspace_factory is ArrayWorkspace:
+        return result
+    dropped = min(result.independent_set)
+    return dataclasses.replace(
+        result, independent_set=result.independent_set - {dropped}
+    )
+
+
+def _flat_swaps_last_edge(graph, workspace_factory=None):
+    """LinearTime whose flat-backend answer takes the other end of the
+    graph's trailing isolated edge: a different set, still maximal and of
+    the same size and bound."""
+    result = linear_time(graph, workspace_factory=workspace_factory)
+    if workspace_factory is ArrayWorkspace:
+        return result
+    a, b = graph.n - 2, graph.n - 1
+    return dataclasses.replace(
+        result, independent_set=result.independent_set ^ {a, b}
+    )
+
+
+def test_time_backends_unbatched_flat_set_must_equal_oracle():
+    graph = disjoint_union([gnm_random_graph(600, 1800, seed=4), path_graph(2)])
+    timing = bench_regression._time_backends(linear_time, graph, 1)
+    assert timing["size"] == linear_time(graph).size
+    # No batched round ran, so even an equally good different set fails.
+    with pytest.raises(AssertionError):
+        bench_regression._time_backends(_flat_swaps_last_edge, graph, 1)
+    with pytest.raises(AssertionError):
+        bench_regression._time_backends(_flat_set_minus_one, graph, 1)
+
+
+def test_time_backends_batched_flat_run_keeps_maximality_and_exact_size():
+    # A frontier past BATCH_MIN_FRONTIER: the flat run batches and may
+    # settle a different set, which must still be maximal.
+    graph = power_law_graph(20000, beta=2.2, average_degree=6.0, seed=3)
+    timing = bench_regression._time_backends(linear_time, graph, 1)
+    oracle = linear_time(graph, workspace_factory=ArrayWorkspace)
+    if oracle.is_exact:
+        assert timing["size"] == oracle.size
+        assert timing["upper_bound"] == oracle.upper_bound
+    with pytest.raises(AssertionError):
+        bench_regression._time_backends(_flat_set_minus_one, graph, 1)

@@ -24,7 +24,7 @@ def pytest_addoption(parser):
     parser.addoption(
         "--backend",
         default="flat",
-        choices=["legacy", "flat", "vectorized"],
+        choices=["legacy", "flat"],
         help="execution backend for the reducing-peeling family "
         "(bdone / linear_time / near_linear) in the benchmark scripts",
     )

@@ -1,17 +1,15 @@
 """Backend selection for the table/figure benchmark scripts.
 
 The benchmark suite regenerates the paper's tables with the default (flat
-CSR) drivers.  ``pytest benchmarks/ --backend vectorized`` re-runs the
-same scripts with the reducing-peeling family swapped for another
-execution backend, so the paper artefacts double as a cross-backend
-differential harness:
+CSR) drivers.  ``pytest benchmarks/ --backend legacy`` re-runs the same
+scripts with the reducing-peeling family swapped for the reference
+oracles, so the paper artefacts double as a cross-backend differential
+harness:
 
-* ``legacy``     — the reference oracles (list-of-lists
+* ``legacy`` — the reference oracles (list-of-lists
   :class:`~repro.core.workspace.ArrayWorkspace`, list-of-dicts
   :class:`~repro.core.dominance.TriangleWorkspace`);
-* ``flat``       — the flat CSR buffers (the default);
-* ``vectorized`` — batch frontier sweeps over numpy buffers
-  (:mod:`repro.core.vectorized`).
+* ``flat``   — the flat CSR buffers (the default).
 
 Only the three algorithms with multi-backend drivers are swapped; BDTwo
 (whose fold workspace has no alternative backend) always runs its own
@@ -27,7 +25,6 @@ from ..core.dominance import TriangleWorkspace
 from ..core.linear_time import linear_time
 from ..core.near_linear import near_linear
 from ..core.result import MISResult
-from ..core.vectorized import bdone_vec, linear_time_vec, near_linear_vec
 from ..core.workspace import ArrayWorkspace
 from ..graphs.static_graph import Graph
 
@@ -58,11 +55,6 @@ BACKENDS: Dict[str, Dict[str, Solver]] = {
         "bdone": bdone,
         "linear_time": linear_time,
         "near_linear": near_linear,
-    },
-    "vectorized": {
-        "bdone": bdone_vec,
-        "linear_time": linear_time_vec,
-        "near_linear": near_linear_vec,
     },
 }
 

@@ -18,8 +18,8 @@ Five subcommands cover the library's everyday uses:
 * ``loadgen``   — seeded load generator comparing the sync loop against
   the async front-end with rid-level answer verification
   (:mod:`repro.serve.loadgen`);
-* ``bench``     — run the perf-regression suite with backend selection
-  (``--backend {legacy,flat,vectorized,all}``);
+* ``bench``     — run the perf-regression suite
+  (:mod:`repro.perf.bench_regression`);
 * ``snapshot``  — summarize a service snapshot written by ``serve
   --snapshot`` or :meth:`repro.serve.SolverService.save`.
 
@@ -571,7 +571,7 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .perf.bench_regression import main as bench_main
 
-    argv = ["--suite", args.suite, "--backend", args.backend, "--out", args.out]
+    argv = ["--suite", args.suite, "--out", args.out]
     argv.extend(["--repeats", str(args.repeats)])
     argv.extend(["--max-regression", str(args.max_regression)])
     if args.compare:
@@ -704,16 +704,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--algorithm",
         default="linear_time",
-        choices=[
-            "bdone",
-            "linear_time",
-            "near_linear",
-            "bdone_vec",
-            "linear_time_vec",
-            "near_linear_vec",
-        ],
-        help="solver used for cold solves and repairs (default linear_time; "
-        "the _vec variants run the vectorized frontier-sweep backend)",
+        choices=["bdone", "linear_time", "near_linear"],
+        help="solver used for cold solves and repairs (default linear_time)",
     )
     serve.add_argument("--cache-capacity", type=int, default=64)
     serve.add_argument(
@@ -835,13 +827,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="quick",
         choices=["smoke", "quick", "full"],
         help="graph suite to run (default quick)",
-    )
-    bench.add_argument(
-        "--backend",
-        default="all",
-        choices=["legacy", "flat", "vectorized", "all"],
-        help="which backend tracks to time: the classic flat-vs-legacy "
-        "tracks, the vectorized rounds backend, or everything (default all)",
     )
     bench.add_argument("--out", default="bench_report.json", help="report path")
     bench.add_argument(

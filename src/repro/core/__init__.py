@@ -24,15 +24,6 @@ from .lp_reduction import LPReductionResult, lp_reduction, lp_upper_bound
 from .near_linear import near_linear, near_linear_reduce
 from .result import MISResult
 from .upper_bound import certify_maximum, reducing_peeling_upper_bound
-from .vectorized import (
-    VecWorkspace,
-    bdone_vec,
-    linear_time_vec,
-    linear_time_vec_reduce,
-    near_linear_vec,
-    near_linear_vec_reduce,
-    vectorized_one_pass_dominance,
-)
 from .vertex_cover import VCResult, minimum_vertex_cover
 from .workspace import ArrayWorkspace, FlatWorkspace
 
@@ -57,18 +48,11 @@ __all__ = [
     "kernelize",
     "minimum_vertex_cover",
     "solve_by_components",
-    "VecWorkspace",
-    "bdone_vec",
     "linear_time",
     "linear_time_reduce",
-    "linear_time_vec",
-    "linear_time_vec_reduce",
     "lp_reduction",
     "lp_upper_bound",
     "near_linear",
     "near_linear_reduce",
-    "near_linear_vec",
-    "near_linear_vec_reduce",
     "reducing_peeling_upper_bound",
-    "vectorized_one_pass_dominance",
 ]

@@ -18,9 +18,9 @@ directly, eliminating the per-reduction attribute lookups and method calls
 that otherwise dominate the constant factor.  Both paths produce identical
 decision logs — the differential tests assert this entry-for-entry — while
 the degree-one worklist stays narrower than
-:data:`~repro.core.vectorized.BATCH_MIN_FRONTIER`; the flat loop resolves
+:data:`~repro.core.workspace.BATCH_MIN_FRONTIER`; the flat loop resolves
 a wider frontier in whole-array rounds
-(:func:`~repro.core.vectorized._degree_one_rounds`).
+(:func:`~repro.core.workspace._degree_one_rounds`).
 """
 
 from __future__ import annotations
@@ -33,13 +33,7 @@ from ..graphs.static_graph import Graph
 from .hotpath import hot_loop
 from .result import STAT_DEGREE_ONE, STAT_PEEL, MISResult
 from .trace import EXCLUDE, INCLUDE, PEEL
-from .vectorized import (
-    BATCH_MIN_FRONTIER,
-    VecWorkspace,
-    _degree_one_rounds,
-    drive_bdone_vec,
-)
-from .workspace import FlatWorkspace
+from .workspace import BATCH_MIN_FRONTIER, FlatWorkspace, _degree_one_rounds
 from ..obs.instrument import finish_profile, instrumented_factory, traced_replay
 from ..obs.telemetry import get_telemetry, phase
 
@@ -184,17 +178,13 @@ def bdone(
     start = time.perf_counter()
     telemetry = get_telemetry()  # one global check per run
     factory = FlatWorkspace if workspace_factory is None else workspace_factory
-    if telemetry is not None and factory is not VecWorkspace:
-        # Vectorized runs are observed per sweep (``vec-sweep`` spans), not
-        # per mutation event — see repro.core.vectorized.
+    if telemetry is not None:
         factory = instrumented_factory(factory, telemetry, "BDOne", graph.name)
     with phase(telemetry, "setup", algorithm="BDOne", graph=graph.name):
         workspace = factory(graph, track_degree_two=False)
     with phase(telemetry, "reduce", algorithm="BDOne", graph=graph.name) as span:
         if type(workspace) is FlatWorkspace:
             _run_flat(workspace)
-        elif type(workspace) is VecWorkspace:
-            drive_bdone_vec(workspace)
         else:
             _run_generic(workspace)
         span.meta["counters"] = dict(workspace.log.stats)

@@ -146,13 +146,6 @@ def apply_degree_two_path_reduction(workspace: Any, u: int) -> str:
 
     Returns the name of the rule case applied (one of the ``RULE_*``
     constants); :data:`RULE_IRREDUCIBLE` means nothing changed.
-
-    The vectorized backend runs a mutation-for-mutation equivalent twin
-    (:func:`repro.core.vec_paths._reduce_one`) that batches the interior
-    removals and caches neighbour pairs; any change to the case logic or
-    the push order here must land there too — the differential suite
-    (``tests/core/test_vec_paths.py``) asserts the two stay
-    entry-for-entry identical.
     """
     discovery = find_maximal_degree_two_path(workspace, u)
     path = discovery.path

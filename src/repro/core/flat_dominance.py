@@ -12,9 +12,10 @@ reduction (Section 5) re-implemented over the CSR buffers.
   δ of that edge.  Set intersections become membership tests against a
   shared *timestamped mark array* (``stamp[w] == clock``), so no per-step
   set or dict is ever allocated; clearing is O(1) — bump the clock.
-* :func:`flat_one_pass_dominance` is the same idea applied to phase 1 of
-  NearLinear: the degree-decreasing dominance sweep with stamp-based
-  subset tests instead of per-vertex Python sets.
+* :func:`flat_one_pass_dominance` is phase 1 of NearLinear over the same
+  CSR rows: the degree-decreasing dominance sweep with a leaf-wave
+  pre-certification and binary-search subset tests instead of per-vertex
+  Python sets.
 
 Both are drop-in replacements with **identical decision sequences**: the
 flat slot order is the canonical adjacency order (rows start sorted;
@@ -25,7 +26,6 @@ side so the differential tests can assert log-for-log equality.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from operator import sub
 from typing import List, Optional, Tuple
@@ -36,68 +36,143 @@ from .hotpath import hot_loop
 from .trace import DecisionLog
 from .workspace import compact_remap
 
+try:  # pragma: no cover - exercised implicitly by every import site
+    import numpy as _np
+except ImportError:  # pragma: no cover - the sweep falls back to one pass
+    _np = None  # type: ignore[assignment]
+
 __all__ = ["FlatTriangleWorkspace", "flat_one_pass_dominance"]
 
 
 @hot_loop
+def _sweep_preamble_numpy(graph: Graph) -> Tuple[List[int], List[int], bytearray]:
+    """The sweep order, degrees and leaf-wave flags, in whole-array passes.
+
+    The set of vertices with an initial leaf neighbour is the
+    (deduplicating) scatter of the leaf partners, so no per-edge pass is
+    needed; a stable argsort on the negated degrees is the order (degree
+    descending, id ascending).
+    """
+    np = _np
+    n = graph.n
+    offsets, targets = graph.flat_csr()
+    xadj = np.frombuffer(offsets, dtype=np.int64)
+    if len(targets):
+        adj = np.frombuffer(targets, dtype=np.int32)
+    else:
+        adj = np.zeros(0, dtype=np.int32)
+    degv = np.diff(xadj)
+    is_leaf = degv == 1
+    leaf_ids = np.flatnonzero(is_leaf)
+    certified = np.zeros(n, dtype=np.uint8)
+    if leaf_ids.size:
+        partner = adj[xadj[leaf_ids]].astype(np.int64)
+        certified[partner[degv[partner] >= 2]] = 1
+        certified[leaf_ids[is_leaf[partner] & (leaf_ids < partner)]] = 1
+    order: List[int] = np.argsort(-degv, kind="stable").tolist()
+    return order, degv.tolist(), bytearray(certified.tobytes())
+
+
+@hot_loop
+def _sweep_preamble_python(graph: Graph) -> Tuple[List[int], List[int], bytearray]:
+    """:func:`_sweep_preamble_numpy` as one interpreted pass (no numpy)."""
+    n = graph.n
+    xadj, adj = graph.csr_arrays()
+    deg = list(map(sub, xadj[1:], xadj))
+    # ``sorted`` stays stable under ``reverse``: ties keep ascending ids.
+    order = sorted(range(n), key=deg.__getitem__, reverse=True)
+    certified = bytearray(n)
+    for leaf in range(n):
+        if deg[leaf] == 1:
+            partner = adj[xadj[leaf]]
+            if deg[partner] >= 2:
+                certified[partner] = 1
+            elif leaf < partner:
+                certified[leaf] = 1
+    return order, deg, certified
+
+
+@hot_loop
 def flat_one_pass_dominance(graph: Graph) -> List[int]:
-    """Degree-decreasing dominance sweep over flat CSR buffers.
+    """Degree-decreasing dominance sweep over the flat CSR rows.
 
     Returns the same removed-vertex list as
     :func:`~repro.core.dominance.one_pass_dominance` (the outcome is
     iteration-order independent: a vertex is removed iff *some* neighbour
-    dominates it on the current residual graph, and the outer scan order is
-    fixed).  The subset test ``N(v) ⊆ N(u) ∪ {u}`` is a stamp comparison
-    per element — no sets are built or mutated, and dead vertices are
-    skipped in place instead of being discarded from ``n`` live sets.
+    dominates it on the current residual graph, and the outer scan order —
+    initial degree descending, id ascending — is fixed).
+
+    The preamble (numpy when available, one interpreted pass otherwise)
+    computes that order and pre-certifies the *leaf wave*: every vertex
+    with an initial leaf neighbour is dominated at its own turn — a leaf's
+    degree cannot change while its sole neighbour is alive, and the order
+    puts the neighbour's turn first — so it is removed without any subset
+    scan.  For K₂ components the earlier endpoint (smaller id) is
+    certified by the same argument.  Every other vertex runs an exact
+    subset test, restructured three ways, none able to change a decision:
+
+    * candidates first: rows that produce no candidates (or hold a leaf)
+      never reach the subset scans;
+    * subset tests by binary search: ``N[v] ⊆ N[u]`` bisects each live
+      ``x ∈ N(v)`` into ``u``'s sorted row (the
+      :meth:`~repro.graphs.static_graph.Graph.csr_arrays` contract) instead
+      of marking ``u``'s whole neighbourhood first — the order visits hubs
+      first, whose O(Δ) marking passes almost always certified a
+      *non*-removal;
+    * liveness folded into ``deg``: a removed vertex gets ``deg 0``, and
+      inside any scanned row a live vertex has ``deg ≥ 1`` (it is adjacent
+      to the live row owner).  A live vertex that *became* isolated is
+      skipped at its turn; it has no neighbour left to be dominated by.
     """
-    n = graph.n
+    if graph.n == 0:
+        return []
+    if _np is not None:
+        order, deg, certified = _sweep_preamble_numpy(graph)
+    else:
+        order, deg, certified = _sweep_preamble_python(graph)
     xadj, adj = graph.csr_arrays()  # read-only tuples: the sweep never mutates adjacency
-    deg = list(map(sub, xadj[1:], xadj))
-    alive = bytearray([1]) * n if n else bytearray()
-    stamp = [0] * n
-    clock = 0
-    order = sorted(range(n), key=deg.__getitem__, reverse=True)
     removed: List[int] = []
     candidates: List[int] = []  # reused across iterations (hot-loop purity)
     for u in order:
-        if not alive[u]:
-            continue
         du = deg[u]
-        clock += 1
+        if not du:
+            continue
         row_u = adj[xadj[u] : xadj[u + 1]]
         dominated = False
-        candidates.clear()
-        for w in row_u:
-            if alive[w]:
-                stamp[w] = clock
+        if certified[u]:
+            dominated = True
+        else:
+            candidates.clear()
+            for w in row_u:
                 dw = deg[w]
-                if dw <= du:
+                if dw and dw <= du:
                     if dw == 1:
                         # Leaf neighbour: N[w] = {w, u} ⊆ N[u], no scan needed.
                         dominated = True
-                    else:
-                        candidates.append(w)
-        if not dominated and candidates:
-            # Cheapest candidate first: a low-degree neighbour is both the
-            # likeliest dominator and the cheapest subset test, and the
-            # outcome is dominator-order independent.
-            candidates.sort(key=deg.__getitem__)
-            for v in candidates:
-                # v dominates u iff every other live neighbour of v is marked.
-                for x in adj[xadj[v] : xadj[v + 1]]:
-                    if alive[x] and x != u and stamp[x] != clock:
                         break
-                else:
-                    dominated = True
-                    break
+                    candidates.append(w)
+            if not dominated and candidates:
+                # Cheapest candidate first: a low-degree neighbour is both
+                # the likeliest dominator and the cheapest subset test, and
+                # the outcome is dominator-order independent.
+                row_len = len(row_u)
+                candidates.sort(key=deg.__getitem__)
+                for v in candidates:
+                    # v dominates u iff every other live neighbour of v is in N(u).
+                    for x in adj[xadj[v] : xadj[v + 1]]:
+                        if deg[x] and x != u:
+                            j = bisect_left(row_u, x)
+                            if j >= row_len or row_u[j] != x:
+                                break
+                    else:
+                        dominated = True
+                        break
         if dominated:
-            alive[u] = 0
             removed.append(u)
-            for w in row_u:
-                if alive[w]:
-                    deg[w] -= 1
             deg[u] = 0
+            for w in row_u:
+                if deg[w]:
+                    deg[w] -= 1
     return removed
 
 

@@ -26,21 +26,15 @@ from .bdtwo import bdtwo
 from .linear_time import linear_time
 from .near_linear import near_linear
 from .result import MISResult
-from .vectorized import bdone_vec, linear_time_vec, near_linear_vec
 
 __all__ = ["ALGORITHMS", "compute_independent_set"]
 
-#: The paper's four reducing-peeling algorithms (Table 1), by name, plus
-#: the vectorized backend variants (``*-vec`` — batch frontier sweeps over
-#: numpy buffers, see :mod:`repro.core.vectorized`).
+#: The paper's four reducing-peeling algorithms (Table 1), by name.
 ALGORITHMS: Dict[str, Callable[[Graph], MISResult]] = {
     "BDOne": bdone,
     "BDTwo": bdtwo,
     "LinearTime": linear_time,
     "NearLinear": near_linear,
-    "BDOne-vec": bdone_vec,
-    "LinearTime-vec": linear_time_vec,
-    "NearLinear-vec": near_linear_vec,
 }
 
 

@@ -23,7 +23,6 @@ from .linear_time import linear_time_reduce
 from .near_linear import near_linear_reduce
 from .result import STAT_DEGREE_ONE
 from .trace import DecisionLog
-from .vectorized import linear_time_vec_reduce, near_linear_vec_reduce
 from .workspace import ArrayWorkspace
 
 __all__ = ["KernelResult", "kernelize", "KERNEL_METHODS"]
@@ -146,8 +145,6 @@ KERNEL_METHODS: Dict[str, Callable[[Graph], Tuple[Graph, List[int], DecisionLog]
     "degree_one": _degree_one_reduce,
     "linear_time": linear_time_reduce,
     "near_linear": near_linear_reduce,
-    "linear_time_vec": linear_time_vec_reduce,
-    "near_linear_vec": near_linear_vec_reduce,
 }
 
 
@@ -156,9 +153,7 @@ def kernelize(graph: Graph, method: str = "near_linear") -> KernelResult:
 
     ``method`` is one of ``"degree_one"`` (BDOne's rule), ``"linear_time"``
     (degree-one + degree-two path reductions) or ``"near_linear"`` (adds
-    dominance, one-pass dominance and the LP reduction); the ``*_vec``
-    variants run the same rule sets on the vectorized backend (batch
-    frontier sweeps — see :mod:`repro.core.vectorized`).  The full-rule
+    dominance, one-pass dominance and the LP reduction).  The full-rule
     kernel of [1] lives in :func:`repro.exact.vcsolver.full_kernelize`.
     """
     try:

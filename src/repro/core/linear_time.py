@@ -19,9 +19,9 @@ protocol, while :func:`_reduce_flat` binds the
 the degree-one cascade, deletions and log appends (the degree-two path
 reductions stay in the shared Lemma 4.1 driver).  The decision logs are
 identical either way while the degree-one worklist stays narrower than
-:data:`~repro.core.vectorized.BATCH_MIN_FRONTIER`; a wider frontier is
+:data:`~repro.core.workspace.BATCH_MIN_FRONTIER`; a wider frontier is
 resolved in whole-array rounds
-(:func:`~repro.core.vectorized._degree_one_rounds`), which may pick a
+(:func:`~repro.core.workspace._degree_one_rounds`), which may pick a
 different, equally valid set of exclusions.
 """
 
@@ -36,13 +36,7 @@ from .hotpath import hot_loop
 from .degree_two_paths import RULE_IRREDUCIBLE, apply_degree_two_path_reduction
 from .result import STAT_DEGREE_ONE, STAT_PEEL, MISResult
 from .trace import EXCLUDE, INCLUDE, PEEL, DecisionLog
-from .vectorized import (
-    BATCH_MIN_FRONTIER,
-    VecWorkspace,
-    _degree_one_rounds,
-    drive_linear_time_vec,
-)
-from .workspace import FlatWorkspace
+from .workspace import BATCH_MIN_FRONTIER, FlatWorkspace, _degree_one_rounds
 from ..obs.instrument import finish_profile, instrumented_factory, traced_replay
 from ..obs.telemetry import get_telemetry, phase
 
@@ -227,8 +221,6 @@ def _run(workspace: Any, stop_before_peel: bool) -> bool:
     """Dispatch to the specialized or the generic reduction loop."""
     if type(workspace) is FlatWorkspace:
         return _reduce_flat(workspace, stop_before_peel)
-    if type(workspace) is VecWorkspace:
-        return drive_linear_time_vec(workspace, stop_before_peel)
     return _reduce(workspace, stop_before_peel)
 
 
@@ -242,16 +234,12 @@ def linear_time(
     :class:`~repro.core.workspace.FlatWorkspace`; pass
     :class:`~repro.core.workspace.ArrayWorkspace` for the list-of-lists
     oracle — both yield identical decision logs while the degree-one
-    worklist stays below :data:`~repro.core.vectorized.BATCH_MIN_FRONTIER`).
+    worklist stays below :data:`~repro.core.workspace.BATCH_MIN_FRONTIER`).
     """
     start = time.perf_counter()
     telemetry = get_telemetry()  # one global check per run
     factory = FlatWorkspace if workspace_factory is None else workspace_factory
-    if telemetry is not None and factory is not VecWorkspace:
-        # The vectorized backend is observed at sweep granularity (one
-        # ``vec-sweep`` span per batch, with round counters) instead of
-        # per-event profile ticks, which would force it onto the scalar
-        # generic loop.
+    if telemetry is not None:
         factory = instrumented_factory(factory, telemetry, "LinearTime", graph.name)
     with phase(telemetry, "setup", algorithm="LinearTime", graph=graph.name):
         workspace = factory(graph, track_degree_two=True)
@@ -290,7 +278,7 @@ def linear_time_reduce(
     """
     telemetry = get_telemetry()
     factory = FlatWorkspace if workspace_factory is None else workspace_factory
-    if telemetry is not None and factory is not VecWorkspace:
+    if telemetry is not None:
         factory = instrumented_factory(
             factory, telemetry, "LinearTime-reduce", graph.name
         )

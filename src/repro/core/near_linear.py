@@ -109,15 +109,14 @@ def _preprocess(
     """Phases 1–2: one-pass dominance, then the LP reduction.
 
     Decisions land in ``log`` (original ids); returns the residual graph
-    and its id map.  ``flat`` picks the stamp-based sweep over the
+    and its id map.  ``flat`` picks the flat CSR sweep over the
     set-based oracle — both produce the identical removed list (the
     differential suite asserts it), so this only changes the constant.
-    ``sweep`` overrides the phase-1 sweep entirely (the vectorized backend
-    passes :func:`~repro.core.vectorized.vectorized_one_pass_dominance`,
-    which again returns the identical removed list).  ``lp`` likewise
-    overrides the phase-2 LP solver (the vectorized backend passes
-    :func:`~repro.core.vec_lp.vec_lp_reduction`, identical classification
-    by König-cover invariance).  ``telemetry`` wraps the two phases in
+    ``sweep`` and ``lp`` override the phase-1 sweep and the phase-2 LP
+    solver (a profiler passes timed wrappers of
+    :func:`~repro.core.flat_dominance.flat_one_pass_dominance` and
+    :func:`~repro.core.lp_reduction.lp_reduction` to split the solve
+    into layers).  ``telemetry`` wraps the two phases in
     ``dominance-sweep`` / ``lp-kernel`` spans when a sink is active.
     """
     if not preprocess:

@@ -16,7 +16,7 @@ Two interchangeable backends implement the same mutation protocol:
   ``n`` list allocations.  This is the layout the paper itself describes
   (Section 2).  With numpy the buffers are numpy arrays, read by the scalar
   code through ``memoryview`` aliases and by the batched degree-one rounds
-  (:func:`repro.core.vectorized._degree_one_rounds`) as whole arrays.
+  (:func:`_degree_one_rounds`) as whole arrays.
 
 Both workspaces own the degree-one / degree-two worklists (``V₌₁`` / ``V₌₂``
 in the pseudocode), the lazy max-degree selector used by peeling, and the
@@ -30,9 +30,9 @@ Given the same graph, the two backends make **identical decision sequences**:
 adjacency rows start in the same (sorted) order, rewiring replaces the same
 (unique) entry, and deletions re-file neighbours in the same order — a
 property the differential test suite asserts log-for-log.  (The fused flat
-drivers batch a degree-one worklist of at least
-:data:`~repro.core.vectorized.BATCH_MIN_FRONTIER` vertices, which can
-reorder decisions; below that width the logs stay identical.)
+drivers batch a degree-one worklist of at least :data:`BATCH_MIN_FRONTIER`
+vertices, which can reorder decisions; below that width the logs stay
+identical.)
 """
 
 from __future__ import annotations
@@ -45,14 +45,22 @@ from typing import Any, List, Optional, Sequence, Tuple
 from ..graphs.static_graph import Graph
 from .bucket_queue import MaxDegreeSelector
 from .hotpath import hot_loop
-from .trace import INCLUDE, DecisionLog
+from .trace import EXCLUDE, INCLUDE, DecisionLog
 
 try:  # pragma: no cover - exercised implicitly by every import site
     import numpy as _np
 except ImportError:  # pragma: no cover - the CI image always has numpy
     _np = None  # type: ignore[assignment]
 
-__all__ = ["ArrayWorkspace", "FlatWorkspace", "compact_remap"]
+__all__ = ["ArrayWorkspace", "BATCH_MIN_FRONTIER", "FlatWorkspace", "compact_remap"]
+
+#: Frontier width at which the fused flat LinearTime/BDOne drivers hand a
+#: degree-one round to :func:`_degree_one_rounds`, and below which they
+#: return to their scalar LIFO loop.  Every batched round pays a fixed
+#: numpy cost, which a wide frontier amortises and a narrow one does not
+#: (``docs/performance.md`` § "Per-round batching in the default driver"
+#: gives the frontier widths behind the value).
+BATCH_MIN_FRONTIER = 1024
 
 
 @hot_loop
@@ -129,6 +137,150 @@ def export_kernel_arrays(
     offsets = np.zeros(len(old_ids) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     return Graph(offsets.tolist(), tgts[order].tolist(), name=name), old_ids
+
+
+@hot_loop
+def _degree_one_rounds(
+    adj: Any,
+    xadj: Any,
+    deg: Any,
+    alive: Any,
+    v1: List[int],
+    v2: List[int],
+    track2: bool,
+    entries: List[Tuple[int, Tuple[int, ...]]],
+    min_width: int,
+) -> Tuple[int, int, int, int]:
+    """Drain the degree-one frontier in vectorized rounds.
+
+    Works on a :class:`FlatWorkspace`'s numpy buffers (``arrays``:
+    ``adj``/``xadj``/``deg``/``alive``), its scalar ``v1``/``v2``
+    worklists (``v2`` is fed only when ``track2``) and its decision-log
+    ``entries``.  Merges ``v1`` into the pending frontier, then repeats:
+    validate & de-duplicate the frontier, gather every member's sole live
+    neighbour in one ragged segment gather, resolve the batch (K₂ pairs
+    keep the larger id — the flat LIFO pop's choice — and every other
+    target is excluded), mark the dying wave dead *before* gathering its
+    rows (so intra-batch edges drop out), decrement the surviving
+    neighbours with one scatter, and classify the crossings (0 → include,
+    1 → next frontier, 2 → V₌₂).  A round may exclude a different, equally
+    valid set of vertices than the scalar loop would.
+
+    A validated frontier narrower than ``min_width`` is handed back to
+    ``v1`` (ascending) unresolved, so a caller with a scalar loop can take
+    over once batching no longer pays.
+
+    Returns ``(excluded, rounds, nlive_drop, deg_sum_drop)``: the number of
+    degree-one applications (one per excluded vertex, matching the flat
+    driver's counter), the number of resolved rounds, and the drops of the
+    live-vertex count and the live degree sum, which the caller applies to
+    its counters.
+    """
+    np = _np
+    np_unique = np.unique
+    np_concatenate = np.concatenate
+    np_asarray = np.asarray
+    np_repeat = np.repeat
+    np_arange = np.arange
+    np_cumsum = np.cumsum
+    np_empty = np.empty
+    np_bincount = np.bincount
+    np_flatnonzero = np.flatnonzero
+    np_subtract = np.subtract
+    subtract_at = np.subtract.at
+    int32 = np.int32
+    int64 = np.int64
+    n = int(alive.size)
+    v2_extend = v2.extend
+    v1_extend = v1.extend
+    pending = np_empty(0, dtype=int32)
+    excluded = 0
+    rounds = 0
+    nlive_drop = 0
+    deg_sum_drop = 0
+    while True:
+        if v1:
+            # The scalar worklist may hold duplicates and already-settled
+            # vertices; merging forces a de-dup.  Between rounds nothing
+            # touches ``v1``, and the round's own product
+            # (``affected[new_deg == 1]``) is sorted-unique by
+            # construction, so this branch runs once per sweep in the
+            # common case — ``np.unique`` stays off the per-round path.
+            pending = np_unique(
+                np_concatenate((pending, np_asarray(v1, dtype=int32)))
+            )
+            v1.clear()
+        if pending.size == 0:
+            break
+        frontier = pending[(alive[pending] != 0) & (deg[pending] == 1)]
+        pending = np_empty(0, dtype=int32)
+        fsize = int(frontier.size)
+        if fsize == 0:
+            continue
+        if fsize < min_width:
+            v1_extend(frontier.tolist())
+            break
+        rounds += 1
+        # -- sole live neighbour per frontier vertex (ragged gather) ----
+        starts = xadj[frontier]
+        lens = xadj[frontier + 1] - starts
+        total = int(lens.sum())
+        seg_ends = np_cumsum(lens)
+        pos = np_arange(total, dtype=int64) - np_repeat(seg_ends - lens, lens)
+        pos += np_repeat(starts, lens)
+        nbrs = adj[pos]
+        live_slots = alive[nbrs] != 0
+        seg = np_repeat(np_arange(fsize, dtype=int64), lens)
+        target = np_empty(fsize, dtype=int32)
+        target[seg[live_slots]] = nbrs[live_slots]
+        # -- split mutual K₂ pairs from ordinary targets ----------------
+        pair = deg[target] == 1
+        pair_u = frontier[pair]
+        pair_v = target[pair]
+        win = pair_u > pair_v
+        included_pair = pair_u[win]
+        dying = np_unique(np_concatenate((target[~pair], pair_v[win])))
+        # -- mark the wave dead, then decrement the survivors -----------
+        d_dying = int(deg[dying].sum()) + int(included_pair.size)
+        alive[dying] = 0
+        alive[included_pair] = 0
+        nlive_drop += int(dying.size) + int(included_pair.size)
+        starts = xadj[dying]
+        lens = xadj[dying + 1] - starts
+        total = int(lens.sum())
+        seg_ends = np_cumsum(lens)
+        pos = np_arange(total, dtype=int64) - np_repeat(seg_ends - lens, lens)
+        pos += np_repeat(starts, lens)
+        touched = adj[pos]
+        touched = touched[alive[touched] != 0]
+        tsize = int(touched.size)
+        deg_sum_drop += d_dying + tsize
+        # -- decrement the survivors & classify the crossings -----------
+        # Two strategies with the same result: a dense bincount (O(n) per
+        # round, one pass, no sort) when the round touches a sizable slice
+        # of the graph, and sparse ``np.subtract.at`` + ``np.unique``
+        # (O(t log t), no O(n) term) for tiny rounds — long chains produce
+        # O(n) one-vertex rounds, where a dense pass per round would be
+        # quadratic.
+        if tsize * 8 >= n:
+            delta = np_bincount(touched, minlength=n)
+            np_subtract(deg, delta, out=deg, casting="unsafe")
+            affected = np_flatnonzero(delta)
+        else:
+            subtract_at(deg, touched, 1)
+            affected = np_unique(touched)
+        new_deg = deg[affected]
+        crossed_zero = affected[new_deg == 0]
+        alive[crossed_zero] = 0
+        nlive_drop += int(crossed_zero.size)
+        push_entries(entries, EXCLUDE, dying)
+        push_entries(entries, INCLUDE, included_pair)
+        push_entries(entries, INCLUDE, crossed_zero)
+        excluded += int(dying.size)
+        if track2:
+            v2_extend(affected[new_deg == 2].tolist())
+        pending = affected[new_deg == 1]
+    return excluded, rounds, nlive_drop, deg_sum_drop
 
 
 def compact_remap(alive: Sequence[int], n: int) -> Tuple[array, List[int]]:

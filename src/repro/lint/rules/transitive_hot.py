@@ -2,7 +2,7 @@
 
 RL001 audits the body of every ``@hot_loop`` function, but it sees one
 file at a time: extract a helper out of a kernel (or call across
-``vec_paths``/``vec_lp`` module lines) and the helper's body silently
+module lines) and the helper's body silently
 escapes the allocation-free contract.  RL006 closes the loophole with
 the call graph: **every project function reachable from a** ``@hot_loop``
 **kernel must itself be** ``@hot_loop`` — which re-arms RL001 on its body
@@ -30,7 +30,7 @@ __all__ = ["TransitiveHotLoopRule"]
 
 
 def _short(qname: str) -> str:
-    """``repro.core.vec_paths:_reduce_one`` → ``vec_paths._reduce_one``."""
+    """``repro.core.workspace:push_entries`` → ``workspace.push_entries``."""
     module, _, qual = qname.rpartition(":")
     tail = module.rsplit(".", 1)[-1] if module else module
     return f"{tail}.{qual}" if tail else qual

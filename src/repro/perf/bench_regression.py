@@ -25,7 +25,8 @@ nonzero when any gated track's flat wall time (see :data:`GATED_TRACKS`)
 regressed by more than ``--max-regression`` (a ratio; 2.0 means "twice as
 slow") on any graph present in both reports.  Only graphs in the
 intersection are compared, so a ``--quick`` run gates cleanly against a
-full-suite baseline.
+full-suite baseline; a comparison that finds no gated track on any shared
+graph fails instead of passing vacuously.
 
 ``--telemetry`` adds a phase-span trace (``--telemetry-out``, JSON lines)
 and a ``telemetry`` section to the report.  The trace comes from a
@@ -51,12 +52,11 @@ import sys
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..analysis.verify import is_independent_set, is_maximal_independent_set
+from ..analysis.verify import is_maximal_independent_set
 from ..core.bdone import bdone
 from ..core.dominance import TriangleWorkspace
 from ..core.linear_time import linear_time, linear_time_reduce
 from ..core.near_linear import near_linear, near_linear_reduce
-from ..core.vectorized import linear_time_vec, near_linear_vec
 from ..core.workspace import ArrayWorkspace, FlatWorkspace
 from ..graphs.generators import gnm_random_graph, power_law_graph, web_like_graph
 from ..graphs.static_graph import Graph
@@ -75,30 +75,21 @@ __all__ = [
     "main",
 ]
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 #: The tracks the CI gate watches: record key in ``timings[graph]`` plus
 #: the wall-time field inside it.  LinearTime is the paper's headline
 #: contribution; NearLinear and ARW-LT gate the flat dominance workspace
 #: and the flat local-search state respectively; ServeIncremental gates
-#: the serving layer's localized-repair latency on mutation streams; the
-#: ``*_vec`` tracks gate the vectorized frontier-sweep backend
-#: (:mod:`repro.core.vectorized`).
+#: the serving layer's localized-repair latency on mutation streams, and
+#: ServeLoad the async front-end's replay wall.
 GATED_TRACKS: Dict[str, Tuple[str, str]] = {
     "linear_time": ("LinearTime", "flat_wall"),
     "near_linear": ("NearLinear", "flat_wall"),
     "arw_lt": ("ARW-LT", "flat_wall"),
     "serve_incremental": ("ServeIncremental", "repair_wall"),
-    "linear_time_vec": ("LinearTime-vec", "vec_wall"),
-    "near_linear_vec": ("NearLinear-vec", "vec_wall"),
     "serve_load": ("ServeLoad", "async_wall"),
 }
-
-#: Which track families each ``--backend`` value runs.  ``legacy`` and
-#: ``flat`` both select the classic comparative tracks (each one times the
-#: flat backend *and* its legacy oracle — they are two sides of the same
-#: record); ``vectorized`` selects the batch-rounds backend tracks.
-BACKEND_CHOICES = ("legacy", "flat", "vectorized", "all")
 
 #: Edge flips per mutation round in the serve track — small enough to stay
 #: on the repair path, large enough to touch several neighbourhoods.
@@ -193,7 +184,7 @@ def _time_backends(
     the flat one); the two runs must agree on the solution.  The one
     allowed exception: a flat BDOne/LinearTime run that batched a
     degree-one round (a worklist of
-    :data:`~repro.core.vectorized.BATCH_MIN_FRONTIER` or more vertices,
+    :data:`~repro.core.workspace.BATCH_MIN_FRONTIER` or more vertices,
     ``plr-50k``) may settle a different set.  It must then be maximal, the
     exact-rule kernel of :func:`linear_time_reduce` must keep the oracle's
     size, and exact answers must keep the oracle's size and bound.
@@ -240,53 +231,6 @@ def _time_backends(
         "speedup": oracle_wall / flat_wall if flat_wall > 0 else float("inf"),
         "size": len(flat_result.independent_set),
         "upper_bound": flat_result.upper_bound,
-    }
-
-
-def _time_vec_track(
-    vec_algorithm: Callable[[Graph], object],
-    flat_algorithm: Callable[..., object],
-    graph: Graph,
-    repeats: int,
-    oracle_factory: type,
-    exact_match: bool,
-) -> Dict[str, float]:
-    """Time a vectorized solver against the flat and legacy-oracle runs.
-
-    Unlike :func:`_time_backends`, the vectorized solver may legally pick a
-    *different* (equally valid) decision sequence inside a batch round, so
-    the solution-set assertion is validity plus size accounting rather than
-    set equality — except when ``exact_match`` is set (NearLinear-vec's
-    phase-1 sweep is byte-identical to the flat one, so its whole pipeline
-    must agree exactly).  On the suite graphs the only observed divergence
-    is LinearTime-vec finding a slightly *larger* set on the G(n,m) inputs
-    (replay salvages one extra peeled vertex); the report records both
-    sizes so any quality drift is visible in review.
-    """
-    vec_result, vec_wall = _best_of(lambda: vec_algorithm(graph), repeats)
-    flat_result, flat_wall = _best_of(lambda: flat_algorithm(graph), repeats)
-    oracle_result, oracle_wall = _best_of(
-        lambda: flat_algorithm(graph, workspace_factory=oracle_factory), repeats
-    )
-    assert is_independent_set(graph, vec_result.independent_set)
-    if exact_match:
-        assert vec_result.independent_set == flat_result.independent_set
-    else:
-        # Quality guard in the spirit of the serve track's 95% check, but
-        # tighter: a silent quality collapse fails the bench run itself.
-        assert len(vec_result.independent_set) >= 0.995 * len(
-            flat_result.independent_set
-        ), (len(vec_result.independent_set), len(flat_result.independent_set))
-    return {
-        "vec_wall": vec_wall,
-        "flat_wall": flat_wall,
-        "oracle_wall": oracle_wall,
-        "vec_solver": vec_result.elapsed,
-        "speedup": oracle_wall / vec_wall if vec_wall > 0 else float("inf"),
-        "speedup_vs_flat": flat_wall / vec_wall if vec_wall > 0 else float("inf"),
-        "size": len(vec_result.independent_set),
-        "flat_size": len(flat_result.independent_set),
-        "upper_bound": vec_result.upper_bound,
     }
 
 
@@ -488,24 +432,11 @@ def _counter_timings(graph: Graph, calls: int = 20_000) -> Dict[str, float]:
     return {"maintained_us": maintained, "scan_us": scan, "calls": calls}
 
 
-def run_suite(suite: str, repeats: int, backend: str = "all") -> Dict[str, object]:
-    """Run the named suite; return the JSON-serialisable report.
-
-    ``backend`` selects the track families (see :data:`BACKEND_CHOICES`):
-    ``legacy``/``flat`` run the classic comparative tracks, ``vectorized``
-    the batch-rounds tracks, ``all`` (the default, and what the committed
-    baselines use) runs everything.
-    """
-    if backend not in BACKEND_CHOICES:
-        raise ValueError(
-            f"unknown backend {backend!r}; choose from {BACKEND_CHOICES}"
-        )
-    classic = backend in ("legacy", "flat", "all")
-    vectorized = backend in ("vectorized", "all")
+def run_suite(suite: str, repeats: int) -> Dict[str, object]:
+    """Run the named suite; return the JSON-serialisable report."""
     report: Dict[str, object] = {
         "schema": SCHEMA_VERSION,
         "suite": suite,
-        "backend": backend,
         "python": sys.version.split()[0],
         "platform": platform.platform(),
         "repeats": repeats,
@@ -518,36 +449,18 @@ def run_suite(suite: str, repeats: int, backend: str = "all") -> Dict[str, objec
         report["graphs"][gname] = {"n": graph.n, "m": graph.m}
         if largest is None or graph.n > largest.n:
             largest = graph
-        timings: Dict[str, object] = {}
-        if classic:
-            timings["BDOne"] = _time_backends(bdone, graph, repeats)
-            timings["LinearTime"] = _time_backends(linear_time, graph, repeats)
-            timings["NearLinear"] = _time_backends(
+        timings: Dict[str, object] = {
+            "BDOne": _time_backends(bdone, graph, repeats),
+            "LinearTime": _time_backends(linear_time, graph, repeats),
+            "NearLinear": _time_backends(
                 near_linear, graph, repeats, oracle_factory=TriangleWorkspace
-            )
-        if vectorized:
-            timings["LinearTime-vec"] = _time_vec_track(
-                linear_time_vec,
-                linear_time,
-                graph,
-                repeats,
-                oracle_factory=ArrayWorkspace,
-                exact_match=False,
-            )
-            timings["NearLinear-vec"] = _time_vec_track(
-                near_linear_vec,
-                near_linear,
-                graph,
-                repeats,
-                oracle_factory=TriangleWorkspace,
-                exact_match=True,
-            )
-        if classic and deep:
+            ),
+        }
+        if deep:
             arw_track = _time_arw_lt(graph, repeats)
             if arw_track is not None:
                 timings["ARW-LT"] = arw_track
-        if classic:
-            timings["ServeIncremental"] = _time_serve_incremental(graph, repeats)
+        timings["ServeIncremental"] = _time_serve_incremental(graph, repeats)
         report["timings"][gname] = timings
         kernel, _, _ = linear_time_reduce(graph)
         kernels = {"linear_time": {"n": kernel.n, "m": kernel.m}}
@@ -555,12 +468,11 @@ def run_suite(suite: str, repeats: int, backend: str = "all") -> Dict[str, objec
             nl_kernel, _, _ = near_linear_reduce(graph)
             kernels["near_linear"] = {"n": nl_kernel.n, "m": nl_kernel.m}
         report["kernels"][gname] = kernels
-    if classic:
-        # The serving front-end track lives under a pseudo-graph key: its
-        # input is a whole workload, not one suite graph, but the gate
-        # machinery (record key + wall field per graph) applies unchanged.
-        report["graphs"]["serve-load"] = dict(_SERVE_LOAD_SHAPES[suite])
-        report["timings"]["serve-load"] = {"ServeLoad": _time_serve_load(suite)}
+    # The serving front-end track lives under a pseudo-graph key: its input
+    # is a whole workload, not one suite graph, but the gate machinery
+    # (record key + wall field per graph) applies unchanged.
+    report["graphs"]["serve-load"] = dict(_SERVE_LOAD_SHAPES[suite])
+    report["timings"]["serve-load"] = {"ServeLoad": _time_serve_load(suite)}
     if largest is not None:
         report["live_counters"] = _counter_timings(largest)
     return report
@@ -578,8 +490,6 @@ def run_telemetry_pass(suite: str) -> Tuple[List[Dict[str, object]], Dict[str, o
         for _gname, graph, deep in build_suite(suite):
             linear_time(graph)
             near_linear(graph)
-            linear_time_vec(graph)
-            near_linear_vec(graph)
             if deep:
                 arw_lt(
                     graph,
@@ -601,6 +511,8 @@ def compare_reports(
     Compares every :data:`GATED_TRACKS` flat wall time per graph, over the
     intersection of graphs in both reports; a track missing from either
     side of a graph (e.g. ARW-LT on a solved-by-rules graph) is skipped.
+    A comparison that skips every (track, graph) pair fails: a gate that
+    compared nothing must not pass.
     """
     failures: List[str] = []
     base_timings = baseline.get("timings", {})
@@ -612,6 +524,7 @@ def compare_reports(
             "cannot gate (baseline suite: %s, current suite: %s)"
             % (baseline.get("suite"), current.get("suite"))
         ]
+    compared = 0
     for track, (record, field) in sorted(GATED_TRACKS.items()):
         for gname in shared:
             base = base_timings[gname].get(record)
@@ -622,12 +535,18 @@ def compare_reports(
             cur_wall = cur[field]
             if base_wall <= 0:
                 continue
+            compared += 1
             ratio = cur_wall / base_wall
             if ratio > max_regression:
                 failures.append(
                     f"{track} on {gname}: {cur_wall:.4f}s vs baseline "
                     f"{base_wall:.4f}s ({ratio:.2f}x > {max_regression:.2f}x allowed)"
                 )
+    if not compared:
+        failures.append(
+            "no gated track on any graph shared with the baseline "
+            f"(shared graphs: {', '.join(shared)}); cannot gate"
+        )
     return failures
 
 
@@ -656,13 +575,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--repeats", type=int, default=3, help="timing repeats (best-of)")
     parser.add_argument(
-        "--backend",
-        choices=list(BACKEND_CHOICES),
-        default="all",
-        help="track families to run: classic flat-vs-legacy, vectorized "
-        "rounds, or both (default all)",
-    )
-    parser.add_argument(
         "--telemetry",
         action="store_true",
         help="collect a phase-span trace in an extra (untimed) pass",
@@ -688,7 +600,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     suite = "smoke" if args.smoke else "quick" if args.quick else args.suite
-    report = run_suite(suite, max(1, args.repeats), backend=args.backend)
+    report = run_suite(suite, max(1, args.repeats))
     watch_failures: List[str] = []
     if args.watch:
         from ..obs.watch import DEFAULT_TOLERANCE, build_trajectory, discover_baselines
@@ -738,11 +650,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 part = (
                     f"{alg} repair {rec['repair_wall']:.4f}s "
                     f"({rec['repair_speedup']:.2f}x) warm {rec['warm_speedup']:.0f}x"
-                )
-            elif "vec_wall" in rec:
-                part = (
-                    f"{alg} vec {rec['vec_wall']:.4f}s ({rec['speedup']:.2f}x, "
-                    f"{rec['speedup_vs_flat']:.2f}x vs flat)"
                 )
             else:
                 part = f"{alg} flat {rec['flat_wall']:.4f}s ({rec['speedup']:.2f}x)"

@@ -35,7 +35,6 @@ from ..core.bdone import bdone
 from ..core.linear_time import linear_time
 from ..core.near_linear import near_linear
 from ..core.result import MISResult
-from ..core.vectorized import bdone_vec, linear_time_vec, near_linear_vec
 from ..graphs.properties import connected_components
 from ..graphs.static_graph import Graph
 from ..obs.telemetry import disable, enable, get_telemetry
@@ -56,17 +55,11 @@ DEFAULT_PARALLEL_THRESHOLD = 2_000
 
 #: Algorithms dispatchable by name over the raw CSR byte-buffer protocol.
 #: Names ship to the workers instead of pickled callables, so the payload
-#: stays three byte strings plus two short strings per component.  The
-#: ``*_vec`` entries are the vectorized-backend solvers — module-level
-#: functions in :mod:`repro.core.vectorized`, so they pickle by reference
-#: exactly like the scalar ones.
+#: stays three byte strings plus two short strings per component.
 ALGORITHM_BY_NAME: dict = {
     "bdone": bdone,
     "linear_time": linear_time,
     "near_linear": near_linear,
-    "bdone_vec": bdone_vec,
-    "linear_time_vec": linear_time_vec,
-    "near_linear_vec": near_linear_vec,
 }
 
 

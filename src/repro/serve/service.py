@@ -41,7 +41,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Union
 
-from ..core.kernel import KernelResult, kernelize
+from ..core.kernel import KERNEL_METHODS, KernelResult, kernelize
 from ..core.result import (
     MISResult,
     STAT_SERVE_CACHE_HIT,
@@ -97,10 +97,6 @@ _EVENT_METRICS: Dict[str, str] = {
 #: increments — ``_bump`` must not count them a second time.
 _CACHE_COUNTED = frozenset({STAT_SERVE_CACHE_HIT, STAT_SERVE_CACHE_MISS})
 
-
-def _backend_of(algorithm: str) -> str:
-    """Which execution backend produced a solution (span/metric label)."""
-    return "vectorized" if algorithm.endswith("_vec") else "flat"
 
 SNAPSHOT_VERSION = 1
 
@@ -158,8 +154,9 @@ class ServeResult:
     patched last-known-good solution; ``stale`` is True only here).
     ``exact_bound`` marks ``upper_bound`` as a Theorem-6.1 certificate
     rather than the trivial live-vertex count.  ``backend`` attributes the
-    answer to the execution backend that produced it (``"flat"`` /
-    ``"vectorized"``; ``"none"`` for stale returns, where no solver ran).
+    answer to the backend the service solves with (``"flat"``, or
+    ``"oracle"`` when ``ServiceConfig.workspace_factory`` pins an oracle
+    workspace; ``"none"`` for stale returns, where no solver ran).
     """
 
     graph_id: str
@@ -219,6 +216,13 @@ class SolverService:
                 f"unknown algorithm name {self.config.algorithm!r}; "
                 f"registered: {sorted(ALGORITHM_BY_NAME)}"
             )
+        if self.config.kernel_method not in KERNEL_METHODS:
+            raise ReproError(
+                f"unknown kernel method {self.config.kernel_method!r}; "
+                f"registered: {sorted(KERNEL_METHODS)}"
+            )
+        #: Span/metric label of the backend that solves (see ServeResult).
+        self._backend = "flat" if self.config.workspace_factory is None else "oracle"
         #: One registry shared by the service, its cache, and — when the
         #: process enabled metrics globally — the exposition endpoints.
         #: Sharing is load-bearing: it is what keeps :meth:`counters` and a
@@ -474,7 +478,7 @@ class SolverService:
                 is_exact=entry.is_exact,
                 exact_bound=entry.exact_bound,
                 source="cache",
-                backend=_backend_of(algorithm),
+                backend=self._backend,
                 elapsed=time.perf_counter() - start,
             )
         self._bump(STAT_SERVE_CACHE_MISS, 1, telemetry)
@@ -552,12 +556,11 @@ class SolverService:
         self._bump(STAT_SERVE_REPAIR, 1, telemetry)
         self._bump(STAT_SERVE_REPAIR_VERTICES, outcome.region_size, telemetry)
         self._bump(STAT_SERVE_REPAIR_COMPONENTS, outcome.components, telemetry)
-        backend = _backend_of(self.config.algorithm)
         self.metrics.observe(
             METRIC_SERVE_SOLVER_SECONDS,
             outcome.solver_elapsed,
             mode="repair",
-            backend=backend,
+            backend=self._backend,
         )
         return ServeResult(
             graph_id=state.graph_id,
@@ -567,7 +570,7 @@ class SolverService:
             is_exact=False,
             exact_bound=False,
             source="repair",
-            backend=backend,
+            backend=self._backend,
             elapsed=time.perf_counter() - start,
             repair_scope=outcome.scope(),
         )
@@ -629,7 +632,7 @@ class SolverService:
             is_exact=entry.is_exact,
             exact_bound=True,
             source="cold",
-            backend=_backend_of(self.config.algorithm),
+            backend=self._backend,
             elapsed=time.perf_counter() - start,
         )
 
@@ -657,7 +660,7 @@ class SolverService:
             METRIC_SERVE_SOLVER_SECONDS,
             result.elapsed,
             mode="cold",
-            backend=_backend_of(self.config.algorithm),
+            backend=self._backend,
         )
         entry = CacheEntry(
             fingerprint=fingerprint,

@@ -19,8 +19,7 @@ observability stack: the run executes inside a metrics session (and a
 telemetry session for tracing), and extra gates assert that the Prometheus
 exposition parses, that solve-latency p99 quantiles are populated, that
 every request produced stamped spans, and that every non-stale solve span
-names the backend of the configured algorithm (``"vectorized"`` for the
-``*_vec`` names, ``"flat"`` otherwise).
+names the flat production backend.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from ..obs.telemetry import Telemetry, telemetry_session
 from ..obs.trace_io import write_trace
 from .dynamic_graph import DynamicGraph, Mutation
 from .repair import cold_solve
-from .service import ServiceConfig, SolverService, _backend_of
+from .service import ServiceConfig, SolverService
 
 __all__ = ["main", "run_smoke"]
 
@@ -87,7 +86,6 @@ def _random_mutations(
 def _verify_observability(
     metrics: Optional[MetricsRegistry],
     telemetry: Optional[Telemetry],
-    algorithm: str,
     verbose: bool,
 ) -> int:
     """Gate the obs leg of the smoke: exposition, quantiles, spans, backend."""
@@ -131,7 +129,7 @@ def _verify_observability(
             if record.get("type") == "span" and record.get("meta", {}).get("request")
         }
         gate(bool(requests), f"spans stamped with request ids ({len(requests)})")
-        expected = _backend_of(algorithm)
+        expected = "flat"
         backends = {
             record["meta"].get("backend")
             for record in records
@@ -168,7 +166,7 @@ def run_smoke(
         if trace_out is not None:
             telemetry = stack.enter_context(telemetry_session(label="serve-smoke"))
         failures = _run_gauntlet(n, mutations, batch, seed, algorithm, verbose)
-        failures += _verify_observability(metrics, telemetry, algorithm, verbose)
+        failures += _verify_observability(metrics, telemetry, verbose)
         if metrics is not None and metrics_out:
             if metrics_out.endswith(".jsonl"):
                 metrics.write_jsonl(metrics_out)

@@ -206,9 +206,6 @@ class TestFrameworkDispatch:
             "BDTwo",
             "LinearTime",
             "NearLinear",
-            "BDOne-vec",
-            "LinearTime-vec",
-            "NearLinear-vec",
         }
 
     def test_dispatch_case_insensitive(self):
@@ -221,12 +218,24 @@ class TestFrameworkDispatch:
             compute_independent_set(cycle_graph(5), "Magic")
 
     @pytest.mark.parametrize(
-        "name", ["BDOne-auto", "LinearTime-auto", "NearLinear-auto"]
+        "name",
+        [
+            "BDOne-auto",
+            "LinearTime-auto",
+            "NearLinear-auto",
+            "BDOne-vec",
+            "LinearTime-vec",
+            "NearLinear-vec",
+        ],
     )
     def test_removed_auto_names_raise(self, name):
-        # The per-graph flat/vectorized picker is gone; its registry names
-        # hit the ordinary unknown-name error, which lists the survivors.
-        with pytest.raises(ReproError, match="LinearTime-vec"):
+        # The per-graph picker and the vectorized backend family are gone;
+        # their registry names hit the ordinary unknown-name error, which
+        # lists the four survivors.
+        with pytest.raises(
+            ReproError,
+            match=r"choose from \['BDOne', 'BDTwo', 'LinearTime', 'NearLinear'\]",
+        ):
             compute_independent_set(cycle_graph(5), name)
 
     def test_stats_are_populated(self):

@@ -14,6 +14,8 @@ determinism, validity and honest exactness on the same inputs.
 
 import pytest
 
+import repro.core.flat_dominance as flat_dominance_mod
+
 from repro.analysis import assert_valid_solution
 from repro.core.bdone import bdone
 from repro.core.bdtwo import bdtwo
@@ -25,9 +27,12 @@ from repro.core.workspace import ArrayWorkspace
 from repro.exact import brute_force_mis
 from repro.graphs.generators import (
     gnm_random_graph,
+    path_graph,
     power_law_graph,
+    star_graph,
     web_like_graph,
 )
+from repro.graphs.static_graph import Graph
 
 
 def _graph_corpus():
@@ -123,10 +128,31 @@ def test_near_linear_decision_logs_identical():
         assert k_flat == k_tri, graph.name
 
 
+def _dominance_graphs():
+    """The corpus plus the degenerate shapes the leaf wave special-cases:
+    no vertices, an isolated vertex, K₂ (both ends leaves), a star and a
+    path (leaf partners of degree ≥ 2)."""
+    tiny = [
+        Graph([0], [], name="empty"),
+        Graph([0, 0], [], name="singleton"),
+        Graph([0, 1, 2], [1, 0], name="K2"),
+        star_graph(6),
+        path_graph(7),
+    ]
+    return tiny + CORPUS
+
+
 def test_one_pass_dominance_sweeps_agree():
-    # Phase 1 of NearLinear: the stamp-based flat sweep must remove the
-    # same vertices in the same order as the set-based oracle.
-    for graph in CORPUS:
+    # Phase 1 of NearLinear: the flat sweep (numpy preamble) must remove
+    # the same vertices in the same order as the set-based oracle.
+    for graph in _dominance_graphs():
+        assert flat_one_pass_dominance(graph) == one_pass_dominance(graph), graph.name
+
+
+def test_one_pass_dominance_sweeps_agree_without_numpy(monkeypatch):
+    # The same check on the interpreted preamble taken when numpy is absent.
+    monkeypatch.setattr(flat_dominance_mod, "_np", None)
+    for graph in _dominance_graphs():
         assert flat_one_pass_dominance(graph) == one_pass_dominance(graph), graph.name
 
 

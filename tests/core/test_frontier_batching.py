@@ -3,8 +3,8 @@
 :class:`~repro.core.workspace.FlatWorkspace` keeps its buffers in numpy
 arrays with ``memoryview`` aliases for the scalar loops.  The fused drivers
 hand a degree-one round to
-:func:`~repro.core.vectorized._degree_one_rounds` once the worklist holds
-:data:`~repro.core.vectorized.BATCH_MIN_FRONTIER` vertices, and return to
+:func:`~repro.core.workspace._degree_one_rounds` once the worklist holds
+:data:`~repro.core.workspace.BATCH_MIN_FRONTIER` vertices, and return to
 the scalar LIFO loop when a round's frontier is narrower.  Below the
 constant the decision logs stay entry-identical to the
 :class:`~repro.core.workspace.ArrayWorkspace` oracle; above it the answer
@@ -13,20 +13,28 @@ answers keep the oracle's size and bound.  Without numpy the workspace
 falls back to ``array('i')``/``bytearray`` buffers and never batches.
 """
 
+import random
+
 import pytest
 
 import repro.core.workspace as workspace_mod
 from repro.analysis import assert_valid_solution
 from repro.core.bdone import bdone
+from repro.core.flat_dominance import flat_one_pass_dominance
 from repro.core.linear_time import linear_time, linear_time_reduce
-from repro.core.vectorized import BATCH_MIN_FRONTIER, _degree_one_rounds
-from repro.core.workspace import ArrayWorkspace, FlatWorkspace
+from repro.core.workspace import (
+    BATCH_MIN_FRONTIER,
+    ArrayWorkspace,
+    FlatWorkspace,
+    _degree_one_rounds,
+)
 from repro.graphs.generators import (
     disjoint_union,
     gnm_random_graph,
     power_law_graph,
     web_like_graph,
 )
+from repro.graphs.static_graph import Graph
 
 from . import test_differential_backends as differential
 from .test_differential_backends import CORPUS
@@ -200,3 +208,83 @@ def test_narrow_validated_frontier_is_handed_back():
     assert counts == (0, 0, 0, 0)
     assert ws.v1 == valid
     assert ws.log.entries == before
+
+
+# ----------------------------------------------------------------------
+# Round algebra on the workspace buffers
+# ----------------------------------------------------------------------
+def _irreducible_graph():
+    """A 3-regular graph (K4): no degree-one vertices, nothing to sweep."""
+    offsets = [0, 3, 6, 9, 12]
+    targets = [1, 2, 3, 0, 2, 3, 0, 1, 3, 0, 1, 2]
+    return Graph(offsets, targets, name="K4")
+
+
+def _rounds(ws, min_width=1):
+    """:func:`_degree_one_rounds` over ``ws``'s buffers, counters applied."""
+    adj, xadj, deg, alive = ws.arrays
+    excluded, rounds, nlive_drop, deg_sum_drop = _degree_one_rounds(
+        adj, xadj, deg, alive, ws.v1, ws.v2, True, ws.log.entries, min_width
+    )
+    ws._nlive -= nlive_drop
+    ws._live_deg_sum -= deg_sum_drop
+    return excluded, rounds
+
+
+def test_empty_frontier_sweep_is_noop():
+    ws = FlatWorkspace(_irreducible_graph(), track_degree_two=True)
+    assert ws.v1 == []
+    before_entries = list(ws.log.entries)
+    before_alive = list(ws.alive)
+    before_deg = list(ws.deg)
+    assert _rounds(ws) == (0, 0)
+    assert ws.log.entries == before_entries
+    assert list(ws.alive) == before_alive
+    assert list(ws.deg) == before_deg
+    assert ws.live_vertex_count == 4
+    assert ws.live_edge_count() == 6
+
+
+def test_stale_worklist_sweep_terminates():
+    """Stale v1 entries (dead or no-longer-degree-one) must not loop."""
+    ws = FlatWorkspace(_irreducible_graph(), track_degree_two=True)
+    ws.v1.extend([0, 0, 2])  # all invalid: degree 3, alive
+    assert _rounds(ws) == (0, 0)
+    assert ws.v1 == []
+    assert ws.live_vertex_count == 4
+
+
+def _k2_graph(pairs, seed):
+    """``pairs`` disjoint edges over shuffled ids, and the larger ends."""
+    rng = random.Random(seed)
+    n = 2 * pairs
+    ids = list(range(n))
+    rng.shuffle(ids)
+    edges = [(ids[2 * i], ids[2 * i + 1]) for i in range(pairs)]
+    graph = Graph.from_edges(n, edges, name=f"k2-{seed}")
+    return graph, frozenset(max(a, b) for a, b in edges)
+
+
+def test_k2_pairs_keep_larger_id_like_flat_lifo():
+    """A batched round splits mutual degree-one pairs the way the scalar
+    LIFO pop does: the larger id of each K₂ enters the solution."""
+    for seed in range(12):
+        graph, expected = _k2_graph(15 + seed, seed)
+        ws = FlatWorkspace(graph, track_degree_two=True)
+        assert _rounds(ws) == (graph.m, 1)
+        assert ws.live_vertex_count == 0 and ws.live_edge_count() == 0
+        assert ws.log.replay(graph).vertices == expected, seed
+        assert linear_time(graph).independent_set == expected, seed
+    # Wide enough to batch inside the default drivers.
+    graph, expected = _k2_graph(BATCH_MIN_FRONTIER, 99)
+    for algorithm in (linear_time, bdone):
+        made = []
+        result = algorithm(graph, workspace_factory=_recording_factory(made))
+        assert made[0]._rounds == 1
+        assert result.independent_set == expected
+
+
+def test_hot_loop_markers_present():
+    """The sweep kernels must stay under RL001's hot-loop contract."""
+    assert getattr(_degree_one_rounds, "__hot_loop__", False)
+    assert getattr(flat_one_pass_dominance, "__hot_loop__", False)

@@ -20,8 +20,14 @@ METHODS = ["degree_one", "linear_time", "near_linear"]
 
 class TestKernelBasics:
     def test_unknown_method_raises(self):
-        with pytest.raises(ReproError):
-            kernelize(cycle_graph(5), method="quantum")
+        # The retired vectorized rule sets are as unknown as any other
+        # name; the error lists the three that remain.
+        for method in ("quantum", "linear_time_vec", "near_linear_vec"):
+            with pytest.raises(
+                ReproError,
+                match=r"choose from \['degree_one', 'linear_time', 'near_linear'\]",
+            ):
+                kernelize(cycle_graph(5), method=method)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_tree_kernels_are_empty(self, method):

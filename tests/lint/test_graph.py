@@ -269,7 +269,7 @@ class TestRealRepoResolution:
         index = repo_project.index
         targets = index.registry_targets("repro.perf.parallel:ALGORITHM_BY_NAME")
         assert "repro.core.linear_time:linear_time" in targets
-        assert any(q.endswith(":near_linear_vec") for q in targets)
+        assert any(q.endswith(":near_linear") for q in targets)
 
     def test_kernel_methods_registry_is_indexed(self, repo_project):
         # AnnAssign registry (KERNEL_METHODS has a type annotation).
@@ -306,7 +306,7 @@ class TestRealRepoResolution:
         }
         # Call sites across src pass these workspace classes as factories;
         # the resolver must surface them so RL006 follows the indirection.
-        assert any(v.endswith(":VecWorkspace") for v in values)
+        assert any(v.endswith(":TriangleWorkspace") for v in values)
         assert any(v.endswith(":ArrayWorkspace") for v in values)
 
 

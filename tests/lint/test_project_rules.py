@@ -385,37 +385,38 @@ class TestSeededMutations:
     def test_src_module_names_resolve(self, src_sources):
         # Sanity for the fixtures below: the on-disk layout maps to the
         # dotted names the resolver uses.
-        assert module_name_for("src/repro/core/vec_paths.py") == (
-            "repro.core.vec_paths"
+        assert module_name_for("src/repro/core/workspace.py") == (
+            "repro.core.workspace"
         )
         assert "src/repro/serve/service.py" in src_sources
 
     def test_dropping_hot_loop_marker_trips_rl006(self, src_sources):
         mutated = mutate(
             src_sources,
-            "src/repro/core/vec_paths.py",
-            "@hot_loop\ndef _remove_path_batch",
-            "def _remove_path_batch",
+            "src/repro/core/workspace.py",
+            "@hot_loop\ndef push_entries",
+            "def push_entries",
         )
         findings = lint_sources(mutated, rules=default_rules(["RL006"]))
         assert findings, "deleting @hot_loop must surface the helper"
         assert {f.rule_id for f in findings} == {"RL006"}
-        assert all("_remove_path_batch" in f.message for f in findings)
-        assert all(f.path.endswith("vec_paths.py") for f in findings)
+        assert all("push_entries" in f.message for f in findings)
+        assert all(f.path.endswith("workspace.py") for f in findings)
 
     def test_metering_in_worker_helper_trips_rl007(self, src_sources):
         mutated = mutate(
             src_sources,
-            "src/repro/core/vec_paths.py",
-            "@hot_loop\ndef _remove_path_batch(workspace: Any, seg: List[int]) -> None:",
-            "@hot_loop\ndef _remove_path_batch(workspace: Any, seg: List[int]) -> None:\n"
+            "src/repro/core/workspace.py",
+            ") -> None:\n    \"\"\"Append one ``(kind, (v,))`` record",
+            ") -> None:\n"
             "    from repro.obs.metrics import get_metrics\n"
-            "    get_metrics().inc('repro_batch_removals')",
+            "    get_metrics().inc('repro_batch_entries')\n"
+            "    \"\"\"Append one ``(kind, (v,))`` record",
         )
         findings = lint_sources(mutated, rules=default_rules(["RL007"]))
         assert findings, "metric write reachable from pool.map must be flagged"
         assert {f.rule_id for f in findings} == {"RL007"}
-        assert all(f.path.endswith("vec_paths.py") for f in findings)
+        assert all(f.path.endswith("workspace.py") for f in findings)
 
     def test_dropping_context_forward_trips_rl008(self, src_sources):
         mutated = mutate(

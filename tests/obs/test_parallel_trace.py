@@ -113,14 +113,14 @@ class TestMergedParallelReport:
 
 
 class TestBackendAttributionAcrossProcesses:
-    """Traces merge with backend/request attribution intact under the
-    vectorized backend, not just the flat one."""
+    """Traces merge with backend/request attribution intact under another
+    dispatched algorithm, not just the default LinearTime."""
 
     def test_worker_attribution_survives_backend_choice(self):
         union, pooled, inline = _union()
         with telemetry_session("parallel-run") as tele:
             solve_by_components_parallel(
-                union, "linear_time_vec", processes=2, min_component_size=100
+                union, "near_linear", processes=2, min_component_size=100
             )
         merged = merge_traces([tele.to_records()])
         components = merged["components"]

@@ -69,8 +69,6 @@ def test_gated_tracks_cover_all_flat_backends():
         "near_linear",
         "arw_lt",
         "serve_incremental",
-        "linear_time_vec",
-        "near_linear_vec",
         "serve_load",
     }
     for track, (record, field) in bench_regression.GATED_TRACKS.items():
@@ -80,20 +78,9 @@ def test_gated_tracks_cover_all_flat_backends():
         elif track == "serve_load":
             assert record == "ServeLoad"
             assert field == "async_wall"
-        elif track.endswith("_vec"):
-            assert record in {"LinearTime-vec", "NearLinear-vec"}
-            assert field == "vec_wall"
         else:
             assert field == "flat_wall"
             assert record in {"LinearTime", "NearLinear", "ARW-LT"}
-
-
-def test_run_suite_rejects_unknown_backend():
-    # "all" is legacy + flat + vectorized; the removed dispatcher's
-    # "auto" is as unknown as any other name.
-    assert bench_regression.BACKEND_CHOICES == ("legacy", "flat", "vectorized", "all")
-    with pytest.raises(ValueError, match="unknown backend 'auto'"):
-        bench_regression.run_suite("smoke", repeats=1, backend="auto")
 
 
 def test_compare_self_passes(tmp_path):
@@ -212,6 +199,25 @@ def test_max_regression_flag_loosens_gate(tmp_path):
         ]
     )
     assert code == 0
+
+
+def test_compare_fails_when_no_gated_pair_is_compared():
+    # Shared graphs but no shared gated track: e.g. a baseline that only
+    # carries retired tracks.  Comparing nothing must fail, not pass.
+    baseline = {
+        "suite": "full",
+        "timings": {"g": {"RetiredTrack": {"retired_wall": 1.0}}},
+    }
+    current = {
+        "suite": "quick",
+        "timings": {"g": {"BDOne": {"flat_wall": 1.0}}},
+    }
+    failures = bench_regression.compare_reports(baseline, current, max_regression=2.0)
+    assert failures and "no gated track" in failures[0]
+    # A non-positive baseline wall is skipped too, so it cannot be the
+    # only comparison either.
+    zero = {"suite": "full", "timings": {"g": {"LinearTime": {"flat_wall": 0.0}}}}
+    assert bench_regression.compare_reports(zero, zero, max_regression=2.0)
 
 
 def test_compare_disjoint_suites_reports_no_overlap():

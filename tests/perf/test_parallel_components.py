@@ -94,15 +94,10 @@ def test_threshold_above_all_components_solves_inline():
 
 
 def test_registry_names_cover_every_dispatchable_algorithm():
-    from repro.core.vectorized import bdone_vec, linear_time_vec, near_linear_vec
-
     assert ALGORITHM_BY_NAME == {
         "bdone": bdone,
         "linear_time": linear_time,
         "near_linear": near_linear,
-        "bdone_vec": bdone_vec,
-        "linear_time_vec": linear_time_vec,
-        "near_linear_vec": near_linear_vec,
     }
 
 

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro.core.workspace import ArrayWorkspace
 from repro.obs.metrics import (
     METRIC_SERVE_CACHE_HITS,
     METRIC_SERVE_GRAPHS,
@@ -158,10 +159,11 @@ class TestBackendAttribution:
         assert service.solve(gid).backend == "flat"
         assert service.solve(gid).backend == "flat"  # cache replays the pick
 
-    def test_vectorized_backend_reported(self):
-        service = SolverService(ServiceConfig(algorithm="linear_time_vec"))
+    def test_oracle_backend_reported(self):
+        service = SolverService(ServiceConfig(workspace_factory=ArrayWorkspace))
         gid = service.register(gnm_random_graph(60, 120, seed=3))
-        assert service.solve(gid).backend == "vectorized"
+        assert service.solve(gid).backend == "oracle"
+        assert service.solve(gid).backend == "oracle"  # cache replays the pick
 
 
 class TestRequestSpans:
@@ -230,7 +232,7 @@ class TestSmokeObsLeg:
             mutations=10,
             batch=5,
             seed=11,
-            algorithm="linear_time_vec",
+            algorithm="near_linear",
             verbose=False,
             metrics_out=str(metrics_out),
             trace_out=str(trace_out),
@@ -252,7 +254,7 @@ class TestSmokeObsLeg:
             r for r in records if r.get("type") == "span" and r["name"] == "serve:solve"
         ]
         assert solves
-        assert {r["meta"]["backend"] for r in solves} <= {"vectorized", "none"}
+        assert {r["meta"]["backend"] for r in solves} <= {"flat", "none"}
 
     def test_smoke_sessions_leave_no_global_residue(self, tmp_path):
         from repro.obs.metrics import get_metrics

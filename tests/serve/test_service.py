@@ -62,9 +62,21 @@ class TestRegistration:
             service.solve("nope")
 
     def test_unknown_algorithm_rejected_at_construction(self):
-        # Caught when the service is built, not by the first solve.
-        with pytest.raises(ReproError, match="registered: .*'linear_time_vec'"):
-            SolverService(ServiceConfig(algorithm="nope"))
+        # Caught when the service is built, not by the first solve.  The
+        # retired vectorized names are as unknown as any other.
+        for name in ("nope", "linear_time_vec"):
+            with pytest.raises(
+                ReproError,
+                match=r"registered: \['bdone', 'linear_time', 'near_linear'\]",
+            ):
+                SolverService(ServiceConfig(algorithm=name))
+
+    def test_unknown_kernel_method_rejected_at_construction(self):
+        # Checked like the algorithm: a bad rule set fails when the service
+        # is built, not at the first register.
+        for method in ("bogus", "linear_time_vec", "near_linear_vec"):
+            with pytest.raises(ReproError, match="unknown kernel method"):
+                SolverService(ServiceConfig(kernel_method=method))
 
     def test_unregister(self):
         service = SolverService()
@@ -271,7 +283,20 @@ class TestPersistence:
         service.register(cycle_graph(5))
         payload = service.snapshot_payload()
         payload["config"]["algorithm"] = "linear_time_auto"
-        with pytest.raises(ReproError, match="registered: .*'near_linear_vec'"):
+        with pytest.raises(ReproError, match="registered: .*'near_linear'"):
+            SolverService.restore(payload)
+
+    def test_restore_rejects_unregistered_kernel_method(self):
+        # A snapshot taken while the vectorized rule sets existed names one;
+        # restore must refuse it up front instead of at the first register.
+        service = SolverService()
+        service.register(cycle_graph(5))
+        payload = service.snapshot_payload()
+        payload["config"]["kernel_method"] = "near_linear_vec"
+        with pytest.raises(
+            ReproError,
+            match=r"registered: \['degree_one', 'linear_time', 'near_linear'\]",
+        ):
             SolverService.restore(payload)
 
     def test_config_round_trips(self, tmp_path):

@@ -305,23 +305,25 @@ class TestServe:
 
 
 class TestRemovedAutoSurface:
-    """The per-graph backend picker and its calibration command are gone;
-    their spellings are ordinary argparse usage errors (exit code 2)."""
+    """The per-graph backend picker, its calibration command and the bench
+    ``--backend`` option are gone; their spellings are ordinary argparse
+    usage errors (exit code 2)."""
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, error",
         [
-            ["serve", "-", "--algorithm", "linear_time_auto"],
-            ["calibrate"],
-            ["bench", "--backend", "auto"],
+            (["serve", "-", "--algorithm", "linear_time_auto"], "invalid choice"),
+            (["calibrate"], "invalid choice"),
+            (["bench", "--backend", "auto"], "unrecognized arguments: --backend"),
+            (["bench", "--backend", "flat"], "unrecognized arguments: --backend"),
         ],
-        ids=["serve-auto", "calibrate", "bench-auto"],
+        ids=["serve-auto", "calibrate", "bench-auto", "bench-flat"],
     )
-    def test_removed_spelling_is_a_usage_error(self, argv, capsys):
+    def test_removed_spelling_is_a_usage_error(self, argv, error, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
 
 
 class TestLoadgen:

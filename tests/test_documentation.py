@@ -94,7 +94,7 @@ class TestPerformanceClaims:
         path = os.path.join(REPO_ROOT, "docs", "performance.md")
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-        header = "| algorithm | legacy oracle | flat | vectorized |"
+        header = "| algorithm | legacy oracle | flat |"
         assert header in text
         table = text.split(header, 1)[1].split("\n\n", 1)[0]
         rows = {}
@@ -111,7 +111,7 @@ class TestPerformanceClaims:
 
     @staticmethod
     def _figures(cell):
-        """``(ms, ratio or None)`` of a cell like ``**38 ms (2.1× vs flat)**``."""
+        """``(ms, ratio or None)`` of a cell like ``79 ms (2.6×)``."""
         match = re.match(r"\**(\d+) ms(?: \((\d+\.\d)×)?", cell)
         assert match, f"no ms figure in {cell!r}"
         ratio = match.group(2)
@@ -122,17 +122,10 @@ class TestPerformanceClaims:
 
     def test_every_figure_matches_the_baseline(self):
         records = self._records()
-        for algorithm, (legacy, flat, vectorized) in self._rows().items():
+        for algorithm, (legacy, flat) in self._rows().items():
             record = records[algorithm]
             legacy_ms, _ = self._figures(legacy)
             assert legacy_ms == round(record["oracle_wall"] * 1000), algorithm
             flat_ms, speedup = self._figures(flat)
             assert flat_ms == round(record["flat_wall"] * 1000), algorithm
             assert speedup == round(record["speedup"], 1), algorithm
-            if f"{algorithm}-vec" not in records:
-                assert vectorized.startswith("—"), algorithm
-                continue
-            vec = records[f"{algorithm}-vec"]
-            vec_ms, vs_flat = self._figures(vectorized)
-            assert vec_ms == round(vec["vec_wall"] * 1000), algorithm
-            assert vs_flat == round(vec["speedup_vs_flat"], 1), algorithm

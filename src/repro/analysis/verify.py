@@ -4,26 +4,22 @@ Every algorithm's output is checked through these helpers in the test
 suite; they are also part of the public API so downstream users can audit
 results cheaply (all checks are O(n + m)).
 
-With numpy, independence and maximality are whole-array passes over
+Independence and maximality are whole-array numpy passes over
 :meth:`~repro.graphs.static_graph.Graph.flat_csr`: mark the selected
 vertices, count each vertex's selected neighbours with one prefix sum over
 the marked targets, then test both conditions on the counts.  An ``int``
-id outside ``[0, n)`` fails both checks at once.  Inputs without numpy,
-and ids that are not plain ``int``, take the per-vertex loop, which gives
-the same answers.
+id outside ``[0, n)`` fails both checks at once.  Ids that are not plain
+``int`` take the per-vertex loop, which gives the same answers.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, List, Optional, Set, Tuple
 
+import numpy as _np
+
 from ..errors import NotASolutionError
 from ..graphs.static_graph import Graph
-
-try:  # pragma: no cover - exercised implicitly by every import site
-    import numpy as _np
-except ImportError:  # pragma: no cover - the loops below need no numpy
-    _np = None  # type: ignore[assignment]
 
 __all__ = [
     "is_independent_set",
@@ -36,8 +32,8 @@ __all__ = [
 
 
 def _on_array_path(selected: Set[int]) -> bool:
-    """Whether the whole-array pass applies: numpy and plain ``int`` ids."""
-    return _np is not None and (not selected or set(map(type, selected)) == {int})
+    """Whether the whole-array pass applies: only plain ``int`` ids."""
+    return not selected or set(map(type, selected)) == {int}
 
 
 def _mark(graph: Graph, selected: Set[int]) -> Optional[Tuple[Any, Any]]:

@@ -26,7 +26,6 @@ a wider frontier in whole-array rounds
 from __future__ import annotations
 
 import time
-from sys import maxsize
 from typing import Any, Callable, Optional
 
 from ..graphs.static_graph import Graph
@@ -75,9 +74,8 @@ def _run_flat(workspace: FlatWorkspace) -> None:
     log = workspace.log
     entries = log.entries
     append_entry = entries.append
-    arrays = workspace.arrays
-    batch_min = maxsize if arrays is None else BATCH_MIN_FRONTIER
-    np_adj, np_xadj, np_deg, np_alive = arrays or (None, None, None, None)
+    batch_min = BATCH_MIN_FRONTIER
+    np_adj, np_xadj, np_deg, np_alive = workspace.arrays
     adj = workspace.adj
     xadj = workspace.xadj
     deg = workspace.deg

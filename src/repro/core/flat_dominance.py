@@ -30,22 +30,19 @@ from bisect import bisect_left
 from operator import sub
 from typing import List, Optional, Tuple
 
+import numpy as _np
+
 from ..graphs.static_graph import Graph
 from .bucket_queue import MaxDegreeSelector
 from .hotpath import hot_loop
 from .trace import DecisionLog
 from .workspace import compact_remap
 
-try:  # pragma: no cover - exercised implicitly by every import site
-    import numpy as _np
-except ImportError:  # pragma: no cover - the sweep falls back to one pass
-    _np = None  # type: ignore[assignment]
-
 __all__ = ["FlatTriangleWorkspace", "flat_one_pass_dominance"]
 
 
 @hot_loop
-def _sweep_preamble_numpy(graph: Graph) -> Tuple[List[int], List[int], bytearray]:
+def _sweep_preamble(graph: Graph) -> Tuple[List[int], List[int], bytearray]:
     """The sweep order, degrees and leaf-wave flags, in whole-array passes.
 
     The set of vertices with an initial leaf neighbour is the
@@ -74,25 +71,6 @@ def _sweep_preamble_numpy(graph: Graph) -> Tuple[List[int], List[int], bytearray
 
 
 @hot_loop
-def _sweep_preamble_python(graph: Graph) -> Tuple[List[int], List[int], bytearray]:
-    """:func:`_sweep_preamble_numpy` as one interpreted pass (no numpy)."""
-    n = graph.n
-    xadj, adj = graph.csr_arrays()
-    deg = list(map(sub, xadj[1:], xadj))
-    # ``sorted`` stays stable under ``reverse``: ties keep ascending ids.
-    order = sorted(range(n), key=deg.__getitem__, reverse=True)
-    certified = bytearray(n)
-    for leaf in range(n):
-        if deg[leaf] == 1:
-            partner = adj[xadj[leaf]]
-            if deg[partner] >= 2:
-                certified[partner] = 1
-            elif leaf < partner:
-                certified[leaf] = 1
-    return order, deg, certified
-
-
-@hot_loop
 def flat_one_pass_dominance(graph: Graph) -> List[int]:
     """Degree-decreasing dominance sweep over the flat CSR rows.
 
@@ -102,12 +80,11 @@ def flat_one_pass_dominance(graph: Graph) -> List[int]:
     dominates it on the current residual graph, and the outer scan order —
     initial degree descending, id ascending — is fixed).
 
-    The preamble (numpy when available, one interpreted pass otherwise)
-    computes that order and pre-certifies the *leaf wave*: every vertex
-    with an initial leaf neighbour is dominated at its own turn — a leaf's
-    degree cannot change while its sole neighbour is alive, and the order
-    puts the neighbour's turn first — so it is removed without any subset
-    scan.  For K₂ components the earlier endpoint (smaller id) is
+    A whole-array preamble (:func:`_sweep_preamble`) computes that order
+    and pre-certifies the *leaf wave*: every vertex with an initial leaf
+    neighbour is dominated at its own turn — a leaf's degree cannot change
+    while its sole neighbour is alive, and the order puts the neighbour's
+    turn first — so it is removed without any subset scan.  For K₂ components the earlier endpoint (smaller id) is
     certified by the same argument.  Every other vertex runs an exact
     subset test, restructured three ways, none able to change a decision:
 
@@ -126,10 +103,7 @@ def flat_one_pass_dominance(graph: Graph) -> List[int]:
     """
     if graph.n == 0:
         return []
-    if _np is not None:
-        order, deg, certified = _sweep_preamble_numpy(graph)
-    else:
-        order, deg, certified = _sweep_preamble_python(graph)
+    order, deg, certified = _sweep_preamble(graph)
     xadj, adj = graph.csr_arrays()  # read-only tuples: the sweep never mutates adjacency
     removed: List[int] = []
     candidates: List[int] = []  # reused across iterations (hot-loop purity)
@@ -257,7 +231,7 @@ class FlatTriangleWorkspace:
         self._clock = 0
         self._nlive = n
         self._live_deg_sum = len(targets)
-        seeded = self._count_triangles()
+        self._count_triangles()
         deg = self.deg
         for v in range(n):
             d = deg[v]
@@ -269,36 +243,24 @@ class FlatTriangleWorkspace:
                 self.v1.append(v)
             elif d == 2:
                 self.v2.append(v)
-        if not seeded:
-            self._seed_dominated()
 
     # ------------------------------------------------------------------
     # Initialisation
     # ------------------------------------------------------------------
-    def _count_triangles(self) -> bool:
-        """Fill δ for every adjacency slot (scipy when available).
+    def _count_triangles(self) -> None:
+        """Fill δ for every adjacency slot and seed ``dominated``.
 
-        Returns ``True`` when the backend also seeded ``dominated`` (the
-        vectorised path does both in one sweep), ``False`` when the caller
-        still needs :meth:`_seed_dominated`.
+        δ is the sparse-matrix identity ``(A² ∘ A)``.  The dominance
+        worklist starts as D = {u | ∃ (v,u) ∈ E with δ(v,u) = d(v) − 1}.
         """
-        if self._count_triangles_scipy():
-            return True
-        self._count_triangles_python()
-        return False
+        from scipy import sparse  # function-local: keeps ``import repro`` light
 
-    def _count_triangles_scipy(self) -> bool:
-        try:
-            import numpy
-            from scipy import sparse
-        except ImportError:  # pragma: no cover - scipy is present in CI
-            return False
         if self.n == 0 or not len(self.adj):
-            return True
+            return
         n = self.n
-        indptr = numpy.asarray(self.xadj, dtype=numpy.int64)
-        indices = numpy.asarray(self.adj, dtype=numpy.int64)
-        data = numpy.ones(len(indices), dtype=numpy.int64)
+        indptr = _np.asarray(self.xadj, dtype=_np.int64)
+        indices = _np.asarray(self.adj, dtype=_np.int64)
+        data = _np.ones(len(indices), dtype=_np.int64)
         adjacency = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
         counts = (adjacency @ adjacency).multiply(adjacency).tocsr()
         counts.sort_indices()
@@ -308,69 +270,23 @@ class FlatTriangleWorkspace:
         # for each; the counts pattern is a subset of the adjacency pattern
         # (δ lives on edges), hence searchsorted yields each count's exact
         # adjacency slot.
-        row_of_slot = numpy.repeat(
-            numpy.arange(n, dtype=numpy.int64), numpy.diff(indptr)
+        row_of_slot = _np.repeat(
+            _np.arange(n, dtype=_np.int64), _np.diff(indptr)
         )
         adj_keys = row_of_slot * n + indices
-        counts_rows = numpy.repeat(
-            numpy.arange(n, dtype=numpy.int64), numpy.diff(counts.indptr)
+        counts_rows = _np.repeat(
+            _np.arange(n, dtype=_np.int64), _np.diff(counts.indptr)
         )
         count_keys = counts_rows * n + counts.indices
-        slots = numpy.searchsorted(adj_keys, count_keys)
-        tri = numpy.zeros(len(indices), dtype=numpy.int64)
+        slots = _np.searchsorted(adj_keys, count_keys)
+        tri = _np.zeros(len(indices), dtype=_np.int64)
         tri[slots] = counts.data
         self.tri = tri.tolist()
-        # Seed the dominance worklist vectorised too: a slot (v, u) seeds
+        # Seed the dominance worklist in the same pass: a slot (v, u) seeds
         # ``u`` when δ(v, u) = d(v) − 1.  Selecting by the global slot mask
         # preserves the oracle's append order (v ascending, row order).
-        degrees = numpy.diff(indptr)
+        degrees = _np.diff(indptr)
         self.dominated = indices[tri == degrees[row_of_slot] - 1].tolist()
-        return True
-
-    def _count_triangles_python(self) -> None:
-        """Stamp-based fallback: δ(u, v) = |N(u) ∩ N(v)| per edge u < v."""
-        adj = self.adj
-        xadj = self.xadj
-        tri = self.tri
-        stamp = self._stamp
-        clock = self._clock
-        for u in range(self.n):
-            lo, hi = xadj[u], xadj[u + 1]
-            if lo == hi:
-                continue
-            clock += 1
-            for w in adj[lo:hi]:
-                stamp[w] = clock
-            for i in range(lo, hi):
-                v = adj[i]
-                if v < u:
-                    continue
-                delta = 0
-                for x in adj[xadj[v] : xadj[v + 1]]:
-                    if stamp[x] == clock:
-                        delta += 1
-                if delta:
-                    tri[i] = delta
-                    # Rows are sorted at construction time: binary-search
-                    # the mirror slot (v, u).
-                    tri[bisect_left(adj, u, xadj[v], xadj[v + 1])] = delta
-        self._clock = clock
-
-    def _seed_dominated(self) -> None:
-        """Initial worklist D = {u | ∃ (v,u) ∈ E with δ(v,u) = d(v) − 1}."""
-        adj = self.adj
-        xadj = self.xadj
-        tri = self.tri
-        deg = self.deg
-        append = self.dominated.append
-        for v in range(self.n):
-            if not self.alive[v]:
-                continue
-            target = deg[v] - 1
-            lo, hi = xadj[v], xadj[v + 1]
-            for u, count in zip(adj[lo:hi], tri[lo:hi]):
-                if count == target:
-                    append(u)
 
     # ------------------------------------------------------------------
     # Queries

@@ -28,7 +28,6 @@ different, equally valid set of exclusions.
 from __future__ import annotations
 
 import time
-from sys import maxsize
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..graphs.static_graph import Graph
@@ -89,15 +88,14 @@ def _reduce_flat(workspace: FlatWorkspace, stop_before_peel: bool) -> bool:
     (``adj``/``deg``/``alive``/worklists) and append decision entries
     directly; rule counters are accumulated locally and committed to the
     log in one batch when the loop exits.  While the degree-one worklist
-    holds at least :data:`BATCH_MIN_FRONTIER` vertices (and the workspace
-    has numpy buffers), its rounds run batched instead.
+    holds at least :data:`BATCH_MIN_FRONTIER` vertices, its rounds run
+    batched instead.
     """
     log = workspace.log
     entries = log.entries
     append_entry = entries.append
-    arrays = workspace.arrays
-    batch_min = maxsize if arrays is None else BATCH_MIN_FRONTIER
-    np_adj, np_xadj, np_deg, np_alive = arrays or (None, None, None, None)
+    batch_min = BATCH_MIN_FRONTIER
+    np_adj, np_xadj, np_deg, np_alive = workspace.arrays
     adj = workspace.adj
     xadj = workspace.xadj
     deg = workspace.deg

@@ -23,13 +23,10 @@ import time
 from itertools import repeat as _repeat
 from typing import Any, Callable, List, Optional, Tuple
 
+import numpy as _np
+
 from ..graphs.static_graph import Graph
 from .degree_two_paths import RULE_IRREDUCIBLE, apply_degree_two_path_reduction
-
-try:  # pragma: no cover - exercised implicitly by every import site
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is optional here
-    _np = None  # type: ignore[assignment]
 from .dominance import TriangleWorkspace, one_pass_dominance
 from .flat_dominance import FlatTriangleWorkspace, flat_one_pass_dominance
 from .hotpath import hot_loop
@@ -137,7 +134,7 @@ def _preprocess(
     with phase(
         telemetry, "lp-kernel", algorithm="NearLinear", graph=graph.name
     ) as span:
-        if _np is not None and graph.n >= 2048:
+        if graph.n >= 2048:
             mask = _np.ones(graph.n, dtype=bool)
             if dominated:
                 mask[dominated] = False

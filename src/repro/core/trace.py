@@ -22,12 +22,9 @@ from __future__ import annotations
 from itertools import compress
 from typing import Dict, List, Sequence, Tuple
 
-from ..graphs.static_graph import Graph
+import numpy as _np
 
-try:  # pragma: no cover - exercised implicitly by every import site
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is optional for replay
-    _np = None  # type: ignore[assignment]
+from ..graphs.static_graph import Graph
 
 #: Below this many vertices the numpy prefilter in
 #: :func:`extend_to_maximal` costs more than the scalar pass it saves.
@@ -95,7 +92,7 @@ def extend_to_maximal(in_set: List[bool], graph: Graph) -> None:
     re-enter the solution and stop counting against the Theorem-6.1 bound.
     """
     offsets, targets = graph.flat_csr()
-    if _np is not None and graph.n >= _EXTEND_VEC_MIN_N:
+    if graph.n >= _EXTEND_VEC_MIN_N:
         # Prefilter: any vertex already blocked by the *initial* solution
         # can never enter (the pass only adds vertices), so one bincount
         # sweep removes it from consideration.  Survivors run the exact

@@ -14,8 +14,8 @@ Two interchangeable backends implement the same mutation protocol:
   counters, and a per-vertex position hint that makes repeated rewiring of
   the same slot O(1).  Construction is a C-level buffer copy instead of
   ``n`` list allocations.  This is the layout the paper itself describes
-  (Section 2).  With numpy the buffers are numpy arrays, read by the scalar
-  code through ``memoryview`` aliases and by the batched degree-one rounds
+  (Section 2).  The buffers are numpy arrays, read by the scalar code
+  through ``memoryview`` aliases and by the batched degree-one rounds
   (:func:`_degree_one_rounds`) as whole arrays.
 
 Both workspaces own the degree-one / degree-two worklists (``V₌₁`` / ``V₌₂``
@@ -39,18 +39,14 @@ from __future__ import annotations
 
 from array import array
 from itertools import repeat
-from operator import sub
 from typing import Any, List, Optional, Sequence, Tuple
+
+import numpy as _np
 
 from ..graphs.static_graph import Graph
 from .bucket_queue import MaxDegreeSelector
 from .hotpath import hot_loop
 from .trace import EXCLUDE, INCLUDE, DecisionLog
-
-try:  # pragma: no cover - exercised implicitly by every import site
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image always has numpy
-    _np = None  # type: ignore[assignment]
 
 __all__ = ["ArrayWorkspace", "BATCH_MIN_FRONTIER", "FlatWorkspace", "compact_remap"]
 
@@ -89,7 +85,8 @@ def numpy_buffers(
     degrees and ``uint8`` alive flags; the ascending degree-one and (when
     tracked) degree-two vertices; and the isolated vertices, already
     marked dead, for the caller to log as inclusions.  One whole-array
-    pass, in the order the scalar classification loop files them.
+    pass, in the order :class:`ArrayWorkspace`'s classification loop files
+    them.
     """
     np = _np
     offsets, targets = graph.flat_csr()
@@ -118,7 +115,7 @@ def export_kernel_arrays(
     One vectorized pass: live slots are selected with a boolean mask (row
     and target both alive), remapped through the cumulative-sum id map and
     sorted per row with a single ``lexsort`` — the same sorted-row kernel
-    and ``old_ids`` list the scalar export builds.
+    and ``old_ids`` list :meth:`ArrayWorkspace.export_kernel` builds.
     """
     np = _np
     n = graph.n
@@ -524,11 +521,10 @@ class FlatWorkspace:
     ``deg`` / ``alive``
         Flat ``int32`` / ``uint8`` buffers (O(n) words).
     ``arrays``
-        With numpy, the ``(adj, xadj, deg, alive)`` numpy arrays
-        (``int32``, ``int64``, ``int32``, ``uint8``); ``adj``/``deg``/
-        ``alive`` above are ``memoryview`` aliases of the same memory, which
-        index at ``array('i')`` speed and yield plain ints.  ``None``
-        without numpy, where the buffers are ``array('i')``/``bytearray``.
+        The ``(adj, xadj, deg, alive)`` numpy arrays (``int32``, ``int64``,
+        ``int32``, ``uint8``); ``adj``/``deg``/``alive`` above are
+        ``memoryview`` aliases of the same memory, which index at
+        ``array('i')`` speed and yield plain ints.
 
     Live-vertex and live-edge counts are maintained incrementally on every
     mutation, so kernel snapshots and progress reporting are O(1) instead
@@ -559,52 +555,23 @@ class FlatWorkspace:
     def __init__(self, graph: Graph, track_degree_two: bool = False) -> None:
         self.graph = graph
         n = self.n = graph.n
-        offsets, targets = graph.flat_csr()
-        self.xadj = offsets
+        offsets = self.xadj = graph.flat_csr()[0]
+        np_adj, np_xadj, np_deg, np_alive, v1, v2, zeros = numpy_buffers(
+            graph, track_degree_two
+        )
+        self.arrays: Tuple[Any, Any, Any, Any] = (np_adj, np_xadj, np_deg, np_alive)
+        self.adj: Any = memoryview(np_adj)
+        self.deg: Any = memoryview(np_deg)
+        self.alive: Any = memoryview(np_alive)
         self.log = DecisionLog()
-        self.v1: List[int] = []
-        self.v2: List[int] = []
+        self.v1: List[int] = v1
+        self.v2: List[int] = v2
         self._selector: Optional[MaxDegreeSelector] = None
         self._hint = array("q", offsets[:-1]) if n else array("q")
-        self._nlive = n
-        self._live_deg_sum = len(targets)
+        self._nlive = n - len(zeros)
+        self._live_deg_sum = len(np_adj)
         self._rounds = 0
-        if _np is not None:
-            np_adj, np_xadj, np_deg, np_alive, v1, v2, zeros = numpy_buffers(
-                graph, track_degree_two
-            )
-            self.arrays: Optional[Tuple[Any, Any, Any, Any]] = (
-                np_adj, np_xadj, np_deg, np_alive
-            )
-            self.adj: Any = memoryview(np_adj)
-            self.deg: Any = memoryview(np_deg)
-            self.alive: Any = memoryview(np_alive)
-            self.v1 = v1
-            self.v2 = v2
-            self._nlive -= len(zeros)
-            push_entries(self.log.entries, INCLUDE, zeros)
-            return
-        self.arrays = None
-        self.adj = targets[:]  # C-level memcpy; rewiring mutates the copy
-        self.deg = array("i", map(sub, offsets[1:], offsets))
-        self.alive = bytearray([1]) * n if n else bytearray()
-        deg = self.deg
-        log_include = self.log.include
-        alive = self.alive
-        v1_append = self.v1.append
-        v2_append = self.v2.append
-        for v in range(n):
-            d = deg[v]
-            if d > 2:
-                continue
-            if d == 0:
-                alive[v] = 0
-                self._nlive -= 1
-                log_include(v)
-            elif d == 1:
-                v1_append(v)
-            elif track_degree_two:
-                v2_append(v)
+        push_entries(self.log.entries, INCLUDE, zeros)
 
     # ------------------------------------------------------------------
     # Queries
@@ -774,21 +741,5 @@ class FlatWorkspace:
     # ------------------------------------------------------------------
     def export_kernel(self) -> Tuple[Graph, List[int]]:
         """The live residual graph, compacted, plus the id mapping."""
-        if self.arrays is not None:
-            adj_np, xadj_np, _, alive_np = self.arrays
-            return export_kernel_arrays(self.graph, adj_np, xadj_np, alive_np)
-        alive = self.alive
-        adj = self.adj
-        xadj = self.xadj
-        remap, old_ids = compact_remap(alive, self.n)
-        offsets = [0]
-        targets: List[int] = []
-        extend = targets.extend
-        for old in old_ids:
-            row = sorted(
-                remap[w] for w in adj[xadj[old] : xadj[old + 1]] if alive[w]
-            )
-            extend(row)
-            offsets.append(len(targets))
-        name = f"{self.graph.name}-kernel" if self.graph.name else "kernel"
-        return Graph(offsets, targets, name=name), old_ids
+        adj, xadj, _, alive = self.arrays
+        return export_kernel_arrays(self.graph, adj, xadj, alive)

@@ -16,15 +16,12 @@ from __future__ import annotations
 
 import io
 import os
-from typing import Iterable, List, TextIO, Tuple, Union
+from typing import List, TextIO, Tuple, Union
+
+import numpy as _np
 
 from ..errors import GraphFormatError
 from .static_graph import Graph
-
-try:  # Optional: whole-array parsing; the line loops below need nothing.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
 
 __all__ = [
     "read_edge_list",
@@ -75,11 +72,11 @@ def read_edge_list(source: PathOrFile, name: str = "") -> Tuple[Graph, List[int]
     1-indexed or sparse-label files.  Returns ``(graph, labels)`` where
     ``labels[new_id]`` is the original label.
 
-    With numpy present the file is parsed in whole-array passes.  Anything
-    that pass cannot take (a malformed line, a label beyond int64, a bare
-    carriage return) re-reads the text line by line, which is also the
-    only path without numpy; both paths return the same graph and raise
-    the same :class:`~repro.errors.GraphFormatError`.
+    The file is parsed in whole-array numpy passes.  Anything that pass
+    cannot take (a malformed line, a label beyond int64, a bare carriage
+    return) re-reads the text line by line with :func:`_read_edge_lines`;
+    both paths return the same graph, and a malformed file raises the line
+    reader's :class:`~repro.errors.GraphFormatError`.
     """
     handle, close = _open_for_read(source)
     try:
@@ -87,14 +84,11 @@ def read_edge_list(source: PathOrFile, name: str = "") -> Tuple[Graph, List[int]
     finally:
         if close:
             handle.close()
-    if _np is not None:
-        try:
-            declared_n, rows = _parse_edge_array(text)
-        except (ValueError, OverflowError):
-            pass
-        else:
-            return _compact_edge_array(rows, declared_n, name)
-    return _read_edge_lines(io.StringIO(text), name)
+    try:
+        declared_n, rows = _parse_edge_array(text)
+    except (ValueError, OverflowError):
+        return _read_edge_lines(io.StringIO(text), name)
+    return _compact_edge_array(rows, declared_n, name)
 
 
 def _declared_count(comment: str) -> int:
@@ -164,7 +158,7 @@ def _compact_edge_array(rows: "_np.ndarray", declared_n: int, name: str) -> Tupl
 
 
 def _read_edge_lines(handle: TextIO, name: str) -> Tuple[Graph, List[int]]:
-    """The line-by-line reader: the numpy-less path, and the one that
+    """The line-by-line reader for files the whole-array parse rejects; it
     reports malformed lines."""
     seen_labels: set = set()
     declared_n: int = 0
@@ -228,11 +222,9 @@ def dumps_edge_list(graph: Graph) -> str:
     return buffer.getvalue()
 
 
-def _edge_pairs(sources: List[int], targets: List[int]) -> Iterable[Tuple[int, int]]:
-    """Edges for :meth:`Graph.from_edges`: one ``(k, 2)`` array when numpy
-    is present (the whole-array build), else ``(u, v)`` pairs."""
-    if _np is None:
-        return zip(sources, targets)
+def _edge_pairs(sources: List[int], targets: List[int]) -> "_np.ndarray":
+    """Edges for :meth:`Graph.from_edges` as one ``(k, 2)`` array, which
+    takes the whole-array build."""
     return _np.column_stack(
         (_np.array(sources, dtype=_np.int64), _np.array(targets, dtype=_np.int64))
     )

@@ -20,13 +20,9 @@ from array import array
 from bisect import bisect_left
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
-from ..errors import VertexError
+import numpy as _np
 
-try:  # Optional acceleration for edge-array builds and subgraph extraction;
-    # plain-Python fallbacks below.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
+from ..errors import VertexError
 
 __all__ = ["Graph"]
 
@@ -78,8 +74,7 @@ class Graph:
         Both produce the same graph.
         """
         if (
-            _np is not None
-            and isinstance(edges, _np.ndarray)
+            isinstance(edges, _np.ndarray)
             and edges.ndim == 2
             and edges.shape[1] == 2
             and _np.issubdtype(edges.dtype, _np.signedinteger)
@@ -222,7 +217,7 @@ class Graph:
             for v in old_ids:
                 self._check_vertex(v)
         name = f"{self.name}[{len(old_ids)}]" if self.name else ""
-        if _np is not None and self.n >= _SUBGRAPH_NUMPY_CUTOFF:
+        if self.n >= _SUBGRAPH_NUMPY_CUTOFF:
             return self._subgraph_numpy(old_ids, name), old_ids
         new_id = {old: new for new, old in enumerate(old_ids)}
         offsets = [0]

@@ -9,8 +9,7 @@ construction in ``src/`` to pin ``dtype=`` explicitly.
 
 The rule resolves numpy aliases from the module's own imports (``import
 numpy``, ``import numpy as _np``, ``from numpy import zeros``) — at any
-nesting level, since the flat modules import numpy lazily inside
-functions — and flags calls to the constructing functions (``zeros``,
+nesting level, so a function-local import is resolved too — and flags calls to the constructing functions (``zeros``,
 ``empty``, ``ones``, ``full``, ``arange``, ``array``, ``asarray``,
 ``fromiter``, ``frombuffer``) whose keywords lack ``dtype``.  The
 ``*_like`` constructors inherit their dtype from the template array and

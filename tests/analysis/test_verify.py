@@ -1,5 +1,6 @@
 """Tests for solution verification helpers."""
 
+import numpy as np
 import pytest
 
 from repro.analysis import (
@@ -118,12 +119,20 @@ def _candidate_sets(graph):
 
 
 @pytest.fixture(params=["numpy", "loop"])
-def verify_path(request, monkeypatch):
-    import repro.analysis.verify as verify_mod
+def verify_path(request):
+    """How a test passes its ids: plain ints take the whole-array pass, and
+    ``numpy.int64`` ids take the per-vertex loop."""
+    from repro.analysis.verify import _on_array_path
 
-    if request.param == "loop":
-        monkeypatch.setattr(verify_mod, "_np", None)
-    return request.param
+    if request.param == "numpy":
+        return list
+
+    def as_numpy_ids(vertices):
+        ids = [np.int64(v) for v in vertices]
+        assert not ids or not _on_array_path(set(ids))
+        return ids
+
+    return as_numpy_ids
 
 
 class TestWholeArrayVerification:
@@ -133,24 +142,25 @@ class TestWholeArrayVerification:
         for graph in CORPUS[::3]:
             for vertices in _candidate_sets(graph):
                 independent, maximal = _reference(graph, vertices)
-                assert is_independent_set(graph, vertices) == independent
-                assert is_maximal_independent_set(graph, vertices) == maximal
+                ids = verify_path(vertices)
+                assert is_independent_set(graph, ids) == independent
+                assert is_maximal_independent_set(graph, ids) == maximal
 
     def test_edge_cases(self, verify_path):
         g = cycle_graph(6)
-        assert is_independent_set(g, [])
-        assert not is_maximal_independent_set(g, [])
-        assert is_maximal_independent_set(g, [0, 2, 4, 4, 2])  # duplicates
-        assert not is_maximal_independent_set(g, [0, 2])  # non-maximal
-        assert is_independent_set(g, [0, 2])
-        assert not is_independent_set(g, [0, 1, 3])  # dependent
-        assert not is_independent_set(g, [-1, 2])  # negative id
-        assert not is_independent_set(g, [0, 6])  # id == n
-        assert not is_maximal_independent_set(g, [0, 2, 4, 9])  # id > n
-        assert is_maximal_independent_set(path_graph(0), [])
+        ids = verify_path
+        assert is_independent_set(g, ids([]))
+        assert not is_maximal_independent_set(g, ids([]))
+        assert is_maximal_independent_set(g, ids([0, 2, 4, 4, 2]))  # duplicates
+        assert not is_maximal_independent_set(g, ids([0, 2]))  # non-maximal
+        assert is_independent_set(g, ids([0, 2]))
+        assert not is_independent_set(g, ids([0, 1, 3]))  # dependent
+        assert not is_independent_set(g, ids([-1, 2]))  # negative id
+        assert not is_independent_set(g, ids([0, 6]))  # id == n
+        assert not is_maximal_independent_set(g, ids([0, 2, 4, 9]))  # id > n
+        assert is_maximal_independent_set(path_graph(0), ids([]))
 
     def test_whole_array_path_taken_for_plain_ints(self):
-        pytest.importorskip("numpy")
         from repro.analysis.verify import _mark, _on_array_path
 
         g = cycle_graph(6)
@@ -166,7 +176,6 @@ class TestWholeArrayVerification:
         assert _mark(g, {-1}) is None
 
     def test_numpy_integer_ids_answer_like_ints(self):
-        np = pytest.importorskip("numpy")
         g = cycle_graph(6)
         ids = [np.int64(0), np.int32(2), np.int64(4)]
         assert is_maximal_independent_set(g, ids)

@@ -14,8 +14,6 @@ determinism, validity and honest exactness on the same inputs.
 
 import pytest
 
-import repro.core.flat_dominance as flat_dominance_mod
-
 from repro.analysis import assert_valid_solution
 from repro.core.bdone import bdone
 from repro.core.bdtwo import bdtwo
@@ -23,7 +21,7 @@ from repro.core.dominance import TriangleWorkspace, one_pass_dominance
 from repro.core.flat_dominance import flat_one_pass_dominance
 from repro.core.linear_time import linear_time, linear_time_reduce
 from repro.core.near_linear import near_linear, near_linear_reduce
-from repro.core.workspace import ArrayWorkspace
+from repro.core.workspace import ArrayWorkspace, FlatWorkspace
 from repro.exact import brute_force_mis
 from repro.graphs.generators import (
     gnm_random_graph,
@@ -83,6 +81,49 @@ def test_linear_time_decision_logs_identical():
         assert log_flat.stats == log_arr.stats
         assert ids_flat == ids_arr
         assert k_flat.n == k_arr.n and k_flat.m == k_arr.m
+
+
+TINY = [
+    Graph([0], [], name="empty"),
+    Graph([0, 0], [], name="singleton"),
+    Graph([0, 1, 2], [1, 0], name="K2"),
+]
+
+
+@pytest.mark.parametrize("algorithm", [bdone, linear_time])
+def test_tiny_graph_answers(algorithm):
+    # No vertices, one isolated vertex, and K₂ (both ends leaves): the
+    # whole-array setup must file them exactly as the oracle does.
+    expected_sizes = {"empty": 0, "singleton": 1, "K2": 1}
+    for graph in TINY:
+        flat = algorithm(graph)
+        oracle = algorithm(graph, workspace_factory=ArrayWorkspace)
+        assert len(flat.independent_set) == expected_sizes[graph.name]
+        assert flat.independent_set == oracle.independent_set, graph.name
+        assert flat.upper_bound == oracle.upper_bound, graph.name
+        assert flat.is_exact and oracle.is_exact, graph.name
+    assert algorithm(TINY[1]).independent_set == frozenset({0})
+
+
+@pytest.mark.parametrize(
+    "graph",
+    TINY + [gnm_random_graph(120, 260, seed=4), web_like_graph(90, attach=2, seed=5)],
+    ids=lambda graph: graph.name,
+)
+def test_flat_export_kernel_matches_oracle(graph):
+    # The whole-array kernel export against the oracle's row-by-row one,
+    # after the same exclusions (the kernel CSR buffers and id maps match).
+    flat_ws = FlatWorkspace(graph, track_degree_two=True)
+    oracle_ws = ArrayWorkspace(graph, track_degree_two=True)
+    assert flat_ws.log.entries == oracle_ws.log.entries
+    for v in (3, 7, 11):
+        if v < graph.n and oracle_ws.alive[v]:
+            flat_ws.delete_vertex(v, "exclude")
+            oracle_ws.delete_vertex(v, "exclude")
+    kernel, ids = flat_ws.export_kernel()
+    oracle_kernel, oracle_ids = oracle_ws.export_kernel()
+    assert list(ids) == list(oracle_ids)
+    assert kernel == oracle_kernel  # Graph.__eq__: same CSR buffers
 
 
 def test_near_linear_valid_and_deterministic():
@@ -145,13 +186,6 @@ def _dominance_graphs():
 def test_one_pass_dominance_sweeps_agree():
     # Phase 1 of NearLinear: the flat sweep (numpy preamble) must remove
     # the same vertices in the same order as the set-based oracle.
-    for graph in _dominance_graphs():
-        assert flat_one_pass_dominance(graph) == one_pass_dominance(graph), graph.name
-
-
-def test_one_pass_dominance_sweeps_agree_without_numpy(monkeypatch):
-    # The same check on the interpreted preamble taken when numpy is absent.
-    monkeypatch.setattr(flat_dominance_mod, "_np", None)
     for graph in _dominance_graphs():
         assert flat_one_pass_dominance(graph) == one_pass_dominance(graph), graph.name
 

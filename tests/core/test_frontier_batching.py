@@ -9,15 +9,14 @@ the scalar LIFO loop when a round's frontier is narrower.  Below the
 constant the decision logs stay entry-identical to the
 :class:`~repro.core.workspace.ArrayWorkspace` oracle; above it the answer
 stays valid, the exact-rule kernel keeps the oracle's size, and exact
-answers keep the oracle's size and bound.  Without numpy the workspace
-falls back to ``array('i')``/``bytearray`` buffers and never batches.
+answers keep the oracle's size and bound.
 """
 
 import random
 
+import numpy as np
 import pytest
 
-import repro.core.workspace as workspace_mod
 from repro.analysis import assert_valid_solution
 from repro.core.bdone import bdone
 from repro.core.flat_dominance import flat_one_pass_dominance
@@ -36,18 +35,7 @@ from repro.graphs.generators import (
 )
 from repro.graphs.static_graph import Graph
 
-from . import test_differential_backends as differential
 from .test_differential_backends import CORPUS
-
-np = pytest.importorskip("numpy")
-
-
-@pytest.fixture(params=["numpy", "no-numpy"])
-def numpy_mode(request, monkeypatch):
-    """Run a test with numpy-backed buffers, and again with numpy absent."""
-    if request.param == "no-numpy":
-        monkeypatch.setattr(workspace_mod, "_np", None)
-    return request.param
 
 
 def _recording_factory(made):
@@ -64,7 +52,7 @@ def _chung_lu_20k():
 
 
 # ----------------------------------------------------------------------
-# One buffer set for both modes
+# The numpy buffers and their scalar aliases
 # ----------------------------------------------------------------------
 def test_buffers_are_numpy_with_memoryview_aliases():
     graph = gnm_random_graph(300, 700, seed=2)
@@ -85,40 +73,34 @@ def test_buffers_are_numpy_with_memoryview_aliases():
     assert deg.tolist() == list(ws.deg)
 
 
-def test_no_numpy_buffers_stay_flat_arrays(monkeypatch):
-    monkeypatch.setattr(workspace_mod, "_np", None)
-    ws = FlatWorkspace(gnm_random_graph(50, 100, seed=1))
-    assert ws.arrays is None
-    assert ws.adj.typecode == "i" and ws.deg.typecode == "i"
-    assert isinstance(ws.alive, bytearray)
-
-
-def test_setup_and_export_identical_with_and_without_numpy(monkeypatch):
+def test_setup_and_export_identical_to_oracle():
+    # The whole-array setup files the worklists and the isolated-vertex
+    # inclusions as the oracle's scalar loop does, and after the same
+    # peels the whole-array kernel export equals the oracle's.
     graphs = CORPUS[::9] + [gnm_random_graph(2000, 5000, seed=8)]
     for graph in graphs:
-        with_np = FlatWorkspace(graph, track_degree_two=True)
-        with monkeypatch.context() as patch:
-            patch.setattr(workspace_mod, "_np", None)
-            without = FlatWorkspace(graph, track_degree_two=True)
-        assert with_np.v1 == without.v1, graph.name
-        assert with_np.v2 == without.v2, graph.name
-        assert with_np.log.entries == without.log.entries, graph.name
-        assert list(with_np.alive) == list(without.alive), graph.name
-        assert with_np.live_vertex_count == without.live_vertex_count
+        flat = FlatWorkspace(graph, track_degree_two=True)
+        oracle = ArrayWorkspace(graph, track_degree_two=True)
+        assert flat.v1 == oracle.v1, graph.name
+        assert flat.v2 == oracle.v2, graph.name
+        assert flat.log.entries == oracle.log.entries, graph.name
+        assert list(flat.alive) == list(oracle.alive), graph.name
+        assert flat.live_vertex_count == oracle.live_vertex_count
         for v in range(0, graph.n, 5):
-            if with_np.alive[v]:
-                with_np.delete_vertex(v, "peel")
-                without.delete_vertex(v, "peel")
-        kernel_np, ids_np = with_np.export_kernel()
-        kernel_loop, ids_loop = without.export_kernel()
-        assert ids_np == ids_loop, graph.name
-        assert kernel_np == kernel_loop, graph.name
+            if oracle.alive[v]:
+                flat.delete_vertex(v, "peel")
+                oracle.delete_vertex(v, "peel")
+        assert flat.log.entries == oracle.log.entries, graph.name
+        kernel, ids = flat.export_kernel()
+        oracle_kernel, oracle_ids = oracle.export_kernel()
+        assert ids == oracle_ids, graph.name
+        assert kernel == oracle_kernel, graph.name
 
 
 # ----------------------------------------------------------------------
 # Below the constant: entry-identical to the oracle
 # ----------------------------------------------------------------------
-def test_narrow_frontier_log_identical_to_oracle(numpy_mode):
+def test_narrow_frontier_log_identical_to_oracle():
     graph = gnm_random_graph(3000, 9000, seed=21)
     assert len(FlatWorkspace(graph).v1) < BATCH_MIN_FRONTIER
     made = []
@@ -141,38 +123,24 @@ def test_narrow_frontier_log_identical_to_oracle(numpy_mode):
     ).independent_set
 
 
-def test_differential_corpus_without_numpy(monkeypatch):
-    # The differential suite's flat-vs-oracle checks, on the numpy-less
-    # array('i')/bytearray buffers.
-    monkeypatch.setattr(workspace_mod, "_np", None)
-    assert FlatWorkspace(CORPUS[0]).arrays is None
-    for algorithm in (bdone, linear_time):
-        differential.test_backends_agree_everywhere(algorithm)
-    differential.test_linear_time_decision_logs_identical()
-
-
 # ----------------------------------------------------------------------
 # Above the constant: the batch branch runs and keeps the exact answers
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("algorithm", [linear_time, bdone])
-def test_wide_frontier_batches_and_matches_oracle(algorithm, numpy_mode):
+def test_wide_frontier_batches_and_matches_oracle(algorithm):
     graph = _chung_lu_20k()
     assert len(FlatWorkspace(graph).v1) >= BATCH_MIN_FRONTIER
     made = []
     flat = algorithm(graph, workspace_factory=_recording_factory(made))
     oracle = algorithm(graph, workspace_factory=ArrayWorkspace)
     assert_valid_solution(graph, flat.independent_set)
-    if numpy_mode == "numpy":
-        assert made[0]._rounds > 0
-    else:
-        assert made[0]._rounds == 0
-        assert flat.independent_set == oracle.independent_set
+    assert made[0]._rounds > 0
     if flat.is_exact and oracle.is_exact:
         assert flat.size == oracle.size
         assert flat.upper_bound == oracle.upper_bound
 
 
-def test_wide_frontier_kernel_matches_oracle(numpy_mode):
+def test_wide_frontier_kernel_matches_oracle():
     # A Chung–Lu part (wide frontier, solved by the rules) next to a G(n,m)
     # part (a non-empty kernel), so the batch rounds and the kernel meet.
     for graph in (

@@ -4,9 +4,10 @@ A well-formed file must read to the graph that :class:`GraphBuilder` builds
 edge by edge from the expected edges: equal CSR, equal :meth:`flat_csr`
 buffers, and labels that are plain Python ``int``.  A malformed file must
 raise the line loop's :class:`GraphFormatError`, message and line number
-included.  The whole corpus runs twice: once with numpy (the whole-array
-path) and once with the readers' ``_np`` patched to ``None``, the only path
-on a numpy-less install.
+included.  The whole corpus runs twice: once on the production route (the
+whole-array parse and build) and once on the route that runs no numpy (the
+edge-list line reader, and every build edge by edge through
+:class:`GraphBuilder`), which must read every file the same way.
 """
 
 import io
@@ -17,7 +18,6 @@ import pytest
 from repro.errors import GraphFormatError
 from repro.graphs import GraphBuilder, read_dimacs, read_edge_list, read_metis
 from repro.graphs import io as graph_io
-from repro.graphs import static_graph
 
 BEYOND_INT64 = 10**20
 
@@ -115,14 +115,19 @@ def _ids(cases):
     return [case[0] for case in cases]
 
 
+def _reject_whole_array_parse(text):
+    raise ValueError("line reader forced")
+
+
 @pytest.fixture(params=["numpy", "no-numpy"])
 def backend(request, monkeypatch):
-    if request.param == "numpy":
-        if graph_io._np is None:
-            pytest.skip("numpy is not installed")
-    else:
-        monkeypatch.setattr(graph_io, "_np", None)
-        monkeypatch.setattr(static_graph, "_np", None)
+    """``numpy``: the production route.  ``no-numpy``: edge lists go
+    through the line reader and every reader builds its graph from
+    ``(u, v)`` pairs, which :meth:`Graph.from_edges` feeds to
+    :class:`GraphBuilder`."""
+    if request.param == "no-numpy":
+        monkeypatch.setattr(graph_io, "_parse_edge_array", _reject_whole_array_parse)
+        monkeypatch.setattr(graph_io, "_edge_pairs", zip)
     return request.param
 
 

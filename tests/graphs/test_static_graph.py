@@ -1,14 +1,10 @@
 """Unit tests for the adjacency-array Graph type."""
 
+import numpy as np
 import pytest
 
 from repro.errors import VertexError
 from repro.graphs import Graph, cycle_graph, complete_graph, path_graph
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is an optional dependency
-    np = None
 
 
 class TestConstruction:
@@ -133,7 +129,6 @@ class TestDunder:
         assert "m=4" in repr(g)
 
 
-@pytest.mark.skipif(np is None, reason="numpy is not installed")
 class TestFromEdgeArray:
     """The whole-array build must match the GraphBuilder path entry for entry."""
 

@@ -1,9 +1,27 @@
 """Coverage of the smaller public API corners."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from repro.cli import build_parser
 from repro.core import linear_time_reduce, near_linear_reduce
 from repro.graphs import cycle_graph, paper_figure1, petersen_graph
 from repro.localsearch import ConvergenceRecorder
+
+
+class TestImportCost:
+    def test_import_repro_does_not_load_scipy(self):
+        # scipy is imported inside the triangle counts only: loading it at
+        # package import would add to every process start, serve included.
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        subprocess.run(
+            [sys.executable, "-c", "import repro, sys; assert 'scipy' not in sys.modules"],
+            env=env,
+            check=True,
+        )
 
 
 class TestParser:

@@ -14,13 +14,10 @@ quicktest:
 # reprolint (the repo's own contract checker) always runs; ruff and mypy
 # run when installed and are skipped otherwise, so `make lint` works in the
 # minimal container while CI (which installs both) gets the full gate.
-# All four project trees are linted strictly: the committed
-# lint-baseline.json absorbs the accepted pre-existing advice, and the
-# on-disk cache makes warm re-runs near-instant (delete .reprolint-cache.json
-# to force a cold run).
+# All four project trees are linted strictly in one uncached pass; the
+# committed lint-baseline.json absorbs the accepted pre-existing advice.
 lint:
-	PYTHONPATH=src python -m repro.lint src tests benchmarks examples \
-		--strict --jobs 0 --cache .reprolint-cache.json
+	PYTHONPATH=src python -m repro.lint src tests benchmarks examples --strict
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests; \
 	else \

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Five subcommands cover the library's everyday uses:
+The subcommands cover the library's everyday uses:
 
 * ``solve``     — compute an independent set (or vertex cover) of a graph
   file with any of the paper's algorithms; ``--telemetry trace.jsonl``
@@ -21,7 +21,9 @@ Five subcommands cover the library's everyday uses:
 * ``bench``     — run the perf-regression suite
   (:mod:`repro.perf.bench_regression`);
 * ``snapshot``  — summarize a service snapshot written by ``serve
-  --snapshot`` or :meth:`repro.serve.SolverService.save`.
+  --snapshot`` or :meth:`repro.serve.SolverService.save`;
+* ``lint``      — reprolint, the repo's contract checker; its arguments
+  go unchanged to :mod:`repro.lint.cli`.
 
 Graph files are auto-detected by extension: ``.metis``/``.graph`` (METIS),
 ``.col``/``.dimacs`` (DIMACS), anything else as a SNAP edge list.
@@ -582,33 +584,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return bench_main(argv)
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from .lint.cli import run as lint_run
-
-    argv = list(args.paths)
-    if args.strict:
-        argv.append("--strict")
-    if args.format != "human":
-        argv.extend(["--format", args.format])
-    if args.rules:
-        argv.extend(["--rules", args.rules])
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.jobs != 1:
-        argv.extend(["--jobs", str(args.jobs)])
-    if args.cache:
-        argv.extend(["--cache", args.cache])
-    if args.baseline:
-        argv.extend(["--baseline", args.baseline])
-    if args.no_baseline:
-        argv.append("--no-baseline")
-    if args.update_baseline:
-        argv.append("--update-baseline")
-    if args.sarif_out:
-        argv.extend(["--sarif-out", args.sarif_out])
-    return lint_run(argv)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -840,28 +815,23 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--telemetry-out", default="bench_telemetry.jsonl")
     bench.set_defaults(handler=_cmd_bench)
 
-    lint = commands.add_parser(
-        "lint", help="run reprolint, the repo's contract checker"
+    # Registered so ``repro --help`` lists it; ``main`` forwards the raw
+    # arguments after ``lint`` to :mod:`repro.lint.cli` before parsing.
+    commands.add_parser(
+        "lint", help="run reprolint, the repo's contract checker", add_help=False
     )
-    lint.add_argument("paths", nargs="*", default=["src", "tests"])
-    lint.add_argument("--strict", action="store_true")
-    lint.add_argument(
-        "--format", choices=("human", "json", "sarif"), default="human"
-    )
-    lint.add_argument("--rules", default=None, metavar="RLxxx[,RLxxx...]")
-    lint.add_argument("--list-rules", action="store_true")
-    lint.add_argument("--jobs", type=int, default=1, metavar="N")
-    lint.add_argument("--cache", default=None, metavar="PATH")
-    lint.add_argument("--baseline", default=None, metavar="PATH")
-    lint.add_argument("--no-baseline", action="store_true")
-    lint.add_argument("--update-baseline", action="store_true")
-    lint.add_argument("--sarif-out", default=None, metavar="PATH")
-    lint.set_defaults(handler=_cmd_lint)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv[:1] == ["lint"]:
+        # Routed on the raw argv: an ``argparse.REMAINDER`` positional
+        # would reject a leading option such as ``--strict``.
+        from .lint.cli import run as lint_run
+
+        return lint_run(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -15,21 +15,19 @@ oracle-hook indirection — :mod:`repro.lint.graph`) over a dataflow
 substrate (:mod:`repro.lint.dataflow`), and runs four cross-module
 rules on top: RL006 transitive hot-loop purity, RL007 fork safety,
 RL008 request-context propagation, RL009 decision-log determinism.
-Runs are incremental (:mod:`repro.lint.cache`), baseline-aware
-(:mod:`repro.lint.baseline`) and can emit SARIF
-(:mod:`repro.lint.sarif`).
+Every run is one linear pass over the named trees (a few seconds for
+the whole repo) and subtracts the checked-in baseline of
+accepted findings (:mod:`repro.lint.baseline`).
 
 Layout mirrors :mod:`repro.obs`:
 
 * :mod:`repro.lint.findings` — the :class:`Finding` record and severities;
-* :mod:`repro.lint.engine` — discovery, caching pipeline, suppression
-  comments (``# reprolint: disable=RL001``), rule driving;
+* :mod:`repro.lint.engine` — discovery, parsing, suppression comments
+  (``# reprolint: disable=RL001``), rule driving;
 * :mod:`repro.lint.dataflow` / :mod:`repro.lint.graph` — name
   resolution, function index, call graph;
 * :mod:`repro.lint.rules` — one module per rule (RL001–RL009);
-* :mod:`repro.lint.cache` / :mod:`repro.lint.baseline` /
-  :mod:`repro.lint.sarif` — incremental state, accepted findings,
-  code-scanning output;
+* :mod:`repro.lint.baseline` — accepted findings;
 * :mod:`repro.lint.cli` — the ``python -m repro.lint`` / ``repro lint``
   front end.
 
@@ -41,11 +39,9 @@ Programmatic use::
 """
 
 from .baseline import apply_baseline, load_baseline, write_baseline
-from .cache import LintCache
 from .cli import main, run
 from .engine import (
     LintModule,
-    LintRun,
     blocking,
     iter_python_files,
     lint_modules,
@@ -53,12 +49,10 @@ from .engine import (
     lint_source,
     lint_sources,
     load_module,
-    run_lint,
 )
 from .findings import ADVICE, ERROR, Finding
 from .graph import CallGraph, Project, ProjectIndex
 from .rules import ALL_RULES, RULES_BY_ID, Rule, default_rules
-from .sarif import render_sarif, to_sarif
 
 __all__ = [
     "ADVICE",
@@ -66,9 +60,7 @@ __all__ = [
     "CallGraph",
     "ERROR",
     "Finding",
-    "LintCache",
     "LintModule",
-    "LintRun",
     "Project",
     "ProjectIndex",
     "RULES_BY_ID",
@@ -84,9 +76,6 @@ __all__ = [
     "load_baseline",
     "load_module",
     "main",
-    "render_sarif",
     "run",
-    "run_lint",
-    "to_sarif",
     "write_baseline",
 ]

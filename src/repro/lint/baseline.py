@@ -37,23 +37,23 @@ _VERSION = 1
 
 
 def load_baseline(path: str) -> List[Tuple[str, str, str]]:
-    """Fingerprints recorded in a baseline file (empty if unreadable)."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError):
-        return []
+    """Fingerprints recorded in a baseline file.
+
+    A baseline that cannot be used fails loudly rather than counting as
+    empty: raises :class:`OSError` when the file cannot be read and
+    :class:`ValueError` when it is not a well-formed version-1 baseline.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        payload = json.load(handle)
     if not isinstance(payload, dict) or payload.get("version") != _VERSION:
-        return []
-    out: List[Tuple[str, str, str]] = []
-    for entry in payload.get("findings", []):
-        try:
-            out.append(
-                (str(entry["rule"]), str(entry["path"]), str(entry["message"]))
-            )
-        except (KeyError, TypeError):
-            continue
-    return out
+        raise ValueError(f"not a version-{_VERSION} reprolint baseline")
+    try:
+        return [
+            (str(entry["rule"]), str(entry["path"]), str(entry["message"]))
+            for entry in payload["findings"]
+        ]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed baseline entry ({exc!r})") from None
 
 
 def apply_baseline(

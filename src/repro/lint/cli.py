@@ -1,16 +1,15 @@
 """Command-line front end for reprolint.
 
 Invoked as ``python -m repro.lint [paths...]`` or via the ``repro lint``
-subcommand.  Exit status is 0 when no blocking findings remain: errors
-always block; advice blocks only under ``--strict``.
+subcommand, which forwards its arguments here unchanged.  Exit status is
+0 when no blocking findings remain: errors always block; advice blocks
+only under ``--strict``.  Usage errors, unknown rule ids and an unusable
+baseline exit 2.
 
 A committed ``lint-baseline.json`` in the working directory is applied
 automatically (``--no-baseline`` opts out, ``--baseline PATH`` points
 elsewhere), so new rules gate on *regressions* while the absorbed
-pre-existing findings stay visible via the summary line.  ``--cache``
-enables the on-disk incremental state, ``--jobs`` parses files in
-parallel, and ``--sarif-out``/``--format sarif`` emit SARIF 2.1.0 for
-GitHub code scanning.
+pre-existing findings stay visible via the summary line.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .baseline import (
     load_baseline,
     write_baseline,
 )
-from .engine import LintRun, blocking, run_lint
+from .engine import blocking, lint_paths
 from .findings import ADVICE, Finding
 
 __all__ = ["build_parser", "main", "run"]
@@ -57,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("human", "json", "sarif"),
+        choices=("human", "json"),
         default="human",
         help="output format (default: human)",
     )
@@ -71,19 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules",
         action="store_true",
         help="print the registered rules and exit",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="parse files with N processes (0 = one per CPU; default: 1)",
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="PATH",
-        default=None,
-        help="persist incremental lint state at PATH (off by default)",
     )
     parser.add_argument(
         "--baseline",
@@ -104,12 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="re-record the current findings as the baseline and exit 0",
     )
-    parser.add_argument(
-        "--sarif-out",
-        metavar="PATH",
-        default=None,
-        help="additionally write a SARIF 2.1.0 report to PATH",
-    )
     return parser
 
 
@@ -117,27 +97,22 @@ def _render(
     findings: Sequence[Finding],
     fmt: str,
     strict: bool,
-    run_info: LintRun,
     baselined: int,
     stale: int,
 ) -> str:
+    errors = sum(1 for f in findings if f.severity != ADVICE)
+    advice = len(findings) - errors
     if fmt == "json":
         payload = {
             "findings": [finding.to_json() for finding in findings],
-            "errors": sum(1 for f in findings if f.severity != ADVICE),
-            "advice": sum(1 for f in findings if f.severity == ADVICE),
+            "errors": errors,
+            "advice": advice,
             "strict": strict,
             "baselined": baselined,
             "baseline_stale": stale,
-            "files": run_info.files,
-            "parsed": run_info.parsed,
-            "file_cache_hits": run_info.file_cache_hits,
-            "project_cache_hit": run_info.project_cache_hit,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
     lines = [finding.render() for finding in findings]
-    errors = sum(1 for f in findings if f.severity != ADVICE)
-    advice = len(findings) - errors
     if findings:
         lines.append("")
     summary = (
@@ -146,11 +121,6 @@ def _render(
     )
     if baselined:
         summary += f", {baselined} baselined"
-    if run_info.file_cache_hits or run_info.project_cache_hit:
-        summary += (
-            f", {run_info.file_cache_hits}/{run_info.files} files cached"
-            + (" +graph" if run_info.project_cache_hit else "")
-        )
     if stale:
         summary += (
             f", {stale} stale baseline entr"
@@ -178,6 +148,15 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         for cls in ALL_RULES:
             print(f"{cls.rule_id}  {cls.name:28s} {cls.summary}")
         return 0
+    if args.update_baseline and args.rules:
+        # A partial rule set would record a partial baseline, silently
+        # dropping every accepted finding of the rules left out.
+        print(
+            "reprolint: --update-baseline records every rule's findings; "
+            "drop --rules",
+            file=sys.stderr,
+        )
+        return 2
     rules = None
     if args.rules:
         from .rules import default_rules
@@ -190,14 +169,23 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         except KeyError as exc:
             print(f"reprolint: {exc.args[0]}", file=sys.stderr)
             return 2
-    from .cache import LintCache
 
-    cache = LintCache(args.cache)
-    run_info = run_lint(args.paths, rules=rules, jobs=args.jobs, cache=cache)
-    findings = run_info.findings
+    fingerprints = None
+    resolved = None if args.update_baseline else _resolve_baseline(args)
+    if resolved is not None:
+        try:
+            fingerprints = load_baseline(resolved)
+        except (OSError, ValueError) as exc:
+            print(
+                f"reprolint: cannot use baseline {resolved}: {exc}",
+                file=sys.stderr,
+            )
+            return 2
 
-    baseline_path = args.baseline or BASELINE_FILENAME
+    findings = lint_paths(args.paths, rules=rules)
+
     if args.update_baseline:
+        baseline_path = args.baseline or BASELINE_FILENAME
         count = write_baseline(baseline_path, findings)
         print(f"reprolint: wrote {count} baseline entr"
               + ("y" if count == 1 else "ies")
@@ -205,24 +193,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     baselined = stale = 0
-    resolved = _resolve_baseline(args)
-    if resolved is not None:
-        findings, baselined, stale = apply_baseline(
-            findings, load_baseline(resolved)
-        )
-
-    if args.sarif_out or args.format == "sarif":
-        from .rules import default_rules as _default
-        from .sarif import render_sarif
-
-        report = render_sarif(findings, rules if rules is not None else _default())
-        if args.sarif_out:
-            with open(args.sarif_out, "w", encoding="utf-8") as handle:
-                handle.write(report + "\n")
-        if args.format == "sarif":
-            print(report)
-    if args.format != "sarif":
-        print(_render(findings, args.format, args.strict, run_info, baselined, stale))
+    if fingerprints is not None:
+        findings, baselined, stale = apply_baseline(findings, fingerprints)
+    print(_render(findings, args.format, args.strict, baselined, stale))
     return 1 if blocking(findings, strict=args.strict) else 0
 
 

@@ -1,4 +1,4 @@
-"""The reprolint engine: discovery, parsing, caching, suppressions, rules.
+"""The reprolint engine: discovery, parsing, suppressions, rules.
 
 The engine turns paths into :class:`LintModule` objects (source + AST +
 parsed suppression comments) and drives the rules from
@@ -9,10 +9,11 @@ parsed suppression comments) and drives the rules from
 * ``check_graph`` — call-graph rules over a lazily built
   :class:`~repro.lint.graph.Project` (RL006–RL009).
 
-:func:`run_lint` is the full pipeline with the on-disk incremental
-cache (:mod:`repro.lint.cache`) and optional multiprocess parsing;
-:func:`lint_paths`/:func:`lint_source`/:func:`lint_sources` are the
-simple entry points tests and fixtures use.
+:func:`lint_paths` is the one path-based pipeline: it reads and parses
+every file (unreadable, undecodable or unparseable files become ``RL000``
+errors) and hands the modules to :func:`lint_modules`, which runs the
+rules and drops suppressed findings.  :func:`lint_source` and
+:func:`lint_sources` are the in-memory entry points fixtures use.
 
 Suppressions follow the familiar inline-comment convention::
 
@@ -27,25 +28,20 @@ suppresses the named rules (or all, when bare) for the whole file,
 wherever the comment appears.  A ``disable`` comment on a **decorator
 line** additionally covers the decorated ``def``/``class`` header it
 precedes, so waiving a def-anchored finding does not force the comment
-onto the (often long) signature line.  Suppression tables are parsed
-from source text alone — no AST — so cached findings can be re-filtered
-against edited comments without re-parsing.
+onto the (often long) signature line.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import os
 import re
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .findings import ADVICE, ERROR, Finding
 
 __all__ = [
     "LintModule",
-    "LintRun",
     "blocking",
     "iter_python_files",
     "lint_modules",
@@ -55,11 +51,7 @@ __all__ = [
     "load_module",
     "module_name_for",
     "parse_suppressions",
-    "run_lint",
 ]
-
-#: Bumped whenever finding semantics change; part of the cache key.
-ENGINE_VERSION = "2"
 
 _SUPPRESS_RE = re.compile(
     r"#\s*reprolint:\s*(disable-file|disable)(?:=([A-Za-z0-9_,\s]+))?"
@@ -86,11 +78,7 @@ def _parse_rule_list(raw: Optional[str]) -> FrozenSet[str]:
 def parse_suppressions(
     source: str,
 ) -> Tuple[Dict[int, FrozenSet[str]], FrozenSet[str]]:
-    """``(line_disables, file_disables)`` parsed from source text.
-
-    Purely textual (regex over lines), so it works identically for
-    freshly parsed modules and cache-hit files whose AST never loads.
-    """
+    """``(line_disables, file_disables)`` parsed from source text."""
     line_disables: Dict[int, FrozenSet[str]] = {}
     file_disables: FrozenSet[str] = frozenset()
     lines = source.splitlines()
@@ -116,17 +104,6 @@ def parse_suppressions(
                     )
                     break
     return line_disables, file_disables
-
-
-def _suppressed_by(
-    finding: Finding,
-    file_disables: FrozenSet[str],
-    line_disables: Dict[int, FrozenSet[str]],
-) -> bool:
-    for ids in (file_disables, line_disables.get(finding.line)):
-        if ids and ("*" in ids or finding.rule_id in ids):
-            return True
-    return False
 
 
 def module_name_for(path: str) -> str:
@@ -163,7 +140,6 @@ class LintModule:
         self.source = source
         self.tree = ast.parse(source)
         self.line_disables, self.file_disables = parse_suppressions(source)
-        self._ast_hash: Optional[str] = None
 
     @property
     def is_test(self) -> bool:
@@ -171,26 +147,16 @@ class LintModule:
         parts = self.path.split("/")
         return "tests" in parts or parts[-1].startswith("test_")
 
-    @property
-    def ast_hash(self) -> str:
-        """Digest of the AST shape — the project cache's per-file key.
-
-        Comment/formatting edits leave it unchanged (keeping the project
-        graph warm); any semantic edit, which could add a call edge or a
-        def, changes it.
-        """
-        if self._ast_hash is None:
-            dump = ast.dump(self.tree, include_attributes=False)
-            self._ast_hash = hashlib.sha256(dump.encode("utf-8")).hexdigest()
-        return self._ast_hash
-
     def path_matches(self, fragments: Iterable[str]) -> bool:
         """Whether any fragment occurs in (or suffixes) the module path."""
         return any(f in self.path for f in fragments)
 
     def suppressed(self, finding: Finding) -> bool:
         """Whether an inline or file-level comment disables this finding."""
-        return _suppressed_by(finding, self.file_disables, self.line_disables)
+        for ids in (self.file_disables, self.line_disables.get(finding.line)):
+            if ids and ("*" in ids or finding.rule_id in ids):
+                return True
+        return False
 
 
 def iter_python_files(paths: Sequence[str]) -> List[str]:
@@ -216,25 +182,19 @@ def load_module(path: str) -> LintModule:
         return LintModule(path, handle.read())
 
 
-def _graph_rules(rules: Sequence) -> List:
-    """The rules that override ``check_graph`` (need the project view)."""
-    from .rules.base import Rule
-
-    return [
-        rule
-        for rule in rules
-        if type(rule).check_graph is not Rule.check_graph
-    ]
-
-
 def _raw_findings(modules: Sequence[LintModule], rules: Sequence) -> List[Finding]:
     """Every finding, before suppression filtering."""
+    from .rules.base import Rule
+
     findings: List[Finding] = []
     for rule in rules:
         for module in modules:
             findings.extend(rule.check_module(module))
         findings.extend(rule.check_project(modules))
-    graph_rules = _graph_rules(rules)
+    # Only rules overriding ``check_graph`` need the (costly) project view.
+    graph_rules = [
+        rule for rule in rules if type(rule).check_graph is not Rule.check_graph
+    ]
     if graph_rules:
         from .graph import Project
 
@@ -244,8 +204,14 @@ def _raw_findings(modules: Sequence[LintModule], rules: Sequence) -> List[Findin
     return findings
 
 
-def lint_modules(modules: Sequence[LintModule], rules: Sequence) -> List[Finding]:
-    """Run every rule over the modules; return unsuppressed findings, sorted."""
+def lint_modules(
+    modules: Sequence[LintModule], rules: Optional[Sequence] = None
+) -> List[Finding]:
+    """Run the (default) rules over the modules; unsuppressed findings, sorted."""
+    if rules is None:
+        from .rules import default_rules
+
+        rules = default_rules()
     by_path = {module.path: module for module in modules}
     kept = [
         finding
@@ -256,206 +222,29 @@ def lint_modules(modules: Sequence[LintModule], rules: Sequence) -> List[Finding
     return kept
 
 
-# ----------------------------------------------------------------------
-# The cached pipeline
-# ----------------------------------------------------------------------
+def lint_paths(paths: Sequence[str], rules: Optional[Sequence] = None) -> List[Finding]:
+    """Lint the given files/directories with the (default) rule set.
 
-@dataclass
-class LintRun:
-    """Outcome of one :func:`run_lint` pipeline execution."""
-
-    findings: List[Finding] = field(default_factory=list)
-    files: int = 0
-    parsed: int = 0
-    file_cache_hits: int = 0
-    project_cache_hit: bool = False
-
-
-def _parse_item(item: Tuple[str, str]):
-    """Pool-safe parse worker: ``(path, module_or_None, error_or_None)``."""
-    path, source = item
-    try:
-        return (path, LintModule(path, source), None)
-    except SyntaxError as exc:
-        return (path, None, (getattr(exc, "lineno", 1) or 1, str(exc)))
-
-
-def _parse_many(
-    items: Sequence[Tuple[str, str]], jobs: int
-) -> List[Tuple[str, Optional[LintModule], Optional[Tuple[int, str]]]]:
-    """Parse sources, fanning out to a process pool when it pays off."""
-    if jobs <= 0:
-        jobs = os.cpu_count() or 1
-    if jobs > 1 and len(items) >= 8:
-        try:
-            import multiprocessing
-
-            workers = min(jobs, len(items))
-            chunk = max(1, len(items) // (workers * 4))
-            with multiprocessing.get_context().Pool(workers) as pool:
-                return pool.map(_parse_item, items, chunksize=chunk)
-        except (OSError, ImportError, ValueError):
-            pass  # fall back to serial parsing (sandboxes without sem support)
-    return [_parse_item(item) for item in items]
-
-
-def _rules_key(rules: Sequence) -> str:
-    ids = ",".join(f"{type(r).__module__}.{type(r).__name__}:{r.rule_id}" for r in rules)
-    return f"reprolint/{ENGINE_VERSION}|{ids}"
-
-
-def run_lint(
-    paths: Sequence[str],
-    rules: Optional[Sequence] = None,
-    *,
-    jobs: int = 1,
-    cache: Optional[object] = None,
-) -> LintRun:
-    """The full lint pipeline: discover, hash, (re)parse, rules, filter.
-
-    Per-file rule findings are reused from ``cache`` while a file's
-    source hash is unchanged; project/graph findings are reused while
-    *no* file's AST hash changed.  Raw findings are cached and
-    suppressions re-applied from current source text each run, so
-    comment edits always take effect.  Unparseable files surface as
-    ``RL000`` errors instead of aborting the run.
+    Files that cannot be read, decoded or parsed surface as ``RL000``
+    errors instead of aborting the run; every other file goes through
+    :func:`lint_modules` as one project.
     """
-    if rules is None:
-        from .rules import default_rules
-
-        rules = default_rules()
-    from .cache import LintCache
-
-    if cache is None:
-        cache = LintCache(None)
-    cache.configure(_rules_key(rules))
-
-    run = LintRun()
-    sources: Dict[str, str] = {}
-    rl000: List[Finding] = []
-    order: List[str] = []
-    for raw_path in iter_python_files(paths):
-        norm = raw_path.replace(os.sep, "/")
+    modules: List[LintModule] = []
+    broken: List[Finding] = []
+    for path in iter_python_files(paths):
         try:
-            with open(raw_path, "r", encoding="utf-8") as handle:
-                sources[norm] = handle.read()
-            order.append(norm)
-        except (OSError, UnicodeDecodeError) as exc:
-            rl000.append(
+            modules.append(load_module(path))
+        except (OSError, UnicodeDecodeError, SyntaxError) as exc:
+            broken.append(
                 Finding(
                     rule_id="RL000",
-                    path=norm,
-                    line=1,
+                    path=path.replace(os.sep, "/"),
+                    line=getattr(exc, "lineno", None) or 1,
                     col=0,
                     message=f"could not parse file: {exc}",
                 )
             )
-    run.files = len(order)
-
-    # ------------------------------------------------------------------
-    # Per-file phase: reuse cached module findings on content match.
-    # ------------------------------------------------------------------
-    content_hashes = {
-        path: hashlib.sha256(sources[path].encode("utf-8")).hexdigest()
-        for path in order
-    }
-    ast_hashes: Dict[str, str] = {}
-    module_findings: Dict[str, List[Finding]] = {}
-    modules: Dict[str, LintModule] = {}
-    broken: Dict[str, Tuple[int, str]] = {}
-    to_parse: List[str] = []
-    for path in order:
-        hit = cache.lookup_file(path, content_hashes[path])
-        if hit is not None and hit[0]:
-            ast_hashes[path], module_findings[path] = hit
-        else:
-            to_parse.append(path)
-
-    def _ingest(parsed) -> None:
-        for path, module, error in parsed:
-            if module is None:
-                line, message = error
-                broken[path] = error
-                rl000.append(
-                    Finding(
-                        rule_id="RL000",
-                        path=path,
-                        line=line,
-                        col=0,
-                        message=f"could not parse file: {message}",
-                    )
-                )
-            else:
-                modules[path] = module
-                ast_hashes[path] = module.ast_hash
-
-    _ingest(_parse_many([(p, sources[p]) for p in to_parse], jobs))
-    run.parsed = len(to_parse)
-    for path in to_parse:
-        module = modules.get(path)
-        if module is None:
-            continue
-        raw: List[Finding] = []
-        for rule in rules:
-            raw.extend(rule.check_module(module))
-        module_findings[path] = raw
-        cache.store_file(path, content_hashes[path], module.ast_hash, raw)
-    run.file_cache_hits = cache.file_hits
-
-    # ------------------------------------------------------------------
-    # Project phase: one key over every file's AST surface.
-    # ------------------------------------------------------------------
-    surface = "|".join(
-        f"{path}={ast_hashes.get(path) or '!' + content_hashes[path]}"
-        for path in order
-    )
-    project_key = hashlib.sha256(
-        f"{_rules_key(rules)}|{surface}".encode("utf-8")
-    ).hexdigest()
-    project_raw = cache.lookup_project(project_key)
-    if project_raw is None:
-        # Cold project: every module must be in memory for the graph.
-        missing = [
-            p for p in order if p not in modules and p not in broken
-        ]
-        _ingest(_parse_many([(p, sources[p]) for p in missing], jobs))
-        run.parsed += len(missing)
-        ordered_modules = [modules[p] for p in order if p in modules]
-        project_raw = []
-        for rule in rules:
-            project_raw.extend(rule.check_project(ordered_modules))
-        graph_rules = _graph_rules(rules)
-        if graph_rules:
-            from .graph import Project
-
-            project = Project(ordered_modules)
-            for rule in graph_rules:
-                project_raw.extend(rule.check_graph(project))
-        cache.store_project(project_key, project_raw)
-    run.project_cache_hit = cache.project_hit
-
-    cache.prune(order)
-    cache.save()
-
-    # ------------------------------------------------------------------
-    # Suppression filtering from current source text.
-    # ------------------------------------------------------------------
-    tables = {path: parse_suppressions(sources[path]) for path in order}
-    kept: List[Finding] = list(rl000)
-    for raw in list(module_findings.values()) + [project_raw]:
-        for finding in raw:
-            table = tables.get(finding.path)
-            if table is not None and _suppressed_by(finding, table[1], table[0]):
-                continue
-            kept.append(finding)
-    kept.sort(key=Finding.sort_key)
-    run.findings = kept
-    return run
-
-
-def lint_paths(paths: Sequence[str], rules: Optional[Sequence] = None) -> List[Finding]:
-    """Lint the given files/directories with the (default) rule set."""
-    return run_lint(paths, rules).findings
+    return sorted(broken + lint_modules(modules, rules), key=Finding.sort_key)
 
 
 def lint_source(
@@ -481,10 +270,6 @@ def lint_sources(
     snippets as one call graph, so tests can stage e.g. a kernel in one
     "module" calling a helper in another.
     """
-    if rules is None:
-        from .rules import default_rules
-
-        rules = default_rules()
     return lint_modules(
         [LintModule(path, source) for path, source in sources.items()], rules
     )

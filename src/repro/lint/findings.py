@@ -61,26 +61,13 @@ class Finding:
         return text
 
     def fingerprint(self) -> "tuple":
-        """Line-independent identity used by the baseline and the cache.
+        """Line-independent identity used by the baseline.
 
         Deliberately excludes ``line``/``col`` so reflowing a file does
         not churn the committed baseline; a message change (which embeds
         the offending names) does invalidate the entry.
         """
         return (self.rule_id, self.path, self.message)
-
-    @classmethod
-    def from_json(cls, record: Dict[str, object]) -> "Finding":
-        """Rebuild a finding from its :meth:`to_json` record."""
-        return cls(
-            rule_id=str(record["rule"]),
-            path=str(record["path"]),
-            line=int(record["line"]),  # type: ignore[arg-type]
-            col=int(record["col"]),  # type: ignore[arg-type]
-            message=str(record["message"]),
-            severity=str(record.get("severity", ERROR)),
-            fixit=str(record["fixit"]) if record.get("fixit") else None,
-        )
 
     def to_json(self) -> Dict[str, object]:
         """The JSON-serialisable record for ``--format json``."""

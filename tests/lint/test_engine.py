@@ -10,6 +10,8 @@ import json
 import os
 import textwrap
 
+import pytest
+
 from repro.lint import (
     ADVICE,
     ALL_RULES,
@@ -174,9 +176,16 @@ class TestCli:
         assert payload["errors"] == 1
         assert payload["findings"][0]["rule"] == "RL001"
 
-    def test_syntax_error_is_reported_not_raised(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "content",
+        [b"def broken(:\n", b"X = '\xff\xfe'\n", None],
+        ids=["syntax-error", "not-utf8", "missing-path"],
+    )
+    def test_syntax_error_is_reported_not_raised(self, tmp_path, capsys, content):
+        # Every way a file can fail to load is an RL000 error, not a crash.
         target = tmp_path / "broken.py"
-        target.write_text("def broken(:\n")
+        if content is not None:
+            target.write_bytes(content)
         assert lint_cli([str(target)]) == 1
         assert "RL000" in capsys.readouterr().out
 
@@ -223,13 +232,65 @@ class TestBaseline:
             f.fingerprint() for f in findings
         )
 
-    def test_load_tolerates_garbage(self, tmp_path):
+    def test_load_rejects_garbage(self, tmp_path):
         from repro.lint import load_baseline
 
         path = tmp_path / "lint-baseline.json"
         path.write_text("not json at all {")
-        assert load_baseline(str(path)) == []
-        assert load_baseline(str(tmp_path / "missing.json")) == []
+        with pytest.raises(ValueError):
+            load_baseline(str(path))
+        with pytest.raises(OSError):
+            load_baseline(str(tmp_path / "missing.json"))
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            None,
+            "{not json",
+            '{"version": 2, "findings": []}',
+            '{"version": 1, "findings": [{"rule": "RL003"}]}',
+        ],
+        ids=["missing", "not-json", "wrong-version", "bad-entry"],
+    )
+    def test_cli_unusable_explicit_baseline_exits_2(
+        self, tmp_path, capsys, content
+    ):
+        target = tmp_path / "clean.py"
+        target.write_text("X = 1\n")
+        baseline = tmp_path / "baseline.json"
+        if content is not None:
+            baseline.write_text(content)
+        assert lint_cli([str(target), "--baseline", str(baseline)]) == 2
+        captured = capsys.readouterr()
+        assert "cannot use baseline" in captured.err
+        assert "advice finding(s)" not in captured.out
+
+    @pytest.mark.parametrize(
+        "content",
+        ["{not json", '{"version": 2, "findings": []}'],
+        ids=["not-json", "wrong-version"],
+    )
+    def test_cli_unusable_auto_detected_baseline_exits_2(
+        self, tmp_path, capsys, monkeypatch, content
+    ):
+        (tmp_path / "clean.py").write_text("X = 1\n")
+        (tmp_path / "lint-baseline.json").write_text(content)
+        monkeypatch.chdir(tmp_path)
+        assert lint_cli(["clean.py"]) == 2
+        assert "lint-baseline.json" in capsys.readouterr().err
+        # --no-baseline still opts out of the unusable file.
+        assert lint_cli(["clean.py", "--no-baseline"]) == 0
+
+    def test_cli_update_baseline_refuses_rule_subset(self, tmp_path, capsys):
+        target = tmp_path / "src" / "repro" / "legacy.py"
+        target.parent.mkdir(parents=True)
+        target.write_text(BAD_HOT_LOOP)
+        baseline = tmp_path / "lint-baseline.json"
+        baseline.write_text("sentinel")
+        argv = [str(target), "--baseline", str(baseline), "--update-baseline"]
+        assert lint_cli(argv + ["--rules", "RL001"]) == 2
+        assert "--rules" in capsys.readouterr().err
+        assert baseline.read_text() == "sentinel"
 
     def test_cli_update_baseline_then_strict_pass(self, tmp_path, capsys):
         target = tmp_path / "src" / "repro" / "legacy.py"
@@ -257,59 +318,6 @@ class TestBaseline:
             == 0
         )
         assert "baselined" in capsys.readouterr().out
-
-
-class TestSarif:
-    def test_sarif_structure_and_levels(self):
-        from repro.lint import to_sarif
-
-        findings = [
-            Finding("RL001", "src/repro/x.py", 3, 0, "boom", severity=ERROR),
-            Finding("RL003", "src/repro/y.py", 5, 2, "meh", severity=ADVICE),
-        ]
-        doc = to_sarif(findings, default_rules())
-        assert doc["version"] == "2.1.0"
-        run = doc["runs"][0]
-        rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-        assert rule_ids == [cls.rule_id for cls in ALL_RULES]
-        levels = [r["level"] for r in run["results"]]
-        assert levels == ["error", "note"]
-        location = run["results"][0]["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"] == "src/repro/x.py"
-        assert location["region"]["startLine"] == 3
-
-    def test_cli_sarif_out_writes_file(self, tmp_path, capsys):
-        target = tmp_path / "src" / "repro" / "bad.py"
-        target.parent.mkdir(parents=True)
-        target.write_text(BAD_HOT_LOOP)
-        out = tmp_path / "lint.sarif"
-        assert lint_cli([str(target), "--sarif-out", str(out)]) == 1
-        capsys.readouterr()
-        payload = json.loads(out.read_text())
-        results = payload["runs"][0]["results"]
-        assert [r["ruleId"] for r in results] == ["RL001"]
-
-    def test_cli_sarif_format_to_stdout(self, tmp_path, capsys):
-        target = tmp_path / "clean.py"
-        target.write_text("X = 1\n")
-        assert lint_cli([str(target), "--format", "sarif"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["runs"][0]["results"] == []
-
-
-class TestCliFlags:
-    def test_jobs_and_cache_flags(self, tmp_path, capsys):
-        tree = tmp_path / "src" / "repro"
-        tree.mkdir(parents=True)
-        for i in range(10):
-            (tree / f"mod_{i}.py").write_text(f"VALUE_{i} = {i}\n")
-        cache = tmp_path / "cache.json"
-        args = [str(tree), "--jobs", "0", "--cache", str(cache)]
-        assert lint_cli(args) == 0
-        capsys.readouterr()
-        assert cache.exists()
-        assert lint_cli(args) == 0
-        assert "cached" in capsys.readouterr().out
 
 
 class TestRepoIsClean:

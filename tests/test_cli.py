@@ -390,3 +390,53 @@ class TestLoadgen:
         capsys.readouterr()
         assert main(["snapshot", str(state), "--verify"]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestLint:
+    """``repro lint`` forwards its raw arguments to ``repro.lint.cli.run``."""
+
+    @pytest.fixture()
+    def bad_kernel(self, tmp_path):
+        target = tmp_path / "src" / "repro" / "bad.py"
+        target.parent.mkdir(parents=True)
+        target.write_text(
+            "from repro.core import hot_loop\n\n"
+            "@hot_loop\n"
+            "def kernel(ws):\n"
+            "    for u in ws.order:\n"
+            "        seen = set()\n"
+            "    return seen\n"
+        )
+        return str(target)
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--strict", "--rules", "RL001", "{path}"], ["--list-rules"]],
+        ids=["leading-option", "list-rules"],
+    )
+    def test_forwarding_matches_lint_cli(self, args, bad_kernel, capsys):
+        from repro.lint.cli import run as lint_run
+
+        argv = [arg.format(path=bad_kernel) for arg in args]
+        direct = lint_run(argv)
+        direct_out = capsys.readouterr()
+        forwarded = main(["lint", *argv])
+        assert (forwarded, capsys.readouterr()) == (direct, direct_out)
+        if args[0] == "--strict":
+            assert direct == 1 and "RL001" in direct_out.out
+
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            (["--jobs", "0"], "unrecognized arguments: --jobs"),
+            (["--cache", "c.json"], "unrecognized arguments: --cache"),
+            (["--sarif-out", "l.sarif"], "unrecognized arguments: --sarif-out"),
+            (["--format", "sarif"], "invalid choice: 'sarif'"),
+        ],
+        ids=["jobs", "cache", "sarif-out", "format-sarif"],
+    )
+    def test_removed_lint_options_are_usage_errors(self, args, error, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", *args])
+        assert excinfo.value.code == 2
+        assert error in capsys.readouterr().err

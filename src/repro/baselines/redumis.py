@@ -29,8 +29,9 @@ from ..core.result import MISResult
 from ..core.result import STAT_KERNEL_SIZE, STAT_ROUNDS
 from ..exact.vcsolver import full_kernelize
 from ..graphs.static_graph import Graph
-from ..localsearch.arw import LocalSearchState, arw
+from ..localsearch.arw import arw
 from ..localsearch.events import ConvergenceRecorder
+from ..localsearch.flat_state import FlatLocalSearchState
 
 __all__ = ["redumis"]
 
@@ -38,7 +39,7 @@ __all__ = ["redumis"]
 def _randomized_greedy(graph: Graph, rng: random.Random) -> Set[int]:
     """A maximal independent set from a random low-degree-biased order."""
     order = sorted(range(graph.n), key=lambda v: (graph.degree(v), rng.random()))
-    state = LocalSearchState(graph, [])
+    state = FlatLocalSearchState(graph, [])
     for v in order:
         if state.tightness[v] == 0 and not state.in_solution[v]:
             state.insert(v)
@@ -47,7 +48,7 @@ def _randomized_greedy(graph: Graph, rng: random.Random) -> Set[int]:
 
 def _complete_greedily(graph: Graph, seed_set: Set[int], rng: random.Random) -> Set[int]:
     """Extend a partial independent set to a maximal one, randomly biased."""
-    state = LocalSearchState(graph, seed_set)
+    state = FlatLocalSearchState(graph, seed_set)
     order = sorted(range(graph.n), key=lambda v: (graph.degree(v), rng.random()))
     for v in order:
         if state.tightness[v] == 0 and not state.in_solution[v]:
@@ -116,7 +117,7 @@ def redumis(
         child = _complete_greedily(kernel, child_seed, rng)
         # Mutation: a couple of force-insertions shakes the offspring off
         # its parents' local optimum.
-        state = LocalSearchState(kernel, child)
+        state = FlatLocalSearchState(kernel, child)
         for _ in range(rng.randrange(1, 3)):
             v = rng.randrange(kernel.n)
             state.force_insert(v)

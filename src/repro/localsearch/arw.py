@@ -11,8 +11,14 @@ Given an initial independent set, ARW alternates
   solution neighbours, with priority to vertices that have been outside
   the solution longest.
 
-The tightness counters make insertions/deletions O(d(v)); the swap scan
-finds a valid (1,2)-swap in O(m) per round, following [2].
+The tightness counters make insertions/deletions O(d(v)).  The oracle
+:class:`LocalSearchState` below rescans every vertex per round and finds
+a valid (1,2)-swap in O(m), following [2].  The production
+:class:`~repro.localsearch.flat_state.FlatLocalSearchState` makes the same
+moves but revisits only vertices whose neighbourhood changed, so after the
+first exhaust an iteration costs the rows of the vertices it touches plus
+one whole-array perturbation: a numpy pass over the solution bytes, one
+RNG draw per outside vertex, and a C-level ``np.lexsort``.
 
 :func:`arw` drives the loop under a time budget and reports every
 improvement through a :class:`~repro.localsearch.events.ConvergenceRecorder`.
@@ -22,7 +28,10 @@ from __future__ import annotations
 
 import random
 import time
+from itertools import repeat, starmap
 from typing import Iterable, List, Optional, Set, Tuple
+
+import numpy as np
 
 from ..errors import NotASolutionError
 from ..graphs.static_graph import Graph
@@ -103,7 +112,6 @@ class LocalSearchState:
         candidates = self.one_tight_neighbors(x)
         if len(candidates) < 2:
             return None
-        candidate_set = set(candidates)
         for i, u in enumerate(candidates):
             u_neighbours = set(self.graph.neighbors(u))
             for w in candidates[i + 1 :]:
@@ -111,7 +119,6 @@ class LocalSearchState:
                     return u, w
             # Every other candidate is adjacent to u: u cannot pair up,
             # but later candidates might pair among themselves.
-            candidate_set.discard(u)
         return None
 
     def apply_one_two_swap(self, x: int, u: int, w: int) -> None:
@@ -152,6 +159,35 @@ def _perturbation_strength(rng: random.Random) -> int:
     while rng.random() < 0.5:
         strength += 1
     return strength
+
+
+def _perturb(state, strength: int, rng: random.Random, clock: int) -> bool:
+    """Force in the ``strength`` outside vertices least recently inside.
+
+    Ties on age break by one ``rng.random()`` draw per outside vertex, in
+    index order, then by index — the keys and draw order of sorting the
+    outside list by ``(age, rng.random())``, found with one whole-array
+    pass and a stable ``np.lexsort`` instead.  Returns ``False`` when no
+    vertex is outside.
+    """
+    outside = np.flatnonzero(
+        np.frombuffer(state.in_solution, dtype=np.uint8) == 0
+    ).tolist()
+    if not outside:
+        return False
+    draws = np.fromiter(
+        starmap(rng.random, repeat((), len(outside))),
+        dtype=np.float64,
+        count=len(outside),
+    )
+    ages = np.fromiter(
+        map(state._last_outside.__getitem__, outside),
+        dtype=np.int64,
+        count=len(outside),
+    )
+    for i in np.lexsort((draws, ages))[:strength].tolist():
+        state.force_insert(outside[i], clock=clock)
+    return True
 
 
 def arw(
@@ -204,12 +240,8 @@ def arw(
             tick = time.perf_counter()
         # Perturb: force in the f outside vertices least recently inside.
         strength = _perturbation_strength(rng)
-        outside = [v for v in range(graph.n) if not state.in_solution[v]]
-        if not outside:
+        if not _perturb(state, strength, rng, iteration):
             break
-        outside.sort(key=lambda v: (state._last_outside[v], rng.random()))
-        for v in outside[:strength]:
-            state.force_insert(v, clock=iteration)
         if timer is not None:
             now = time.perf_counter()
             timer("perturb", now - tick)

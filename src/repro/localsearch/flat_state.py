@@ -19,6 +19,17 @@ restructured for throughput:
   instead of building ``set(neighbors(u))`` per candidate, so the scan
   allocates nothing.
 
+* :meth:`local_search` runs over a **dirty-vertex worklist** instead of
+  rescanning all n vertices twice per pass.  :meth:`insert` and
+  :meth:`remove` mark a vertex only when its status can have changed: a
+  vertex entering the solution, and the new holder of a 2→1 tightness
+  transition, are marked for the swap pass (a swap at ``x`` can appear
+  only when ``x``'s set of 1-tight neighbours grows); a removed vertex and
+  every 1→0 transition are marked for the free-insertion pass.
+  Construction marks every vertex, so the first exhaust is a full scan;
+  later ones visit the marks in the index order the oracle's ``range(n)``
+  scans would reach them, so the move sequence is the oracle's.
+
 The only non-O(1) index maintenance is the 2→1 tightness transition on
 :meth:`remove`, which rescans the affected neighbourhood to rediscover the
 surviving solution neighbour — removals are rare next to swap scans, which
@@ -27,6 +38,7 @@ is exactly the trade the index wants.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Iterable, List, Optional, Set, Tuple
 
 from ..errors import NotASolutionError
@@ -51,6 +63,9 @@ class FlatLocalSearchState:
         "_one_holder",
         "_stamp",
         "_clock",
+        "_free_marks",
+        "_swap_marks",
+        "_queued",
     )
 
     def __init__(self, graph: Graph, initial: Iterable[int]) -> None:
@@ -69,6 +84,12 @@ class FlatLocalSearchState:
         self._one_holder = [0] * n
         self._stamp = [0] * n
         self._clock = 0
+        # Worklist: candidates for the next free-insertion pass (may repeat)
+        # and for the next swap pass (unique; ``_queued[v]`` = v is pending).
+        # Everything starts marked, so the first exhaust scans every vertex.
+        self._free_marks = list(range(n))
+        self._swap_marks = self._free_marks[:]
+        self._queued = bytearray(b"\x01") * n
         for v in initial:
             self.insert(v)
 
@@ -100,6 +121,10 @@ class FlatLocalSearchState:
                 # w stops being 1-tight for its previous holder.
                 one_tight[holder[w]] -= 1
         one_tight[v] = count
+        queued = self._queued
+        if not queued[v]:
+            queued[v] = 1
+            self._swap_marks.append(v)
 
     @hot_loop
     def remove(self, v: int, clock: int = 0) -> None:
@@ -112,9 +137,14 @@ class FlatLocalSearchState:
         one_tight = self._one_tight_count
         adj = self.adj
         xadj = self.xadj
+        free_marks = self._free_marks
+        swap_marks = self._swap_marks
+        queued = self._queued
         in_solution[v] = 0
         self.size -= 1
         self._last_outside[v] = clock
+        # v itself is now outside with no solution neighbour.
+        free_marks.append(v)
         for w in adj[xadj[v] : xadj[v + 1]]:
             t = tight[w] - 1
             tight[w] = t
@@ -125,8 +155,14 @@ class FlatLocalSearchState:
                     if in_solution[x]:
                         holder[w] = x
                         one_tight[x] += 1
+                        if not queued[x]:
+                            queued[x] = 1
+                            swap_marks.append(x)
                         break
-            # t == 0: w was 1-tight held by v itself; v's index dies with it.
+            elif t == 0:
+                # w was 1-tight held by v itself (v's index dies with it)
+                # and is free now.
+                free_marks.append(w)
 
     def force_insert(self, v: int, clock: int = 0) -> None:
         """Insert ``v``, evicting its solution neighbours (perturbation)."""
@@ -199,32 +235,66 @@ class FlatLocalSearchState:
         """Exhaust (1,2)-swaps plus free insertions; returns improvement.
 
         Same pass structure (and therefore the same move sequence) as the
-        oracle; the 1-tight index makes the swap scan skip almost every
-        solution vertex without touching its row.
+        oracle, over the marked vertices only.  The free-insertion pass
+        walks its marks in sorted order (insertions never free a vertex, so
+        no mark arrives mid-pass).  The swap pass pops a min-heap behind a
+        cursor ``x``: a mark above ``x`` joins the current pass, one at or
+        below it waits for the next round — exactly where a ``range(n)``
+        scan would next reach it.  A mark that cannot swap yet (outside
+        the solution, fewer than two 1-tight neighbours) is dropped: it is
+        marked again if it ever gains a 1-tight neighbour.
         """
         gained = 0
         improved = True
-        n = self.graph.n
         in_solution = self.in_solution
         tight = self.tightness
         one_tight = self._one_tight_count
+        free_marks = self._free_marks
+        swap_marks = self._swap_marks
+        queued = self._queued
         insert = self.insert
+        remove = self.remove
         find_one_two_swap = self.find_one_two_swap
+        heap: List[int] = []
+        deferred: List[int] = []
         while improved:
             improved = False
-            for v in range(n):
+            free_marks.sort()
+            for v in free_marks:
+                # A repeated mark fails the test once v is inserted.
                 if not in_solution[v] and not tight[v]:
                     insert(v)
                     gained += 1
                     improved = True
-            for x in range(n):
+            free_marks.clear()
+            for v in swap_marks:
+                if in_solution[v] and one_tight[v] >= 2:
+                    heap.append(v)
+                else:
+                    queued[v] = 0
+            swap_marks.clear()
+            heap.sort()
+            while heap:
+                x = heappop(heap)
+                queued[x] = 0
                 if not in_solution[x] or one_tight[x] < 2:
                     continue
                 swap = find_one_two_swap(x)
-                if swap is not None:
-                    self.remove(x)
-                    insert(swap[0])
-                    insert(swap[1])
-                    gained += 1
-                    improved = True
+                if swap is None:
+                    continue
+                remove(x)
+                insert(swap[0])
+                insert(swap[1])
+                gained += 1
+                improved = True
+                for v in swap_marks:
+                    if v <= x:
+                        deferred.append(v)
+                    elif in_solution[v] and one_tight[v] >= 2:
+                        heappush(heap, v)
+                    else:
+                        queued[v] = 0
+                swap_marks.clear()
+            swap_marks.extend(deferred)
+            deferred.clear()
         return gained

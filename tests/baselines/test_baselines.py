@@ -124,3 +124,16 @@ class TestReduMIS:
         quick = redumis(g, time_budget=0.05, seed=3, max_rounds=1)
         longer = redumis(g, time_budget=0.5, seed=3, max_rounds=20)
         assert longer.size >= quick.size
+
+    def test_fixed_seed_result_is_pinned(self):
+        # The mutation step runs on FlatLocalSearchState, which makes the
+        # oracle's moves; a generous budget makes the run depend only on
+        # the seed.  Pinned from the LocalSearchState implementation.
+        g = gnm_random_graph(300, 900, seed=4)
+        result = redumis(g, time_budget=3600.0, seed=7, max_rounds=25)
+        members = sorted(result.independent_set)
+        assert result.stats == {"kernel_size": 272, "rounds": 26}
+        assert is_maximal_independent_set(g, result.independent_set)
+        assert len(members) == 118
+        assert sum(members) == 17883
+        assert members[:12] == [0, 4, 5, 6, 7, 8, 9, 11, 12, 14, 15, 18]

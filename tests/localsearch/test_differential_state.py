@@ -8,7 +8,10 @@ order, so under a shared RNG seed the two ARW runs consume the same random
 stream and land on the same solutions.  These tests assert that on 20+
 seeded generator graphs, at every level: elementary moves, the (1,2)-swap
 scan, one local-search exhaust, and full ``arw`` / ``arw_lt`` / ``arw_nl``
-trajectories.
+trajectories.  They also check the flat state's dirty-vertex worklist is
+sound (every exhaust leaves nothing for a full-scan oracle to find) and
+that the whole-array perturbation picks what sorting by
+``(age, rng.random())`` picks.
 """
 
 import random
@@ -23,7 +26,7 @@ from repro.graphs.generators import (
     web_like_graph,
 )
 from repro.localsearch import FlatLocalSearchState, arw, arw_lt, arw_nl
-from repro.localsearch.arw import LocalSearchState
+from repro.localsearch.arw import LocalSearchState, _perturb
 
 
 def _corpus():
@@ -128,27 +131,160 @@ def test_local_search_exhaust_agrees():
         assert_valid_solution(graph, flat.solution())
 
 
+def _recording_factory(base):
+    """A ``state_factory`` over ``base`` that logs every construction and
+    every forced pick as ``(clock, vertex)``."""
+    log = []
+
+    class Recording(base):
+        __slots__ = ()
+
+        def force_insert(self, v, clock=0):
+            log.append((clock, v))
+            base.force_insert(self, v, clock)
+
+    def factory(graph, initial):
+        log.append("construct")
+        return Recording(graph, initial)
+
+    return factory, log
+
+
 def test_arw_trajectories_identical_under_fixed_seed():
-    # The headline claim: same RNG seed => same solution-size trajectory
-    # (sequence of improvement sizes), same final solution, on every graph.
+    # The headline claim: same RNG seed => the same forced pick in every
+    # perturbation, the same improvement sizes, the same best set and the
+    # same final RNG state, on every graph, over hundreds of iterations.
+    restarts = 0
     for graph in CORPUS:
         initial = _greedy_maximal(graph)
-        best_flat, rec_flat = arw(
-            graph, initial, time_budget=3600.0, seed=11, max_iterations=25
-        )
-        best_oracle, rec_oracle = arw(
+        runs = []
+        for base in (FlatLocalSearchState, LocalSearchState):
+            factory, log = _recording_factory(base)
+            rng = random.Random(11)
+            best, recorder = arw(
+                graph,
+                initial,
+                time_budget=3600.0,
+                max_iterations=200,
+                state_factory=factory,
+                rng=rng,
+            )
+            sizes = [size for _, size in recorder.events]
+            runs.append((log, best, sizes, rng.getstate()))
+        flat_run, oracle_run = runs
+        assert flat_run == oracle_run, graph.name
+        log, best, _, _ = flat_run
+        # Every one of the 200 iterations perturbed.
+        clocks = {entry[0] for entry in log if entry != "construct"}
+        assert clocks == set(range(1, 201)), graph.name
+        assert_valid_solution(graph, best)
+        restarts += log.count("construct") - 1
+    # The restart-from-best branch (state_factory(graph, best)) is covered.
+    assert restarts >= 1
+
+
+def test_perturbation_picks_as_sorting_by_age_then_draw():
+    # _perturb must pick what sorting the outside vertices by
+    # (age, rng.random()) picks, drawing in index order, and leave the RNG
+    # in the same state — with heavy age ties, on both state classes.
+    for graph in CORPUS[::3]:
+        for base in (FlatLocalSearchState, LocalSearchState):
+            factory, log = _recording_factory(base)
+            state = factory(graph, _greedy_maximal(graph))
+            ages = random.Random(graph.n)
+            for v in range(graph.n):
+                state._last_outside[v] = ages.randrange(3)
+            for clock, strength in enumerate((1, 2, 3, 5, 1, 4), start=1):
+                outside = [v for v in range(graph.n) if not state.in_solution[v]]
+                reference = random.Random(clock)
+                outside.sort(
+                    key=lambda v: (state._last_outside[v], reference.random())
+                )
+                expected = [(clock, v) for v in outside[:strength]]
+                rng = random.Random(clock)
+                del log[:]
+                assert _perturb(state, strength, rng, clock)
+                assert log == expected, (graph.name, clock)
+                assert rng.getstate() == reference.getstate()
+
+
+def test_arw_result_is_pinned():
+    # Pinned from the implementation that sorted every outside vertex by
+    # (age, rng.random()) and rescanned all vertices per exhaust.
+    graph = gnm_random_graph(120, 300, seed=5)
+    rng = random.Random(9)
+    best, recorder = arw(
+        graph,
+        _greedy_maximal(graph),
+        time_budget=3600.0,
+        max_iterations=200,
+        rng=rng,
+    )
+    assert sorted(best) == [
+        1, 3, 5, 7, 9, 11, 12, 13, 16, 17, 22, 24, 27, 28, 29, 30, 33, 36,
+        40, 41, 42, 45, 47, 50, 51, 55, 56, 59, 65, 66, 70, 71, 73, 76, 81,
+        82, 83, 84, 86, 89, 91, 92, 95, 96, 98, 101, 103, 111, 112, 113,
+        116, 119,
+    ]
+    assert [size for _, size in recorder.events] == [50, 51, 52]
+    assert rng.random() == 0.9945352859422412
+
+
+def test_flat_local_search_is_sound_after_every_perturbation():
+    # After every flat exhaust in a perturbed run, a fresh full-scan oracle
+    # from the same solution finds nothing, the 1-tight index matches a
+    # recount from scratch, and the worklist is drained.
+    class Checked(FlatLocalSearchState):
+        __slots__ = ()
+
+        def local_search(self):
+            gained = FlatLocalSearchState.local_search(self)
+            graph = self.graph
+            solution = self.solution()
+            assert LocalSearchState(graph, solution).local_search() == 0
+            for x in solution:
+                one_tight = [
+                    w for w in graph.neighbors(x) if self.tightness[w] == 1
+                ]
+                assert self._one_tight_count[x] == len(one_tight), x
+                for w in one_tight:
+                    assert self._one_holder[w] == x, (x, w)
+            assert not self._free_marks and not self._swap_marks
+            assert not any(self._queued)
+            return gained
+
+    for graph in CORPUS[::2]:
+        best, _ = arw(
             graph,
-            initial,
+            _greedy_maximal(graph),
             time_budget=3600.0,
-            seed=11,
-            max_iterations=25,
-            state_factory=LocalSearchState,
+            max_iterations=40,
+            state_factory=Checked,
+            rng=random.Random(3),
         )
-        assert best_flat == best_oracle, graph.name
-        sizes_flat = [size for _, size in rec_flat.events]
-        sizes_oracle = [size for _, size in rec_oracle.events]
-        assert sizes_flat == sizes_oracle, graph.name
-        assert_valid_solution(graph, best_flat)
+        assert_valid_solution(graph, best)
+
+
+def test_scripted_moves_then_exhaust_agree():
+    # Plain remove()/force_insert() outside ARW's compound moves (a removed
+    # vertex is left free) must still be picked up by the next exhaust.
+    for graph in CORPUS[1::4]:
+        seed_solution = _greedy_maximal(graph)
+        flat = FlatLocalSearchState(graph, seed_solution)
+        oracle = LocalSearchState(graph, seed_solution)
+        assert flat.local_search() == oracle.local_search()
+        rng = random.Random(23)
+        for step in range(40):
+            v = rng.randrange(graph.n)
+            if oracle.in_solution[v]:
+                flat.remove(v, clock=step)
+                oracle.remove(v, clock=step)
+            else:
+                flat.force_insert(v, clock=step)
+                oracle.force_insert(v, clock=step)
+            if step % 8 == 7:
+                assert flat.local_search() == oracle.local_search()
+            _assert_states_equal(flat, oracle, (graph.name, step, v))
 
 
 def test_boosted_variants_agree_across_state_factories():
@@ -167,8 +303,9 @@ def test_boosted_variants_agree_across_state_factories():
                 state_factory=LocalSearchState,
                 rng=random.Random(5),
             )
-            assert flat.independent_set == oracle.independent_set, (
-                graph.name,
-                variant.__name__,
-            )
+            context = (graph.name, variant.__name__)
+            assert flat.independent_set == oracle.independent_set, context
+            sizes_flat = [size for _, size in flat.recorder.events]
+            sizes_oracle = [size for _, size in oracle.recorder.events]
+            assert sizes_flat == sizes_oracle, context
             assert_valid_solution(graph, flat.independent_set)

@@ -40,6 +40,10 @@ from .workspace import compact_remap
 
 __all__ = ["FlatTriangleWorkspace", "flat_one_pass_dominance"]
 
+#: Wedges (length-two paths, Σ_{w∈N(v)} d(w) per row v) one row block of
+#: the triangle count may hold; bounds the block's share of A² in memory.
+WEDGES_PER_BLOCK = 1 << 16
+
 
 @hot_loop
 def _sweep_preamble(graph: Graph) -> Tuple[List[int], List[int], bytearray]:
@@ -250,8 +254,13 @@ class FlatTriangleWorkspace:
     def _count_triangles(self) -> None:
         """Fill δ for every adjacency slot and seed ``dominated``.
 
-        δ is the sparse-matrix identity ``(A² ∘ A)``.  The dominance
-        worklist starts as D = {u | ∃ (v,u) ∈ E with δ(v,u) = d(v) − 1}.
+        δ is the sparse-matrix identity ``(A² ∘ A)``, evaluated over row
+        blocks ``(A[lo:hi] @ A) ∘ A[lo:hi]`` so the full A² is never held.
+        Row ``v``'s share of A² has at most ``Σ_{w∈N(v)} d(w)`` entries
+        (its wedges); a block takes rows while its wedge total stays within
+        :data:`WEDGES_PER_BLOCK`, and a row above the cap forms a block of
+        its own.  The dominance worklist starts as
+        D = {u | ∃ (v,u) ∈ E with δ(v,u) = d(v) − 1}.
         """
         from scipy import sparse  # function-local: keeps ``import repro`` light
 
@@ -260,32 +269,41 @@ class FlatTriangleWorkspace:
         n = self.n
         indptr = _np.asarray(self.xadj, dtype=_np.int64)
         indices = _np.asarray(self.adj, dtype=_np.int64)
-        data = _np.ones(len(indices), dtype=_np.int64)
-        adjacency = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
-        counts = (adjacency @ adjacency).multiply(adjacency).tocsr()
-        counts.sort_indices()
-        # Scatter the counts into the parallel ``tri`` buffer without a
-        # Python-level merge walk.  Both matrices are row-major with sorted
-        # columns, so the composite key ``row·n + col`` is globally sorted
-        # for each; the counts pattern is a subset of the adjacency pattern
-        # (δ lives on edges), hence searchsorted yields each count's exact
-        # adjacency slot.
-        row_of_slot = _np.repeat(
-            _np.arange(n, dtype=_np.int64), _np.diff(indptr)
+        degrees = _np.diff(indptr)
+        adjacency = sparse.csr_matrix(
+            (_np.ones(len(indices), dtype=_np.int64), indices, indptr), shape=(n, n)
         )
-        adj_keys = row_of_slot * n + indices
-        counts_rows = _np.repeat(
-            _np.arange(n, dtype=_np.int64), _np.diff(counts.indptr)
-        )
-        count_keys = counts_rows * n + counts.indices
-        slots = _np.searchsorted(adj_keys, count_keys)
+        # wedges_before[v] = wedges of the rows before v (n + 1 entries).
+        slot_wedges = _np.zeros(len(indices) + 1, dtype=_np.int64)
+        _np.cumsum(degrees[indices], out=slot_wedges[1:])
+        wedges_before = slot_wedges[indptr]
+        row_of_slot = _np.repeat(_np.arange(n, dtype=_np.int64), degrees)
         tri = _np.zeros(len(indices), dtype=_np.int64)
-        tri[slots] = counts.data
+        lo = 0
+        while lo < n:
+            cap = wedges_before[lo] + WEDGES_PER_BLOCK
+            hi = max(int(_np.searchsorted(wedges_before, cap, side="right")) - 1, lo + 1)
+            block = adjacency[lo:hi]
+            counts = (block @ adjacency).multiply(block).tocsr()
+            counts.sort_indices()
+            # Scatter the block's counts into the parallel ``tri`` buffer
+            # without a Python-level merge walk.  Both matrices are
+            # row-major with sorted columns, so the composite key
+            # ``row·n + col`` is sorted for each; the counts pattern is a
+            # subset of the adjacency pattern (δ lives on edges), hence
+            # searchsorted yields each count's exact adjacency slot.
+            first, last = indptr[lo], indptr[hi]
+            adj_keys = (row_of_slot[first:last] - lo) * n + indices[first:last]
+            counts_rows = _np.repeat(
+                _np.arange(hi - lo, dtype=_np.int64), _np.diff(counts.indptr)
+            )
+            count_keys = counts_rows * n + counts.indices
+            tri[first + _np.searchsorted(adj_keys, count_keys)] = counts.data
+            lo = hi
         self.tri = tri.tolist()
         # Seed the dominance worklist in the same pass: a slot (v, u) seeds
         # ``u`` when δ(v, u) = d(v) − 1.  Selecting by the global slot mask
         # preserves the oracle's append order (v ascending, row order).
-        degrees = _np.diff(indptr)
         self.dominated = indices[tri == degrees[row_of_slot] - 1].tolist()
 
     # ------------------------------------------------------------------

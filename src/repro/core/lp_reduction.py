@@ -16,14 +16,18 @@ The paper runs this reduction once inside NearLinear's preprocessing
 (Section 5) — it is also the "linear programming-based upper bound" of [1]
 used in Table 7: ``α(G) ≤ |V₀| + |V_½| / 2``.
 
-The matching is found with Hopcroft–Karp, O(m·√n) worst case.
+:func:`lp_reduction` finds the matching with scipy's compiled
+Hopcroft–Karp, O(m·√n) worst case, and the cover with one compiled BFS.
+:class:`HopcroftKarp` is the pure-Python reference the tests hold it to.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
+
+import numpy as _np
 
 from ..graphs.static_graph import Graph
 
@@ -168,147 +172,70 @@ class LPReductionResult:
         return len(self.included) + len(self.remaining) / 2.0
 
 
-def _solve_csr(
-    n: int, xadj: Sequence[int], adj: Sequence[int]
-) -> Tuple[List[int], List[int]]:
-    """Hopcroft–Karp on the bipartite double cover, straight off CSR buffers.
-
-    Behaviourally identical to :class:`HopcroftKarp` fed the neighbour
-    lists in adjacency order — the BFS layering, the DFS descent order and
-    therefore the final matching are the same; only the constant factor
-    differs (no per-vertex adjacency lists, no per-root stack allocations,
-    no boxed-float distances).  Returns ``(match_left, match_right)``.
-
-    Both phases skip the isolated vertices: they never match and no edge
-    reaches them, so the matching is the same.  On inputs the exact rules
-    have mostly consumed (the NearLinear residual of a power-law graph is
-    ~80% isolated vertices) this removes most of each phase's scan.
-    """
-    inf = n + 1  # strictly above any reachable BFS layer
-    active = [u for u in range(n) if xadj[u] != xadj[u + 1]]
-    match_left = [-1] * n
-    match_right = [-1] * n
-    dist = [0] * n
-    queue: deque = deque()
-    queue_append = queue.append
-    queue_popleft = queue.popleft
-    # Reused DFS stacks: nodes on the current alternating path, the row
-    # position each has scanned up to, and the right vertex it descended
-    # through (the partner-to-be if the path augments).
-    nodes: List[int] = []
-    ptrs: List[int] = []
-    chosen: List[int] = []
-    while True:
-        # --- BFS phase: layer left vertices by alternating distance.
-        for u in active:
-            if match_left[u] == -1:
-                dist[u] = 0
-                queue_append(u)
-            else:
-                dist[u] = inf
-        found = False
-        while queue:
-            u = queue_popleft()
-            layer = dist[u] + 1
-            for v in adj[xadj[u] : xadj[u + 1]]:
-                nxt = match_right[v]
-                if nxt == -1:
-                    found = True
-                elif dist[nxt] == inf:
-                    dist[nxt] = layer
-                    queue_append(nxt)
-        if not found:
-            return match_left, match_right
-        # --- DFS phase: one shortest augmenting path per free left vertex.
-        for root in active:
-            if match_left[root] != -1:
-                continue
-            nodes.append(root)
-            ptrs.append(xadj[root])
-            chosen.append(-1)
-            while nodes:
-                u = nodes[-1]
-                j = ptrs[-1]
-                hi = xadj[u + 1]
-                layer = dist[u] + 1
-                descended = False
-                while j < hi:
-                    v = adj[j]
-                    j += 1
-                    nxt = match_right[v]
-                    if nxt == -1:
-                        # Free right vertex: flip the whole alternating path.
-                        chosen[-1] = v
-                        for node, partner in zip(nodes, chosen):
-                            match_left[node] = partner
-                            match_right[partner] = node
-                        nodes.clear()
-                        ptrs.clear()
-                        chosen.clear()
-                        descended = True
-                        break
-                    if dist[nxt] == layer:
-                        ptrs[-1] = j
-                        chosen[-1] = v
-                        nodes.append(nxt)
-                        ptrs.append(xadj[nxt])
-                        chosen.append(-1)
-                        descended = True
-                        break
-                if not descended:
-                    dist[u] = inf
-                    nodes.pop()
-                    ptrs.pop()
-                    chosen.pop()
-
-
-def _minimum_vertex_cover_csr(
-    n: int,
-    xadj: Sequence[int],
-    adj: Sequence[int],
-    match_left: List[int],
-    match_right: List[int],
-) -> Tuple[List[bool], List[bool]]:
-    """König cover over CSR buffers (mirrors
-    :meth:`HopcroftKarp.minimum_vertex_cover`)."""
-    visited_left = [False] * n
-    visited_right = [False] * n
-    queue: deque = deque()
-    for u in range(n):
-        if match_left[u] == -1:
-            visited_left[u] = True
-            queue.append(u)
-    while queue:
-        u = queue.popleft()
-        partner = match_left[u]
-        for v in adj[xadj[u] : xadj[u + 1]]:
-            if not visited_right[v] and partner != v:
-                visited_right[v] = True
-                nxt = match_right[v]
-                if nxt != -1 and not visited_left[nxt]:
-                    visited_left[nxt] = True
-                    queue.append(nxt)
-    cover_left = [not flag for flag in visited_left]
-    return cover_left, visited_right
-
-
 def lp_reduction(graph: Graph) -> LPReductionResult:
-    """Classify every vertex by its half-integral LP value."""
+    """Classify every vertex by its half-integral LP value.
+
+    Two compiled scipy passes over the graph's flat CSR buffers:
+
+    * ``maximum_bipartite_matching`` (Hopcroft–Karp) on the double cover,
+      whose biadjacency matrix is the adjacency matrix itself (rows are
+      the left copies, columns the right ones);
+    * one ``breadth_first_order`` from a super-source ``s = 2n`` over the
+      residual digraph on ``L_u = u``, ``R_v = n + v`` and ``s``:
+      ``L_u → R_v`` for each edge, ``R_v → L_w`` for each matched pair
+      ``(L_w, R_v)`` and ``s → L_u`` for each free left vertex.  What it
+      reaches is König's ``Z``, the vertices on alternating paths from
+      free left vertices (``L_u``'s own matched edge adds nothing: a
+      matched ``L_u`` is reached only through its partner ``R_v``).
+
+    ``Z`` is the same for every maximum matching (Dulmage–Mendelsohn), so
+    the classification equals :class:`HopcroftKarp`'s whichever matching
+    scipy finds.
+    """
+    from scipy.sparse import csr_matrix  # function-local: keeps ``import repro`` light
+    from scipy.sparse.csgraph import breadth_first_order, maximum_bipartite_matching
+
     n = graph.n
-    xadj, adj = graph.csr_arrays()
-    match_left, match_right = _solve_csr(n, xadj, adj)
-    cover_left, cover_right = _minimum_vertex_cover_csr(
-        n, xadj, adj, match_left, match_right
+    if n == 0:
+        return LPReductionResult((), (), ())
+    offsets, targets = graph.flat_csr()
+    indptr = _np.frombuffer(offsets, dtype=_np.int64)
+    indices = _np.asarray(targets, dtype=_np.int64)
+    m2 = len(indices)
+    biadjacency = csr_matrix((_np.ones(m2, dtype=_np.float64), indices, indptr), shape=(n, n))
+    match_left = maximum_bipartite_matching(biadjacency, perm_type="column")
+    matched = match_left >= 0
+    partner_of_right = _np.full(n, -1, dtype=_np.int64)
+    partner_of_right[match_left[matched]] = _np.flatnonzero(matched)
+    right_has_partner = partner_of_right >= 0
+    free_left = _np.flatnonzero(~matched)
+    # Rows: n left rows (the edges), n right rows (0 or 1 partner), then
+    # the source; each left vertex is a partner or free, so 2m + n entries.
+    residual_indptr = _np.concatenate(
+        (
+            indptr,
+            m2 + _np.cumsum(right_has_partner, dtype=_np.int64),
+            _np.full(1, m2 + n, dtype=_np.int64),
+        )
     )
-    included: List[int] = []
-    excluded: List[int] = []
-    remaining: List[int] = []
-    for v in range(n):
-        if cover_left[v]:
-            (excluded if cover_right[v] else remaining).append(v)
-        else:
-            (remaining if cover_right[v] else included).append(v)
-    return LPReductionResult(tuple(included), tuple(excluded), tuple(remaining))
+    residual_indices = _np.concatenate(
+        (indices + n, partner_of_right[right_has_partner], free_left)
+    )
+    size = 2 * n + 1
+    residual = csr_matrix(
+        (_np.ones(len(residual_indices), dtype=_np.float64), residual_indices, residual_indptr),
+        shape=(size, size),
+    )
+    reached = _np.zeros(size, dtype=_np.bool_)
+    reached[breadth_first_order(residual, 2 * n, return_predecessors=False)] = True
+    left = reached[:n]
+    right = reached[n : 2 * n]
+    # Cover C = (L \ Z) ∪ (R ∩ Z); x_v = (|{L_v} ∩ C| + |{R_v} ∩ C|) / 2.
+    return LPReductionResult(
+        included=tuple(_np.flatnonzero(left & ~right).tolist()),
+        excluded=tuple(_np.flatnonzero(right & ~left).tolist()),
+        remaining=tuple(_np.flatnonzero(left == right).tolist()),
+    )
 
 
 def lp_upper_bound(graph: Graph) -> float:

@@ -31,6 +31,42 @@ __all__ = ["Graph"]
 _SUBGRAPH_NUMPY_CUTOFF = 2048
 
 
+def _csr_from_edge_array(n: int, edges: "_np.ndarray") -> Tuple["_np.ndarray", "_np.ndarray"]:
+    """CSR ``(offsets, targets)`` of an ``(k, 2)`` edge array: drop loops,
+    dedupe by one sort over ``min·n + max`` keys, symmetrise, sort rows, and
+    count offsets.
+
+    Raises the :class:`VertexError` the builder would raise first.  A
+    function of its own so that its sort buffers (several times the size of
+    ``targets``) are freed before the caller builds the Python tuples.
+    """
+    if n < 0:
+        raise VertexError(n, 0)
+    pairs = edges.astype(_np.int64, copy=False)
+    u, v = pairs[:, 0], pairs[:, 1]
+    bad = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    if bad.any():
+        first = int(bad.argmax())
+        vertex = int(u[first]) if not 0 <= u[first] < n else int(v[first])
+        raise VertexError(vertex, n)
+    base = max(n, 1)
+    loop_free = u != v
+    lo = _np.minimum(u, v)[loop_free]
+    hi = _np.maximum(u, v)[loop_free]
+    keys = _np.sort(lo * base + hi)
+    # Sort-and-mask dedupe: numpy's hashing ``unique`` is far slower here.
+    fresh = _np.ones(keys.size, dtype=bool)
+    _np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    keys = keys[fresh]
+    lo, hi = _np.divmod(keys, base)
+    both = _np.concatenate((keys, hi * base + lo))
+    both.sort()
+    rows, targets = _np.divmod(both, base)
+    offsets = _np.zeros(n + 1, dtype=_np.int64)
+    _np.cumsum(_np.bincount(rows, minlength=n), out=offsets[1:])
+    return offsets, targets
+
+
 class Graph:
     """An immutable, simple, undirected graph in adjacency-array form.
 
@@ -90,37 +126,12 @@ class Graph:
 
     @classmethod
     def _from_edge_array(cls, n: int, edges: "_np.ndarray", name: str) -> "Graph":
-        """CSR from an ``(k, 2)`` edge array: drop loops, dedupe by one sort
-        over ``min·n + max`` keys, symmetrise, sort rows, and count offsets.
+        """The graph of an ``(k, 2)`` edge array, from :func:`_csr_from_edge_array`.
 
-        Raises the :class:`VertexError` the builder would raise first.  The
-        :meth:`flat_csr` cache is filled from the same buffers, so the first
-        flat workspace does not convert the tuples again.
+        The :meth:`flat_csr` cache is filled from the same buffers, so the
+        first flat workspace does not convert the tuples again.
         """
-        if n < 0:
-            raise VertexError(n, 0)
-        pairs = edges.astype(_np.int64, copy=False)
-        u, v = pairs[:, 0], pairs[:, 1]
-        bad = (u < 0) | (u >= n) | (v < 0) | (v >= n)
-        if bad.any():
-            first = int(bad.argmax())
-            vertex = int(u[first]) if not 0 <= u[first] < n else int(v[first])
-            raise VertexError(vertex, n)
-        base = max(n, 1)
-        loop_free = u != v
-        lo = _np.minimum(u, v)[loop_free]
-        hi = _np.maximum(u, v)[loop_free]
-        keys = _np.sort(lo * base + hi)
-        # Sort-and-mask dedupe: numpy's hashing ``unique`` is far slower here.
-        fresh = _np.ones(keys.size, dtype=bool)
-        _np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
-        keys = keys[fresh]
-        lo, hi = _np.divmod(keys, base)
-        both = _np.concatenate((keys, hi * base + lo))
-        both.sort()
-        rows, targets = _np.divmod(both, base)
-        offsets = _np.zeros(n + 1, dtype=_np.int64)
-        _np.cumsum(_np.bincount(rows, minlength=n), out=offsets[1:])
+        offsets, targets = _csr_from_edge_array(n, edges)
         # Each vertex id is one shared int object, as in the builder's rows,
         # rather than a fresh object per CSR slot (2m of them).
         vertex_ids = _np.arange(n, dtype=_np.int64).astype(object)

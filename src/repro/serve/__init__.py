@@ -26,10 +26,11 @@ graph changed, again" without paying a cold solve per query:
 See ``docs/serving.md`` for the full tour.
 """
 
+from typing import Any
+
 from .cache import CacheEntry, KernelCache, SharedCacheTier
 from .dynamic_graph import MUTATION_KINDS, DynamicGraph, Mutation
 from .fingerprint import graph_fingerprint
-from .frontend import AsyncFrontend, serve_forever
 from .loadgen import (
     LoadgenConfig,
     LoadgenReport,
@@ -48,6 +49,19 @@ from .requests import (
 )
 from .router import ShardRouter, shard_for
 from .service import SNAPSHOT_VERSION, ServeResult, ServiceConfig, SolverService
+
+_LAZY_FRONTEND = ("AsyncFrontend", "serve_forever")
+
+
+def __getattr__(name: str) -> Any:
+    # The asyncio front-end loads asyncio and ssl; resolve it on first use
+    # so ``import repro`` (every file-solve process) does not pay for it.
+    if name in _LAZY_FRONTEND:
+        from . import frontend
+
+        return getattr(frontend, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AsyncFrontend",

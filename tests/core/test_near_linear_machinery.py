@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core import flat_dominance
 from repro.core.dominance import TriangleWorkspace, one_pass_dominance
+from repro.core.flat_dominance import FlatTriangleWorkspace
 from repro.core.near_linear import near_linear
 from repro.exact import brute_force_alpha
 from repro.graphs import (
@@ -14,6 +16,7 @@ from repro.graphs import (
     mutual_dominance_gadget,
     paper_figure1_modified,
     petersen_graph,
+    star_graph,
     triangle_counts,
 )
 
@@ -53,6 +56,47 @@ class TestInitialTriangleCounts:
                 assert ws.tri[u][v] == count, g.name
                 assert ws.tri[v][u] == count, g.name
             assert sum(map(len, ws.tri)) == 2 * len(reference)
+
+
+def _blocked_count_graphs():
+    """This module's graphs, a star whose centre row alone exceeds a
+    small block, and triangles with isolated vertices (empty rows) at the
+    start, between the triangles and at the end."""
+    return [
+        complete_graph(4),
+        petersen_graph(),
+        gnm_random_graph(30, 90, seed=5),
+        *(gnm_random_graph(35, 140, seed=seed) for seed in range(10)),
+        *(gnm_random_graph(18, 50, seed=seed) for seed in range(15)),
+        isolated_clique_gadget(4),
+        isolated_clique_gadget(5, pendants_per_vertex=1),
+        mutual_dominance_gadget(),
+        paper_figure1_modified(),
+        cycle_graph(11),
+        star_graph(20),
+        Graph.from_edges(
+            12, [(1, 2), (1, 3), (2, 3), (6, 7), (6, 8), (7, 8), (8, 9)]
+        ),
+    ]
+
+
+class TestBlockedTriangleCount:
+    """The row-blocked count in :class:`FlatTriangleWorkspace` gives the
+    oracle's counts and worklist whatever the block size."""
+
+    @pytest.mark.parametrize("wedges_per_block", [1, 2, 7])
+    def test_matches_oracle_and_reference(self, monkeypatch, wedges_per_block):
+        monkeypatch.setattr(flat_dominance, "WEDGES_PER_BLOCK", wedges_per_block)
+        for g in _blocked_count_graphs():
+            flat = FlatTriangleWorkspace(g)
+            oracle = TriangleWorkspace(g)
+            reference = triangle_counts(g)
+            for v in range(g.n):
+                for i in range(flat.xadj[v], flat.xadj[v + 1]):
+                    w = flat.adj[i]
+                    assert flat.tri[i] == oracle.tri[v][w], g.name
+                    assert flat.tri[i] == reference[(min(v, w), max(v, w))], g.name
+            assert flat.dominated == oracle.dominated, g.name
 
 
 class TestMaintenanceUnderDeletion:

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.cli import build_parser
 from repro.core import linear_time_reduce, near_linear_reduce
 from repro.graphs import cycle_graph, paper_figure1, petersen_graph
@@ -13,15 +15,27 @@ from repro.localsearch import ConvergenceRecorder
 
 class TestImportCost:
     def test_import_repro_does_not_load_scipy(self):
-        # scipy is imported inside the triangle counts only: loading it at
-        # package import would add to every process start, serve included.
+        # scipy is imported inside the triangle counts and the LP only, and
+        # asyncio (with ssl) inside the serve front-end only: loading them at
+        # package import would add to every process start, file solves
+        # included.
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
-        subprocess.run(
-            [sys.executable, "-c", "import repro, sys; assert 'scipy' not in sys.modules"],
-            env=env,
-            check=True,
+        check = (
+            "import repro, sys; "
+            "loaded = [m for m in ('scipy', 'asyncio', 'ssl') if m in sys.modules]; "
+            "assert not loaded, loaded"
         )
+        subprocess.run([sys.executable, "-c", check], env=env, check=True)
+
+    def test_lazy_frontend_exports_resolve(self):
+        import repro.serve
+        from repro.serve import frontend
+
+        assert repro.serve.AsyncFrontend is frontend.AsyncFrontend
+        assert repro.serve.serve_forever is frontend.serve_forever
+        with pytest.raises(AttributeError):
+            repro.serve.no_such_export
 
 
 class TestParser:

@@ -125,8 +125,13 @@ def find_maximal_degree_two_path(workspace: Any, u: int) -> PathDiscovery:
     workspace exposing ``deg`` and ``iter_live_neighbors``; runs in time
     linear in the path length (the DFS of Section 4).
     """
-    neighbors = list(workspace.iter_live_neighbors(u))
-    first, second = neighbors[0], neighbors[1]
+    first, second = workspace.live_neighbors(u)
+    return _discover(workspace, u, first, second)
+
+
+@hot_loop
+def _discover(workspace: Any, u: int, first: int, second: int) -> PathDiscovery:
+    """:func:`find_maximal_degree_two_path` given ``u``'s live neighbours."""
     left, left_anchor = _walk(workspace, u, first)
     if left_anchor is None:
         return PathDiscovery([u] + left, None, None, True)
@@ -146,16 +151,25 @@ def apply_degree_two_path_reduction(workspace: Any, u: int) -> str:
 
     Returns the name of the rule case applied (one of the ``RULE_*``
     constants); :data:`RULE_IRREDUCIBLE` means nothing changed.
+
+    When neither live neighbour of ``u`` has degree two, the path is
+    ``[u]`` itself with those neighbours as its anchors, and no discovery
+    is built.
     """
-    discovery = find_maximal_degree_two_path(workspace, u)
-    path = discovery.path
-    if discovery.is_cycle:
-        workspace.delete_vertex(u, "exclude")
-        return RULE_CYCLE
-    v, w = discovery.v, discovery.w
-    if v == w:
-        workspace.delete_vertex(v, "exclude")
-        return RULE_ANCHOR_SHARED
+    first, second = workspace.live_neighbors(u)
+    deg = workspace.deg
+    if deg[first] != 2 and deg[second] != 2:
+        path, v, w = [u], first, second
+    else:
+        discovery = _discover(workspace, u, first, second)
+        path = discovery.path
+        if discovery.is_cycle:
+            workspace.delete_vertex(u, "exclude")
+            return RULE_CYCLE
+        v, w = discovery.v, discovery.w
+        if v == w:
+            workspace.delete_vertex(v, "exclude")
+            return RULE_ANCHOR_SHARED
     length = len(path)
     head, tail = path[0], path[-1]
     if length % 2 == 1:

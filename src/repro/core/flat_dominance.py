@@ -177,15 +177,22 @@ class FlatTriangleWorkspace:
         Parallel to ``_stamp``: the adjacency slot at which the marked
         vertex was seen, letting :meth:`settle_new_edge` update both
         directions of an edge without re-scanning the marking row.
+    ``_tsum``
+        Per-vertex triangle sum, ``_tsum[v] = Σ δ(v, x)`` over ``v``'s live
+        slots, kept exact at every ``tri`` write.  Since every δ is ≥ 0,
+        ``_tsum[v] < d(v) − 1`` proves no slot of ``v``'s row meets the
+        Lemma 5.2 target, which lets :meth:`delete_vertex` and
+        :meth:`decrement_degree` skip the row scan.
 
     Dead vertices are dropped lazily: every row has a live-end pointer
     ``_rend[v]`` and :meth:`delete_vertex` *compacts* a row while scanning
     it — live entries shift toward ``xadj[v]``, preserving their relative
-    order, and ``_rend[v]`` shrinks.  Rows therefore cost what the oracle's
-    shrinking dicts cost, slots beyond ``_rend[v]`` are stale garbage that
-    no scan may read, and the surviving slot order still mirrors the
-    oracle's dict order — which is what makes the decision logs
-    byte-identical.
+    order, and ``_rend[v]`` shrinks.  A scanned row therefore costs what
+    the oracle's shrinking dict costs; a skipped row keeps its dead slots
+    until the next scan passes it, and every reader filters on ``alive``.
+    Slots beyond ``_rend[v]`` are stale garbage that no scan may read, and
+    the surviving slot order still mirrors the oracle's dict order — which
+    is what makes the decision logs byte-identical.
     """
 
     __slots__ = (
@@ -206,6 +213,7 @@ class FlatTriangleWorkspace:
         "_stamp",
         "_stamp_slot",
         "_clock",
+        "_tsum",
         "_nlive",
         "_live_deg_sum",
     )
@@ -233,6 +241,7 @@ class FlatTriangleWorkspace:
         self._stamp = [0] * n
         self._stamp_slot = [0] * n
         self._clock = 0
+        self._tsum = [0] * n
         self._nlive = n
         self._live_deg_sum = len(targets)
         self._count_triangles()
@@ -260,7 +269,8 @@ class FlatTriangleWorkspace:
         (its wedges); a block takes rows while its wedge total stays within
         :data:`WEDGES_PER_BLOCK`, and a row above the cap forms a block of
         its own.  The dominance worklist starts as
-        D = {u | ∃ (v,u) ∈ E with δ(v,u) = d(v) − 1}.
+        D = {u | ∃ (v,u) ∈ E with δ(v,u) = d(v) − 1}, and ``_tsum`` as the
+        row sums of δ.
         """
         from scipy import sparse  # function-local: keeps ``import repro`` light
 
@@ -301,6 +311,8 @@ class FlatTriangleWorkspace:
             tri[first + _np.searchsorted(adj_keys, count_keys)] = counts.data
             lo = hi
         self.tri = tri.tolist()
+        row_sums = _np.bincount(row_of_slot, weights=tri, minlength=n)
+        self._tsum = row_sums.astype(_np.int64).tolist()
         # Seed the dominance worklist in the same pass: a slot (v, u) seeds
         # ``u`` when δ(v, u) = d(v) − 1.  Selecting by the global slot mask
         # preserves the oracle's append order (v ascending, row order).
@@ -314,10 +326,8 @@ class FlatTriangleWorkspace:
         alive = self.alive
         return [w for w in self.adj[self.xadj[v] : self._rend[v]] if alive[w]]
 
-    def iter_live_neighbors(self, v: int) -> List[int]:
-        """Current neighbours of ``v`` (eagerly materialised list)."""
-        alive = self.alive
-        return [w for w in self.adj[self.xadj[v] : self._rend[v]] if alive[w]]
+    #: The protocol's iterable spelling; an eager list is what it returns.
+    iter_live_neighbors = live_neighbors
 
     def has_live_edge(self, u: int, v: int) -> bool:
         """Whether the live edge ``(u, v)`` exists (scan the smaller side)."""
@@ -433,6 +443,12 @@ class FlatTriangleWorkspace:
         neighbour, in row order) is exactly the oracle's.  No vertex dies
         between the scans and the re-file loop, so the alive tests see the
         same state the oracle's trailing candidate loop sees.
+
+        ``v`` loses δ(u, v) with its slot for ``u`` and one per stamped
+        slot, so ``_tsum[v]`` drops by 2·δ(u, v).  The scan of ``v``'s row
+        is skipped when δ(u, v) = 0 (no slot is stamped) and
+        ``_tsum[v] < d(v) − 1`` (no slot can meet the target): it could
+        neither change a count nor surface a candidate.
         """
         adj = self.adj
         xadj = self.xadj
@@ -450,16 +466,25 @@ class FlatTriangleWorkspace:
             self.log.exclude(u)
         clock = self._clock + 1
         self._clock = clock
+        tsum = self._tsum
         neighbours = []
+        shared = []
         append = neighbours.append
-        for w in adj[xadj[u] : rend[u]]:
+        shared_append = shared.append
+        lo = xadj[u]
+        hi = rend[u]
+        for w, t in zip(adj[lo:hi], tri[lo:hi]):
             if alive[w]:
                 stamp[w] = clock
                 append(w)
+                shared_append(t)
                 deg[w] -= 1
+                tsum[w] -= t + t
         dominated_append = self.dominated.append
-        for v in neighbours:
+        for v, common in zip(neighbours, shared):
             target = deg[v] - 1
+            if not common and tsum[v] < target:
+                continue
             k = lo = xadj[v]
             hi = rend[v]
             for x, t in zip(adj[lo:hi], tri[lo:hi]):
@@ -473,9 +498,16 @@ class FlatTriangleWorkspace:
                     k += 1
             rend[v] = k
         # Re-file degrees (candidates were surfaced in the fused pass).
+        v1_append = self.v1.append
+        v2_append = self.v2.append
         for v in neighbours:
-            if alive[v]:
-                self._refile(v)
+            d = deg[v]
+            if d == 1:
+                v1_append(v)
+            elif d == 2:
+                v2_append(v)
+            elif d == 0:
+                self.include(v)
 
     # ------------------------------------------------------------------
     # Path-reduction support (used by the shared Lemma 4.1 driver)
@@ -496,8 +528,9 @@ class FlatTriangleWorkspace:
 
         Same hint machinery as :class:`~repro.core.workspace.FlatWorkspace`
         (Lemma 4.1 retargets the same anchor slot on consecutive path
-        reductions); δ of the just-created edge is reset to zero and later
-        settled by :meth:`settle_new_edge` when both endpoints exist.
+        reductions); δ of the just-created edge is reset to zero (and the
+        retired edge's δ leaves ``_tsum[v]``) and later settled by
+        :meth:`settle_new_edge` when both endpoints exist.
         """
         adj = self.adj
         i = self._hint[v]
@@ -509,18 +542,22 @@ class FlatTriangleWorkspace:
                 if i >= hi:
                     raise ValueError(f"{old} is not an adjacency entry of {v}")
         adj[i] = new
+        self._tsum[v] -= self.tri[i]
         self.tri[i] = 0
         self._hint[v] = i
 
     def settle_new_edge(self, a: int, b: int) -> None:
         """Compute δ(a, b) for a just-created edge and propagate dominance.
 
-        Mirrors the oracle exactly (Figure 4(e) update): stamp the smaller
-        endpoint's... rather, the *larger* row is stamped and the smaller
-        row scanned, so the common-neighbour order matches the oracle's
-        iteration over the smaller row.  ``_stamp_slot`` remembers where in
-        ``b``'s row each marked vertex sits, so the four per-common-vertex
-        count updates need just one extra scan (of ``x``'s row).
+        Mirrors the oracle exactly (Figure 4(e) update): the row of the
+        higher-degree endpoint ``b`` is stamped and the row of the
+        lower-degree endpoint ``a`` scanned, so the common-neighbour order
+        matches the oracle's iteration over the smaller row.
+        ``_stamp_slot`` remembers where in ``b``'s row each marked vertex
+        sits, so the four per-common-vertex count updates need just one
+        extra scan (of ``x``'s row).  ``a`` and ``b`` each gain 2·δ(a, b)
+        in ``_tsum`` (the new slot plus one per common neighbour); each
+        common neighbour gains 2.
         """
         adj = self.adj
         xadj = self.xadj
@@ -556,6 +593,9 @@ class FlatTriangleWorkspace:
         delta = len(common)
         tri[slot_a_b] = delta
         tri[slot_b_a] = delta
+        tsum = self._tsum
+        tsum[a] += delta + delta
+        tsum[b] += delta + delta
         dominated = self.dominated
         deg_a_target = deg[a] - 1
         deg_b_target = deg[b] - 1
@@ -572,6 +612,7 @@ class FlatTriangleWorkspace:
             tri[slot_a_x] += 1
             tri[slot_x_b] += 1
             tri[slot_b_x] += 1
+            tsum[x] += 2
             target = deg[x] - 1
             if tri[slot_x_a] == target:
                 dominated.append(a)
@@ -590,15 +631,18 @@ class FlatTriangleWorkspace:
         """Degree bookkeeping for an even-path anchor (Figure 4(d)).
 
         d(v) drops while the triangle counts of v's edges stay put, so v
-        may newly dominate a neighbour.
+        may newly dominate a neighbour — unless ``_tsum[v]`` is below the
+        new target, in which case no slot can meet it.
         """
         self.deg[v] -= 1
         self._live_deg_sum -= 1
         self._refile(v)
         if not self.alive[v]:
             return
-        alive = self.alive
         target = self.deg[v] - 1
+        if self._tsum[v] < target:
+            return
+        alive = self.alive
         dominated = self.dominated
         lo = self.xadj[v]
         hi = self._rend[v]

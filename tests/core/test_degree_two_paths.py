@@ -1,8 +1,8 @@
 """Tests for maximal degree-two path discovery and the Lemma 4.1 cases.
 
 Each of the six cases is exercised on a crafted instance through the
-ArrayWorkspace, and LinearTime's end-to-end α-arithmetic is checked with
-brute force.
+ArrayWorkspace, the length-one shortcut on all four workspaces, and
+LinearTime's end-to-end α-arithmetic is checked with brute force.
 """
 
 import pytest
@@ -18,8 +18,11 @@ from repro.core.degree_two_paths import (
     apply_degree_two_path_reduction,
     find_maximal_degree_two_path,
 )
+from repro.core.dominance import TriangleWorkspace
+from repro.core.flat_dominance import FlatTriangleWorkspace
 from repro.core.linear_time import linear_time
-from repro.core.workspace import ArrayWorkspace
+from repro.core.trace import EXCLUDE
+from repro.core.workspace import ArrayWorkspace, FlatWorkspace
 from repro.exact import brute_force_alpha
 from repro.graphs import Graph, cycle_graph, paper_figure5
 
@@ -133,6 +136,40 @@ class TestCases:
         ws = _workspace(g)
         assert apply_degree_two_path_reduction(ws, 1) == RULE_IRREDUCIBLE
         assert ws.alive[1]
+
+
+WORKSPACES = {
+    "array": lambda g: ArrayWorkspace(g, track_degree_two=True),
+    "flat": lambda g: FlatWorkspace(g, track_degree_two=True),
+    "triangle": TriangleWorkspace,
+    "flat-triangle": FlatTriangleWorkspace,
+}
+
+
+@pytest.mark.parametrize("make", WORKSPACES.values(), ids=WORKSPACES.keys())
+class TestLengthOnePath:
+    """``[u]`` between two degree-≥3 anchors: decided without a discovery."""
+
+    def test_adjacent_anchors_are_both_excluded_in_order(self, make):
+        g, a, b = _chain_with_anchors(1, connect_anchors=True)
+        ws = make(g)
+        before = list(ws.log.entries)
+        assert apply_degree_two_path_reduction(ws, 1) == RULE_ODD_EDGE
+        new = ws.log.entries[len(before) :]
+        # Interleaved with them: the includes of the pendants they strand.
+        excluded = [entry for entry in new if entry[0] == EXCLUDE]
+        assert excluded == [(EXCLUDE, (a,)), (EXCLUDE, (b,))]
+        assert not ws.alive[a] and not ws.alive[b]
+
+    def test_non_adjacent_anchors_change_nothing(self, make):
+        g, a, b = _chain_with_anchors(1)
+        ws = make(g)
+        before = list(ws.log.entries)
+        degrees = list(ws.deg)
+        assert apply_degree_two_path_reduction(ws, 1) == RULE_IRREDUCIBLE
+        assert ws.log.entries == before
+        assert list(ws.deg) == degrees
+        assert all(ws.alive[v] for v in range(g.n))
 
 
 class TestAlphaPreservation:

@@ -12,15 +12,18 @@ BDTwo (whose dynamic fold workspace has no flat twin) is checked for
 determinism, validity and honest exactness on the same inputs.
 """
 
+import hashlib
+
 import pytest
 
 from repro.analysis import assert_valid_solution
 from repro.core.bdone import bdone
 from repro.core.bdtwo import bdtwo
 from repro.core.dominance import TriangleWorkspace, one_pass_dominance
-from repro.core.flat_dominance import flat_one_pass_dominance
+from repro.core.flat_dominance import FlatTriangleWorkspace, flat_one_pass_dominance
 from repro.core.linear_time import linear_time, linear_time_reduce
 from repro.core.near_linear import near_linear, near_linear_reduce
+from repro.core.result import STAT_PEEL
 from repro.core.workspace import ArrayWorkspace, FlatWorkspace
 from repro.exact import brute_force_mis
 from repro.graphs.generators import (
@@ -167,6 +170,70 @@ def test_near_linear_decision_logs_identical():
         assert log_flat.stats == log_tri.stats, graph.name
         assert ids_flat == ids_tri, graph.name
         assert k_flat == k_tri, graph.name
+
+
+#: Peel-heavy, triangle-sparse graphs well past the corpus's ≤80 vertices:
+#: most deletions hit neighbour rows the triangle-sum test skips, and most
+#: degree-two pops are length-one paths.
+SPARSE_LARGE = [gnm_random_graph(2000, 6000, seed=seed) for seed in (1, 2, 3)]
+
+
+def _recording(factory, seen):
+    """``factory`` wrapped to keep each workspace it builds in ``seen``."""
+
+    def build(graph, *args, **kwargs):
+        workspace = factory(graph, *args, **kwargs)
+        seen.append(workspace)
+        return workspace
+
+    return build
+
+
+@pytest.mark.parametrize("graph", SPARSE_LARGE, ids=lambda graph: graph.name)
+def test_full_run_logs_identical_on_sparse_large_graphs(graph):
+    # Whole runs, peels included, so the logs cover every deletion.
+    for algorithm, flat, oracle in (
+        (near_linear, FlatTriangleWorkspace, TriangleWorkspace),
+        (linear_time, FlatWorkspace, ArrayWorkspace),
+    ):
+        seen = []
+        flat_result = algorithm(graph, workspace_factory=_recording(flat, seen))
+        oracle_result = algorithm(graph, workspace_factory=_recording(oracle, seen))
+        flat_ws, oracle_ws = seen
+        assert flat_ws.log.stats.get(STAT_PEEL, 0) > 0
+        assert flat_ws.log.entries == oracle_ws.log.entries
+        assert flat_result.independent_set == oracle_result.independent_set
+        assert flat_result.upper_bound == oracle_result.upper_bound
+        assert flat_result.stats == oracle_result.stats
+
+
+@pytest.mark.parametrize(
+    "algorithm, factory, digest",
+    [
+        (
+            linear_time,
+            FlatWorkspace,
+            "33b8d50984a027c7b9a88d2214c782558828ba6e17eac090d31ec56c5d9c389c",
+        ),
+        (
+            near_linear,
+            FlatTriangleWorkspace,
+            "1c0a17930833984f43922e3fe30b83d6884fe12b61d9bacded0d1120f00a1c7f",
+        ),
+    ],
+    ids=["linear_time", "near_linear"],
+)
+def test_sparse_large_run_is_pinned(algorithm, factory, digest):
+    # Pinned from the implementation whose Lemma 4.1 driver built a path
+    # discovery for every degree-two vertex and whose triangle workspace
+    # rescanned every neighbour row on deletion.  Flat and oracle share the
+    # path driver, so only a pin catches a change to it.
+    seen = []
+    result = algorithm(SPARSE_LARGE[0], workspace_factory=_recording(factory, seen))
+    entries = repr(list(seen[0].log.entries)).encode()
+    assert hashlib.sha256(entries).hexdigest() == digest
+    assert len(result.independent_set) == 784
+    assert result.upper_bound == 1222
 
 
 def _dominance_graphs():

@@ -9,7 +9,10 @@ The triangle workspace's correctness rests on invariants that hold after
   graph.
 
 These tests drive random sequences of deletions and path reductions and
-re-verify all three after each step.
+re-verify all three after each step.  The flat twin
+(:class:`~repro.core.flat_dominance.FlatTriangleWorkspace`) is driven in
+lockstep with the oracle and must also keep its per-vertex triangle sums
+exact and its dominance worklist entry-for-entry equal to the oracle's.
 """
 
 import random
@@ -19,8 +22,14 @@ from hypothesis import strategies as st
 
 from repro.core.degree_two_paths import apply_degree_two_path_reduction
 from repro.core.dominance import TriangleWorkspace
+from repro.core.flat_dominance import FlatTriangleWorkspace
 from repro.core.workspace import ArrayWorkspace
-from repro.graphs import gnm_random_graph, triangle_counts
+from repro.graphs import (
+    gnm_random_graph,
+    isolated_clique_gadget,
+    power_law_graph,
+    triangle_counts,
+)
 
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -79,6 +88,83 @@ class TestTriangleWorkspaceFuzz:
                     break
                 ws.delete_vertex(rng.choice(live), "exclude")
             _check_triangle_invariants(ws)
+
+
+def _check_flat_against_oracle(
+    flat: FlatTriangleWorkspace, oracle: TriangleWorkspace
+) -> None:
+    assert flat.dominated == oracle.dominated
+    assert flat.log.entries == oracle.log.entries
+    assert flat.alive == oracle.alive
+    kernel, old_ids = oracle.export_kernel()
+    recount = triangle_counts(kernel)
+    new_of = {old: new for new, old in enumerate(old_ids)}
+    for v in range(flat.n):
+        if not flat.alive[v]:
+            continue
+        lo, hi = flat.xadj[v], flat._rend[v]
+        live_sum = 0
+        for x, count in zip(flat.adj[lo:hi], flat.tri[lo:hi]):
+            if not flat.alive[x]:
+                continue
+            a, b = new_of[v], new_of[x]
+            assert recount[(a, b) if a < b else (b, a)] == count
+            live_sum += count
+        assert flat._tsum[v] == live_sum
+
+
+def _fuzz_graph(family: str, seed: int, rng: random.Random):
+    if family == "gnm":
+        return gnm_random_graph(20, rng.randrange(12, 40), seed=seed)
+    if family == "powerlaw":
+        return power_law_graph(
+            28, beta=2.1, average_degree=rng.choice((4.0, 6.0)), seed=seed
+        )
+    return isolated_clique_gadget(rng.randrange(3, 7), rng.randrange(1, 3))
+
+
+class TestFlatTriangleWorkspaceFuzz:
+    @SETTINGS
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        family=st.sampled_from(["gnm", "powerlaw", "clique"]),
+    )
+    def test_lockstep_with_oracle(self, seed, family):
+        rng = random.Random(seed)
+        g = _fuzz_graph(family, seed, rng)
+        flat = FlatTriangleWorkspace(g)
+        oracle = TriangleWorkspace(g)
+        _check_flat_against_oracle(flat, oracle)
+        for _ in range(3 * g.n):
+            step = rng.choice(("delete", "path", "dominated", "degree_one"))
+            if step == "delete":
+                live = [v for v in range(g.n) if oracle.alive[v]]
+                if not live:
+                    break
+                v = rng.choice(live)
+                flat.delete_vertex(v, "exclude")
+                oracle.delete_vertex(v, "exclude")
+            elif step == "path":
+                u = oracle.pop_degree_two()
+                assert flat.pop_degree_two() == u
+                if u is not None:
+                    rule = apply_degree_two_path_reduction(oracle, u)
+                    assert apply_degree_two_path_reduction(flat, u) == rule
+            elif step == "dominated":
+                u = oracle.pop_dominated()
+                assert flat.pop_dominated() == u
+                if u is not None:
+                    flat.delete_vertex(u, "exclude")
+                    oracle.delete_vertex(u, "exclude")
+            else:
+                u = oracle.pop_degree_one()
+                assert flat.pop_degree_one() == u
+                if u is not None:
+                    (v,) = oracle.live_neighbors(u)
+                    assert flat.live_neighbors(u) == [v]
+                    flat.delete_vertex(v, "exclude")
+                    oracle.delete_vertex(v, "exclude")
+            _check_flat_against_oracle(flat, oracle)
 
 
 class TestArrayWorkspaceFuzz:

@@ -17,7 +17,8 @@ semantics: :func:`_reduce` drives any workspace through the public mutation
 protocol, while :func:`_reduce_flat` binds the
 :class:`~repro.core.workspace.FlatWorkspace` buffers to locals and fuses
 the degree-one cascade, deletions and log appends (the degree-two path
-reductions stay in the shared Lemma 4.1 driver).  The decision logs are
+reductions stay in the shared Lemma 4.1 driver, which it enters only when
+the path is reducible).  The decision logs are
 identical either way while the degree-one worklist stays narrower than
 :data:`~repro.core.workspace.BATCH_MIN_FRONTIER`; a wider frontier is
 resolved in whole-array rounds
@@ -89,7 +90,10 @@ def _reduce_flat(workspace: FlatWorkspace, stop_before_peel: bool) -> bool:
     directly; rule counters are accumulated locally and committed to the
     log in one batch when the loop exits.  While the degree-one worklist
     holds at least :data:`BATCH_MIN_FRONTIER` vertices, its rounds run
-    batched instead.
+    batched instead.  A popped degree-two vertex whose live neighbours
+    both have degree ≠ 2 and are not adjacent is the Lemma 4.1 driver's
+    irreducible case; it is skipped here, so the driver is entered only
+    when it will act.
     """
     log = workspace.log
     entries = log.entries
@@ -162,6 +166,21 @@ def _reduce_flat(workspace: FlatWorkspace, stop_before_peel: bool) -> bool:
                 u = x
                 break
         if u >= 0:
+            first = second = -1
+            for x in adj[xadj[u] : xadj[u + 1]]:
+                if alive[x]:
+                    if first < 0:
+                        first = x
+                    else:
+                        second = x
+                        break
+            if deg[first] != 2 and deg[second] != 2:
+                # A length-1 path; irreducible unless its anchors are
+                # adjacent (scan the shorter row).
+                if deg[first] > deg[second]:
+                    first, second = second, first
+                if second not in adj[xadj[first] : xadj[first + 1]]:
+                    continue
             # The shared driver mutates through workspace methods, which
             # maintain the live counters themselves — flush the local
             # deltas first so the workspace state it sees is consistent.

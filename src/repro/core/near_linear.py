@@ -15,6 +15,14 @@ dominates its neighbour); it is still drained with top priority so that
 maximal degree-two paths always terminate at degree-≥3 anchors.
 
 Worst-case time O(m·Δ); in practice near-linear because phase 1 collapses Δ.
+
+As in :mod:`repro.core.linear_time`, two drivers share the decision
+semantics: :func:`_main_loop` drives any workspace through the dominance
+protocol (the :class:`~repro.core.dominance.TriangleWorkspace` oracle, and
+the instrumented subclasses telemetry builds), while :func:`_main_loop_flat`
+binds the :class:`~repro.core.flat_dominance.FlatTriangleWorkspace`
+buffers to locals and fuses the pops, the Lemma 5.2 re-check and the
+deletions.  Their decision logs are identical.
 """
 
 from __future__ import annotations
@@ -40,11 +48,18 @@ from .result import (
     STAT_PEEL,
     MISResult,
 )
-from .trace import EXCLUDE, INCLUDE, DecisionLog
+from .trace import EXCLUDE, INCLUDE, PEEL, DecisionLog
 from ..obs.instrument import finish_profile, instrumented_factory, traced_replay
 from ..obs.telemetry import get_telemetry, phase
 
 __all__ = ["near_linear", "near_linear_reduce"]
+
+
+@hot_loop
+def _bump_path_rule(log: DecisionLog, rule: str) -> None:
+    """Count the Lemma 4.1 case ``rule`` (the irreducible skip is none)."""
+    if rule != RULE_IRREDUCIBLE:
+        log.bump(rule)
 
 
 @hot_loop
@@ -76,9 +91,7 @@ def _main_loop(workspace: Any, stop_before_peel: bool) -> bool:
             continue
         u = pop_degree_two()
         if u is not None:
-            rule = apply_degree_two_path_reduction(workspace, u)
-            if rule != RULE_IRREDUCIBLE:
-                bump(rule)
+            _bump_path_rule(log, apply_degree_two_path_reduction(workspace, u))
             continue
         u = pop_dominated()
         if u is not None:
@@ -92,6 +105,219 @@ def _main_loop(workspace: Any, stop_before_peel: bool) -> bool:
             return False
         delete_vertex(u, "peel")
         bump(STAT_PEEL)
+
+
+@hot_loop
+def _main_loop_flat(workspace: FlatTriangleWorkspace, stop_before_peel: bool) -> bool:
+    """The same loop specialized to the flat triangle-count buffers.
+
+    The validated pops, the Lemma 5.2 re-check, the degree-one neighbour
+    lookup, the peels and the deletion body of
+    :meth:`~repro.core.flat_dominance.FlatTriangleWorkspace.delete_vertex`
+    run on locals; entries are appended directly, and the degree-one,
+    dominance and peel counters are committed to the log in one batch when
+    the loop exits.  Lemma 4.1 paths stay in the shared driver, which is
+    entered only when it will act: a popped degree-two vertex whose live
+    neighbours both have degree ≠ 2 and are not adjacent is the driver's
+    irreducible case, and is skipped here.
+
+    A deletion of ``u`` with ``_tsum[u] == 0`` skips the clock bump, the
+    stamping and the δ bookkeeping: δ(u, ·) = 0 means no two neighbours of
+    ``u`` are adjacent, so no scanned row can hold a stamped slot.  It
+    still decrements the neighbour degrees, skips the rows that
+    ``_tsum[v] < d(v) − 1`` rules out, compacts the rest and re-files.
+    The decision log, the worklists and every buffer end up exactly as
+    :func:`_main_loop` leaves them on the same workspace.
+    """
+    log = workspace.log
+    append_entry = log.entries.append
+    adj = workspace.adj
+    xadj = workspace.xadj
+    tri = workspace.tri
+    deg = workspace.deg
+    alive = workspace.alive
+    rend = workspace._rend
+    stamp = workspace._stamp
+    tsum = workspace._tsum
+    v1 = workspace.v1
+    v2 = workspace.v2
+    dominated = workspace.dominated
+    v1_pop = v1.pop
+    v2_pop = v2.pop
+    dominated_pop = dominated.pop
+    v1_append = v1.append
+    v2_append = v2.append
+    dominated_append = dominated.append
+    pop_max_degree = workspace.pop_max_degree
+    neighbours: List[int] = []
+    shared: List[int] = []
+    neighbours_append = neighbours.append
+    shared_append = shared.append
+    clock = workspace._clock
+    dead = 0
+    deg_sum_drop = 0
+    degree_one_count = 0
+    dominance_count = 0
+    peel_count = 0
+    consumed = True
+    while True:
+        # --- degree-one rule: exclude the sole live neighbour of x -----
+        u = -1
+        while v1:
+            x = v1_pop()
+            if alive[x] and deg[x] == 1:
+                for u in adj[xadj[x] : rend[x]]:
+                    if alive[u]:
+                        break
+                break
+        if u >= 0:
+            kind = EXCLUDE
+            degree_one_count += 1
+        else:
+            # --- degree-two path reductions (shared Lemma 4.1 driver) --
+            while v2:
+                x = v2_pop()
+                if alive[x] and deg[x] == 2:
+                    u = x
+                    break
+            if u >= 0:
+                first = second = -1
+                for x in adj[xadj[u] : rend[u]]:
+                    if alive[x]:
+                        if first < 0:
+                            first = x
+                        else:
+                            second = x
+                            break
+                if deg[first] != 2 and deg[second] != 2:
+                    # A length-1 path; irreducible unless its anchors are
+                    # adjacent (scan the shorter row).
+                    if deg[first] > deg[second]:
+                        first, second = second, first
+                    if second not in adj[xadj[first] : rend[first]]:
+                        continue
+                # The shared driver mutates through workspace methods:
+                # flush the local clock and counters, then re-read the clock.
+                workspace._clock = clock
+                workspace._nlive -= dead
+                workspace._live_deg_sum -= deg_sum_drop
+                dead = 0
+                deg_sum_drop = 0
+                _bump_path_rule(log, apply_degree_two_path_reduction(workspace, u))
+                clock = workspace._clock
+                continue
+            # --- dominance: re-check each candidate by Lemma 5.2 -------
+            while dominated:
+                x = dominated_pop()
+                if alive[x]:
+                    lo = xadj[x]
+                    hi = rend[x]
+                    for v, t in zip(adj[lo:hi], tri[lo:hi]):
+                        if alive[v] and t == deg[v] - 1:
+                            u = x
+                            break
+                    if u >= 0:
+                        break
+            if u >= 0:
+                kind = EXCLUDE
+                dominance_count += 1
+            else:
+                # --- peel the maximum-degree vertex --------------------
+                top = pop_max_degree()
+                if top is None:
+                    break
+                if stop_before_peel:
+                    consumed = False
+                    break
+                u = top
+                kind = PEEL
+                peel_count += 1
+        # --- delete u (FlatTriangleWorkspace.delete_vertex, fused) -----
+        alive[u] = 0
+        dead += 1
+        deg_sum_drop += 2 * deg[u]
+        append_entry((kind, (u,)))
+        lo = xadj[u]
+        hi = rend[u]
+        if tsum[u]:
+            clock += 1
+            neighbours.clear()
+            shared.clear()
+            for w, t in zip(adj[lo:hi], tri[lo:hi]):
+                if alive[w]:
+                    stamp[w] = clock
+                    neighbours_append(w)
+                    shared_append(t)
+                    deg[w] -= 1
+                    tsum[w] -= t + t
+            for v, common in zip(neighbours, shared):
+                d = deg[v]
+                target = d - 1
+                if common or tsum[v] >= target:
+                    k = lo = xadj[v]
+                    hi = rend[v]
+                    for x, t in zip(adj[lo:hi], tri[lo:hi]):
+                        if alive[x]:
+                            if stamp[x] == clock:
+                                t -= 1
+                            adj[k] = x
+                            tri[k] = t
+                            if t == target:
+                                dominated_append(x)
+                            k += 1
+                    rend[v] = k
+                if d == 1:
+                    v1_append(v)
+                elif d == 2:
+                    v2_append(v)
+                elif d == 0:
+                    alive[v] = 0
+                    dead += 1
+                    append_entry((INCLUDE, (v,)))
+        else:
+            # No triangle through u: nothing to stamp, no δ or sum changes.
+            for v in adj[lo:hi]:
+                if alive[v]:
+                    d = deg[v] - 1
+                    deg[v] = d
+                    target = d - 1
+                    if tsum[v] >= target:
+                        k = lo = xadj[v]
+                        hi = rend[v]
+                        for x, t in zip(adj[lo:hi], tri[lo:hi]):
+                            if alive[x]:
+                                adj[k] = x
+                                tri[k] = t
+                                if t == target:
+                                    dominated_append(x)
+                                k += 1
+                        rend[v] = k
+                    if d == 1:
+                        v1_append(v)
+                    elif d == 2:
+                        v2_append(v)
+                    elif d == 0:
+                        alive[v] = 0
+                        dead += 1
+                        append_entry((INCLUDE, (v,)))
+    workspace._clock = clock
+    workspace._nlive -= dead
+    workspace._live_deg_sum -= deg_sum_drop
+    bump = log.bump
+    if degree_one_count:
+        bump(STAT_DEGREE_ONE, degree_one_count)
+    if dominance_count:
+        bump(STAT_DOMINANCE, dominance_count)
+    if peel_count:
+        bump(STAT_PEEL, peel_count)
+    return consumed
+
+
+def _run(workspace: Any, stop_before_peel: bool) -> bool:
+    """Dispatch to the specialized or the generic main loop."""
+    if type(workspace) is FlatTriangleWorkspace:
+        return _main_loop_flat(workspace, stop_before_peel)
+    return _main_loop(workspace, stop_before_peel)
 
 
 def _preprocess(
@@ -194,7 +420,7 @@ def near_linear(
     with phase(telemetry, "setup", algorithm="NearLinear", graph=graph.name):
         workspace = factory(residual)
     with phase(telemetry, "reduce", algorithm="NearLinear", graph=graph.name) as span:
-        _main_loop(workspace, stop_before_peel=False)
+        _run(workspace, stop_before_peel=False)
         span.meta["counters"] = dict(workspace.log.stats)
     log.extend_mapped(workspace.log, ids)
     if telemetry is not None:
@@ -248,7 +474,7 @@ def near_linear_reduce(
     with phase(
         telemetry, "reduce", algorithm="NearLinear-reduce", graph=graph.name
     ) as span:
-        _main_loop(workspace, stop_before_peel=True)
+        _run(workspace, stop_before_peel=True)
         span.meta["counters"] = dict(workspace.log.stats)
     if telemetry is not None:
         finish_profile(workspace)

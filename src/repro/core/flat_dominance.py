@@ -36,7 +36,7 @@ from ..graphs.static_graph import Graph
 from .bucket_queue import MaxDegreeSelector
 from .hotpath import hot_loop
 from .trace import DecisionLog
-from .workspace import compact_remap
+from .workspace import export_kernel_arrays
 
 __all__ = ["FlatTriangleWorkspace", "flat_one_pass_dominance"]
 
@@ -658,20 +658,17 @@ class FlatTriangleWorkspace:
     # Kernel export
     # ------------------------------------------------------------------
     def export_kernel(self) -> Tuple[Graph, List[int]]:
-        """Compacted live residual graph plus the id mapping."""
-        alive = self.alive
-        adj = self.adj
-        xadj = self.xadj
-        remap, old_ids = compact_remap(alive, self.n)
-        rend = self._rend
-        offsets = [0]
-        targets: List[int] = []
-        extend = targets.extend
-        for old in old_ids:
-            row = sorted(
-                remap[w] for w in adj[xadj[old] : rend[old]] if alive[w]
-            )
-            extend(row)
-            offsets.append(len(targets))
-        name = f"{self.graph.name}-kernel" if self.graph.name else "kernel"
-        return Graph(offsets, targets, name=name), old_ids
+        """Compacted live residual graph plus the id mapping.
+
+        Row ``v``'s live slots end at ``_rend[v]``; the slots past it are
+        stale copies left by compaction, masked out by ``rend``.
+        """
+        np = _np
+        offsets, _ = self.graph.flat_csr()
+        return export_kernel_arrays(
+            self.graph,
+            np.array(self.adj, dtype=np.int64),
+            np.frombuffer(offsets, dtype=np.int64),
+            np.frombuffer(self.alive, dtype=np.uint8),
+            np.array(self._rend, dtype=np.int64),
+        )

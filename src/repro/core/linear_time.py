@@ -35,7 +35,7 @@ from ..graphs.static_graph import Graph
 from .hotpath import hot_loop
 from .degree_two_paths import RULE_IRREDUCIBLE, apply_degree_two_path_reduction
 from .result import STAT_DEGREE_ONE, STAT_PEEL, MISResult
-from .trace import EXCLUDE, INCLUDE, PEEL, DecisionLog
+from .trace import EXCLUDE, INCLUDE, PEEL, Checkpoint, DecisionLog
 from .workspace import BATCH_MIN_FRONTIER, FlatWorkspace, _degree_one_rounds
 from ..obs.instrument import finish_profile, instrumented_factory, traced_replay
 from ..obs.telemetry import get_telemetry, phase
@@ -70,13 +70,12 @@ def _reduce(workspace: Any, stop_before_peel: bool) -> bool:
             if rule != RULE_IRREDUCIBLE:
                 bump(rule)
             continue
+        if stop_before_peel and workspace.live_vertex_count:
+            # Stall: pop nothing, so a later run resumes right here.
+            return False
         u = pop_max_degree()
         if u is None:
             return True
-        if stop_before_peel:
-            # Put the vertex back conceptually: the kernel snapshot below
-            # still contains it, so nothing further is needed.
-            return False
         delete_vertex(u, "peel")
         bump(STAT_PEEL)
 
@@ -197,13 +196,12 @@ def _reduce_flat(workspace: FlatWorkspace, stop_before_peel: bool) -> bool:
         # it reads off the workspace counter: flush the local count.
         workspace._nlive -= dead
         dead = 0
+        if stop_before_peel and workspace._nlive:
+            # Stall: pop nothing, so a later run resumes right here.
+            consumed = False
+            break
         u = pop_max_degree()
         if u is None:
-            break
-        if stop_before_peel:
-            # Put the vertex back conceptually: the kernel snapshot below
-            # still contains it, so nothing further is needed.
-            consumed = False
             break
         alive[u] = 0
         dead += 1
@@ -241,6 +239,27 @@ def _run(workspace: Any, stop_before_peel: bool) -> bool:
     return _reduce(workspace, stop_before_peel)
 
 
+def _set_up_and_run(
+    graph: Graph,
+    workspace_factory: Optional[Callable[..., object]],
+    telemetry: Any,
+    algorithm: str,
+    stop_before_peel: bool,
+) -> Any:
+    """Build the workspace and run the loop under ``setup``/``reduce``
+    spans labelled ``algorithm``; returns the workspace."""
+    factory = FlatWorkspace if workspace_factory is None else workspace_factory
+    if telemetry is not None:
+        factory = instrumented_factory(factory, telemetry, algorithm, graph.name)
+    with phase(telemetry, "setup", algorithm=algorithm, graph=graph.name):
+        workspace = factory(graph, track_degree_two=True)
+    with phase(telemetry, "reduce", algorithm=algorithm, graph=graph.name) as span:
+        _run(workspace, stop_before_peel)
+        span.meta["counters"] = dict(workspace.log.stats)
+    finish_profile(workspace)
+    return workspace
+
+
 def linear_time(
     graph: Graph,
     workspace_factory: Optional[Callable[..., object]] = None,
@@ -255,16 +274,8 @@ def linear_time(
     """
     start = time.perf_counter()
     telemetry = get_telemetry()  # one global check per run
-    factory = FlatWorkspace if workspace_factory is None else workspace_factory
+    workspace = _set_up_and_run(graph, workspace_factory, telemetry, "LinearTime", False)
     if telemetry is not None:
-        factory = instrumented_factory(factory, telemetry, "LinearTime", graph.name)
-    with phase(telemetry, "setup", algorithm="LinearTime", graph=graph.name):
-        workspace = factory(graph, track_degree_two=True)
-    with phase(telemetry, "reduce", algorithm="LinearTime", graph=graph.name) as span:
-        _run(workspace, stop_before_peel=False)
-        span.meta["counters"] = dict(workspace.log.stats)
-    if telemetry is not None:
-        finish_profile(workspace)
         telemetry.add_counters(workspace.log.stats)
         outcome = traced_replay(workspace.log, graph, telemetry, "LinearTime")
     else:
@@ -282,6 +293,37 @@ def linear_time(
     )
 
 
+def linear_time_checkpoint(
+    graph: Graph,
+    workspace_factory: Optional[Callable[..., object]] = None,
+) -> Checkpoint:
+    """Set up LinearTime and run it to its first stall, kernel exported.
+
+    The run pauses before it pops its first peel, so
+    :meth:`~repro.core.trace.Checkpoint.resume` continues on the same
+    workspace and ends with the log an uninterrupted :func:`linear_time`
+    run writes.  :func:`linear_time_reduce` is this checkpoint without the
+    resume; ARW-LT (Section 6) takes both.
+    """
+    telemetry = get_telemetry()
+    workspace = _set_up_and_run(
+        graph, workspace_factory, telemetry, "LinearTime-reduce", True
+    )
+    with phase(telemetry, "kernel-export", algorithm="LinearTime-reduce", graph=graph.name):
+        kernel, old_ids = workspace.export_kernel()
+    stall_log = workspace.log
+
+    def resume() -> DecisionLog:
+        # The stall log is handed out as it is; the rest of the run
+        # appends to a copy of it.
+        workspace.log = stall_log.copy()
+        _run(workspace, stop_before_peel=False)
+        finish_profile(workspace)
+        return workspace.log
+
+    return Checkpoint(kernel, old_ids, stall_log, resume)
+
+
 def linear_time_reduce(
     graph: Graph,
     workspace_factory: Optional[Callable[..., object]] = None,
@@ -290,24 +332,9 @@ def linear_time_reduce(
 
     Returns ``(kernel, old_ids, log)``: the compacted residual graph, the
     map from kernel ids to original ids, and the decision log to replay once
-    a solution for the kernel is known.  Used by ARW-LT (Section 6) and the
-    Eval-III kernel comparison.
+    a solution for the kernel is known.  Used by the Eval-III kernel
+    comparison; ARW-LT takes the same run through
+    :func:`linear_time_checkpoint`.
     """
-    telemetry = get_telemetry()
-    factory = FlatWorkspace if workspace_factory is None else workspace_factory
-    if telemetry is not None:
-        factory = instrumented_factory(
-            factory, telemetry, "LinearTime-reduce", graph.name
-        )
-    with phase(telemetry, "setup", algorithm="LinearTime-reduce", graph=graph.name):
-        workspace = factory(graph, track_degree_two=True)
-    with phase(
-        telemetry, "reduce", algorithm="LinearTime-reduce", graph=graph.name
-    ) as span:
-        _run(workspace, stop_before_peel=True)
-        span.meta["counters"] = dict(workspace.log.stats)
-    if telemetry is not None:
-        finish_profile(workspace)
-    with phase(telemetry, "kernel-export", algorithm="LinearTime-reduce", graph=graph.name):
-        kernel, old_ids = workspace.export_kernel()
-    return kernel, old_ids, workspace.log
+    kernel, old_ids, log, _ = linear_time_checkpoint(graph, workspace_factory)
+    return kernel, old_ids, log

@@ -48,7 +48,7 @@ from .result import (
     STAT_PEEL,
     MISResult,
 )
-from .trace import EXCLUDE, INCLUDE, PEEL, DecisionLog
+from .trace import EXCLUDE, INCLUDE, PEEL, Checkpoint, DecisionLog
 from ..obs.instrument import finish_profile, instrumented_factory, traced_replay
 from ..obs.telemetry import get_telemetry, phase
 
@@ -98,11 +98,12 @@ def _main_loop(workspace: Any, stop_before_peel: bool) -> bool:
             delete_vertex(u, "exclude")
             bump(STAT_DOMINANCE)
             continue
+        if stop_before_peel and workspace.live_vertex_count:
+            # Stall: pop nothing, so a later run resumes right here.
+            return False
         u = pop_max_degree()
         if u is None:
             return True
-        if stop_before_peel:
-            return False
         delete_vertex(u, "peel")
         bump(STAT_PEEL)
 
@@ -223,11 +224,12 @@ def _main_loop_flat(workspace: FlatTriangleWorkspace, stop_before_peel: bool) ->
                 dominance_count += 1
             else:
                 # --- peel the maximum-degree vertex --------------------
+                if stop_before_peel and workspace._nlive - dead:
+                    # Stall: pop nothing, so a later run resumes here.
+                    consumed = False
+                    break
                 top = pop_max_degree()
                 if top is None:
-                    break
-                if stop_before_peel:
-                    consumed = False
                     break
                 u = top
                 kind = PEEL
@@ -387,6 +389,39 @@ def _preprocess(
     return half, [ids[v] for v in half_ids]
 
 
+def _set_up_and_run(
+    graph: Graph,
+    preprocess: bool,
+    workspace_factory: Optional[Callable[..., object]],
+    sweep: Optional[Callable[[Graph], List[int]]],
+    lp: Optional[Callable[[Graph], LPReductionResult]],
+    telemetry: Any,
+    algorithm: str,
+    stop_before_peel: bool,
+) -> Tuple[DecisionLog, List[int], Any]:
+    """Phases 1–2, then the main loop on the residual's workspace under
+    ``setup``/``reduce`` spans labelled ``algorithm``.
+
+    Returns ``(log, ids, workspace)``: the phase 1–2 decisions, the
+    residual's id map and the workspace (its log in residual ids).
+    """
+    log = DecisionLog()
+    factory = FlatTriangleWorkspace if workspace_factory is None else workspace_factory
+    residual, ids = _preprocess(
+        graph, log, preprocess, flat=factory is not TriangleWorkspace,
+        telemetry=telemetry, sweep=sweep, lp=lp,
+    )
+    if telemetry is not None:
+        factory = instrumented_factory(factory, telemetry, algorithm, graph.name)
+    with phase(telemetry, "setup", algorithm=algorithm, graph=graph.name):
+        workspace = factory(residual)
+    with phase(telemetry, "reduce", algorithm=algorithm, graph=graph.name) as span:
+        _run(workspace, stop_before_peel)
+        span.meta["counters"] = dict(workspace.log.stats)
+    finish_profile(workspace)
+    return log, ids, workspace
+
+
 def near_linear(
     graph: Graph,
     preprocess: bool = True,
@@ -409,22 +444,11 @@ def near_linear(
     """
     start = time.perf_counter()
     telemetry = get_telemetry()  # one global check per run
-    log = DecisionLog()
-    factory = FlatTriangleWorkspace if workspace_factory is None else workspace_factory
-    residual, ids = _preprocess(
-        graph, log, preprocess, flat=factory is not TriangleWorkspace,
-        telemetry=telemetry, sweep=sweep, lp=lp,
+    log, ids, workspace = _set_up_and_run(
+        graph, preprocess, workspace_factory, sweep, lp, telemetry, "NearLinear", False
     )
-    if telemetry is not None:
-        factory = instrumented_factory(factory, telemetry, "NearLinear", graph.name)
-    with phase(telemetry, "setup", algorithm="NearLinear", graph=graph.name):
-        workspace = factory(residual)
-    with phase(telemetry, "reduce", algorithm="NearLinear", graph=graph.name) as span:
-        _run(workspace, stop_before_peel=False)
-        span.meta["counters"] = dict(workspace.log.stats)
     log.extend_mapped(workspace.log, ids)
     if telemetry is not None:
-        finish_profile(workspace)
         telemetry.add_counters(log.stats)
         outcome = traced_replay(log, graph, telemetry, "NearLinear")
     else:
@@ -442,6 +466,43 @@ def near_linear(
     )
 
 
+def near_linear_checkpoint(
+    graph: Graph,
+    preprocess: bool = True,
+    workspace_factory: Optional[Callable[..., object]] = None,
+    sweep: Optional[Callable[[Graph], List[int]]] = None,
+    lp: Optional[Callable[[Graph], LPReductionResult]] = None,
+) -> Checkpoint:
+    """Run NearLinear's phases 1–2 and its main loop to the first stall.
+
+    The main loop pauses before it pops its first peel, so
+    :meth:`~repro.core.trace.Checkpoint.resume` continues on the same
+    workspace and ends with the log an uninterrupted :func:`near_linear`
+    run writes.  :func:`near_linear_reduce` is this checkpoint without the
+    resume; ARW-NL (Section 6) takes both.  The arguments are
+    :func:`near_linear`'s.
+    """
+    telemetry = get_telemetry()
+    log, ids, workspace = _set_up_and_run(
+        graph, preprocess, workspace_factory, sweep, lp, telemetry,
+        "NearLinear-reduce", True,
+    )
+    preprocess_log = log.copy()
+    log.extend_mapped(workspace.log, ids)
+    with phase(
+        telemetry, "kernel-export", algorithm="NearLinear-reduce", graph=graph.name
+    ):
+        kernel, kernel_ids = workspace.export_kernel()
+
+    def resume() -> DecisionLog:
+        _run(workspace, stop_before_peel=False)
+        finish_profile(workspace)
+        preprocess_log.extend_mapped(workspace.log, ids)
+        return preprocess_log
+
+    return Checkpoint(kernel, [ids[v] for v in kernel_ids], log, resume)
+
+
 def near_linear_reduce(
     graph: Graph,
     preprocess: bool = True,
@@ -452,35 +513,13 @@ def near_linear_reduce(
     """Kernelize ``graph`` with NearLinear's exact rules only (no peeling).
 
     Returns ``(kernel, old_ids, log)`` exactly like
-    :func:`repro.core.linear_time.linear_time_reduce`; used by ARW-NL and
-    the Eval-III kernel comparison, and to report the paper's
-    "kernel graph size by NearLinear" column of Table 3.  ``sweep`` and
-    ``lp`` override the phase-1 sweep and phase-2 LP solver (see
-    :func:`_preprocess`).
+    :func:`repro.core.linear_time.linear_time_reduce`; used by the Eval-III
+    kernel comparison, and to report the paper's "kernel graph size by
+    NearLinear" column of Table 3 (ARW-NL takes the same run through
+    :func:`near_linear_checkpoint`).  ``sweep`` and ``lp`` override the
+    phase-1 sweep and phase-2 LP solver (see :func:`_preprocess`).
     """
-    telemetry = get_telemetry()
-    log = DecisionLog()
-    factory = FlatTriangleWorkspace if workspace_factory is None else workspace_factory
-    residual, ids = _preprocess(
-        graph, log, preprocess, flat=factory is not TriangleWorkspace,
-        telemetry=telemetry, sweep=sweep, lp=lp,
+    kernel, old_ids, log, _ = near_linear_checkpoint(
+        graph, preprocess, workspace_factory, sweep, lp
     )
-    if telemetry is not None:
-        factory = instrumented_factory(
-            factory, telemetry, "NearLinear-reduce", graph.name
-        )
-    with phase(telemetry, "setup", algorithm="NearLinear-reduce", graph=graph.name):
-        workspace = factory(residual)
-    with phase(
-        telemetry, "reduce", algorithm="NearLinear-reduce", graph=graph.name
-    ) as span:
-        _run(workspace, stop_before_peel=True)
-        span.meta["counters"] = dict(workspace.log.stats)
-    if telemetry is not None:
-        finish_profile(workspace)
-    log.extend_mapped(workspace.log, ids)
-    with phase(
-        telemetry, "kernel-export", algorithm="NearLinear-reduce", graph=graph.name
-    ):
-        kernel, kernel_ids = workspace.export_kernel()
-    return kernel, [ids[v] for v in kernel_ids], log
+    return kernel, old_ids, log

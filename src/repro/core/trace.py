@@ -20,7 +20,7 @@ after which the solution is extended to a maximal independent set
 from __future__ import annotations
 
 from itertools import compress
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as _np
 
@@ -31,6 +31,7 @@ from ..graphs.static_graph import Graph
 _EXTEND_VEC_MIN_N = 2048
 
 __all__ = [
+    "Checkpoint",
     "DecisionLog",
     "ReplayOutcome",
     "extend_to_maximal",
@@ -320,3 +321,20 @@ class DecisionLog:
             extend_to_maximal(in_set, graph)
         surviving = sum(1 for v in peeled_vertices if not in_set[v])
         return ReplayOutcome(in_set, len(peeled_vertices), surviving)
+
+
+class Checkpoint(NamedTuple):
+    """A reducing-peeling run paused at its first stall (the would-be first
+    peel), on the workspace it ran on.
+
+    ``kernel``, ``old_ids`` and ``log`` are the ``*_reduce`` triple: the
+    compacted residual graph, ``old_ids[kernel_id] = original_id`` and the
+    decisions so far in original ids.  ``resume()`` finishes the run on the
+    same workspace (call it at most once) and returns the whole run's log,
+    equal to the log of an uninterrupted run; ``log`` is left as it was.
+    """
+
+    kernel: Graph
+    old_ids: List[int]
+    log: DecisionLog
+    resume: Callable[[], DecisionLog]

@@ -108,14 +108,16 @@ def numpy_buffers(
 
 
 def export_kernel_arrays(
-    graph: Graph, adj: Any, xadj: Any, alive: Any
+    graph: Graph, adj: Any, xadj: Any, alive: Any, rend: Any = None
 ) -> Tuple[Graph, List[int]]:
     """The live residual graph of numpy workspace buffers, compacted.
 
     One vectorized pass: live slots are selected with a boolean mask (row
-    and target both alive), remapped through the cumulative-sum id map and
-    sorted per row with a single ``lexsort`` — the same sorted-row kernel
-    and ``old_ids`` list :meth:`ArrayWorkspace.export_kernel` builds.
+    and target both alive, and the slot below ``rend[row]`` when a row end
+    array is given), remapped through the cumulative-sum id map and sorted
+    per row by one sort of the int64 keys ``row·k + target`` (the rows are
+    already non-decreasing) — the same sorted-row kernel and ``old_ids``
+    list :meth:`ArrayWorkspace.export_kernel` builds.
     """
     np = _np
     n = graph.n
@@ -124,16 +126,21 @@ def export_kernel_arrays(
     name = f"{graph.name}-kernel" if graph.name else "kernel"
     if not old_ids:
         return Graph([0], [], name=name), old_ids
+    k = len(old_ids)
     remap = np.cumsum(alive_mask.astype(np.int64)) - 1
     slot_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(xadj))
     live_slots = alive_mask[adj] & alive_mask[slot_rows]
+    if rend is not None:
+        live_slots &= np.arange(len(adj), dtype=np.int64) < rend[slot_rows]
     rows = remap[slot_rows[live_slots]]
-    tgts = remap[adj[live_slots]]
-    order = np.lexsort((tgts, rows))
-    counts = np.bincount(rows, minlength=len(old_ids))
-    offsets = np.zeros(len(old_ids) + 1, dtype=np.int64)
+    base = rows * k
+    keys = remap[adj[live_slots]] + base
+    keys.sort()
+    keys -= base
+    counts = np.bincount(rows, minlength=k)
+    offsets = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    return Graph(offsets.tolist(), tgts[order].tolist(), name=name), old_ids
+    return Graph(offsets.tolist(), keys.tolist(), name=name), old_ids
 
 
 @hot_loop

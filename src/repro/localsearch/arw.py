@@ -18,7 +18,8 @@ a valid (1,2)-swap in O(m), following [2].  The production
 moves but revisits only vertices whose neighbourhood changed, so after the
 first exhaust an iteration costs the rows of the vertices it touches plus
 one whole-array perturbation: a numpy pass over the solution bytes, one
-RNG draw per outside vertex, and a C-level ``np.lexsort``.
+RNG draw per outside vertex, and an ``np.partition`` selection of the
+picks (no full sort).
 
 :func:`arw` drives the loop under a time budget and reports every
 improvement through a :class:`~repro.localsearch.events.ConvergenceRecorder`.
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import random
 import time
+from array import array
 from itertools import repeat, starmap
 from typing import Iterable, List, Optional, Set, Tuple
 
@@ -53,8 +55,8 @@ class LocalSearchState:
         self.tightness = [0] * graph.n
         self.size = 0
         # Perturbation priority: iteration at which a vertex last left the
-        # solution (0 = never been inside).
-        self._last_outside = [0] * graph.n
+        # solution (0 = never been inside); int64 words numpy reads in place.
+        self._last_outside = array("q", bytes(8 * graph.n))
         for v in initial:
             self.insert(v)
 
@@ -161,32 +163,48 @@ def _perturbation_strength(rng: random.Random) -> int:
     return strength
 
 
+def _smallest_keys(ages: np.ndarray, draws: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the ``k`` smallest ``(age, draw, position)`` keys, in
+    key order: ``np.lexsort((draws, ages))[:k]`` found by selection.
+
+    The ``k``-th smallest age splits the keys: every older-than-it key is
+    picked, and the rest of the picks come from its tie group, cut at the
+    draw the tie group needs (``np.partition`` both times).  A stable
+    lexsort of that pool, kept in position order, orders the picks.
+    """
+    if k >= len(ages):
+        return np.lexsort((draws, ages))
+    kth_age = np.partition(ages, k - 1)[k - 1]
+    pool = ages < kth_age
+    tied = np.flatnonzero(ages == kth_age)
+    need = k - int(np.count_nonzero(pool))
+    if need < len(tied):
+        tied_draws = draws[tied]
+        tied = tied[tied_draws <= np.partition(tied_draws, need - 1)[need - 1]]
+    pool[tied] = True
+    positions = np.flatnonzero(pool)
+    return positions[np.lexsort((draws[positions], ages[positions]))[:k]]
+
+
 def _perturb(state, strength: int, rng: random.Random, clock: int) -> bool:
     """Force in the ``strength`` outside vertices least recently inside.
 
     Ties on age break by one ``rng.random()`` draw per outside vertex, in
     index order, then by index — the keys and draw order of sorting the
-    outside list by ``(age, rng.random())``, found with one whole-array
-    pass and a stable ``np.lexsort`` instead.  Returns ``False`` when no
-    vertex is outside.
+    outside list by ``(age, rng.random())``, found with whole-array passes
+    and a selection (:func:`_smallest_keys`) instead.  Returns ``False``
+    when no vertex is outside.
     """
-    outside = np.flatnonzero(
-        np.frombuffer(state.in_solution, dtype=np.uint8) == 0
-    ).tolist()
-    if not outside:
+    outside = np.flatnonzero(np.frombuffer(state.in_solution, dtype=np.uint8) == 0)
+    count = len(outside)
+    if not count:
         return False
     draws = np.fromiter(
-        starmap(rng.random, repeat((), len(outside))),
-        dtype=np.float64,
-        count=len(outside),
+        starmap(rng.random, repeat((), count)), dtype=np.float64, count=count
     )
-    ages = np.fromiter(
-        map(state._last_outside.__getitem__, outside),
-        dtype=np.int64,
-        count=len(outside),
-    )
-    for i in np.lexsort((draws, ages))[:strength].tolist():
-        state.force_insert(outside[i], clock=clock)
+    ages = np.frombuffer(state._last_outside, dtype=np.int64)[outside]
+    for v in outside[_smallest_keys(ages, draws, strength)].tolist():
+        state.force_insert(v, clock=clock)
     return True
 
 

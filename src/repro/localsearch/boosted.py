@@ -1,9 +1,10 @@
 """ARW boosted by reducing-peeling kernelization (paper Section 6).
 
-ARW-LT and ARW-NL run the exact-rule half of LinearTime / NearLinear to
-obtain the kernel 𝒦, seed the local search with the corresponding full
-algorithm's solution *induced on the kernel*, iterate ARW on 𝒦, and lift
-the best kernel solution back to the input graph.
+ARW-LT and ARW-NL run LinearTime / NearLinear once.  The run pauses at its
+first stall, where the kernel 𝒦 is exported, then resumes on the same
+workspace to the full algorithm's solution.  That solution, *induced on
+the kernel*, seeds the ARW local search on 𝒦, and the best kernel
+solution is lifted back to the input graph.
 
 Because the kernel may contain rewired edges that do not exist in the
 original graph, the induced seed is repaired (one endpoint of each violated
@@ -13,18 +14,27 @@ kernel edge dropped) and re-extended before the search starts.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Optional, Set
+from typing import Callable, Dict, Iterable, Optional, Set
 
-from ..core.kernel import KernelResult, kernelize
-from ..core.linear_time import linear_time
-from ..core.near_linear import near_linear
+import numpy as np
+
+from ..core.kernel import KernelResult
+from ..core.linear_time import linear_time_checkpoint
+from ..core.near_linear import near_linear_checkpoint
+from ..core.trace import Checkpoint
+from ..errors import ReproError
 from ..graphs.static_graph import Graph
 from ..obs.telemetry import get_telemetry, phase
 from .arw import arw
 from .events import ConvergenceRecorder
-from .flat_state import FlatLocalSearchState
 
 __all__ = ["BoostedResult", "arw_lt", "arw_nl", "boosted_arw"]
+
+#: The kernel method of each boosted variant and the run it checkpoints.
+_CHECKPOINTS: Dict[str, Callable[[Graph], Checkpoint]] = {
+    "linear_time": linear_time_checkpoint,
+    "near_linear": near_linear_checkpoint,
+}
 
 
 class BoostedResult:
@@ -49,26 +59,40 @@ class BoostedResult:
 
 
 def _induce_on_kernel(
-    kernel: Graph, old_ids, full_solution: Iterable[int], state_factory=None
+    kernel_result: KernelResult, full_solution: Iterable[int]
 ) -> Set[int]:
     """Project a full-graph solution onto the kernel and make it valid.
 
     Intersects, drops one endpoint of every kernel edge the projection
     violates (rewired edges may not exist in the original graph), then
-    extends to a maximal set of the kernel.
+    extends to a maximal set of the kernel, inserting free vertices in
+    index order.  Both ends of a violated edge are seeded, so the
+    ascending discard pass visits only the ends of such edges: a seeded
+    vertex with no seeded neighbour is never discarded.
     """
-    if state_factory is None:
-        state_factory = FlatLocalSearchState
-    selected = set(full_solution)
-    seed = {new for new, old in enumerate(old_ids) if old in selected}
-    for v in sorted(seed):
-        if v in seed and any(w in seed for w in kernel.neighbors(v)):
-            seed.discard(v)
-    state = state_factory(kernel, seed)
-    for v in range(kernel.n):
-        if not state.in_solution[v] and state.tightness[v] == 0:
-            state.insert(v)
-    return state.solution()
+    kernel = kernel_result.kernel
+    selected = np.zeros(kernel_result.graph.n, dtype=np.bool_)
+    selected[np.fromiter(full_solution, dtype=np.int64)] = True
+    in_set = selected[np.asarray(kernel_result.old_ids, dtype=np.int64)]
+    # A kernel that is not solved has edges, so both buffers are non-empty.
+    offsets, targets = kernel.flat_csr()
+    adj = np.frombuffer(targets, dtype=np.int32)
+    rows = np.repeat(
+        np.arange(kernel.n, dtype=np.int64),
+        np.diff(np.frombuffer(offsets, dtype=np.int64)),
+    )
+    for v in np.unique(rows[in_set[rows] & in_set[adj]]).tolist():
+        if in_set[v] and in_set[list(kernel.neighbors(v))].any():
+            in_set[v] = False
+    # Extend in index order: only a vertex with no neighbour in the
+    # repaired seed can join, and it joins unless an earlier one blocked it.
+    blocked = np.zeros(kernel.n, dtype=np.bool_)
+    blocked[adj[in_set[rows]]] = True
+    for v in np.flatnonzero(~in_set & ~blocked).tolist():
+        if not blocked[v]:
+            in_set[v] = True
+            blocked[list(kernel.neighbors(v))] = True
+    return set(np.flatnonzero(in_set).tolist())
 
 
 def boosted_arw(
@@ -80,39 +104,47 @@ def boosted_arw(
     state_factory=None,
     rng: Optional[random.Random] = None,
 ) -> BoostedResult:
-    """Run kernelize → seed → ARW → lift for the given kernel method.
+    """Run reduce → seed → ARW → lift for the given kernel method.
 
     ``method`` is ``"linear_time"`` (ARW-LT) or ``"near_linear"``
-    (ARW-NL).  The recorder's events are *lifted* sizes, so they compare
-    directly with unboosted ARW on the input graph.  ``state_factory`` /
-    ``rng`` are forwarded to :func:`~repro.localsearch.arw.arw` (flat
-    search state and ``random.Random(seed)`` by default).
+    (ARW-NL).  One run of that algorithm gives both the kernel (at its
+    first stall) and, resumed, the full solution that seeds the search.
+    The recorder's events are *lifted* sizes, so they compare directly
+    with unboosted ARW on the input graph.  ``state_factory`` / ``rng``
+    are forwarded to :func:`~repro.localsearch.arw.arw` (flat search state
+    and ``random.Random(seed)`` by default).
     """
+    try:
+        checkpoint = _CHECKPOINTS[method]
+    except KeyError:
+        raise ReproError(
+            f"unknown boosted method {method!r}; choose from {sorted(_CHECKPOINTS)}"
+        ) from None
     telemetry = get_telemetry()  # one global check per run
     recorder = ConvergenceRecorder()
-    # The kernelize/solve spans below nest the reduce/lp-kernel/replay
-    # spans that linear_time_reduce / near_linear emit themselves.
+    # The kernelize span below nests the spans the checkpoint emits itself
+    # (setup/reduce/kernel-export, after NearLinear's preprocessing spans).
     with phase(
         telemetry, "kernelize", algorithm="BoostedARW",
         graph=graph.name, method=method,
     ) as span:
-        kernel_result = kernelize(graph, method=method)
+        kernel, old_ids, log, resume = checkpoint(graph)
+        kernel_result = KernelResult(graph, kernel, tuple(old_ids), log, method)
         if not kernel_result.is_solved:
-            span.meta["kernel_vertices"] = kernel_result.kernel.n
+            span.meta["kernel_vertices"] = kernel.n
     if kernel_result.is_solved:
         # The reductions alone solved the graph: replaying their log is the
-        # full algorithm's answer (it never peels), without a second run.
+        # full algorithm's answer (it never peels).
         solved = kernel_result.lift(())
         recorder.record(len(solved))
         return BoostedResult(solved, recorder, kernel_result)
-    full = linear_time(graph) if method == "linear_time" else near_linear(graph)
+    with phase(telemetry, "resume", algorithm="BoostedARW", graph=graph.name):
+        full_log = resume()
+        if telemetry is not None:
+            telemetry.add_counters(full_log.stats)
+        full_solution = full_log.replay(graph).vertices
     with phase(telemetry, "seed-induce", algorithm="BoostedARW", graph=graph.name):
-        seed_solution = _induce_on_kernel(
-            kernel_result.kernel,
-            kernel_result.old_ids,
-            full.independent_set,
-            state_factory=state_factory,
-        )
+        seed_solution = _induce_on_kernel(kernel_result, full_solution)
 
     with phase(telemetry, "lift", algorithm="BoostedARW", graph=graph.name):
         lifted_best = kernel_result.lift(seed_solution)

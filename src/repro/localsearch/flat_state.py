@@ -38,6 +38,7 @@ is exactly the trade the index wants.
 
 from __future__ import annotations
 
+from array import array
 from heapq import heappop, heappush
 from typing import Iterable, List, Optional, Set, Tuple
 
@@ -78,8 +79,8 @@ class FlatLocalSearchState:
         self.tightness = [0] * n
         self.size = 0
         # Perturbation priority: iteration at which a vertex last left the
-        # solution (0 = never been inside).
-        self._last_outside = [0] * n
+        # solution (0 = never been inside); int64 words numpy reads in place.
+        self._last_outside = array("q", bytes(8 * n))
         self._one_tight_count = [0] * n
         self._one_holder = [0] * n
         self._stamp = [0] * n

@@ -16,11 +16,24 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.dominance import TriangleWorkspace
 from repro.core.flat_dominance import FlatTriangleWorkspace
-from repro.core.linear_time import _reduce, _reduce_flat
-from repro.core.near_linear import _main_loop, _main_loop_flat
+from repro.core.linear_time import (
+    _reduce,
+    _reduce_flat,
+    linear_time,
+    linear_time_checkpoint,
+    linear_time_reduce,
+)
+from repro.core.near_linear import (
+    _main_loop,
+    _main_loop_flat,
+    near_linear,
+    near_linear_checkpoint,
+    near_linear_reduce,
+)
 from repro.core.result import STAT_DOMINANCE, STAT_PATH_EVEN_NO_EDGE
-from repro.core.workspace import FlatWorkspace
+from repro.core.workspace import ArrayWorkspace, FlatWorkspace
 from repro.graphs import GraphBuilder, gnm_random_graph, power_law_graph
 
 SETTINGS = settings(
@@ -158,3 +171,123 @@ class TestLinearTimeFusedLoop:
         assert fused._rounds == 0
         assert _linear_time_state(fused) == _linear_time_state(generic)
 
+
+
+# Every driver with the workspace it runs on in production or as oracle.
+DRIVERS = [
+    ("linear_time._reduce", _reduce, lambda g: ArrayWorkspace(g, track_degree_two=True)),
+    ("linear_time._reduce_flat", _reduce_flat, lambda g: FlatWorkspace(g, track_degree_two=True)),
+    ("near_linear._main_loop", _main_loop, TriangleWorkspace),
+    ("near_linear._main_loop_flat", _main_loop_flat, FlatTriangleWorkspace),
+]
+
+
+def _log_state(workspace):
+    return list(workspace.log.entries), dict(workspace.log.stats)
+
+
+class TestStallAndResume:
+    """A stop at the first stall pops nothing, so resuming the same
+    workspace writes the log and counters of an uninterrupted run."""
+
+    @SETTINGS
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        family=st.sampled_from(FAMILIES),
+        driver=st.sampled_from(DRIVERS),
+    )
+    def test_stop_then_resume_equals_one_run(self, seed, family, driver):
+        _, run, factory = driver
+        graph = _graph(family, seed)
+        paused = factory(graph)
+        stalled = not run(paused, True)
+        at_stall = _log_state(paused)
+        kernel = paused.export_kernel()
+        assert run(paused, False)
+        whole = factory(graph)
+        assert run(whole, False)
+        assert _log_state(paused) == _log_state(whole)
+        if stalled:
+            # Nothing was popped at the stall: the kernel is every live vertex.
+            assert kernel[0].n == len(kernel[1]) > 0
+        else:
+            assert at_stall == _log_state(whole)
+
+    def test_families_stall(self):
+        # The hypothesis families do reach a stall under every driver.
+        for name, run, factory in DRIVERS:
+            stalls = sum(
+                not run(factory(_graph(family, seed)), True)
+                for family in FAMILIES
+                for seed in range(10)
+            )
+            assert stalls >= 10, name
+
+    @SETTINGS
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        family=st.sampled_from(FAMILIES),
+    )
+    def test_checkpoints_match_reduce_and_full_runs(self, seed, family):
+        graph = _graph(family, seed)
+        runs = [
+            (linear_time_checkpoint, linear_time_reduce, linear_time,
+             (FlatWorkspace, ArrayWorkspace)),
+            (near_linear_checkpoint, near_linear_reduce, near_linear,
+             (FlatTriangleWorkspace, TriangleWorkspace)),
+        ]
+        for checkpoint, reduce, full, factories in runs:
+            for factory in factories:
+                kernel, old_ids, log, resume = checkpoint(
+                    graph, workspace_factory=factory
+                )
+                r_kernel, r_ids, r_log = reduce(graph, workspace_factory=factory)
+                assert kernel.csr_arrays() == r_kernel.csr_arrays()
+                assert old_ids == r_ids
+                stall = (list(log.entries), dict(log.stats))
+                assert stall == (list(r_log.entries), dict(r_log.stats))
+                whole = resume()
+                # The stall log is left as it was.
+                assert (list(log.entries), dict(log.stats)) == stall
+                result = full(graph, workspace_factory=factory)
+                assert whole.stats == result.stats
+                outcome = whole.replay(graph)
+                assert outcome.vertices == result.independent_set
+                assert outcome.upper_bound == result.upper_bound
+
+
+class TestTriangleExport:
+    @SETTINGS
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        family=st.sampled_from(FAMILIES),
+        stop_before_peel=st.booleans(),
+    )
+    def test_flat_export_equals_oracle_export(self, seed, family, stop_before_peel):
+        # The whole-array export over compacted and rewired rows gives the
+        # oracle's kernel and id map.
+        graph = _graph(family, seed)
+        flat = FlatTriangleWorkspace(graph)
+        oracle = TriangleWorkspace(graph)
+        _main_loop_flat(flat, stop_before_peel)
+        _main_loop(oracle, stop_before_peel)
+        kernel, old_ids = flat.export_kernel()
+        o_kernel, o_ids = oracle.export_kernel()
+        assert kernel.csr_arrays() == o_kernel.csr_arrays()
+        assert old_ids == o_ids
+
+    def test_families_rewire_before_export(self):
+        # The export test sees rewired rows: path reductions retarget slots.
+        rewires = 0
+
+        class Counting(FlatTriangleWorkspace):
+            __slots__ = ()
+
+            def rewire(self, v, old, new):
+                nonlocal rewires
+                rewires += 1
+                super().rewire(v, old, new)
+
+        for seed in range(10):
+            _main_loop(Counting(_graph("cliques", seed)), True)
+        assert rewires > 0

@@ -1,6 +1,9 @@
 """Tests for the ARW local search and its data structures."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import is_independent_set
 from repro.baselines import du
@@ -16,6 +19,7 @@ from repro.graphs import (
     star_graph,
 )
 from repro.localsearch import ConvergenceRecorder, LocalSearchState, arw
+from repro.localsearch.arw import _smallest_keys
 
 
 class TestLocalSearchState:
@@ -132,3 +136,23 @@ class TestConvergenceRecorder:
         assert recorder.best_size == 0
         recorder.record(3)
         assert recorder.first_event[1] == 3
+
+
+class TestPerturbationSelection:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_smallest_keys_is_the_lexsort_prefix(self, data):
+        # Heavy ties on both keys, and k anywhere from 1 past the size.
+        size = data.draw(st.integers(min_value=1, max_value=80))
+        ages = data.draw(
+            st.lists(st.integers(0, 3), min_size=size, max_size=size)
+        )
+        draws = data.draw(
+            st.lists(st.sampled_from((0.0, 0.25, 0.5, 0.75)),
+                     min_size=size, max_size=size)
+        )
+        k = data.draw(st.integers(min_value=1, max_value=size + 5))
+        ages = np.array(ages, dtype=np.int64)
+        draws = np.array(draws, dtype=np.float64)
+        expected = np.lexsort((draws, ages))[:k]
+        assert _smallest_keys(ages, draws, k).tolist() == expected.tolist()

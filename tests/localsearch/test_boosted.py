@@ -1,5 +1,6 @@
 """Tests for the kernel-boosted ARW variants (ARW-LT / ARW-NL)."""
 
+import hashlib
 import random
 
 import pytest
@@ -61,7 +62,7 @@ class TestBoostedDispatch:
 
 
 class TestSolvedKernelSkipsSecondRun:
-    """A solved kernel is lifted instead of re-running the full algorithm."""
+    """A solved kernel is lifted; an unsolved one resumes the same run."""
 
     @pytest.mark.parametrize(
         "boost, full",
@@ -77,17 +78,40 @@ class TestSolvedKernelSkipsSecondRun:
         assert result.independent_set == expected.independent_set
         assert [size for _, size in result.recorder.events] == [expected.size]
 
-    def test_solved_graph_runs_no_full_solve(self, monkeypatch):
-        from repro.localsearch import boosted
+    def test_every_op_builds_one_reduction_workspace(self, monkeypatch):
+        # One run gives both the kernel and, resumed, the seed: each op,
+        # solved or not, constructs exactly one reduction workspace.
+        from repro.core.dominance import TriangleWorkspace
+        from repro.core.flat_dominance import FlatTriangleWorkspace
+        from repro.core.workspace import ArrayWorkspace, FlatWorkspace
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("full algorithm re-run on a solved kernel")
+        built = []
 
-        monkeypatch.setattr(boosted, "linear_time", forbidden)
-        monkeypatch.setattr(boosted, "near_linear", forbidden)
-        g = path_graph(60)
-        for boost in (arw_lt, arw_nl):
-            assert boost(g, time_budget=0.05, max_iterations=2).size == 30
+        def counting(cls):
+            init = cls.__init__
+
+            def counted(self, *args, **kwargs):
+                built.append(cls.__name__)
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+
+        for cls in (ArrayWorkspace, FlatWorkspace, TriangleWorkspace,
+                    FlatTriangleWorkspace):
+            counting(cls)
+        graphs = [
+            (path_graph(60), True),
+            (power_law_graph(3000, 2.2, average_degree=4, seed=7), True),
+            (gnm_random_graph(80, 200, seed=11), False),
+        ]
+        for boost, workspace in ((arw_lt, "FlatWorkspace"),
+                                 (arw_nl, "FlatTriangleWorkspace")):
+            for g, solved in graphs:
+                del built[:]
+                result = boost(g, time_budget=3600.0, max_iterations=5,
+                               rng=random.Random(3))
+                assert result.kernel_result.is_solved == solved
+                assert built == [workspace], (boost.__name__, g.name)
 
     @pytest.mark.parametrize(
         "boost, expected",
@@ -111,3 +135,91 @@ class TestSolvedKernelSkipsSecondRun:
         assert not result.kernel_result.is_solved
         assert sorted(result.independent_set) == expected
         assert [size for _, size in result.recorder.events] == [34]
+
+
+@pytest.mark.parametrize("boost", [arw_lt, arw_nl])
+def test_gnm_25k_run_is_pinned(boost):
+    # Pinned from the implementation that ran kernelize and then the full
+    # algorithm, exported kernels through np.lexsort and sorted every
+    # outside vertex per perturbation (gnm-file's shape).
+    g = gnm_random_graph(25000, 75000, seed=1)
+    rng = random.Random(1)
+    result = boost(g, time_budget=3600.0, max_iterations=30, rng=rng)
+    assert result.kernel_result.kernel.n == 24100
+    best = repr(sorted(result.independent_set)).encode()
+    assert hashlib.sha256(best).hexdigest() == (
+        "260afb9c1b82cdd72519aa53bffc6abd6ffa572de165e538a30bc42d4a2e0ae1"
+    )
+    assert [size for _, size in result.recorder.events] == [
+        9900, 9918, 9919, 9920, 9921,
+    ]
+    assert hashlib.sha256(repr(rng.getstate()).encode()).hexdigest() == (
+        "9c848952eaca8914322caccccb81ecad98a9543482b68daa7f46790bcaf1d4ae"
+    )
+
+
+@pytest.mark.parametrize("boost", [arw_lt, arw_nl])
+def test_telemetry_leaves_results_unchanged(boost):
+    # Telemetry swaps in an instrumented workspace, which takes the generic
+    # driver; the paused-and-resumed run must still give the same answer.
+    from repro.obs.telemetry import get_telemetry, telemetry_session
+
+    g = gnm_random_graph(3000, 9000, seed=3)
+    plain_rng = random.Random(5)
+    plain = boost(g, time_budget=3600.0, max_iterations=30, rng=plain_rng)
+    traced_rng = random.Random(5)
+    with telemetry_session("boosted") as telemetry:
+        traced = boost(g, time_budget=3600.0, max_iterations=30, rng=traced_rng)
+    assert get_telemetry() is None
+    assert traced.independent_set == plain.independent_set
+    assert [s for _, s in traced.recorder.events] == [
+        s for _, s in plain.recorder.events
+    ]
+    assert traced_rng.getstate() == plain_rng.getstate()
+    names = [span.name for span in telemetry.spans]
+    assert names.count("kernelize") == names.count("resume") == 1
+
+
+def _induce_by_loops(kernel, old_ids, full_solution):
+    """The per-vertex projection the whole-array one replaced."""
+    from repro.localsearch import LocalSearchState
+
+    selected = set(full_solution)
+    seed = {new for new, old in enumerate(old_ids) if old in selected}
+    for v in sorted(seed):
+        if v in seed and any(w in seed for w in kernel.neighbors(v)):
+            seed.discard(v)
+    state = LocalSearchState(kernel, seed)
+    for v in range(kernel.n):
+        if not state.in_solution[v] and state.tightness[v] == 0:
+            state.insert(v)
+    return state.solution()
+
+
+@pytest.mark.parametrize("method", ["linear_time", "near_linear"])
+def test_seed_projection_matches_the_loop_reference(method):
+    # Random vertex sets (independent or not) clash on original and on
+    # rewired kernel edges alike, so the discard pass does real work.
+    from repro.core import kernelize
+    from repro.localsearch.boosted import _induce_on_kernel
+
+    clashes = 0
+    for seed in range(12):
+        g = gnm_random_graph(120, 300 + 20 * seed, seed=seed)
+        kernel_result = kernelize(g, method)
+        if kernel_result.is_solved:
+            continue
+        rng = random.Random(seed)
+        for density in (0.1, 0.4, 0.8):
+            chosen = {v for v in range(g.n) if rng.random() < density}
+            expected = _induce_by_loops(
+                kernel_result.kernel, kernel_result.old_ids, chosen
+            )
+            assert _induce_on_kernel(kernel_result, chosen) == expected
+            seeded = {
+                new for new, old in enumerate(kernel_result.old_ids) if old in chosen
+            }
+            clashes += any(
+                w in seeded for v in seeded for w in kernel_result.kernel.neighbors(v)
+            )
+    assert clashes > 0

@@ -18,8 +18,8 @@ The subcommands cover the library's everyday uses:
 * ``loadgen``   — seeded load generator comparing the sync loop against
   the async front-end with rid-level answer verification
   (:mod:`repro.serve.loadgen`);
-* ``bench``     — run the perf-regression suite
-  (:mod:`repro.perf.bench_regression`);
+* ``bench``     — run the perf-regression suite; its arguments go
+  unchanged to :mod:`repro.perf.bench_regression`;
 * ``snapshot``  — summarize a service snapshot written by ``serve
   --snapshot`` or :meth:`repro.serve.SolverService.save`;
 * ``lint``      — reprolint, the repo's contract checker; its arguments
@@ -190,19 +190,6 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
 
     print(render_report(load_trace(args.trace), title=f"trace: {args.trace}"))
     return 0
-
-
-def _cmd_obs_watch(args: argparse.Namespace) -> int:
-    from .obs.watch import main as watch_main
-
-    argv = ["--dir", args.dir, "--tolerance", str(args.tolerance)]
-    if args.json:
-        argv.append("--json")
-    if args.out:
-        argv.extend(["--out", args.out])
-    if args.strict:
-        argv.append("--strict")
-    return watch_main(argv)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -570,20 +557,6 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .perf.bench_regression import main as bench_main
-
-    argv = ["--suite", args.suite, "--out", args.out]
-    argv.extend(["--repeats", str(args.repeats)])
-    argv.extend(["--max-regression", str(args.max_regression)])
-    if args.compare:
-        argv.extend(["--compare", args.compare])
-    if args.telemetry:
-        argv.append("--telemetry")
-        argv.extend(["--telemetry-out", args.telemetry_out])
-    return bench_main(argv)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -647,27 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs_report.add_argument("trace", help="trace file written by --telemetry")
     obs_report.set_defaults(handler=_cmd_obs_report)
-    obs_watch = obs_commands.add_parser(
-        "watch",
-        help="flag gated bench tracks that drifted from their trajectory best",
-    )
-    obs_watch.add_argument(
-        "--dir", default=".", help="directory holding BENCH_PR*.json baselines"
-    )
-    obs_watch.add_argument(
-        "--tolerance",
-        type=float,
-        default=2.0,
-        help="flag when latest wall exceeds trajectory best by this ratio",
-    )
-    obs_watch.add_argument(
-        "--json", action="store_true", help="emit the trajectory as JSON"
-    )
-    obs_watch.add_argument("--out", default=None, help="also write the output here")
-    obs_watch.add_argument(
-        "--strict", action="store_true", help="exit nonzero on any flagged track"
-    )
-    obs_watch.set_defaults(handler=_cmd_obs_watch)
 
     serve = commands.add_parser(
         "serve", help="drive the incremental solving service from JSONL requests"
@@ -794,29 +746,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     snapshot.set_defaults(handler=_cmd_snapshot)
 
-    bench = commands.add_parser(
-        "bench", help="run the perf-regression suite (repro.perf.bench_regression)"
+    # Registered so ``repro --help`` lists them; ``main`` forwards the raw
+    # arguments after ``bench`` / ``lint`` to their modules before parsing.
+    commands.add_parser(
+        "bench",
+        help="run the perf-regression suite (repro.perf.bench_regression)",
+        add_help=False,
     )
-    bench.add_argument(
-        "--suite",
-        default="quick",
-        choices=["smoke", "quick", "full"],
-        help="graph suite to run (default quick)",
-    )
-    bench.add_argument("--out", default="bench_report.json", help="report path")
-    bench.add_argument(
-        "--compare", default=None, metavar="BASELINE", help="baseline JSON to gate against"
-    )
-    bench.add_argument("--max-regression", type=float, default=2.0)
-    bench.add_argument("--repeats", type=int, default=3)
-    bench.add_argument(
-        "--telemetry", action="store_true", help="collect a phase-span trace"
-    )
-    bench.add_argument("--telemetry-out", default="bench_telemetry.jsonl")
-    bench.set_defaults(handler=_cmd_bench)
-
-    # Registered so ``repro --help`` lists it; ``main`` forwards the raw
-    # arguments after ``lint`` to :mod:`repro.lint.cli` before parsing.
     commands.add_parser(
         "lint", help="run reprolint, the repo's contract checker", add_help=False
     )
@@ -832,9 +768,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .lint.cli import run as lint_run
 
         return lint_run(argv[1:])
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        if argv[:1] == ["bench"]:
+            # Routed like ``lint``; an unreadable ``--compare`` baseline
+            # still reports as an ``error:`` line.
+            from .perf.bench_regression import main as bench_main
+
+            return bench_main(argv[1:])
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -52,7 +52,6 @@ from .telemetry import (
     telemetry_session,
 )
 from .trace_io import collect_worker_traces, load_trace, merge_traces, write_trace
-from .watch import build_trajectory, discover_baselines, render_watch_report
 
 __all__ = [
     "METRIC_KEYS",
@@ -62,11 +61,9 @@ __all__ = [
     "MetricsRegistry",
     "Span",
     "Telemetry",
-    "build_trajectory",
     "collect_worker_traces",
     "disable",
     "disable_metrics",
-    "discover_baselines",
     "enable",
     "enable_metrics",
     "finish_profile",
@@ -81,7 +78,6 @@ __all__ = [
     "probe_record",
     "profile_is_monotone",
     "render_report",
-    "render_watch_report",
     "summarize",
     "telemetry_session",
     "traced_replay",

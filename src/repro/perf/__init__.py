@@ -13,11 +13,12 @@ Two pieces live here:
   field-for-field identical to the serial driver's, modulo the algorithm
   label and wall time.
 * :mod:`repro.perf.bench_regression` — the perf-regression harness.  It
-  times each flat-buffer backend against its oracle twin (LinearTime,
-  NearLinear and ARW-LT tracks) on seeded generator graphs, records kernel
-  sizes and live-counter costs, writes a JSON report, and can compare a
-  fresh run against a committed baseline (used by the CI ``perf-smoke``
-  job).
+  times each flat-buffer backend against its oracle twin (BDOne,
+  LinearTime, NearLinear and ARW-LT) on seeded generator graphs, plus the
+  serving layer's repair and async front-end walls, writes a JSON report,
+  and gates five tracks (LinearTime, NearLinear, ARW-LT,
+  ServeIncremental, ServeLoad) against a committed baseline (used by the
+  CI ``perf-smoke`` job).
 """
 
 from .parallel import (

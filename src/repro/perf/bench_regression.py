@@ -1,4 +1,4 @@
-"""Perf-regression harness: flat backends vs. their oracles, tracked over time.
+"""Perf-regression harness: flat backends vs. their oracles.
 
 Runs the reducing-peeling algorithms on seeded generator graphs (so every
 run sees byte-identical inputs), timing each flat-buffer backend against
@@ -8,23 +8,22 @@ LinearTime, :class:`~repro.core.flat_dominance.FlatTriangleWorkspace` vs
 the list-of-dicts :class:`~repro.core.dominance.TriangleWorkspace` for
 NearLinear, and :class:`~repro.localsearch.flat_state.FlatLocalSearchState`
 vs the legacy :class:`~repro.localsearch.arw.LocalSearchState` for ARW-LT —
-and writes a JSON report.  The report also records kernel sizes (so a rule
-regression shows up as a kernel-size diff, not just a timing blip) and the
-per-call cost of the maintained live counters next to an O(n)-scan
-reference.
+and writes a JSON report.  The serving layer adds two tracks: repair vs.
+fresh solve on mutation streams, and the async front-end vs. the sync
+loop.
 
 Usage::
 
     python -m repro.perf.bench_regression                  # full suite
-    python -m repro.perf.bench_regression --quick          # CI-sized suite
-    python -m repro.perf.bench_regression --quick \
+    python -m repro.perf.bench_regression --suite quick    # CI-sized suite
+    python -m repro.perf.bench_regression --suite quick \
         --out bench_quick.json --compare BENCH_PR10.json    # regression gate
 
 ``--compare`` checks the fresh run against a committed baseline and exits
 nonzero when any gated track's flat wall time (see :data:`GATED_TRACKS`)
 regressed by more than ``--max-regression`` (a ratio; 2.0 means "twice as
 slow") on any graph present in both reports.  Only graphs in the
-intersection are compared, so a ``--quick`` run gates cleanly against a
+intersection are compared, so a ``--suite quick`` run gates cleanly against a
 full-suite baseline; a comparison that finds no gated track on any shared
 graph fails instead of passing vacuously.
 
@@ -33,13 +32,6 @@ and a ``telemetry`` section to the report.  The trace comes from a
 *separate untimed pass* after the timed suite — instrumented runs take the
 generic method-call loop, so the gated flat wall times are never measured
 through instrumentation.  See ``docs/observability.md``.
-
-``--watch DIR`` additionally loads every committed ``BENCH_PR*.json``
-under ``DIR`` and embeds the reconstructed per-track trajectory (see
-:mod:`repro.obs.watch`) into the report under ``"trajectory"``, flagging
-any gated track whose latest committed wall drifted more than
-``--watch-tolerance`` from its all-time best — the slow-leak check the
-single-baseline ``--compare`` gate cannot do.
 """
 
 from __future__ import annotations
@@ -56,13 +48,12 @@ from ..analysis.verify import is_maximal_independent_set
 from ..core.bdone import bdone
 from ..core.dominance import TriangleWorkspace
 from ..core.linear_time import linear_time, linear_time_reduce
-from ..core.near_linear import near_linear, near_linear_reduce
+from ..core.near_linear import near_linear
 from ..core.workspace import ArrayWorkspace, FlatWorkspace
 from ..graphs.generators import gnm_random_graph, power_law_graph, web_like_graph
 from ..graphs.static_graph import Graph
 from ..localsearch.arw import LocalSearchState
 from ..localsearch.boosted import arw_lt
-from ..localsearch.flat_state import FlatLocalSearchState
 from ..obs.report import render_report, summarize
 from ..obs.telemetry import telemetry_session
 from ..obs.trace_io import write_trace
@@ -75,7 +66,7 @@ __all__ = [
     "main",
 ]
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 #: The tracks the CI gate watches: record key in ``timings[graph]`` plus
 #: the wall-time field inside it.  LinearTime is the paper's headline
@@ -135,7 +126,7 @@ _SERVE_LOAD_SHAPES: Dict[str, Dict[str, object]] = {
     },
 }
 
-# name -> (factory, run NearLinear + kernels on it?)
+# name -> (factory, run the ARW-LT track on it?)
 _SUITES: Dict[str, List[Tuple[str, Callable[[], Graph], bool]]] = {
     "smoke": [
         ("plr-300", lambda: power_law_graph(300, beta=2.3, average_degree=5.0, seed=1), True),
@@ -148,9 +139,9 @@ _SUITES: Dict[str, List[Tuple[str, Callable[[], Graph], bool]]] = {
     ],
 }
 _SUITES["full"] = _SUITES["quick"] + [
-    # The big one: the ARW track and the kernel exports are skipped here to
-    # keep the full suite under a minute; the backend comparisons (including
-    # NearLinear flat-vs-TriangleWorkspace, the PR 2 headline) are not.
+    # The big one: the ARW track is skipped here to keep the full suite
+    # under a minute; the backend comparisons (including NearLinear
+    # flat-vs-TriangleWorkspace) are not.
     ("plr-50k", lambda: power_law_graph(50_000, beta=2.2, average_degree=6.0, seed=7), False),
 ]
 
@@ -234,46 +225,16 @@ def _time_backends(
     }
 
 
-def _greedy_maximal(graph: Graph) -> List[int]:
-    """Deterministic greedy maximal independent set (id order) — the
-    common seed for the swap-scan throughput measurements."""
-    taken = bytearray(graph.n)
-    solution: List[int] = []
-    for v in range(graph.n):
-        if not taken[v]:
-            solution.append(v)
-            taken[v] = 1
-            for w in graph.neighbors(v):
-                taken[w] = 1
-    return solution
-
-
 def _time_arw_lt(graph: Graph, repeats: int) -> Optional[Dict[str, float]]:
-    """The ARW-LT track: swap-scan throughput plus fixed-iteration e2e.
+    """The ARW-LT track: the full ``arw_lt`` pipeline under a fixed
+    iteration budget and RNG seed, for both search states.
 
-    Measures (a) one :meth:`local_search` exhaust on the LinearTime kernel
-    from a deterministic greedy seed, for both search states, and (b) the
-    full ``arw_lt`` pipeline under a fixed iteration budget and RNG seed.
-    Returns ``None`` when the kernel is empty (nothing to search — the
-    exact rules solved the graph).
+    Returns ``None`` when the LinearTime kernel is empty (nothing to
+    search — the exact rules solved the graph).
     """
     kernel, _, _ = linear_time_reduce(graph)
     if kernel.n == 0:
         return None
-    seed_solution = _greedy_maximal(kernel)
-
-    def scan(factory: type) -> float:
-        best = float("inf")
-        for _ in range(repeats):
-            state = factory(kernel, seed_solution)
-            start = time.perf_counter()
-            state.local_search()
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    flat_scan = scan(FlatLocalSearchState)
-    oracle_scan = scan(LocalSearchState)
-
     flat_result, flat_wall = _best_of(
         lambda: arw_lt(
             graph,
@@ -295,9 +256,6 @@ def _time_arw_lt(graph: Graph, repeats: int) -> Optional[Dict[str, float]]:
     )
     assert flat_result.independent_set == oracle_result.independent_set
     return {
-        "flat_scan": flat_scan,
-        "oracle_scan": oracle_scan,
-        "scan_speedup": oracle_scan / flat_scan if flat_scan > 0 else float("inf"),
         "flat_wall": flat_wall,
         "oracle_wall": oracle_wall,
         "speedup": oracle_wall / flat_wall if flat_wall > 0 else float("inf"),
@@ -412,26 +370,6 @@ def _time_serve_load(suite: str) -> Dict[str, object]:
     }
 
 
-def _counter_timings(graph: Graph, calls: int = 20_000) -> Dict[str, float]:
-    """Per-call cost (µs) of the maintained live counters vs. an O(n) scan."""
-    workspace = FlatWorkspace(graph, track_degree_two=True)
-    start = time.perf_counter()
-    for _ in range(calls):
-        workspace.live_vertex_count
-        workspace.live_edge_count()
-    maintained = (time.perf_counter() - start) / calls * 1e6
-
-    alive = workspace.alive
-    deg = workspace.deg
-    scan_calls = max(1, calls // 200)  # the scan is ~n times slower; sample it
-    start = time.perf_counter()
-    for _ in range(scan_calls):
-        sum(alive)
-        sum(d for d, a in zip(deg, alive) if a) // 2
-    scan = (time.perf_counter() - start) / scan_calls * 1e6
-    return {"maintained_us": maintained, "scan_us": scan, "calls": calls}
-
-
 def run_suite(suite: str, repeats: int) -> Dict[str, object]:
     """Run the named suite; return the JSON-serialisable report."""
     report: Dict[str, object] = {
@@ -442,13 +380,9 @@ def run_suite(suite: str, repeats: int) -> Dict[str, object]:
         "repeats": repeats,
         "graphs": {},
         "timings": {},
-        "kernels": {},
     }
-    largest: Optional[Graph] = None
     for gname, graph, deep in build_suite(suite):
         report["graphs"][gname] = {"n": graph.n, "m": graph.m}
-        if largest is None or graph.n > largest.n:
-            largest = graph
         timings: Dict[str, object] = {
             "BDOne": _time_backends(bdone, graph, repeats),
             "LinearTime": _time_backends(linear_time, graph, repeats),
@@ -462,19 +396,11 @@ def run_suite(suite: str, repeats: int) -> Dict[str, object]:
                 timings["ARW-LT"] = arw_track
         timings["ServeIncremental"] = _time_serve_incremental(graph, repeats)
         report["timings"][gname] = timings
-        kernel, _, _ = linear_time_reduce(graph)
-        kernels = {"linear_time": {"n": kernel.n, "m": kernel.m}}
-        if deep:
-            nl_kernel, _, _ = near_linear_reduce(graph)
-            kernels["near_linear"] = {"n": nl_kernel.n, "m": nl_kernel.m}
-        report["kernels"][gname] = kernels
     # The serving front-end track lives under a pseudo-graph key: its input
     # is a whole workload, not one suite graph, but the gate machinery
     # (record key + wall field per graph) applies unchanged.
     report["graphs"]["serve-load"] = dict(_SERVE_LOAD_SHAPES[suite])
     report["timings"]["serve-load"] = {"ServeLoad": _time_serve_load(suite)}
-    if largest is not None:
-        report["live_counters"] = _counter_timings(largest)
     return report
 
 
@@ -557,12 +483,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--suite", choices=sorted(_SUITES), default="full", help="graph suite to run"
     )
-    parser.add_argument(
-        "--quick", action="store_true", help="shorthand for --suite quick"
-    )
-    parser.add_argument(
-        "--smoke", action="store_true", help="shorthand for --suite smoke (tests)"
-    )
     parser.add_argument("--out", default="bench_report.json", help="report path")
     parser.add_argument(
         "--compare", default=None, metavar="BASELINE", help="baseline JSON to gate against"
@@ -585,38 +505,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="TRACE",
         help="JSON-lines trace path for --telemetry",
     )
-    parser.add_argument(
-        "--watch",
-        default=None,
-        metavar="DIR",
-        help="embed the BENCH_PR*.json trajectory from DIR into the report",
-    )
-    parser.add_argument(
-        "--watch-tolerance",
-        type=float,
-        default=None,
-        help="trajectory drift ratio for --watch (default: the watchdog's)",
-    )
     args = parser.parse_args(argv)
 
-    suite = "smoke" if args.smoke else "quick" if args.quick else args.suite
-    report = run_suite(suite, max(1, args.repeats))
-    watch_failures: List[str] = []
-    if args.watch:
-        from ..obs.watch import DEFAULT_TOLERANCE, build_trajectory, discover_baselines
-
-        trajectory = build_trajectory(
-            discover_baselines(args.watch),
-            tolerance=(
-                args.watch_tolerance
-                if args.watch_tolerance is not None
-                else DEFAULT_TOLERANCE
-            ),
-        )
-        report["trajectory"] = trajectory
-        watch_failures = list(trajectory["regressions"])
+    report = run_suite(args.suite, max(1, args.repeats))
     if args.telemetry:
-        records, summary = run_telemetry_pass(suite)
+        records, summary = run_telemetry_pass(args.suite)
         write_trace(args.telemetry_out, records)
         report["telemetry"] = {
             "trace": args.telemetry_out,
@@ -653,16 +546,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                 )
             else:
                 part = f"{alg} flat {rec['flat_wall']:.4f}s ({rec['speedup']:.2f}x)"
-                if "scan_speedup" in rec:
-                    part += f" scan {rec['scan_speedup']:.2f}x"
             line.append(part)
         print("  ".join(line))
     print(f"report written to {args.out}")
     if args.telemetry:
         print(render_report(records, title=f"telemetry ({args.telemetry_out}):"))
 
-    for message in watch_failures:
-        print(f"TRAJECTORY: {message}", file=sys.stderr)
     if args.compare:
         with open(args.compare) as handle:
             baseline = json.load(handle)
@@ -672,7 +561,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"REGRESSION: {message}", file=sys.stderr)
             return 1
         print(f"regression gate passed against {args.compare}")
-    return 1 if watch_failures else 0
+    return 0
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from repro.perf import bench_regression
 def test_smoke_suite_writes_report(tmp_path):
     out = tmp_path / "report.json"
     code = bench_regression.main(
-        ["--smoke", "--out", str(out), "--repeats", "1"]
+        ["--suite", "smoke", "--out", str(out), "--repeats", "1"]
     )
     assert code == 0
     report = json.loads(out.read_text())
@@ -41,22 +41,15 @@ def test_smoke_suite_writes_report(tmp_path):
             assert rec["flat_wall"] > 0
             assert rec["oracle_wall"] > 0
             assert rec["speedup"] > 0
-        assert report["kernels"][gname]["linear_time"]["n"] >= 0
-    counters = report["live_counters"]
-    assert counters["maintained_us"] > 0
-    assert counters["scan_us"] > 0
 
 
 def test_smoke_suite_arw_lt_track(tmp_path):
     # gnm-400's LinearTime kernel is nonempty, so the ARW-LT track must be
-    # present there with both the swap-scan and end-to-end measurements.
+    # present there with both backends' end-to-end walls.
     out = tmp_path / "report.json"
-    assert bench_regression.main(["--smoke", "--out", str(out), "--repeats", "1"]) == 0
+    assert bench_regression.main(["--suite", "smoke", "--out", str(out), "--repeats", "1"]) == 0
     report = json.loads(out.read_text())
     rec = report["timings"]["gnm-400"]["ARW-LT"]
-    assert rec["flat_scan"] > 0
-    assert rec["oracle_scan"] > 0
-    assert rec["scan_speedup"] > 0
     assert rec["flat_wall"] > 0
     assert rec["oracle_wall"] > 0
     assert rec["kernel_n"] > 0
@@ -85,7 +78,7 @@ def test_gated_tracks_cover_all_flat_backends():
 
 def test_compare_self_passes(tmp_path):
     out = tmp_path / "report.json"
-    assert bench_regression.main(["--smoke", "--out", str(out), "--repeats", "1"]) == 0
+    assert bench_regression.main(["--suite", "smoke", "--out", str(out), "--repeats", "1"]) == 0
     report = json.loads(out.read_text())
     failures = bench_regression.compare_reports(report, report, max_regression=2.0)
     assert failures == []
@@ -146,7 +139,7 @@ def test_compare_skips_missing_tracks():
 def test_compare_gate_exit_code(tmp_path):
     out = tmp_path / "report.json"
     baseline = tmp_path / "baseline.json"
-    assert bench_regression.main(["--smoke", "--out", str(out), "--repeats", "1"]) == 0
+    assert bench_regression.main(["--suite", "smoke", "--out", str(out), "--repeats", "1"]) == 0
     report = json.loads(out.read_text())
     record, field = bench_regression.GATED_TRACKS["linear_time"]
     for gname in report["timings"]:
@@ -157,7 +150,8 @@ def test_compare_gate_exit_code(tmp_path):
     baseline.write_text(json.dumps(report))
     code = bench_regression.main(
         [
-            "--smoke",
+            "--suite",
+            "smoke",
             "--out",
             str(out),
             "--repeats",
@@ -176,7 +170,7 @@ def test_max_regression_flag_loosens_gate(tmp_path):
     # pass when --max-regression is raised above the injected ratio.
     out = tmp_path / "report.json"
     baseline = tmp_path / "baseline.json"
-    assert bench_regression.main(["--smoke", "--out", str(out), "--repeats", "1"]) == 0
+    assert bench_regression.main(["--suite", "smoke", "--out", str(out), "--repeats", "1"]) == 0
     report = json.loads(out.read_text())
     record, field = bench_regression.GATED_TRACKS["linear_time"]
     for gname in report["timings"]:
@@ -187,7 +181,8 @@ def test_max_regression_flag_loosens_gate(tmp_path):
     baseline.write_text(json.dumps(report))
     code = bench_regression.main(
         [
-            "--smoke",
+            "--suite",
+            "smoke",
             "--out",
             str(out),
             "--repeats",
@@ -237,7 +232,8 @@ def test_telemetry_flag_adds_trace_and_report_section(tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
     code = bench_regression.main(
         [
-            "--smoke",
+            "--suite",
+            "smoke",
             "--out",
             str(out),
             "--repeats",
@@ -264,7 +260,7 @@ def test_telemetry_flag_adds_trace_and_report_section(tmp_path, capsys):
 
 def test_telemetry_off_keeps_report_schema_clean(tmp_path):
     out = tmp_path / "report.json"
-    assert bench_regression.main(["--smoke", "--out", str(out), "--repeats", "1"]) == 0
+    assert bench_regression.main(["--suite", "smoke", "--out", str(out), "--repeats", "1"]) == 0
     assert "telemetry" not in json.loads(out.read_text())
 
 
@@ -272,7 +268,7 @@ def test_smoke_suite_serve_incremental_track(tmp_path):
     # Every suite graph carries the serving-layer track: warm-cache query
     # latency plus repair-vs-fresh on seeded mutation rounds.
     out = tmp_path / "report.json"
-    assert bench_regression.main(["--smoke", "--out", str(out), "--repeats", "1"]) == 0
+    assert bench_regression.main(["--suite", "smoke", "--out", str(out), "--repeats", "1"]) == 0
     report = json.loads(out.read_text())
     for gname in report["graphs"]:
         if gname == "serve-load":
@@ -285,67 +281,6 @@ def test_smoke_suite_serve_incremental_track(tmp_path):
         assert rec["fresh_wall"] > 0
         assert rec["size"] >= 0.95 * rec["fresh_size"]
         assert rec["mutations_per_round"] == bench_regression._SERVE_MUTATIONS_PER_ROUND
-
-
-def _write_watch_baseline(directory, pr, wall):
-    report = {
-        "schema": 6,
-        "suite": "full",
-        "timings": {"gnm-3k": {"LinearTime": {"flat_wall": wall}}},
-    }
-    (directory / f"BENCH_PR{pr}.json").write_text(json.dumps(report))
-
-
-def test_watch_embeds_trajectory_and_gates(tmp_path, capsys):
-    # A committed trajectory whose latest point regressed 3x past its best
-    # must fail the run (exit 1) and land in the report, even though the
-    # fresh smoke timings themselves are fine.
-    baselines = tmp_path / "baselines"
-    baselines.mkdir()
-    _write_watch_baseline(baselines, 1, 0.10)
-    _write_watch_baseline(baselines, 2, 0.30)
-    out = tmp_path / "report.json"
-    code = bench_regression.main(
-        [
-            "--smoke",
-            "--out",
-            str(out),
-            "--repeats",
-            "1",
-            "--watch",
-            str(baselines),
-        ]
-    )
-    assert code == 1
-    assert "TRAJECTORY" in capsys.readouterr().err
-    report = json.loads(out.read_text())
-    trajectory = report["trajectory"]
-    assert trajectory["tracks"]["linear_time"]["gnm-3k"]["regressed"]
-    assert len(trajectory["regressions"]) == 1
-
-
-def test_watch_clean_trajectory_passes(tmp_path):
-    baselines = tmp_path / "baselines"
-    baselines.mkdir()
-    _write_watch_baseline(baselines, 1, 0.10)
-    _write_watch_baseline(baselines, 2, 0.11)
-    out = tmp_path / "report.json"
-    code = bench_regression.main(
-        [
-            "--smoke",
-            "--out",
-            str(out),
-            "--repeats",
-            "1",
-            "--watch",
-            str(baselines),
-            "--watch-tolerance",
-            "2.0",
-        ]
-    )
-    assert code == 0
-    report = json.loads(out.read_text())
-    assert report["trajectory"]["regressions"] == []
 
 
 def _flat_set_minus_one(graph, workspace_factory=None):

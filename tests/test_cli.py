@@ -305,9 +305,10 @@ class TestServe:
 
 
 class TestRemovedAutoSurface:
-    """The per-graph backend picker, its calibration command and the bench
-    ``--backend`` option are gone; their spellings are ordinary argparse
-    usage errors (exit code 2)."""
+    """The per-graph backend picker, its calibration command, the bench
+    ``--backend`` option, the bench-trajectory watchdog and the bench
+    suite shorthands are gone; their spellings are ordinary argparse usage
+    errors (exit code 2)."""
 
     @pytest.mark.parametrize(
         "argv, error",
@@ -316,8 +317,19 @@ class TestRemovedAutoSurface:
             (["calibrate"], "invalid choice"),
             (["bench", "--backend", "auto"], "unrecognized arguments: --backend"),
             (["bench", "--backend", "flat"], "unrecognized arguments: --backend"),
+            (["obs", "watch"], "invalid choice: 'watch'"),
+            (["bench", "--watch", "."], "unrecognized arguments: --watch"),
+            (["bench", "--quick"], "unrecognized arguments: --quick"),
         ],
-        ids=["serve-auto", "calibrate", "bench-auto", "bench-flat"],
+        ids=[
+            "serve-auto",
+            "calibrate",
+            "bench-auto",
+            "bench-flat",
+            "obs-watch",
+            "bench-watch",
+            "bench-quick",
+        ],
     )
     def test_removed_spelling_is_a_usage_error(self, argv, error, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -390,6 +402,27 @@ class TestLoadgen:
         capsys.readouterr()
         assert main(["snapshot", str(state), "--verify"]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestBench:
+    """``repro bench`` forwards its raw arguments to
+    ``repro.perf.bench_regression.main``."""
+
+    def test_forwarding_matches_bench_module(self, tmp_path, capsys):
+        import json
+
+        from repro.perf import bench_regression
+
+        def run(entry, out):
+            code = entry(["--suite", "smoke", "--repeats", "1", "--out", str(out)])
+            report = json.loads(out.read_text())
+            return code, sorted(report), {g: sorted(t) for g, t in report["timings"].items()}
+
+        direct = run(bench_regression.main, tmp_path / "direct.json")
+        forwarded = run(lambda argv: main(["bench", *argv]), tmp_path / "forwarded.json")
+        assert forwarded == direct
+        assert direct[0] == 0
+        assert "report written to" in capsys.readouterr().out
 
 
 class TestLint:

@@ -33,7 +33,7 @@ from .hotpath import hot_loop
 from .result import STAT_DEGREE_ONE, STAT_PEEL, MISResult
 from .trace import EXCLUDE, INCLUDE, PEEL
 from .workspace import BATCH_MIN_FRONTIER, FlatWorkspace, _degree_one_rounds
-from ..obs.instrument import finish_profile, instrumented_factory, traced_replay
+from ..obs.instrument import profile_sample, traced_replay
 from ..obs.telemetry import get_telemetry, phase
 
 __all__ = ["bdone"]
@@ -176,23 +176,21 @@ def bdone(
     start = time.perf_counter()
     telemetry = get_telemetry()  # one global check per run
     factory = FlatWorkspace if workspace_factory is None else workspace_factory
-    if telemetry is not None:
-        factory = instrumented_factory(factory, telemetry, "BDOne", graph.name)
+    samples = None if telemetry is None else telemetry.profile("BDOne", graph.name)
     with phase(telemetry, "setup", algorithm="BDOne", graph=graph.name):
         workspace = factory(graph, track_degree_two=False)
+    profile_sample(samples, workspace)
     with phase(telemetry, "reduce", algorithm="BDOne", graph=graph.name) as span:
         if type(workspace) is FlatWorkspace:
             _run_flat(workspace)
         else:
             _run_generic(workspace)
         span.meta["counters"] = dict(workspace.log.stats)
+    profile_sample(samples, workspace)
     log = workspace.log
     if telemetry is not None:
-        finish_profile(workspace)
         telemetry.add_counters(log.stats)
-        outcome = traced_replay(log, graph, telemetry, "BDOne")
-    else:
-        outcome = log.replay(graph)
+    outcome = traced_replay(log, graph, telemetry, "BDOne")
     return MISResult(
         algorithm="BDOne",
         graph_name=graph.name,

@@ -173,9 +173,7 @@ def bdtwo(graph: Graph) -> MISResult:
         span.meta["counters"] = dict(log.stats)
     if telemetry is not None:
         telemetry.add_counters(log.stats)
-        outcome = traced_replay(log, graph, telemetry, "BDTwo")
-    else:
-        outcome = log.replay(graph)
+    outcome = traced_replay(log, graph, telemetry, "BDTwo")
     return MISResult(
         algorithm="BDTwo",
         graph_name=graph.name,

@@ -37,7 +37,7 @@ from .degree_two_paths import RULE_IRREDUCIBLE, apply_degree_two_path_reduction
 from .result import STAT_DEGREE_ONE, STAT_PEEL, MISResult
 from .trace import EXCLUDE, INCLUDE, PEEL, Checkpoint, DecisionLog
 from .workspace import BATCH_MIN_FRONTIER, FlatWorkspace, _degree_one_rounds
-from ..obs.instrument import finish_profile, instrumented_factory, traced_replay
+from ..obs.instrument import profile_sample, traced_replay
 from ..obs.telemetry import get_telemetry, phase
 
 __all__ = ["linear_time", "linear_time_reduce"]
@@ -245,19 +245,23 @@ def _set_up_and_run(
     telemetry: Any,
     algorithm: str,
     stop_before_peel: bool,
-) -> Any:
+) -> Tuple[Any, Optional[List[tuple]]]:
     """Build the workspace and run the loop under ``setup``/``reduce``
-    spans labelled ``algorithm``; returns the workspace."""
+    spans labelled ``algorithm``, sampling the peeling profile after each.
+
+    Returns ``(workspace, samples)``; ``samples`` is ``None`` when
+    telemetry is off.
+    """
     factory = FlatWorkspace if workspace_factory is None else workspace_factory
-    if telemetry is not None:
-        factory = instrumented_factory(factory, telemetry, algorithm, graph.name)
+    samples = None if telemetry is None else telemetry.profile(algorithm, graph.name)
     with phase(telemetry, "setup", algorithm=algorithm, graph=graph.name):
         workspace = factory(graph, track_degree_two=True)
+    profile_sample(samples, workspace)
     with phase(telemetry, "reduce", algorithm=algorithm, graph=graph.name) as span:
         _run(workspace, stop_before_peel)
         span.meta["counters"] = dict(workspace.log.stats)
-    finish_profile(workspace)
-    return workspace
+    profile_sample(samples, workspace)
+    return workspace, samples
 
 
 def linear_time(
@@ -274,12 +278,10 @@ def linear_time(
     """
     start = time.perf_counter()
     telemetry = get_telemetry()  # one global check per run
-    workspace = _set_up_and_run(graph, workspace_factory, telemetry, "LinearTime", False)
+    workspace, _ = _set_up_and_run(graph, workspace_factory, telemetry, "LinearTime", False)
     if telemetry is not None:
         telemetry.add_counters(workspace.log.stats)
-        outcome = traced_replay(workspace.log, graph, telemetry, "LinearTime")
-    else:
-        outcome = workspace.log.replay(graph)
+    outcome = traced_replay(workspace.log, graph, telemetry, "LinearTime")
     return MISResult(
         algorithm="LinearTime",
         graph_name=graph.name,
@@ -306,7 +308,7 @@ def linear_time_checkpoint(
     resume; ARW-LT (Section 6) takes both.
     """
     telemetry = get_telemetry()
-    workspace = _set_up_and_run(
+    workspace, samples = _set_up_and_run(
         graph, workspace_factory, telemetry, "LinearTime-reduce", True
     )
     with phase(telemetry, "kernel-export", algorithm="LinearTime-reduce", graph=graph.name):
@@ -318,7 +320,7 @@ def linear_time_checkpoint(
         # appends to a copy of it.
         workspace.log = stall_log.copy()
         _run(workspace, stop_before_peel=False)
-        finish_profile(workspace)
+        profile_sample(samples, workspace)
         return workspace.log
 
     return Checkpoint(kernel, old_ids, stall_log, resume)

@@ -18,11 +18,12 @@ Worst-case time O(m·Δ); in practice near-linear because phase 1 collapses Δ.
 
 As in :mod:`repro.core.linear_time`, two drivers share the decision
 semantics: :func:`_main_loop` drives any workspace through the dominance
-protocol (the :class:`~repro.core.dominance.TriangleWorkspace` oracle, and
-the instrumented subclasses telemetry builds), while :func:`_main_loop_flat`
-binds the :class:`~repro.core.flat_dominance.FlatTriangleWorkspace`
-buffers to locals and fuses the pops, the Lemma 5.2 re-check and the
-deletions.  Their decision logs are identical.
+protocol (the :class:`~repro.core.dominance.TriangleWorkspace` oracle),
+while :func:`_main_loop_flat` binds the
+:class:`~repro.core.flat_dominance.FlatTriangleWorkspace` buffers to
+locals and fuses the pops, the Lemma 5.2 re-check and the deletions.
+Their decision logs are identical.  Telemetry runs the same driver: it
+reads the live counters and the log at the phase boundaries only.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .result import (
     MISResult,
 )
 from .trace import EXCLUDE, INCLUDE, PEEL, Checkpoint, DecisionLog
-from ..obs.instrument import finish_profile, instrumented_factory, traced_replay
+from ..obs.instrument import profile_sample, traced_replay
 from ..obs.telemetry import get_telemetry, phase
 
 __all__ = ["near_linear", "near_linear_reduce"]
@@ -398,12 +399,14 @@ def _set_up_and_run(
     telemetry: Any,
     algorithm: str,
     stop_before_peel: bool,
-) -> Tuple[DecisionLog, List[int], Any]:
+) -> Tuple[DecisionLog, List[int], Any, Optional[List[tuple]]]:
     """Phases 1–2, then the main loop on the residual's workspace under
-    ``setup``/``reduce`` spans labelled ``algorithm``.
+    ``setup``/``reduce`` spans labelled ``algorithm``, sampling the
+    peeling profile after each.
 
-    Returns ``(log, ids, workspace)``: the phase 1–2 decisions, the
-    residual's id map and the workspace (its log in residual ids).
+    Returns ``(log, ids, workspace, samples)``: the phase 1–2 decisions,
+    the residual's id map, the workspace (its log in residual ids) and the
+    profile samples (``None`` when telemetry is off).
     """
     log = DecisionLog()
     factory = FlatTriangleWorkspace if workspace_factory is None else workspace_factory
@@ -411,15 +414,15 @@ def _set_up_and_run(
         graph, log, preprocess, flat=factory is not TriangleWorkspace,
         telemetry=telemetry, sweep=sweep, lp=lp,
     )
-    if telemetry is not None:
-        factory = instrumented_factory(factory, telemetry, algorithm, graph.name)
+    samples = None if telemetry is None else telemetry.profile(algorithm, graph.name)
     with phase(telemetry, "setup", algorithm=algorithm, graph=graph.name):
         workspace = factory(residual)
+    profile_sample(samples, workspace)
     with phase(telemetry, "reduce", algorithm=algorithm, graph=graph.name) as span:
         _run(workspace, stop_before_peel)
         span.meta["counters"] = dict(workspace.log.stats)
-    finish_profile(workspace)
-    return log, ids, workspace
+    profile_sample(samples, workspace)
+    return log, ids, workspace, samples
 
 
 def near_linear(
@@ -444,15 +447,13 @@ def near_linear(
     """
     start = time.perf_counter()
     telemetry = get_telemetry()  # one global check per run
-    log, ids, workspace = _set_up_and_run(
+    log, ids, workspace, _ = _set_up_and_run(
         graph, preprocess, workspace_factory, sweep, lp, telemetry, "NearLinear", False
     )
     log.extend_mapped(workspace.log, ids)
     if telemetry is not None:
         telemetry.add_counters(log.stats)
-        outcome = traced_replay(log, graph, telemetry, "NearLinear")
-    else:
-        outcome = log.replay(graph)
+    outcome = traced_replay(log, graph, telemetry, "NearLinear")
     return MISResult(
         algorithm="NearLinear",
         graph_name=graph.name,
@@ -483,7 +484,7 @@ def near_linear_checkpoint(
     :func:`near_linear`'s.
     """
     telemetry = get_telemetry()
-    log, ids, workspace = _set_up_and_run(
+    log, ids, workspace, samples = _set_up_and_run(
         graph, preprocess, workspace_factory, sweep, lp, telemetry,
         "NearLinear-reduce", True,
     )
@@ -496,7 +497,7 @@ def near_linear_checkpoint(
 
     def resume() -> DecisionLog:
         _run(workspace, stop_before_peel=False)
-        finish_profile(workspace)
+        profile_sample(samples, workspace)
         preprocess_log.extend_mapped(workspace.log, ids)
         return preprocess_log
 

@@ -274,9 +274,9 @@ class DecisionLog:
     def resolve(self, n: int) -> Tuple[List[bool], List[int]]:
         """Steps 1–2 of replay: commit includes, resolve deferred entries.
 
-        Returns ``(in_set, peeled_vertices)`` *before* maximal extension —
-        the telemetry-traced drivers run this and
-        :func:`extend_to_maximal` under separate phase spans.
+        Returns ``(in_set, peeled_vertices)`` *before* maximal extension;
+        :func:`repro.obs.instrument.traced_replay` runs this and
+        :func:`extend_to_maximal` under separate phases.
         """
         in_set = [False] * n
         peeled_vertices: List[int] = []
@@ -315,12 +315,13 @@ class DecisionLog:
            (Algorithm 4 Line 7 / Algorithm 3 Line 6);
         3. optionally extend to a maximal independent set, which also gives
            peeled vertices their chance to re-enter (Algorithm 1 Line 6).
+
+        The body is :func:`repro.obs.instrument.traced_replay` with
+        telemetry off; the drivers call that directly with their sink.
         """
-        in_set, peeled_vertices = self.resolve(graph.n)
-        if extend_maximal:
-            extend_to_maximal(in_set, graph)
-        surviving = sum(1 for v in peeled_vertices if not in_set[v])
-        return ReplayOutcome(in_set, len(peeled_vertices), surviving)
+        from ..obs.instrument import traced_replay
+
+        return traced_replay(self, graph, None, "", extend_maximal)
 
 
 class Checkpoint(NamedTuple):

@@ -1,12 +1,12 @@
 """Observability subsystem: phase spans, peeling profiles, trace merging.
 
 Built for near-zero overhead when off: algorithms ask
-:func:`get_telemetry` once per run and take their normal (flat) hot paths
-when it returns ``None``.  When a sink is active they emit *phase-level*
+:func:`get_telemetry` once per run, and a ``None`` return makes every phase
+boundary a no-op.  When a sink is active they emit *phase-level*
 spans (setup / reduce / replay / extend / swap-scan …) with rule-counter
-snapshots at the boundaries, record sampled peeling profiles through the
-``workspace_factory`` hook seam, and the parallel per-component driver
-merges per-worker trace files into one attributed run report.
+snapshots and peeling-profile samples at the boundaries, and the parallel
+per-component driver merges per-worker trace files into one attributed
+run report.  A traced run runs the same drivers as an untraced one.
 
 Entry points::
 
@@ -24,12 +24,7 @@ or from the shell::
     python -m repro obs report trace.jsonl
 """
 
-from .instrument import (
-    PROFILE_TARGET_SAMPLES,
-    finish_profile,
-    instrumented_factory,
-    traced_replay,
-)
+from .instrument import traced_replay
 from .memory import MemoryProbe, probe_record
 from .metrics import (
     METRIC_KEYS,
@@ -55,7 +50,6 @@ from .trace_io import collect_worker_traces, load_trace, merge_traces, write_tra
 
 __all__ = [
     "METRIC_KEYS",
-    "PROFILE_TARGET_SAMPLES",
     "Histogram",
     "MemoryProbe",
     "MetricsRegistry",
@@ -66,10 +60,8 @@ __all__ = [
     "disable_metrics",
     "enable",
     "enable_metrics",
-    "finish_profile",
     "get_metrics",
     "get_telemetry",
-    "instrumented_factory",
     "load_trace",
     "merge_traces",
     "metrics_session",

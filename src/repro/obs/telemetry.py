@@ -177,8 +177,8 @@ class Telemetry:
         """Open a peeling-profile record; returns the mutable sample list.
 
         Samples are ``(events, live_vertices, live_edges, current_bound)``
-        tuples appended by the instrumented workspaces
-        (:mod:`repro.obs.instrument`).
+        tuples the drivers append at their phase boundaries
+        (:func:`repro.obs.instrument.profile_sample`).
         """
         samples: List[tuple] = []
         record: Dict[str, object] = {

@@ -29,9 +29,9 @@ graph fails instead of passing vacuously.
 
 ``--telemetry`` adds a phase-span trace (``--telemetry-out``, JSON lines)
 and a ``telemetry`` section to the report.  The trace comes from a
-*separate untimed pass* after the timed suite — instrumented runs take the
-generic method-call loop, so the gated flat wall times are never measured
-through instrumentation.  See ``docs/observability.md``.
+*separate untimed pass* after the timed suite: traced runs take the same
+drivers, but their span and profile bookkeeping stays out of the gated
+wall times.  See ``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -407,10 +407,10 @@ def run_suite(suite: str, repeats: int) -> Dict[str, object]:
 def run_telemetry_pass(suite: str) -> Tuple[List[Dict[str, object]], Dict[str, object]]:
     """One telemetered solve per (graph, gated algorithm); returns records + summary.
 
-    Kept separate from :func:`run_suite` on purpose: an active telemetry
-    sink routes the drivers through the instrumented (generic) loops, so
-    the gated flat wall times must be measured with telemetry *off* and the
-    traces collected in an extra pass afterwards.
+    Kept separate from :func:`run_suite` on purpose: a traced run takes
+    the same drivers, but the gated wall times are measured with telemetry
+    *off* so they never carry the span and profile bookkeeping, and the
+    traces are collected in an extra pass afterwards.
     """
     with telemetry_session(label=f"bench-{suite}") as telemetry:
         for _gname, graph, deep in build_suite(suite):

@@ -160,8 +160,8 @@ def test_gnm_25k_run_is_pinned(boost):
 
 @pytest.mark.parametrize("boost", [arw_lt, arw_nl])
 def test_telemetry_leaves_results_unchanged(boost):
-    # Telemetry swaps in an instrumented workspace, which takes the generic
-    # driver; the paused-and-resumed run must still give the same answer.
+    # A traced run takes the same driver and samples its peeling profile
+    # at setup, the stall and the resume; the answer must not change.
     from repro.obs.telemetry import get_telemetry, telemetry_session
 
     g = gnm_random_graph(3000, 9000, seed=3)
@@ -178,6 +178,7 @@ def test_telemetry_leaves_results_unchanged(boost):
     assert traced_rng.getstate() == plain_rng.getstate()
     names = [span.name for span in telemetry.spans]
     assert names.count("kernelize") == names.count("resume") == 1
+    assert [len(p["samples"]) for p in telemetry.profiles] == [3]
 
 
 def _induce_by_loops(kernel, old_ids, full_solution):

@@ -1,12 +1,14 @@
-"""Instrumented runs: profiles, span accounting, and result invariance."""
+"""Traced runs: profiles, span accounting, and result invariance."""
 
 import pytest
 
-from repro.core.bdone import bdone
+from repro.core.bdone import _run_flat, bdone
 from repro.core.bdtwo import bdtwo
-from repro.core.linear_time import linear_time
-from repro.core.near_linear import near_linear
-from repro.graphs.generators import power_law_graph
+from repro.core.dominance import TriangleWorkspace
+from repro.core.linear_time import linear_time, linear_time_checkpoint
+from repro.core.near_linear import near_linear, near_linear_checkpoint
+from repro.core.workspace import ArrayWorkspace, FlatWorkspace
+from repro.graphs.generators import gnm_random_graph, power_law_graph
 from repro.obs.report import profile_is_monotone, summarize
 from repro.obs.telemetry import disable, telemetry_session
 
@@ -26,15 +28,35 @@ def graph():
     return power_law_graph(1_500, beta=2.2, average_degree=6.0, seed=11)
 
 
+@pytest.fixture(scope="module")
+def batching_graph():
+    # Wide enough degree-one frontiers that the flat BDOne/LinearTime
+    # drivers resolve some of them in whole-array rounds.
+    return power_law_graph(5_000, beta=2.1, average_degree=4.0, seed=1)
+
+
+@pytest.fixture(scope="module")
+def kernel_graph():
+    # Sparse G(n, m): the exact rules stall early, so a checkpoint pauses
+    # with most of the graph still live.
+    return gnm_random_graph(1_500, 4_500, seed=1)
+
+
 class TestResultInvariance:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_telemetry_never_changes_the_result(self, graph, algorithm):
-        plain = algorithm(graph)
-        with telemetry_session():
-            traced = algorithm(graph)
-        assert traced.independent_set == plain.independent_set
-        assert traced.upper_bound == plain.upper_bound
-        assert traced.stats == plain.stats
+    def test_telemetry_never_changes_the_result(self, graph, batching_graph, algorithm):
+        for g in (graph, batching_graph):
+            plain = algorithm(g)
+            with telemetry_session():
+                traced = algorithm(g)
+            assert traced.independent_set == plain.independent_set, g.name
+            assert traced.upper_bound == plain.upper_bound, g.name
+            assert traced.stats == plain.stats, g.name
+
+    def test_batching_graph_reaches_batched_rounds(self, batching_graph):
+        workspace = FlatWorkspace(batching_graph, track_degree_two=False)
+        _run_flat(workspace)
+        assert workspace._rounds > 0
 
 
 class TestPhaseSpans:
@@ -99,6 +121,49 @@ class TestPeelingProfiles:
         assert 0 < live <= graph.n
         assert 0 < live_edges <= graph.m
         assert bound <= graph.n
+
+    @pytest.mark.parametrize(
+        "algorithm, oracle",
+        [
+            (bdone, ArrayWorkspace),
+            (linear_time, ArrayWorkspace),
+            (near_linear, TriangleWorkspace),
+        ],
+    )
+    def test_flat_samples_match_the_oracle(self, graph, algorithm, oracle):
+        profiles = []
+        for factory in (None, oracle):
+            with telemetry_session() as tele:
+                algorithm(graph, workspace_factory=factory)
+            profiles.append(tele.profiles[0]["samples"])
+        assert profiles[0] == profiles[1]
+
+    @pytest.mark.parametrize(
+        "checkpoint, oracle",
+        [
+            (linear_time_checkpoint, ArrayWorkspace),
+            (near_linear_checkpoint, TriangleWorkspace),
+        ],
+    )
+    def test_checkpoint_samples_match_the_oracle(
+        self, graph, kernel_graph, checkpoint, oracle
+    ):
+        for g in (graph, kernel_graph):
+            runs = []
+            for factory in (None, oracle):
+                with telemetry_session() as tele:
+                    paused = checkpoint(g, workspace_factory=factory)
+                    at_stall = list(tele.profiles[0]["samples"])
+                paused.resume()
+                runs.append((at_stall, tele.profiles[0]["samples"]))
+            (flat_stall, flat_done), (oracle_stall, oracle_done) = runs
+            assert flat_stall == oracle_stall, g.name
+            assert flat_done == oracle_done, g.name
+            # setup, stall, resumed; the stall is where the kernel was taken
+            assert len(flat_done) == 3
+            assert flat_stall[-1][1] == paused.kernel.n
+            assert flat_done[-1][1] == flat_done[-1][2] == 0
+        assert flat_stall[-1][1] > 0  # the sparse graph stalls with a kernel
 
     def test_summarize_reports_the_profile(self, graph):
         with telemetry_session() as tele:

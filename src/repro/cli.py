@@ -524,7 +524,6 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     cache = payload.get("cache", [])
     print(f"snapshot version : {payload.get('version')}")
     print(f"algorithm        : {config.get('algorithm')}")
-    print(f"kernel method    : {config.get('kernel_method')}")
     print(f"graphs           : {len(graphs)}")
     for graph_id, record in graphs.items():
         dynamic = record.get("dynamic", {})
@@ -533,15 +532,11 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
         solution = record.get("solution")
         dirty = record.get("dirty", [])
         stale = " stale" if record.get("stale") else ""
-        kernel = record.get("kernel", {})
-        line = (
+        print(
             f"  {graph_id}: n={len(alive)} m={len(edges)} "
             f"|I|={'-' if solution is None else len(solution)} "
             f"dirty={len(dirty)}{stale}"
         )
-        if kernel:
-            line += f" kernel_n={kernel.get('kernel_n')}"
-        print(line)
     print(f"cache entries    : {len(cache)}")
     for entry in cache:
         print(

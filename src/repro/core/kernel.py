@@ -89,42 +89,6 @@ class KernelResult:
             log.include(self.old_ids[v])
         return log.replay(self.graph).vertices
 
-    # ------------------------------------------------------------------
-    # Serialisation (service snapshots)
-    # ------------------------------------------------------------------
-    def to_payload(self) -> Dict[str, object]:
-        """A JSON-serialisable export of the kernel state.
-
-        Everything except the original graph crosses the boundary: the
-        kernel's own edges, the id map, the reduction log, and the method
-        tag.  :meth:`from_payload` rebuilds the result given the original
-        graph (which snapshot owners persist separately — the service
-        stores it as a mutation-ready adjacency payload).
-        """
-        return {
-            "method": self.method,
-            "old_ids": list(self.old_ids),
-            "kernel_n": self.kernel.n,
-            "kernel_edges": [[u, v] for u, v in self.kernel.edges()],
-            "log": self.log.to_payload(),
-        }
-
-    @classmethod
-    def from_payload(cls, graph: Graph, payload: Dict[str, object]) -> "KernelResult":
-        """Rebuild a :meth:`to_payload` export against its original graph."""
-        kernel = Graph.from_edges(
-            int(payload["kernel_n"]),  # type: ignore[arg-type]
-            ((int(u), int(v)) for u, v in payload["kernel_edges"]),  # type: ignore[union-attr]
-            name=f"{graph.name}/kernel" if graph.name else "",
-        )
-        return cls(
-            graph=graph,
-            kernel=kernel,
-            old_ids=tuple(int(v) for v in payload["old_ids"]),  # type: ignore[union-attr]
-            log=DecisionLog.from_payload(payload["log"]),  # type: ignore[arg-type]
-            method=str(payload["method"]),
-        )
-
 
 def _degree_one_reduce(graph: Graph) -> Tuple[Graph, List[int], DecisionLog]:
     """Kernelize with the degree-one reduction only (BDOne's rule set)."""

@@ -402,7 +402,9 @@ def _set_up_and_run(
 ) -> Tuple[DecisionLog, List[int], Any, Optional[List[tuple]]]:
     """Phases 1–2, then the main loop on the residual's workspace under
     ``setup``/``reduce`` spans labelled ``algorithm``, sampling the
-    peeling profile after each.
+    peeling profile after each.  A sample's events count the main loop's
+    log; its bound also counts the phase 1–2 includes, so it bounds the
+    whole graph's solution like LinearTime's does.
 
     Returns ``(log, ids, workspace, samples)``: the phase 1–2 decisions,
     the residual's id map, the workspace (its log in residual ids) and the
@@ -418,6 +420,14 @@ def _set_up_and_run(
     with phase(telemetry, "setup", algorithm=algorithm, graph=graph.name):
         workspace = factory(residual)
     profile_sample(samples, workspace)
+    if samples:
+        # The LP's includes sit in the phase 1–2 log, not the workspace's
+        # (the sweep only excludes); later samples inherit them through
+        # this sample's bound.
+        events, live, live_edges, bound = samples[0]
+        samples[0] = (
+            events, live, live_edges, bound + log.stats.get(STAT_LP_INCLUDED, 0)
+        )
     with phase(telemetry, "reduce", algorithm=algorithm, graph=graph.name) as span:
         _run(workspace, stop_before_peel)
         span.meta["counters"] = dict(workspace.log.stats)

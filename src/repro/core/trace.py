@@ -198,35 +198,6 @@ class DecisionLog:
         return clone
 
     # ------------------------------------------------------------------
-    # Serialisation (service snapshots)
-    # ------------------------------------------------------------------
-    def to_payload(self) -> Dict[str, object]:
-        """A JSON-serialisable dump of the log (entries + stats).
-
-        Entry tuples become ``[kind, [vertices...]]`` lists; the inverse is
-        :meth:`from_payload`.  Used by :mod:`repro.serve` snapshots to
-        persist register-time kernelization state across process restarts.
-        """
-        return {
-            "entries": [[kind, list(data)] for kind, data in self._entries],
-            "stats": dict(self.stats),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, object]) -> "DecisionLog":
-        """Rebuild a log previously dumped with :meth:`to_payload`."""
-        log = cls()
-        log._entries = [
-            (int(kind), tuple(int(v) for v in data))
-            for kind, data in payload.get("entries", [])  # type: ignore[union-attr]
-        ]
-        log.stats = {
-            str(rule): int(amount)
-            for rule, amount in payload.get("stats", {}).items()  # type: ignore[union-attr]
-        }
-        return log
-
-    # ------------------------------------------------------------------
     # Introspection (used by tests)
     # ------------------------------------------------------------------
     @property

@@ -68,9 +68,8 @@ def encode_graph_payload(graph: Graph) -> Tuple[bytes, bytes, str]:
 
     This is the serialization the component pool ships to its workers — two
     raw byte strings (``array('q')`` offsets, ``array('i')`` targets) plus
-    the graph name — and the same codec the shard router
-    (:mod:`repro.serve.router`) uses to hand whole graphs to shard workers:
-    one memcpy out, one memcpy back in, never ``2m + n`` boxed ints.
+    the graph name: one memcpy out, one memcpy back in, never ``2m + n``
+    boxed ints.
     """
     offsets, targets = graph.flat_csr()
     return offsets.tobytes(), targets.tobytes(), graph.name

@@ -19,9 +19,7 @@ graph changed, again" without paying a cold solve per query:
 * :mod:`~repro.serve.frontend` — the asyncio front-end behind
   ``repro serve --async`` (admission control, micro-batching, shedding);
 * :mod:`~repro.serve.loadgen` — the seeded load generator behind
-  ``repro loadgen`` and the ``serve_load`` bench track;
-* :mod:`~repro.serve.smoke` — the CI smoke gauntlet
-  (``python -m repro.serve.smoke``).
+  ``repro loadgen`` and the ``serve_load`` bench track.
 
 See ``docs/serving.md`` for the full tour.
 """

@@ -4,9 +4,8 @@ Strash ("On the Power of Simple Reductions") argues the kernel — not the
 raw graph — is the asset worth keeping warm: it is what every repeated
 query re-derives and what all the solve time flows through.  The cache
 therefore stores, per ``(fingerprint, algorithm)`` pair, the *outcome* of
-kernelizing-and-solving a snapshot: the solution in the snapshot's compact
-id space, the Theorem-6.1 bound, the kernel dimensions, and the rule
-counters.  Two registered graphs that are structurally identical share
+solving a snapshot: the solution in the snapshot's compact id space, the
+Theorem-6.1 bound, and the rule counters.  Two registered graphs that are structurally identical share
 entries — the fingerprint, not the handle, is the key.
 
 The cache is bounded (LRU eviction) because a mutation-heavy workload
@@ -19,7 +18,7 @@ LRU grows a second level: a :class:`SharedCacheTier` — a fleet-wide
 fingerprint-keyed map of entry *payloads* living in a
 ``multiprocessing.Manager`` dict (process workers) or a plain dict
 (thread workers).  A worker that misses locally consults the tier before
-solving, so a graph kernelized by one worker is a cache hit for all of
+solving, so a graph solved by one worker is a cache hit for all of
 them; tier hits are promoted into the local LRU and counted separately
 (``repro_serve_cache_shared_hits_total``).
 """
@@ -60,8 +59,6 @@ class CacheEntry:
     upper_bound: int
     is_exact: bool
     exact_bound: bool
-    kernel_n: int = -1
-    kernel_m: int = -1
     rule_counts: Dict[str, int] = field(default_factory=dict)
     solver_elapsed: float = 0.0
 
@@ -79,8 +76,6 @@ class CacheEntry:
             "upper_bound": self.upper_bound,
             "is_exact": self.is_exact,
             "exact_bound": self.exact_bound,
-            "kernel_n": self.kernel_n,
-            "kernel_m": self.kernel_m,
             "rule_counts": dict(self.rule_counts),
             "solver_elapsed": self.solver_elapsed,
         }
@@ -95,8 +90,6 @@ class CacheEntry:
             upper_bound=int(payload["upper_bound"]),  # type: ignore[arg-type]
             is_exact=bool(payload["is_exact"]),
             exact_bound=bool(payload["exact_bound"]),
-            kernel_n=int(payload.get("kernel_n", -1)),  # type: ignore[arg-type]
-            kernel_m=int(payload.get("kernel_m", -1)),  # type: ignore[arg-type]
             rule_counts={
                 str(k): int(v)
                 for k, v in payload.get("rule_counts", {}).items()  # type: ignore[union-attr]

@@ -72,11 +72,11 @@ class LoadgenConfig:
     """Shape of one seeded workload (all counts are exact, not expected).
 
     ``requests`` counts the *stream* — the measured steady-state traffic.
-    The ``graphs`` register requests ride ahead of it as untimed setup in
-    every replay: registration kernelizes (a cold-start cost every serving
-    path pays identically, and exactly once per graph), so folding it into
-    the throughput number would just dilute the comparison both paths are
-    meant to expose.
+    The ``graphs`` register requests and one warmup solve per graph ride
+    ahead of it as untimed setup in every replay: the first cold solve is
+    a cold-start cost every serving path pays identically, and exactly
+    once per graph, so folding it into the throughput number would just
+    dilute the comparison both paths are meant to expose.
     """
 
     seed: int = 2017

@@ -41,11 +41,7 @@ from ..core.result import MISResult
 from ..core.trace import extend_to_maximal
 from ..graphs.properties import connected_components
 from ..graphs.static_graph import Graph
-from ..perf.parallel import (
-    ALGORITHM_BY_NAME,
-    DEFAULT_PARALLEL_THRESHOLD,
-    solve_by_components_parallel,
-)
+from ..perf.parallel import ALGORITHM_BY_NAME, solve_by_components_parallel
 
 __all__ = [
     "RepairOutcome",
@@ -136,8 +132,6 @@ def repair_solution(
     seeds: Sequence[int],
     algorithm: Union[str, Callable[[Graph], MISResult]],
     radius: int = 2,
-    processes: int = 1,
-    min_component_size: int = DEFAULT_PARALLEL_THRESHOLD,
 ) -> RepairOutcome:
     """Repair ``in_set`` around the dirty ``seeds`` on the current snapshot.
 
@@ -169,12 +163,7 @@ def repair_solution(
     if free:
         subgraph, old_ids = graph.subgraph(free)
         components = len(connected_components(subgraph))
-        sub_result = solve_by_components_parallel(
-            subgraph,
-            algorithm,
-            processes=processes,
-            min_component_size=min_component_size,
-        )
+        sub_result = solve_by_components_parallel(subgraph, algorithm, processes=1)
         for v in sub_result.independent_set:
             repaired[old_ids[v]] = True
     extend_to_maximal(repaired, graph)

@@ -21,7 +21,7 @@ surface:
 
 All workers share one :class:`~repro.serve.cache.SharedCacheTier`
 (a ``multiprocessing.Manager`` dict for process workers, a plain dict for
-inline ones), so a graph kernelized by any worker is a cache hit for the
+inline ones), so a graph solved by any worker is a cache hit for the
 whole fleet — the "one kernel-cache tier" half of the sharding story.
 """
 

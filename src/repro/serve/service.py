@@ -3,9 +3,8 @@
 :class:`SolverService` turns the library's one-shot solvers into something
 a request loop can sit on top of:
 
-* :meth:`~SolverService.register` admits a graph, kernelizes it once
-  (through the flat workspaces — :func:`repro.core.kernel.kernelize`'s
-  default backends) and keeps the kernel state for reuse;
+* :meth:`~SolverService.register` admits a graph (no solver runs until
+  the first query);
 * :meth:`~SolverService.solve` / :meth:`~SolverService.upper_bound` answer
   repeated queries from a bounded LRU cache keyed by the snapshot's
   structural fingerprint — an unchanged graph never pays a second solve;
@@ -14,13 +13,13 @@ a request loop can sit on top of:
   :meth:`~SolverService.remove_vertex`, batched
   :meth:`~SolverService.apply`) accumulates dirty seeds and the next query
   performs **localized repair** (:mod:`repro.serve.repair`), falling back
-  to a full re-kernelize-and-solve once the dirty fraction passes
+  to a full cold solve once the dirty fraction passes
   ``ServiceConfig.dirty_threshold``;
 * a per-request timeout degrades gracefully: when the budget is exhausted
   before the repair can run, the service returns the last-known-good
   solution patched to feasibility, flagged ``stale=True``;
 * :meth:`~SolverService.snapshot_payload` / :meth:`SolverService.restore`
-  round-trip the whole service state (graphs, solutions, kernels, cache)
+  round-trip the whole service state (graphs, solutions, cache)
   through JSON for disk persistence.
 
 Observability: every public entry point opens a phase span (``serve:*``),
@@ -39,11 +38,9 @@ import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Union
+from typing import Callable, Dict, Iterable, List, Optional, Set, Union
 
-from ..core.kernel import KERNEL_METHODS, KernelResult, kernelize
 from ..core.result import (
-    MISResult,
     STAT_SERVE_CACHE_HIT,
     STAT_SERVE_CACHE_MISS,
     STAT_SERVE_FULL_RESOLVE,
@@ -72,7 +69,7 @@ from ..obs.metrics import (
     get_metrics,
 )
 from ..obs.telemetry import get_telemetry, phase
-from ..perf.parallel import ALGORITHM_BY_NAME, DEFAULT_PARALLEL_THRESHOLD
+from ..perf.parallel import ALGORITHM_BY_NAME
 from .cache import CacheEntry, KernelCache
 from .context import RequestContext
 from .dynamic_graph import DynamicGraph, Mutation
@@ -111,20 +108,13 @@ class ServiceConfig:
         :data:`~repro.perf.parallel.ALGORITHM_BY_NAME` registry name used
         for cold solves and repairs (must be a name, not a callable, so
         snapshots and worker dispatch can serialise it).
-    kernel_method:
-        :data:`~repro.core.kernel.KERNEL_METHODS` rule set applied at
-        register time and on full re-kernelizes.
     cache_capacity:
         LRU bound of the kernel cache (entries, not bytes).
     dirty_threshold:
         When ``|dirty region seeds| / live vertices`` exceeds this, repair
-        is abandoned in favour of a full re-kernelize-and-solve.
+        is abandoned in favour of a full cold solve.
     repair_radius:
         Hop radius around dirty seeds that repair re-decides.
-    processes / min_component_size:
-        Forwarded to the parallel per-component driver for repairs and
-        registered-graph solves; the default of one process solves inline
-        (mutation regions are usually far below the dispatch break-even).
     default_timeout:
         Per-request budget in seconds applied when the call site passes
         none (``None`` = unbounded).
@@ -134,12 +124,9 @@ class ServiceConfig:
     """
 
     algorithm: str = "linear_time"
-    kernel_method: str = "linear_time"
     cache_capacity: int = 64
     dirty_threshold: float = 0.25
     repair_radius: int = 2
-    processes: int = 1
-    min_component_size: int = DEFAULT_PARALLEL_THRESHOLD
     default_timeout: Optional[float] = None
     workspace_factory: Optional[Callable[..., object]] = None
 
@@ -149,7 +136,7 @@ class ServeResult:
     """One query answer, in the registered graph's dynamic-id space.
 
     ``source`` says how the answer was produced: ``"cache"`` (fingerprint
-    hit), ``"cold"`` (fresh solve, also the full-re-kernelize path),
+    hit), ``"cold"`` (fresh solve, also the full-solve fallback),
     ``"repair"`` (localized repair) or ``"stale"`` (budget exhausted — the
     patched last-known-good solution; ``stale`` is True only here).
     ``exact_bound`` marks ``upper_bound`` as a Theorem-6.1 certificate
@@ -187,7 +174,7 @@ class ServeResult:
 class _GraphState:
     """Per-registered-graph mutable state (internal)."""
 
-    __slots__ = ("graph_id", "dynamic", "dirty", "solution", "stale", "kernel")
+    __slots__ = ("graph_id", "dynamic", "dirty", "solution", "stale")
 
     def __init__(self, graph_id: str, dynamic: DynamicGraph) -> None:
         self.graph_id = graph_id
@@ -199,7 +186,6 @@ class _GraphState:
         #: Last returned solution, as dynamic ids; None before first solve.
         self.solution: Optional[frozenset] = None
         self.stale = False
-        self.kernel: Optional[KernelResult] = None
 
 
 class SolverService:
@@ -215,11 +201,6 @@ class SolverService:
             raise ReproError(
                 f"unknown algorithm name {self.config.algorithm!r}; "
                 f"registered: {sorted(ALGORITHM_BY_NAME)}"
-            )
-        if self.config.kernel_method not in KERNEL_METHODS:
-            raise ReproError(
-                f"unknown kernel method {self.config.kernel_method!r}; "
-                f"registered: {sorted(KERNEL_METHODS)}"
             )
         #: Span/metric label of the backend that solves (see ServeResult).
         self._backend = "flat" if self.config.workspace_factory is None else "oracle"
@@ -263,8 +244,7 @@ class SolverService:
     ) -> str:
         """Admit a graph; returns its handle.
 
-        The graph is kernelized once with ``config.kernel_method`` (flat
-        workspaces) and the kernel kept on the handle; queries then run
+        No solver runs here: the first query solves cold, later ones run
         against the cache/repair machinery.  Passing a
         :class:`DynamicGraph` adopts it (no copy); passing a
         :class:`Graph` wraps it.
@@ -275,13 +255,12 @@ class SolverService:
             graph_id = f"g{self._counter}"
         if graph_id in self._graphs:
             raise ReproError(f"graph id {graph_id!r} already registered")
-        dynamic = graph if isinstance(graph, DynamicGraph) else DynamicGraph(graph)
-        state = _GraphState(graph_id, dynamic)
         with self._request_scope(telemetry, context):
             with phase(telemetry, "serve:register", graph=graph_id):
-                snapshot, _ = dynamic.snapshot()
-                state.kernel = kernelize(snapshot, method=self.config.kernel_method)
-        self._graphs[graph_id] = state
+                dynamic = (
+                    graph if isinstance(graph, DynamicGraph) else DynamicGraph(graph)
+                )
+        self._graphs[graph_id] = _GraphState(graph_id, dynamic)
         self.metrics.set_gauge(METRIC_SERVE_GRAPHS, len(self._graphs))
         return graph_id
 
@@ -303,10 +282,6 @@ class SolverService:
     def dynamic_graph(self, graph_id: str) -> DynamicGraph:
         """The mutable graph behind a handle (shared, not a copy)."""
         return self._state(graph_id).dynamic
-
-    def kernel(self, graph_id: str) -> Optional[KernelResult]:
-        """The most recent register-time / full-resolve kernel state."""
-        return self._state(graph_id).kernel
 
     def add_edge(
         self,
@@ -392,7 +367,7 @@ class SolverService:
         """Answer an independent-set query for the handle's current graph.
 
         Resolution order: fingerprint cache hit → localized repair (when
-        only a bounded region is dirty) → full re-kernelize-and-solve.
+        only a bounded region is dirty) → full cold solve.
         ``timeout`` (seconds, default ``config.default_timeout``) bounds
         the work; a ``context`` deadline tightens it further.  On
         exhaustion the last-known-good solution is patched to feasibility
@@ -526,8 +501,6 @@ class SolverService:
             seeds,
             algorithm=self.config.algorithm,
             radius=self.config.repair_radius,
-            processes=self.config.processes,
-            min_component_size=self.config.min_component_size,
         )
         if deadline is not None and time.perf_counter() > deadline:
             # The repair finished but blew the budget: the answer is still
@@ -643,7 +616,7 @@ class SolverService:
         snapshot: Optional[Graph] = None,
         fingerprint: Optional[str] = None,
     ) -> CacheEntry:
-        """Cold solve the current snapshot, refresh the kernel, cache it."""
+        """Cold solve the current snapshot and cache it."""
         if snapshot is None:
             snapshot, _ = state.dynamic.snapshot()
         if fingerprint is None:
@@ -654,7 +627,6 @@ class SolverService:
                 self.config.algorithm,
                 workspace_factory=self.config.workspace_factory,
             )
-            state.kernel = kernelize(snapshot, method=self.config.kernel_method)
         self._bump(STAT_SERVE_FULL_RESOLVE, 1, telemetry)
         self.metrics.observe(
             METRIC_SERVE_SOLVER_SECONDS,
@@ -669,8 +641,6 @@ class SolverService:
             upper_bound=result.upper_bound,
             is_exact=result.is_exact,
             exact_bound=True,
-            kernel_n=state.kernel.kernel.n,
-            kernel_m=state.kernel.kernel.m,
             rule_counts=dict(result.stats),
             solver_elapsed=result.elapsed,
         )
@@ -692,26 +662,20 @@ class SolverService:
         """The whole service state as a JSON-serialisable payload."""
         graphs: Dict[str, object] = {}
         for graph_id, state in self._graphs.items():
-            record: Dict[str, object] = {
+            graphs[graph_id] = {
                 "dynamic": state.dynamic.to_payload(),
                 "solution": sorted(state.solution) if state.solution is not None else None,
                 "stale": state.stale,
                 "dirty": sorted(state.dirty),
                 "fingerprint": state.dynamic.fingerprint(),
             }
-            if state.kernel is not None:
-                record["kernel"] = state.kernel.to_payload()
-            graphs[graph_id] = record
         return {
             "version": SNAPSHOT_VERSION,
             "config": {
                 "algorithm": self.config.algorithm,
-                "kernel_method": self.config.kernel_method,
                 "cache_capacity": self.config.cache_capacity,
                 "dirty_threshold": self.config.dirty_threshold,
                 "repair_radius": self.config.repair_radius,
-                "processes": self.config.processes,
-                "min_component_size": self.config.min_component_size,
                 "default_timeout": self.config.default_timeout,
             },
             "counter": self._counter,
@@ -731,7 +695,10 @@ class SolverService:
 
         Fingerprints are recomputed and verified against the recorded
         ones, so a corrupted or hand-edited snapshot fails loudly instead
-        of serving wrong answers.
+        of serving wrong answers.  Keys this build no longer writes (older
+        snapshots carry a per-graph kernel record, three retired config
+        fields and cache-entry kernel sizes) are ignored, so those
+        snapshots still load.
         """
         version = payload.get("version")
         if version != SNAPSHOT_VERSION:
@@ -742,14 +709,9 @@ class SolverService:
         raw_config = dict(payload.get("config", {}))  # type: ignore[arg-type]
         config = ServiceConfig(
             algorithm=str(raw_config.get("algorithm", "linear_time")),
-            kernel_method=str(raw_config.get("kernel_method", "linear_time")),
             cache_capacity=int(raw_config.get("cache_capacity", 64)),
             dirty_threshold=float(raw_config.get("dirty_threshold", 0.25)),
             repair_radius=int(raw_config.get("repair_radius", 2)),
-            processes=int(raw_config.get("processes", 1)),
-            min_component_size=int(
-                raw_config.get("min_component_size", DEFAULT_PARALLEL_THRESHOLD)
-            ),
             default_timeout=(
                 None
                 if raw_config.get("default_timeout") is None
@@ -773,10 +735,6 @@ class SolverService:
             )
             state.stale = bool(record.get("stale", False))
             state.dirty = {int(v) for v in record.get("dirty", [])}
-            kernel_payload = record.get("kernel")
-            if kernel_payload is not None:
-                snapshot, _ = dynamic.snapshot()
-                state.kernel = KernelResult.from_payload(snapshot, kernel_payload)
             service._graphs[str(graph_id)] = state
         for entry_payload in payload.get("cache", []):  # type: ignore[union-attr]
             service.cache.put(CacheEntry.from_payload(entry_payload))

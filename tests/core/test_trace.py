@@ -315,17 +315,3 @@ class TestInterleavedFoldPath:
             assert not in_set[v]
         extend_to_maximal(in_set, snapshot)
         assert_valid_solution(snapshot, [v for v in range(snapshot.n) if in_set[v]])
-
-    def test_payload_round_trip_preserves_interleaved_order(self):
-        log = DecisionLog()
-        log.include(9)
-        log.fold(0, 1, 2)
-        log.push_path(3, 2, 4)
-        log.peel(5)
-        log.fold(4, 5, 6)
-        log.push_path(7, 6, 8)
-        log.bump("degree-two-fold", 2)
-        restored = DecisionLog.from_payload(log.to_payload())
-        assert restored.entries == log.entries
-        assert restored.stats == log.stats
-        assert restored.resolve(10) == log.resolve(10)

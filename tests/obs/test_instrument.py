@@ -7,6 +7,8 @@ from repro.core.bdtwo import bdtwo
 from repro.core.dominance import TriangleWorkspace
 from repro.core.linear_time import linear_time, linear_time_checkpoint
 from repro.core.near_linear import near_linear, near_linear_checkpoint
+from repro.core.result import STAT_LP_INCLUDED
+from repro.core.trace import INCLUDE
 from repro.core.workspace import ArrayWorkspace, FlatWorkspace
 from repro.graphs.generators import gnm_random_graph, power_law_graph
 from repro.obs.report import profile_is_monotone, summarize
@@ -164,6 +166,23 @@ class TestPeelingProfiles:
             assert flat_stall[-1][1] == paused.kernel.n
             assert flat_done[-1][1] == flat_done[-1][2] == 0
         assert flat_stall[-1][1] > 0  # the sparse graph stalls with a kernel
+
+    @pytest.mark.parametrize("factory", [None, TriangleWorkspace])
+    def test_near_linear_bound_counts_the_lp_includes(
+        self, graph, kernel_graph, factory
+    ):
+        # The LP includes vertices before the main loop's workspace exists;
+        # the bound must count them, so the final sample's bound is the
+        # whole-graph log's include count and the first bounds the graph.
+        for g in (graph, kernel_graph):
+            with telemetry_session() as tele:
+                log = near_linear_checkpoint(g, workspace_factory=factory).resume()
+            assert log.stats[STAT_LP_INCLUDED] > 0, g.name
+            samples = tele.profiles[0]["samples"]
+            includes = [kind for kind, _ in log.entries].count(INCLUDE)
+            assert samples[-1][1] == 0
+            assert samples[-1][3] == includes, g.name
+            assert samples[0][3] <= g.n
 
     def test_summarize_reports_the_profile(self, graph):
         with telemetry_session() as tele:

@@ -109,8 +109,6 @@ class TestCacheEntryPayload:
             upper_bound=5,
             is_exact=False,
             exact_bound=True,
-            kernel_n=9,
-            kernel_m=12,
             rule_counts={"degree-one": 4},
             solver_elapsed=0.125,
         )

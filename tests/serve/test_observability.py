@@ -12,7 +12,9 @@ import time
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.core.workspace import ArrayWorkspace
+from repro.obs import load_trace, write_trace
 from repro.obs.metrics import (
     METRIC_SERVE_CACHE_HITS,
     METRIC_SERVE_GRAPHS,
@@ -22,13 +24,21 @@ from repro.obs.metrics import (
     METRIC_SERVE_STALE_RETURNS,
     MetricsRegistry,
     disable_metrics,
+    get_metrics,
     metrics_session,
 )
-from repro.obs.telemetry import disable, telemetry_session
+from repro.obs.telemetry import disable, get_telemetry, telemetry_session
 from repro.graphs.generators import cycle_graph, gnm_random_graph, power_law_graph
-from repro.serve import Mutation, ServiceConfig, SolverService
+from repro.serve import ServiceConfig, SolverService
 from repro.serve.context import RequestContext
 from repro.serve.requests import handle_request
+
+from .gauntlet import (
+    check_metrics,
+    check_responses,
+    check_trace,
+    gauntlet_requests,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -221,53 +231,58 @@ class TestProtocolEcho:
 
 
 class TestSmokeObsLeg:
-    def test_traced_smoke_gates_pass_and_write_artifacts(self, tmp_path, capsys):
-        from repro.obs.metrics import parse_prometheus, quantile_samples
-        from repro.serve.smoke import run_smoke
+    """The CI obs-smoke leg: the gauntlet through `repro serve` with
+    `--metrics-out` and `--trace-out`, gated on what they wrote."""
 
+    @staticmethod
+    def _serve(tmp_path, requests, *flags):
+        request_path = tmp_path / "requests.jsonl"
+        response_path = tmp_path / "responses.jsonl"
+        write_trace(str(request_path), requests)
+        code = cli_main(
+            ["serve", str(request_path), "--output", str(response_path), *flags]
+        )
+        return code, load_trace(str(response_path))
+
+    def test_traced_smoke_gates_pass_and_write_artifacts(self, tmp_path, capsys):
         metrics_out = tmp_path / "metrics.prom"
         trace_out = tmp_path / "trace.jsonl"
-        failures = run_smoke(
-            n=200,
-            mutations=10,
-            batch=5,
-            seed=11,
-            algorithm="near_linear",
-            verbose=False,
-            metrics_out=str(metrics_out),
-            trace_out=str(trace_out),
+        requests = gauntlet_requests(n=200, mutations=10, batch=5, seed=11)
+        code, responses = self._serve(
+            tmp_path,
+            requests,
+            "--algorithm",
+            "near_linear",
+            "--metrics-out",
+            str(metrics_out),
+            "--trace-out",
+            str(trace_out),
         )
         capsys.readouterr()
-        assert failures == 0
-        samples = parse_prometheus(metrics_out.read_text())
-        assert any(
-            value > 0
-            for value in quantile_samples(
-                samples, METRIC_SERVE_REQUEST_SECONDS, "p99"
-            )
-        )
-        records = [
-            json.loads(line)
-            for line in trace_out.read_text().strip().splitlines()
-        ]
-        solves = [
-            r for r in records if r.get("type") == "span" and r["name"] == "serve:solve"
-        ]
-        assert solves
-        assert {r["meta"]["backend"] for r in solves} <= {"flat", "none"}
+        assert code == 0
+        assert check_responses(requests, responses, "near_linear") == []
+        assert check_metrics(str(metrics_out)) == []
+        assert check_trace(str(trace_out)) == []
+        stamped = {
+            record["meta"]["request"]
+            for record in load_trace(str(trace_out))
+            if record.get("type") == "span"
+        }
+        assert {response["rid"] for response in responses} <= stamped
 
-    def test_smoke_sessions_leave_no_global_residue(self, tmp_path):
-        from repro.obs.metrics import get_metrics
-        from repro.obs.telemetry import get_telemetry
-        from repro.serve.smoke import run_smoke
-
-        run_smoke(
-            n=100,
-            mutations=5,
-            batch=5,
-            verbose=False,
-            metrics_out=str(tmp_path / "m.jsonl"),
-            trace_out=str(tmp_path / "t.jsonl"),
+    def test_smoke_sessions_leave_no_global_residue(self, tmp_path, capsys):
+        requests = gauntlet_requests(n=100, mutations=5, batch=5)
+        metrics_out = tmp_path / "m.jsonl"
+        code, _ = self._serve(
+            tmp_path,
+            requests,
+            "--metrics-out",
+            str(metrics_out),
+            "--trace-out",
+            str(tmp_path / "t.jsonl"),
         )
+        capsys.readouterr()
+        assert code == 0
+        assert check_metrics(str(metrics_out)) == []
         assert get_metrics() is None
         assert get_telemetry() is None

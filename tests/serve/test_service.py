@@ -1,15 +1,21 @@
 """SolverService: cache behaviour, repair routing, timeouts, persistence.
 
-The property test at the bottom is the tentpole's acceptance gate: after
-every mutation batch the served solution is independent, maximal, and
-within the differential tolerance of a cold solve of the same snapshot.
+The property tests at the bottom are the serving layer's acceptance gate:
+after every mutation batch the served solution is independent, maximal,
+and within the differential tolerance of a cold solve of the same
+snapshot.
 """
 
+import dataclasses
+import importlib
+import json
 import random
 
 import pytest
 
 from repro.analysis import assert_valid_solution
+from repro.cli import main as cli_main
+from repro.core.kernel import kernelize
 from repro.errors import ReproError
 from repro.graphs.generators import (
     cycle_graph,
@@ -22,9 +28,10 @@ from repro.serve import (
     ServiceConfig,
     SolverService,
     cold_solve,
+    run_requests,
 )
 
-SIZE_TOLERANCE = 0.95
+from .gauntlet import GRAPH_ID, SIZE_TOLERANCE, check_responses, gauntlet_requests
 
 
 def _validate(service, graph_id, result):
@@ -43,12 +50,25 @@ class TestRegistration:
         assert a != b
         assert service.graph_ids() == [a, b]
 
-    def test_register_kernelizes_once(self):
+    def test_register_runs_no_reduction(self, monkeypatch):
+        # Only queries solve: register just wraps the graph, and the first
+        # solve runs exactly the one LinearTime reduction of its cold solve.
+        module = importlib.import_module("repro.core.linear_time")
+        original = module._set_up_and_run
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].n)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "_set_up_and_run", counting)
         service = SolverService()
         gid = service.register(gnm_random_graph(80, 160, seed=1))
-        kernel = service.kernel(gid)
-        assert kernel is not None
-        assert kernel.kernel.n <= 80
+        assert calls == []
+        assert service.solve(gid).source == "cold"
+        assert calls == [80]
+        assert service.solve(gid).source == "cache"
+        assert calls == [80]
 
     def test_duplicate_handle_rejected(self):
         service = SolverService()
@@ -70,13 +90,6 @@ class TestRegistration:
                 match=r"registered: \['bdone', 'linear_time', 'near_linear'\]",
             ):
                 SolverService(ServiceConfig(algorithm=name))
-
-    def test_unknown_kernel_method_rejected_at_construction(self):
-        # Checked like the algorithm: a bad rule set fails when the service
-        # is built, not at the first register.
-        for method in ("bogus", "linear_time_vec", "near_linear_vec"):
-            with pytest.raises(ReproError, match="unknown kernel method"):
-                SolverService(ServiceConfig(kernel_method=method))
 
     def test_unregister(self):
         service = SolverService()
@@ -286,18 +299,55 @@ class TestPersistence:
         with pytest.raises(ReproError, match="registered: .*'near_linear'"):
             SolverService.restore(payload)
 
-    def test_restore_rejects_unregistered_kernel_method(self):
-        # A snapshot taken while the vectorized rule sets existed names one;
-        # restore must refuse it up front instead of at the first register.
+    def test_restores_snapshots_with_kernel_state(self, tmp_path, capsys):
+        # Older builds kept a LinearTime kernel per graph and wrote it into
+        # every snapshot, with three more config keys and kernel sizes on
+        # cache entries.  Such a snapshot still restores and verifies, and
+        # the restored service answers like the one that wrote it.
         service = SolverService()
-        service.register(cycle_graph(5))
+        gid = service.register(power_law_graph(300, beta=2.2, seed=12))
+        service.solve(gid)
+        dynamic = service.dynamic_graph(gid)
+        service.apply(gid, [Mutation("remove_vertex", 0), Mutation("add_vertex")])
+        service.solve(gid)
+        service.add_edge(gid, 5, 6) if not dynamic.has_edge(5, 6) else (
+            service.remove_edge(gid, 5, 6)
+        )
         payload = service.snapshot_payload()
-        payload["config"]["kernel_method"] = "near_linear_vec"
-        with pytest.raises(
-            ReproError,
-            match=r"registered: \['degree_one', 'linear_time', 'near_linear'\]",
-        ):
-            SolverService.restore(payload)
+        snapshot, _ = dynamic.snapshot()
+        kernel = kernelize(snapshot, method="linear_time")
+        payload["graphs"][gid]["kernel"] = {
+            "method": kernel.method,
+            "old_ids": list(kernel.old_ids),
+            "kernel_n": kernel.kernel.n,
+            "kernel_edges": [[u, v] for u, v in kernel.kernel.edges()],
+            "log": {
+                "entries": [[kind, list(data)] for kind, data in kernel.log.entries],
+                "stats": dict(kernel.log.stats),
+            },
+        }
+        payload["config"].update(
+            kernel_method="linear_time", processes=1, min_component_size=2000
+        )
+        for entry in payload["cache"]:
+            entry.update(kernel_n=kernel.kernel.n, kernel_m=kernel.kernel.m)
+        path = tmp_path / "older.json"
+        path.write_text(json.dumps(payload))
+
+        assert cli_main(["snapshot", str(path), "--verify"]) == 0
+        assert "restores cleanly" in capsys.readouterr().out
+        restored = SolverService.load(str(path))
+
+        def answer(target):
+            result = target.solve(gid)
+            return result.independent_set, result.source, result.upper_bound
+
+        assert answer(restored) == answer(service)  # repairs the dirty edge
+        assert answer(restored) == answer(service)  # cache hit
+        for target in (service, restored):
+            target.apply(gid, [Mutation("add_vertex")])
+        assert answer(restored) == answer(service)
+        assert restored.upper_bound(gid) == service.upper_bound(gid)
 
     def test_config_round_trips(self, tmp_path):
         config = ServiceConfig(
@@ -311,6 +361,17 @@ class TestPersistence:
         path = tmp_path / "svc.json"
         service.save(str(path))
         restored = SolverService.load(str(path))
+        # Every field but the in-process oracle hook is persisted.
+        fields = [f.name for f in dataclasses.fields(ServiceConfig)]
+        assert set(service.snapshot_payload()["config"]) == set(fields[:-1])
+        assert fields == [
+            "algorithm",
+            "cache_capacity",
+            "dirty_threshold",
+            "repair_radius",
+            "default_timeout",
+            "workspace_factory",
+        ]
         assert restored.config.algorithm == "near_linear"
         assert restored.config.cache_capacity == 7
         assert restored.config.repair_radius == 3
@@ -354,3 +415,23 @@ class TestPropertyDifferential:
             cold = cold_solve(snapshot, "linear_time")
             assert result.size >= SIZE_TOLERANCE * cold.size
             assert result.size <= result.upper_bound
+
+    @pytest.mark.parametrize("algorithm", ["linear_time", "near_linear"])
+    def test_gauntlet_tracks_cold_solve_and_survives_save_load(
+        self, algorithm, tmp_path
+    ):
+        # The serving gauntlet CI also runs through `repro serve`: 2,000
+        # vertices, 100 mutations in batches of 10 with vertex births and
+        # deaths, every served answer checked against a cold solve.
+        requests = gauntlet_requests(n=2_000, mutations=100, batch=10, seed=7)
+        service = SolverService(ServiceConfig(algorithm=algorithm))
+        responses = list(run_requests(service, requests))
+        assert check_responses(requests, responses, algorithm) == []
+        assert "repair" in {r["source"] for r in responses if r["op"] == "solve"}
+
+        path = tmp_path / "service.json"
+        service.save(str(path))
+        restored = SolverService.load(str(path))
+        replay = restored.solve(GRAPH_ID)
+        _validate(restored, GRAPH_ID, replay)
+        assert replay.independent_set == service.solve(GRAPH_ID).independent_set

@@ -10,13 +10,21 @@ inputs from:
   followed by one 1-indexed adjacency line per vertex;
 * **DIMACS** — the clique/colouring benchmark format: ``p edge n m`` header
   and ``e u v`` lines, 1-indexed.
+
+An edge list takes one of three routes, all giving the same graph and
+labels.  A plain file (a block of whole-line comments, then ``u v`` lines
+with one space or tab) is parsed by one ``numpy.fromstring`` pass whose
+result is used only once the file's bytes prove it exact.  Any other file
+goes to ``numpy.loadtxt``, and what that rejects to a line-by-line loop,
+which also reports malformed lines.  Dense non-negative labels are
+compacted through a presence table, others by ``numpy.unique``.
 """
 
 from __future__ import annotations
 
 import io
 import os
-from typing import List, TextIO, Tuple, Union
+from typing import List, Optional, TextIO, Tuple, Union
 
 import numpy as _np
 
@@ -72,11 +80,12 @@ def read_edge_list(source: PathOrFile, name: str = "") -> Tuple[Graph, List[int]
     1-indexed or sparse-label files.  Returns ``(graph, labels)`` where
     ``labels[new_id]`` is the original label.
 
-    The file is parsed in whole-array numpy passes.  Anything that pass
-    cannot take (a malformed line, a label beyond int64, a bare carriage
+    The file is parsed in whole-array numpy passes: a plain file by
+    :func:`_strict_rows`, any other by ``numpy.loadtxt``.  Anything neither
+    can take (a malformed line, a label beyond int64, a bare carriage
     return) re-reads the text line by line with :func:`_read_edge_lines`;
-    both paths return the same graph, and a malformed file raises the line
-    reader's :class:`~repro.errors.GraphFormatError`.
+    every route returns the same graph, and a malformed file raises the
+    line reader's :class:`~repro.errors.GraphFormatError`.
     """
     handle, close = _open_for_read(source)
     try:
@@ -121,6 +130,7 @@ def _header_count(text: str) -> int:
 def _parse_edge_array(text: str) -> Tuple[int, "_np.ndarray"]:
     """``(declared_n, rows)`` with ``rows`` the ``(k, 2)`` label array.
 
+    A plain file takes :func:`_strict_rows`; any other goes to ``loadtxt``.
     Raises ``ValueError`` or ``OverflowError`` for anything the line loop
     must handle (and report) instead.
     """
@@ -129,6 +139,9 @@ def _parse_edge_array(text: str) -> Tuple[int, "_np.ndarray"]:
         if "\r" in text:
             raise ValueError("bare carriage return")
     declared_n = _header_count(text)
+    rows = _strict_rows(text)
+    if rows is not None:
+        return declared_n, rows
     # loadtxt strips a single comment character in C but pre-filters every
     # line in Python for several, so ``%`` is folded into ``#``.  The
     # trailing sentinel row keeps it from warning about a file without
@@ -143,10 +156,76 @@ def _parse_edge_array(text: str) -> Tuple[int, "_np.ndarray"]:
     return declared_n, rows[:-1]
 
 
+_DIGITS = b"0123456789"
+_INT64 = _np.iinfo(_np.int64)
+
+
+def _strict_rows(text: str) -> Optional["_np.ndarray"]:
+    """The ``(k, 2)`` label array of a plain edge list, or ``None``.
+
+    A plain edge list is an optional block of whole-line ``#``/``%``
+    comments followed by lines of exactly ``u v``: two integers, one space
+    or tab between them and a newline after each (the last may be
+    missing).  One ``numpy.fromstring`` pass parses the body.  That parse
+    reads any whitespace as a separator, accepts a lone ``-`` and
+    saturates out-of-range labels at the int64 maximum, so it is used only
+    once the body's bytes prove it exact:
+
+    * each token is an optional sign and digits, so it is one int64
+      literal, and a label at an int64 extreme (where saturation lands)
+      sends the file elsewhere;
+    * the body starts with a token, so with as many separator bytes as
+      parsed labels, exactly one separator follows each token;
+    * the separators alternate space-or-tab and newline, so each line
+      holds exactly two labels.
+    """
+    start = 0
+    while text.startswith(("#", "%"), start):
+        start = text.find("\n", start) + 1
+        if start == 0:
+            return None
+    data = text[start:].encode()
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    separators = data.translate(None, _DIGITS + b"+-")
+    if data[:1] not in _DIGITS + b"+-" or separators.translate(None, b" \t\n"):
+        return None
+    if b"-" in data or b"+" in data:
+        buf = _np.frombuffer(data, dtype=_np.uint8)
+        signs = _np.flatnonzero((buf == ord("-")) | (buf == ord("+")))
+        # A sign opens its token and a digit follows it.  The byte before a
+        # leading sign wraps round to the final newline, a separator.
+        after = buf[signs + 1]
+        if (buf[signs - 1] > ord(" ")).any() or ((after < ord("0")) | (after > ord("9"))).any():
+            return None
+    pairs = len(separators) // 2
+    if b"\n" in separators[::2] or separators[1::2].count(b"\n") != pairs:
+        return None
+    rows = _np.fromstring(data, dtype=_np.int64, sep=" ")
+    if rows.size != len(separators) or rows.max() == _INT64.max or rows.min() == _INT64.min:
+        return None
+    return rows.reshape(pairs, 2)
+
+
+#: The presence-table remap runs when every label is non-negative and below
+#: this multiple of the label count, so its table stays O(m).
+_DENSE_LABEL_FACTOR = 2
+
+
 def _compact_edge_array(rows: "_np.ndarray", declared_n: int, name: str) -> Tuple[Graph, List[int]]:
-    """Compact labels to ``0 .. n-1`` (adding header fillers) and build."""
+    """Compact labels to ``0 .. n-1`` (adding header fillers) and build.
+
+    Dense non-negative labels are ranked through a presence table and a
+    prefix sum; any others by ``numpy.unique``.  Both give the same arrays.
+    """
     flat = rows.ravel()
-    labels, ids = _np.unique(flat, return_inverse=True)
+    if flat.size and flat.min() >= 0 and flat.max() < _DENSE_LABEL_FACTOR * flat.size:
+        present = _np.zeros(int(flat.max()) + 1, dtype=bool)
+        present[flat] = True
+        labels = _np.flatnonzero(present)
+        ids = _np.cumsum(present, dtype=_np.int64)[flat] - 1
+    else:
+        labels, ids = _np.unique(flat, return_inverse=True)
     missing = declared_n - labels.size
     if missing > 0:
         candidates = _np.arange(missing + labels.size, dtype=_np.int64)

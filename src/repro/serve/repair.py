@@ -13,8 +13,8 @@ outside it:
    *blocked* (choosing them would conflict with a kept decision);
 3. the induced subgraph on the remaining *free* region is re-solved from
    scratch — degree-one, degree-two-path and (for NearLinear) dominance
-   rules re-run on exactly the affected neighbourhood — component-wise via
-   :func:`~repro.perf.parallel.solve_by_components_parallel`;
+   rules re-run on exactly the affected neighbourhood — one connected
+   component at a time, inline;
 4. the merged assignment is extended to a maximal independent set of the
    full snapshot (:func:`~repro.core.trace.extend_to_maximal`), which also
    lets blocked-but-actually-free vertices re-enter.
@@ -41,7 +41,8 @@ from ..core.result import MISResult
 from ..core.trace import extend_to_maximal
 from ..graphs.properties import connected_components
 from ..graphs.static_graph import Graph
-from ..perf.parallel import ALGORITHM_BY_NAME, solve_by_components_parallel
+from ..obs.telemetry import get_telemetry
+from ..perf.parallel import ALGORITHM_BY_NAME
 
 __all__ = [
     "RepairOutcome",
@@ -162,10 +163,19 @@ def repair_solution(
     components = 0
     if free:
         subgraph, old_ids = graph.subgraph(free)
-        components = len(connected_components(subgraph))
-        sub_result = solve_by_components_parallel(subgraph, algorithm, processes=1)
-        for v in sub_result.independent_set:
-            repaired[old_ids[v]] = True
+        parts = connected_components(subgraph)
+        components = len(parts)
+        telemetry = get_telemetry()
+        for index, part in enumerate(parts):
+            piece, piece_ids = subgraph.subgraph(part)
+            # Stamped like solve_by_components_parallel's inline solves.
+            if telemetry is None:
+                chosen = cold_solve(piece, algorithm).independent_set
+            else:
+                with telemetry.scoped(component=index):
+                    chosen = cold_solve(piece, algorithm).independent_set
+            for v in chosen:
+                repaired[old_ids[piece_ids[v]]] = True
     extend_to_maximal(repaired, graph)
     return RepairOutcome(
         in_set=repaired,

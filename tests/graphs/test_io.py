@@ -3,6 +3,8 @@
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import linear_time, linear_time_reduce, near_linear, near_linear_reduce
 from repro.errors import GraphFormatError
@@ -217,3 +219,39 @@ class TestArrayIngestKeepsAnswers:
             assert got.independent_set == want.independent_set
             assert got.upper_bound == want.upper_bound
             assert len(reduce(fast)[2]) == len(reduce(oracle)[2])
+
+
+LABELS = {
+    "dense": st.integers(0, 40),
+    "sparse": st.integers(0, 2**63 - 1),
+    "negative": st.integers(-40, 40),
+    "wide": st.integers(-(2**64), 2**64),
+}
+
+
+@st.composite
+def edge_list_texts(draw):
+    """A well-formed edge list: one labelled ``u v`` pair per line."""
+    labels = LABELS[draw(st.sampled_from(sorted(LABELS)))]
+    edges = draw(st.lists(st.tuples(labels, labels), max_size=30))
+    separator = draw(st.sampled_from([" ", "\t"]))
+    header = draw(
+        st.sampled_from(["", "# a comment\n% another\n"])
+        | st.integers(0, 60).map("# repro graph: n={} m=0\n".format)
+    )
+    body = "\n".join(f"{u}{separator}{v}" for u, v in edges)
+    final_newline = "\n" if edges and draw(st.booleans()) else ""
+    return header + body + final_newline
+
+
+class TestEdgeListDifferential:
+    """The whole-array reader equals the line loop on random well-formed files."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_list_texts())
+    def test_matches_line_loop(self, text):
+        graph, labels = read_edge_list(io.StringIO(text))
+        oracle, oracle_labels = graph_io._read_edge_lines(io.StringIO(text), "")
+        assert graph == oracle
+        assert graph.flat_csr() == oracle.flat_csr()
+        assert labels == oracle_labels

@@ -7,53 +7,98 @@ raise the line loop's :class:`GraphFormatError`, message and line number
 included.  The whole corpus runs twice: once on the production route (the
 whole-array parse and build) and once on the route that runs no numpy (the
 edge-list line reader, and every build edge by edge through
-:class:`GraphBuilder`), which must read every file the same way.
+:class:`GraphBuilder`), which must read every file the same way.  Each
+edge-list case also names the parse its file takes on the production
+route: the strict ``numpy.fromstring`` pass, ``loadtxt`` or the line loop.
 """
 
 import io
+import tracemalloc
 import warnings
 
 import pytest
 
 from repro.errors import GraphFormatError
-from repro.graphs import GraphBuilder, read_dimacs, read_edge_list, read_metis
+from repro.graphs import (
+    Graph,
+    GraphBuilder,
+    read_dimacs,
+    read_edge_list,
+    read_metis,
+    write_edge_list,
+)
 from repro.graphs import io as graph_io
 
 BEYOND_INT64 = 10**20
 
-#: ``(id, text, labels, label edges, falls back to the line loop)``
+INT64_MAX = 2**63 - 1
+
+#: ``(id, text, labels, label edges, route)``.  The route is the reader that
+#: parses the file on the production route: ``strict`` (one
+#: ``numpy.fromstring`` pass), ``loadtxt`` or ``line`` (the line loop).
 EDGE_LIST_CASES = [
-    ("self-loops", "0 0\n0 1\n1 1\n5 5\n", [0, 1, 5], [(0, 1)], False),
-    ("duplicates-both-orientations", "0 1\n1 0\n0 1\n2 1\n1 2\n", [0, 1, 2], [(0, 1), (1, 2)], False),
-    ("header-fillers-below", "# repro graph: n=6 m=2\n3 7\n7 9\n", [0, 1, 2, 3, 7, 9], [(3, 7), (7, 9)], False),
-    ("header-fillers-between", "# repro graph: n=5\n0 2\n4 9\n", [0, 1, 2, 4, 9], [(0, 2), (4, 9)], False),
-    ("header-in-percent-comment", "% repro graph: n=4\n0 1\n", [0, 1, 2, 3], [(0, 1)], False),
-    ("header-largest-wins", "# repro graph: n=3\n0 1\n# repro graph: n=4\n", [0, 1, 2, 3], [(0, 1)], False),
-    ("header-in-trailing-comment-ignored", "0 1 # repro graph: n=9\n", [0, 1], [(0, 1)], False),
-    ("header-only", "# repro graph: n=3 m=0\n", [0, 1, 2], [], False),
-    ("negative-labels", "-5 3\n3 -1\n# repro graph: n=5\n", [-5, -1, 0, 1, 3], [(-5, 3), (3, -1)], False),
-    ("signed-labels", "+1 -2\n", [-2, 1], [(1, -2)], False),
+    ("self-loops", "0 0\n0 1\n1 1\n5 5\n", [0, 1, 5], [(0, 1)], "strict"),
+    ("duplicates-both-orientations", "0 1\n1 0\n0 1\n2 1\n1 2\n", [0, 1, 2], [(0, 1), (1, 2)], "strict"),
+    ("header-fillers-below", "# repro graph: n=6 m=2\n3 7\n7 9\n", [0, 1, 2, 3, 7, 9], [(3, 7), (7, 9)], "strict"),
+    ("header-fillers-between", "# repro graph: n=5\n0 2\n4 9\n", [0, 1, 2, 4, 9], [(0, 2), (4, 9)], "strict"),
+    ("header-in-percent-comment", "% repro graph: n=4\n0 1\n", [0, 1, 2, 3], [(0, 1)], "strict"),
+    ("header-largest-wins", "# repro graph: n=3\n0 1\n# repro graph: n=4\n", [0, 1, 2, 3], [(0, 1)], "loadtxt"),
+    ("header-in-trailing-comment-ignored", "0 1 # repro graph: n=9\n", [0, 1], [(0, 1)], "loadtxt"),
+    ("header-only", "# repro graph: n=3 m=0\n", [0, 1, 2], [], "loadtxt"),
+    ("negative-labels", "-5 3\n3 -1\n# repro graph: n=5\n", [-5, -1, 0, 1, 3], [(-5, 3), (3, -1)], "loadtxt"),
+    ("signed-labels", "+1 -2\n", [-2, 1], [(1, -2)], "strict"),
     (
         "labels-beyond-int64",
         f"0 {BEYOND_INT64}\n{BEYOND_INT64} -{BEYOND_INT64}\n",
         [-BEYOND_INT64, 0, BEYOND_INT64],
         [(0, BEYOND_INT64), (BEYOND_INT64, -BEYOND_INT64)],
-        True,
+        "line",
     ),
-    ("extra-columns", "0 1 0.5\n1 2 7 extra\n2 3\n", [0, 1, 2, 3], [(0, 1), (1, 2), (2, 3)], False),
+    ("extra-columns", "0 1 0.5\n1 2 7 extra\n2 3\n", [0, 1, 2, 3], [(0, 1), (1, 2), (2, 3)], "loadtxt"),
     (
         "comments",
         "% top\n0 1 # weight\n1 2 % note\n  # indented\n2 3#tight\n\t% tabbed\n",
         [0, 1, 2, 3],
         [(0, 1), (1, 2), (2, 3)],
-        False,
+        "loadtxt",
     ),
-    ("crlf-and-blank-lines", "# repro graph: n=4\r\n0 1\r\n\r\n1 2\r\n   \r\n", [0, 1, 2, 3], [(0, 1), (1, 2)], False),
-    ("tabs-and-spaces", "0\t1\n  1    2  \n", [0, 1, 2], [(0, 1), (1, 2)], False),
-    ("no-final-newline", "0 1\n1 2", [0, 1, 2], [(0, 1), (1, 2)], False),
-    ("empty", "", [], [], False),
-    ("comments-only", "# nothing here\n% nor here\n\n", [], [], False),
-    ("one-edge", "4 2\n", [2, 4], [(4, 2)], False),
+    ("crlf-and-blank-lines", "# repro graph: n=4\r\n0 1\r\n\r\n1 2\r\n   \r\n", [0, 1, 2, 3], [(0, 1), (1, 2)], "loadtxt"),
+    ("tabs-and-spaces", "0\t1\n  1    2  \n", [0, 1, 2], [(0, 1), (1, 2)], "loadtxt"),
+    ("no-final-newline", "0 1\n1 2", [0, 1, 2], [(0, 1), (1, 2)], "strict"),
+    ("empty", "", [], [], "loadtxt"),
+    ("comments-only", "# nothing here\n% nor here\n\n", [], [], "loadtxt"),
+    ("one-edge", "4 2\n", [2, 4], [(4, 2)], "strict"),
+    # The strict route's traps: numpy.fromstring saturates a label past
+    # int64 at the int64 maximum, takes ``+1`` and whitespace of any kind.
+    ("just-past-int64", "9223372036854775808 1\n", [1, INT64_MAX + 1], [(INT64_MAX + 1, 1)], "line"),
+    ("far-past-int64", f"{BEYOND_INT64} 1\n", [1, BEYOND_INT64], [(BEYOND_INT64, 1)], "line"),
+    ("just-below-int64", "-9223372036854775809 1\n", [-INT64_MAX - 2, 1], [(-INT64_MAX - 2, 1)], "line"),
+    (
+        "int64-extremes",
+        "-9223372036854775808 9223372036854775807\n",
+        [-INT64_MAX - 1, INT64_MAX],
+        [(-INT64_MAX - 1, INT64_MAX)],
+        "loadtxt",
+    ),
+    ("plus-signs", "+1 +2\n+2 3\n", [1, 2, 3], [(1, 2), (2, 3)], "strict"),
+    ("leading-zeros-and-minus-zero", "007 08\n-0 1\n", [0, 1, 7, 8], [(7, 8), (0, 1)], "strict"),
+    ("trailing-space", "0 1 \n1 2\n", [0, 1, 2], [(0, 1), (1, 2)], "loadtxt"),
+    ("leading-space", " 0 1\n1 2\n", [0, 1, 2], [(0, 1), (1, 2)], "loadtxt"),
+    ("double-space", "0  1\n1 2\n", [0, 1, 2], [(0, 1), (1, 2)], "loadtxt"),
+    ("blank-line-between", "0 1\n\n1 2\n", [0, 1, 2], [(0, 1), (1, 2)], "loadtxt"),
+    # Separators alternate in-line and newline, but outnumber the labels.
+    ("whitespace-only-lines", "0 1\n \n2 3\n\t\n", [0, 1, 2, 3], [(0, 1), (2, 3)], "loadtxt"),
+    ("tab-separated", "0\t1\n1\t2\n", [0, 1, 2], [(0, 1), (1, 2)], "strict"),
+    ("tab-separated-no-final-newline", "3\t1\n1\t2", [1, 2, 3], [(3, 1), (1, 2)], "strict"),
+    (
+        "snap-header-block",
+        "# Directed graph\n# Nodes: 3 Edges: 2\n# FromNodeId\tToNodeId\n0\t1\n1\t2\n",
+        [0, 1, 2],
+        [(0, 1), (1, 2)],
+        "strict",
+    ),
+    ("indented-header", "  # repro graph: n=3\n0 1\n", [0, 1, 2], [(0, 1)], "loadtxt"),
+    ("sparse-labels", "0 1099511627776\n", [0, 2**40], [(0, 2**40)], "strict"),
 ]
 
 #: ``(id, text, line number)`` — each must raise the line loop's error.
@@ -67,6 +112,13 @@ EDGE_LIST_MALFORMED = [
     ("absurd-header-count", "# repro graph: n=1000000000000\n0 1\n", 1),
     ("header-count-past-int32", "0 1\n% repro graph: n=2147483648\n", 2),
     ("bad-line-after-crlf", "0 1\r\n1 y\r\n", 2),
+    # numpy.fromstring reads these without complaint.
+    ("lone-minus", "0 1\n- 2\n", 2),
+    ("trailing-minus", "0 1\n1 -\n", 2),
+    ("minus-after-digit", "0 1\n1-2 3\n", 2),
+    ("two-signs", "0 1\n1 +-2\n", 2),
+    ("misaligned-rows", "1 2 3\n4\n", 2),
+    ("misaligned-rows-tab", "1\t2\t3\n4\n", 2),
 ]
 
 #: ``(id, text, n, edges)``
@@ -132,17 +184,32 @@ def backend(request, monkeypatch):
 
 
 @pytest.fixture
-def line_loop_runs(monkeypatch):
-    """Counts calls to the edge-list line loop."""
-    calls = []
-    original = graph_io._read_edge_lines
+def route(monkeypatch):
+    """The route the last edge-list read took: ``strict``, ``loadtxt`` or
+    ``line``."""
+    taken = []
+    strict_rows = graph_io._strict_rows
+    loadtxt = graph_io._np.loadtxt
+    read_edge_lines = graph_io._read_edge_lines
 
-    def counted(handle, name):
-        calls.append(name)
-        return original(handle, name)
+    def strict(text):
+        rows = strict_rows(text)
+        if rows is not None:
+            taken.append("strict")
+        return rows
 
-    monkeypatch.setattr(graph_io, "_read_edge_lines", counted)
-    return calls
+    def counted_loadtxt(*args, **kwargs):
+        taken.append("loadtxt")
+        return loadtxt(*args, **kwargs)
+
+    def line_loop(handle, name):
+        taken.append("line")
+        return read_edge_lines(handle, name)
+
+    monkeypatch.setattr(graph_io, "_strict_rows", strict)
+    monkeypatch.setattr(graph_io._np, "loadtxt", counted_loadtxt)
+    monkeypatch.setattr(graph_io, "_read_edge_lines", line_loop)
+    return lambda: taken[-1] if taken else None
 
 
 def _oracle(n, edges):
@@ -166,15 +233,15 @@ def _line_loop_error(text):
 
 
 @pytest.mark.parametrize("case", EDGE_LIST_CASES, ids=_ids(EDGE_LIST_CASES))
-def test_edge_list_matches_oracle(case, backend, line_loop_runs):
-    _, text, labels, label_edges, falls_back = case
+def test_edge_list_matches_oracle(case, backend, route):
+    _, text, labels, label_edges, expected_route = case
     index = {label: i for i, label in enumerate(labels)}
     expected = _oracle(len(labels), [(index[u], index[v]) for u, v in label_edges])
     graph, got_labels = read_edge_list(io.StringIO(text))
     _assert_same_graph(graph, expected)
     assert got_labels == labels
     assert all(type(label) is int for label in got_labels)
-    assert bool(line_loop_runs) == (falls_back or backend == "no-numpy")
+    assert route() == (expected_route if backend == "numpy" else "line")
 
 
 @pytest.mark.parametrize("case", EDGE_LIST_CASES, ids=_ids(EDGE_LIST_CASES))
@@ -187,6 +254,41 @@ def test_edge_list_file_matches_stream(case, backend, tmp_path):
     from_stream = read_edge_list(io.StringIO(text))
     assert from_file[0] == from_stream[0]
     assert from_file[1] == from_stream[1]
+
+
+def test_written_files_take_the_strict_route(route, tmp_path):
+    # write_edge_list's header plus ``u v`` lines, isolated vertices included.
+    graph = Graph.from_edges(40, [(u, (7 * u + 3) % 37) for u in range(37)])
+    path = tmp_path / "written.txt"
+    write_edge_list(graph, str(path))
+    assert read_edge_list(str(path))[0] == graph
+    assert route() == "strict"
+
+
+def test_snap_tab_files_take_the_strict_route(route, tmp_path):
+    path = tmp_path / "snap.txt"
+    path.write_text(
+        "# Undirected graph: example.txt\n# Nodes: 4 Edges: 3\n# FromNodeId\tToNodeId\n"
+        "10\t20\n20\t30\n30\t40\n",
+        encoding="utf-8",
+    )
+    graph, labels = read_edge_list(str(path))
+    assert labels == [10, 20, 30, 40] and graph.m == 3
+    assert route() == "strict"
+
+
+@pytest.mark.parametrize("label", [2**24, 2**40])
+def test_sparse_labels_allocate_no_label_table(label, route):
+    # A presence table indexed by label would take ``label`` bytes.
+    tracemalloc.start()
+    try:
+        graph, labels = read_edge_list(io.StringIO(f"0 {label}\n{label} 5\n"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert labels == [0, 5, label] and graph.m == 2
+    assert route() == "strict"
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("case", EDGE_LIST_MALFORMED, ids=_ids(EDGE_LIST_MALFORMED))

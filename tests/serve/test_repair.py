@@ -12,6 +12,9 @@ import random
 import pytest
 
 from repro.analysis import assert_valid_solution
+from repro.core import components as components_module
+from repro.core.components import affected_region
+from repro.core.trace import extend_to_maximal
 from repro.core.workspace import ArrayWorkspace
 from repro.graphs import Graph
 from repro.graphs.generators import (
@@ -20,7 +23,11 @@ from repro.graphs.generators import (
     power_law_graph,
     web_like_graph,
 )
+from repro.graphs.properties import connected_components
+from repro.perf import parallel as parallel_module
+from repro.perf.parallel import solve_by_components_parallel
 from repro.serve import DynamicGraph, Mutation, cold_solve, patch_solution, repair_solution
+from repro.serve import repair as repair_module
 
 SIZE_TOLERANCE = 0.95
 
@@ -173,3 +180,48 @@ class TestRepairSolution:
                 radius=radius,
             )
             assert outcome.region_size == min(2 * radius + 1, g.n)
+
+
+class TestRepairComponentPass:
+    """A repair splits its free region into components exactly once."""
+
+    @staticmethod
+    def _reference(graph, in_set, seeds):
+        # The repair as composed from the public pieces: free region, one
+        # solve_by_components_parallel call inline, extension to maximal.
+        region = affected_region(graph, seeds, radius=1)
+        inside = set(region)
+        free = [
+            v for v in region
+            if not any(w not in inside and in_set[w] for w in graph.neighbors(v))
+        ]
+        repaired = list(in_set)
+        for v in region:
+            repaired[v] = False
+        subgraph, old_ids = graph.subgraph(free)
+        result = solve_by_components_parallel(subgraph, "linear_time", processes=1)
+        for v in result.independent_set:
+            repaired[old_ids[v]] = True
+        extend_to_maximal(repaired, graph)
+        return repaired, len(connected_components(subgraph))
+
+    def test_one_connected_components_call(self, monkeypatch):
+        graph = power_law_graph(400, beta=2.2, seed=3)
+        in_set = _in_set(graph, cold_solve(graph, "linear_time").independent_set)
+        seeds = list(range(0, graph.n, 40))
+        expected, expected_components = self._reference(graph, in_set, seeds)
+        assert expected_components > 1
+
+        calls = []
+
+        def counted(g):
+            calls.append(g.n)
+            return connected_components(g)
+
+        for module in (repair_module, parallel_module, components_module):
+            if hasattr(module, "connected_components"):
+                monkeypatch.setattr(module, "connected_components", counted)
+        outcome = repair_solution(graph, in_set, seeds, "linear_time", radius=1)
+        assert len(calls) == 1
+        assert outcome.components == expected_components
+        assert outcome.in_set == expected

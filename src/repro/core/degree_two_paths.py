@@ -24,6 +24,17 @@ edges are realised by in-place rewiring so adjacency arrays never grow.
 The single irreducible situation — ``|P| = 1`` with non-adjacent degree-≥3
 anchors — is skipped, exactly as discussed in the paper's Appendix A.2 (it
 is the one configuration only BDTwo's folding handles).
+
+Two implementations share the case semantics.
+:func:`apply_degree_two_path_reduction` drives a workspace through its
+mutation protocol; the oracle workspaces run it.  The fused flat drivers
+(:func:`repro.core.linear_time._reduce_flat`,
+:func:`repro.core.near_linear._main_loop_flat`) call
+:func:`classify_flat_path` to walk and classify a path on their buffers
+and :func:`retire_flat_path` to apply cases 3–5; the anchor deletions of
+the other cases go through the drivers' own deletion code, and the
+drivers count the cases in locals and commit them through
+:func:`bump_path_counts`.
 """
 
 from __future__ import annotations
@@ -31,6 +42,7 @@ from __future__ import annotations
 from typing import Any, List, Optional, Tuple
 
 from .hotpath import hot_loop
+from .trace import PATH
 from .result import (
     STAT_PATH_ANCHOR_SHARED,
     STAT_PATH_CYCLE,
@@ -44,6 +56,10 @@ __all__ = [
     "PathDiscovery",
     "find_maximal_degree_two_path",
     "apply_degree_two_path_reduction",
+    "bump_path_counts",
+    "classify_flat_path",
+    "retire_flat_path",
+    "rewire_slot",
     "RULE_CYCLE",
     "RULE_ANCHOR_SHARED",
     "RULE_ODD_EDGE",
@@ -144,10 +160,13 @@ def _discover(workspace: Any, u: int, first: int, second: int) -> PathDiscovery:
 def apply_degree_two_path_reduction(workspace: Any, u: int) -> str:
     """Apply Lemma 4.1 to the maximal path/cycle through ``u``.
 
-    ``workspace`` is either an :class:`~repro.core.workspace.ArrayWorkspace`
-    (LinearTime) or a :class:`~repro.core.dominance.TriangleWorkspace`
-    (NearLinear) — both expose the same mutation protocol, the latter with
-    triangle-count maintenance behind it.
+    ``workspace`` is any workspace exposing the mutation protocol: the
+    oracles :class:`~repro.core.workspace.ArrayWorkspace` (LinearTime) and
+    :class:`~repro.core.dominance.TriangleWorkspace` (NearLinear, with
+    triangle-count maintenance behind it), or a flat workspace driven by
+    a generic loop.  The fused flat drivers do not call it: they apply
+    the same cases on their own buffers (:func:`classify_flat_path`), and
+    the lockstep tests hold them to this driver's logs.
 
     Returns the name of the rule case applied (one of the ``RULE_*``
     constants); :data:`RULE_IRREDUCIBLE` means nothing changed.
@@ -224,3 +243,168 @@ def apply_degree_two_path_reduction(workspace: Any, u: int) -> str:
         push_path(x, chain[i], chain[i + 2])
     workspace.settle_new_edge(v, w)
     return RULE_EVEN_NO_EDGE
+
+
+@hot_loop
+def _walk_flat(
+    adj: Any, xadj: Any, ends: Any, deg: Any, alive: Any, start: int, first: int,
+    out: List[int],
+) -> int:
+    """:func:`_walk` on flat buffers: append the interior to ``out``.
+
+    Vertex ``x``'s row is ``adj[xadj[x] : ends[x]]`` (dead entries are
+    skipped).  Returns the anchor, or ``-1`` if the walk returned to
+    ``start`` (a cycle).
+    """
+    append = out.append
+    prev = start
+    cur = first
+    while deg[cur] == 2:
+        if cur == start:
+            return -1
+        append(cur)
+        for nxt in adj[xadj[cur] : ends[cur]]:
+            if alive[nxt] and nxt != prev:
+                prev = cur
+                cur = nxt
+                break
+        else:  # pendant cycle end: both live neighbours equal prev (C2 impossible)
+            return prev
+    return cur
+
+
+@hot_loop
+def classify_flat_path(
+    adj: Any, xadj: Any, ends: Any, deg: Any, alive: Any, u: int, first: int,
+    second: int, chain: List[int],
+) -> str:
+    """Walk the maximal degree-two path or cycle through ``u`` and name its
+    Lemma 4.1 case, on flat buffers.
+
+    ``u`` is live with the live neighbours ``first`` and ``second``, in row
+    order; row ``x`` is ``adj[xadj[x] : ends[x]]``.  Unless the structure
+    is a cycle, ``chain`` is refilled with ``[v, v₁, …, v_l, w]``: the
+    path in the order :func:`apply_degree_two_path_reduction` sees it,
+    between its anchors, so chain slot ``i`` of a path vertex holds its two
+    live neighbours in slots ``i − 1`` and ``i + 1``.  Returns the
+    ``RULE_*`` case the driver applies; nothing is mutated.
+    """
+    chain.clear()
+    if deg[first] != 2 and deg[second] != 2:
+        v = first
+        w = second
+        chain.append(v)
+        chain.append(u)
+        chain.append(w)
+    else:
+        v = _walk_flat(adj, xadj, ends, deg, alive, u, first, chain)
+        if v < 0:
+            return RULE_CYCLE
+        chain.append(v)
+        chain.reverse()
+        chain.append(u)
+        w = _walk_flat(adj, xadj, ends, deg, alive, u, second, chain)
+        chain.append(w)
+        if v == w:
+            return RULE_ANCHOR_SHARED
+    # Scan the shorter anchor row for the other anchor.
+    if deg[v] > deg[w]:
+        edge = v in adj[xadj[w] : ends[w]]
+    else:
+        edge = w in adj[xadj[v] : ends[v]]
+    length = len(chain) - 2
+    if length % 2 == 1:
+        if edge:
+            return RULE_ODD_EDGE
+        if length == 1:
+            return RULE_IRREDUCIBLE
+        return RULE_ODD_NO_EDGE
+    if edge:
+        return RULE_EVEN_EDGE
+    return RULE_EVEN_NO_EDGE
+
+
+@hot_loop
+def retire_flat_path(
+    adj: Any, xadj: Any, ends: Any, hint: Any, alive: Any, append_entry: Any,
+    chain: List[int], rule: str,
+) -> int:
+    """Apply case 3, 4 or 5 of Lemma 4.1 to a classified ``chain`` on flat
+    buffers (row ``x`` is ``adj[xadj[x] : ends[x]]``).
+
+    Case 3 keeps v₁ and retires v₂ … v_l; cases 4 and 5 retire the whole
+    path.  Cases 3 and 5 first rewire the edge (v₁, w), respectively
+    (v, w), into the retired path's end slots (:func:`rewire_slot`).
+    Retired vertices are marked dead and their ``PATH`` entries appended
+    from v_l down, each naming its two chain neighbours, as
+    :func:`apply_degree_two_path_reduction` pushes them.  Returns the
+    number retired; each had degree two.  The anchors' degrees are the
+    caller's.
+
+    A rewired slot held a path edge, which lies on no triangle: its
+    interior ends have degree two and the anchors differ.  So δ of the
+    slot is 0 before and after, and a triangle-count caller has nothing
+    to reset.
+    """
+    w = chain[-1]
+    last = len(chain) - 2
+    stop = 2 if rule == RULE_ODD_NO_EDGE else 1
+    if rule != RULE_EVEN_EDGE:
+        keep = chain[stop - 1]
+        rewire_slot(adj, hint, keep, xadj[keep], ends[keep], chain[stop], w)
+        rewire_slot(adj, hint, w, xadj[w], ends[w], chain[last], keep)
+    for i in range(last, stop - 1, -1):
+        x = chain[i]
+        alive[x] = 0
+        append_entry((PATH, (x, chain[i - 1], chain[i + 1])))
+    return last - stop + 1
+
+
+@hot_loop
+def rewire_slot(
+    adj: Any, hint: Any, v: int, lo: int, hi: int, old: int, new: int
+) -> int:
+    """Replace the entry ``old`` of ``v``'s row ``adj[lo:hi]`` with ``new``.
+
+    The in-place edge modification of Section 4, shared by the flat
+    workspaces' ``rewire`` and :func:`retire_flat_path`.  The search starts at
+    ``hint[v]``, the slot ``v`` last retargeted: Lemma 4.1 retargets the
+    same anchor slot on consecutive path reductions, so the common case is
+    O(1).  Otherwise the row (never holding duplicates) is scanned once.
+    Returns the slot, which becomes the new hint.
+    """
+    i = hint[v]
+    if not lo <= i < hi or adj[i] != old:
+        i = lo
+        while adj[i] != old:
+            i += 1
+            if i >= hi:
+                raise ValueError(f"{old} is not an adjacency entry of {v}")
+    adj[i] = new
+    hint[v] = i
+    return i
+
+
+@hot_loop
+def bump_path_counts(
+    log: Any, cycle: int, anchor_shared: int, odd_edge: int, odd_no_edge: int,
+    even_edge: int, even_no_edge: int,
+) -> None:
+    """Add a fused driver's Lemma 4.1 case counts to ``log``'s counters.
+
+    A zero count adds no key, so the counters stay equal to those of a
+    run that bumps each case as it applies it.
+    """
+    bump = log.bump
+    if cycle:
+        bump(STAT_PATH_CYCLE, cycle)
+    if anchor_shared:
+        bump(STAT_PATH_ANCHOR_SHARED, anchor_shared)
+    if odd_edge:
+        bump(STAT_PATH_ODD_EDGE, odd_edge)
+    if odd_no_edge:
+        bump(STAT_PATH_ODD_NO_EDGE, odd_no_edge)
+    if even_edge:
+        bump(STAT_PATH_EVEN_EDGE, even_edge)
+    if even_no_edge:
+        bump(STAT_PATH_EVEN_NO_EDGE, even_no_edge)

@@ -34,6 +34,7 @@ import numpy as _np
 
 from ..graphs.static_graph import Graph
 from .bucket_queue import MaxDegreeSelector
+from .degree_two_paths import rewire_slot
 from .hotpath import hot_loop
 from .trace import DecisionLog
 from .workspace import export_kernel_arrays
@@ -510,7 +511,8 @@ class FlatTriangleWorkspace:
                 self.include(v)
 
     # ------------------------------------------------------------------
-    # Path-reduction support (used by the shared Lemma 4.1 driver)
+    # Path-reduction support (the shared Lemma 4.1 driver; the fused main
+    # loop calls only settle_new_edge and decrement_degree)
     # ------------------------------------------------------------------
     def remove_silently(self, v: int) -> None:
         """Mark a path-interior vertex dead; caller fixes endpoints.
@@ -526,25 +528,15 @@ class FlatTriangleWorkspace:
     def rewire(self, v: int, old: int, new: int) -> None:
         """Replace the adjacency entry ``old`` with ``new`` in ``v``'s row.
 
-        Same hint machinery as :class:`~repro.core.workspace.FlatWorkspace`
-        (Lemma 4.1 retargets the same anchor slot on consecutive path
-        reductions); δ of the just-created edge is reset to zero (and the
+        The search starts at the per-vertex hint
+        (:func:`~repro.core.degree_two_paths.rewire_slot`); δ of the
+        just-created edge is reset to zero (and the
         retired edge's δ leaves ``_tsum[v]``) and later settled by
         :meth:`settle_new_edge` when both endpoints exist.
         """
-        adj = self.adj
-        i = self._hint[v]
-        if adj[i] != old or not self.xadj[v] <= i < self._rend[v]:
-            i = self.xadj[v]
-            hi = self._rend[v]
-            while adj[i] != old:
-                i += 1
-                if i >= hi:
-                    raise ValueError(f"{old} is not an adjacency entry of {v}")
-        adj[i] = new
+        i = rewire_slot(self.adj, self._hint, v, self.xadj[v], self._rend[v], old, new)
         self._tsum[v] -= self.tri[i]
         self.tri[i] = 0
-        self._hint[v] = i
 
     def settle_new_edge(self, a: int, b: int) -> None:
         """Compute δ(a, b) for a just-created edge and propagate dominance.

@@ -14,12 +14,15 @@ but with solution quality close to BDTwo.
 
 As in :mod:`repro.core.bdone`, two execution paths share the decision
 semantics: :func:`_reduce` drives any workspace through the public mutation
-protocol, while :func:`_reduce_flat` binds the
+protocol and the shared Lemma 4.1 driver
+(:func:`~repro.core.degree_two_paths.apply_degree_two_path_reduction`),
+while :func:`_reduce_flat` binds the
 :class:`~repro.core.workspace.FlatWorkspace` buffers to locals and fuses
-the degree-one cascade, deletions and log appends (the degree-two path
-reductions stay in the shared Lemma 4.1 driver, which it enters only when
-the path is reducible).  The decision logs are
-identical either way while the degree-one worklist stays narrower than
+the degree-one cascade, the degree-two path reductions, deletions and log
+appends (its path walk and case choice are the flat helpers of
+:mod:`repro.core.degree_two_paths`, which NearLinear's fused loop calls
+too).  The decision logs are identical either way while the degree-one
+worklist stays narrower than
 :data:`~repro.core.workspace.BATCH_MIN_FRONTIER`; a wider frontier is
 resolved in whole-array rounds
 (:func:`~repro.core.workspace._degree_one_rounds`), which may pick a
@@ -29,11 +32,22 @@ different, equally valid set of exclusions.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..graphs.static_graph import Graph
 from .hotpath import hot_loop
-from .degree_two_paths import RULE_IRREDUCIBLE, apply_degree_two_path_reduction
+from .degree_two_paths import (
+    RULE_ANCHOR_SHARED,
+    RULE_CYCLE,
+    RULE_EVEN_EDGE,
+    RULE_IRREDUCIBLE,
+    RULE_ODD_EDGE,
+    RULE_ODD_NO_EDGE,
+    apply_degree_two_path_reduction,
+    bump_path_counts,
+    classify_flat_path,
+    retire_flat_path,
+)
 from .result import STAT_DEGREE_ONE, STAT_PEEL, MISResult
 from .trace import EXCLUDE, INCLUDE, PEEL, Checkpoint, DecisionLog
 from .workspace import BATCH_MIN_FRONTIER, FlatWorkspace, _degree_one_rounds
@@ -84,15 +98,20 @@ def _reduce(workspace: Any, stop_before_peel: bool) -> bool:
 def _reduce_flat(workspace: FlatWorkspace, stop_before_peel: bool) -> bool:
     """The same loop specialized to the flat CSR buffers.
 
-    The degree-one rule, the deletions and the peels operate on locals
-    (``adj``/``deg``/``alive``/worklists) and append decision entries
-    directly; rule counters are accumulated locally and committed to the
-    log in one batch when the loop exits.  While the degree-one worklist
-    holds at least :data:`BATCH_MIN_FRONTIER` vertices, its rounds run
-    batched instead.  A popped degree-two vertex whose live neighbours
-    both have degree ≠ 2 and are not adjacent is the Lemma 4.1 driver's
-    irreducible case; it is skipped here, so the driver is entered only
-    when it will act.
+    The degree-one rule, the Lemma 4.1 path reductions, the deletions and
+    the peels operate on locals (``adj``/``deg``/``alive``/worklists) and
+    append decision entries directly; rule counters are accumulated
+    locally and committed to the log in one batch when the loop exits.
+    :func:`~repro.core.degree_two_paths.classify_flat_path` walks and
+    classifies a path on the buffers;
+    :func:`~repro.core.degree_two_paths.retire_flat_path` applies cases
+    3–5 (rewiring through the ``_hint`` slots and appending the ``PATH``
+    entries), and the anchors of cases 1 and 2 (or a cycle vertex) go
+    through the driver's own deletion.  A popped degree-two vertex whose
+    live neighbours both have degree ≠ 2 and are not adjacent is the
+    irreducible case and is skipped before any walk.  While the
+    degree-one worklist holds at least :data:`BATCH_MIN_FRONTIER`
+    vertices, its rounds run batched instead.
     """
     log = workspace.log
     entries = log.entries
@@ -101,8 +120,10 @@ def _reduce_flat(workspace: FlatWorkspace, stop_before_peel: bool) -> bool:
     np_adj, np_xadj, np_deg, np_alive = workspace.arrays
     adj = workspace.adj
     xadj = workspace.xadj
+    ends = memoryview(xadj)[1:]  # row v ends where row v + 1 starts
     deg = workspace.deg
     alive = workspace.alive
+    hint = workspace._hint
     v1 = workspace.v1
     v2 = workspace.v2
     v1_pop = v1.pop
@@ -110,103 +131,119 @@ def _reduce_flat(workspace: FlatWorkspace, stop_before_peel: bool) -> bool:
     v1_append = v1.append
     v2_append = v2.append
     pop_max_degree = workspace.pop_max_degree
+    decrement_degree = workspace.decrement_degree
+    chain: List[int] = []
+    follow = -1
     dead = 0
     deg_sum_drop = 0
     degree_one_count = 0
     peel_count = 0
     batch_rounds = 0
-    rule_counts: Dict[str, int] = {}
+    cycles = anchor_shared = odd_edge = odd_no_edge = even_edge = even_no_edge = 0
     consumed = True
     while True:
-        # --- wide degree-one frontier: whole-array rounds --------------
-        if len(v1) >= batch_min:
-            excluded, rounds, nlive_drop, deg_drop = _degree_one_rounds(
-                np_adj, np_xadj, np_deg, np_alive, v1, v2, True, entries,
-                batch_min,
-            )
-            degree_one_count += excluded
-            batch_rounds += rounds
-            dead += nlive_drop
-            deg_sum_drop += deg_drop
-        # --- degree-one rule: delete the sole live neighbour of u ------
-        u = -1
-        while v1:
-            x = v1_pop()
-            if alive[x] and deg[x] == 1:
-                u = x
-                break
-        if u >= 0:
-            for v in adj[xadj[u] : xadj[u + 1]]:
-                if alive[v]:
+        # An odd path whose anchors are adjacent excludes both, the second
+        # right after the first.
+        u = follow
+        follow = -1
+        kind = EXCLUDE
+        if u < 0:
+            # --- wide degree-one frontier: whole-array rounds ----------
+            if len(v1) >= batch_min:
+                excluded, rounds, nlive_drop, deg_drop = _degree_one_rounds(
+                    np_adj, np_xadj, np_deg, np_alive, v1, v2, True, entries,
+                    batch_min,
+                )
+                degree_one_count += excluded
+                batch_rounds += rounds
+                dead += nlive_drop
+                deg_sum_drop += deg_drop
+            # --- degree-one rule: exclude the sole live neighbour of x --
+            while v1:
+                x = v1_pop()
+                if alive[x] and deg[x] == 1:
+                    for u in adj[xadj[x] : xadj[x + 1]]:
+                        if alive[u]:
+                            break
+                    degree_one_count += 1
                     break
-            alive[v] = 0
-            dead += 1
-            deg_sum_drop += 2 * deg[v]
-            append_entry((EXCLUDE, (v,)))
-            for w in adj[xadj[v] : xadj[v + 1]]:
-                if alive[w]:
-                    d = deg[w] - 1
-                    deg[w] = d
-                    if d == 1:
-                        v1_append(w)
-                    elif d == 2:
-                        v2_append(w)
-                    elif d == 0:
-                        alive[w] = 0
-                        dead += 1
-                        append_entry((INCLUDE, (w,)))
-            degree_one_count += 1
-            continue
-        # --- degree-two path reductions (shared Lemma 4.1 driver) ------
-        u = -1
-        while v2:
-            x = v2_pop()
-            if alive[x] and deg[x] == 2:
-                u = x
-                break
-        if u >= 0:
-            first = second = -1
-            for x in adj[xadj[u] : xadj[u + 1]]:
-                if alive[x]:
-                    if first < 0:
-                        first = x
+        if u < 0:
+            # --- degree-two path reductions (Lemma 4.1) ----------------
+            while v2:
+                x = v2_pop()
+                if alive[x] and deg[x] == 2:
+                    u = x
+                    break
+            if u >= 0:
+                first = second = -1
+                for x in adj[xadj[u] : xadj[u + 1]]:
+                    if alive[x]:
+                        if first < 0:
+                            first = x
+                        else:
+                            second = x
+                            break
+                if deg[first] != 2 and deg[second] != 2:
+                    # A length-1 path; irreducible unless its anchors are
+                    # adjacent (scan the shorter row).
+                    a = first
+                    b = second
+                    if deg[a] > deg[b]:
+                        a = second
+                        b = first
+                    if b not in adj[xadj[a] : xadj[a + 1]]:
+                        continue
+                rule = classify_flat_path(
+                    adj, xadj, ends, deg, alive, u, first, second, chain
+                )
+                if rule == RULE_CYCLE:
+                    cycles += 1
+                elif rule == RULE_ANCHOR_SHARED:
+                    anchor_shared += 1
+                    u = chain[0]
+                elif rule == RULE_ODD_EDGE:
+                    odd_edge += 1
+                    u = chain[0]
+                    follow = chain[-1]
+                else:
+                    retired = retire_flat_path(
+                        adj, xadj, ends, hint, alive, append_entry, chain, rule
+                    )
+                    dead += retired
+                    deg_sum_drop += 2 * retired
+                    if rule == RULE_ODD_NO_EDGE:
+                        # v₁ keeps degree two between non-adjacent anchors:
+                        # irreducible, so it is not re-filed (the shared
+                        # driver's re-file is skipped at the very next pop).
+                        odd_no_edge += 1
+                    elif rule == RULE_EVEN_EDGE:
+                        even_edge += 1
+                        decrement_degree(chain[0])
+                        decrement_degree(chain[-1])
                     else:
-                        second = x
-                        break
-            if deg[first] != 2 and deg[second] != 2:
-                # A length-1 path; irreducible unless its anchors are
-                # adjacent (scan the shorter row).
-                if deg[first] > deg[second]:
-                    first, second = second, first
-                if second not in adj[xadj[first] : xadj[first + 1]]:
+                        even_no_edge += 1
                     continue
-            # The shared driver mutates through workspace methods, which
-            # maintain the live counters themselves — flush the local
-            # deltas first so the workspace state it sees is consistent.
+        if u < 0:
+            # --- peel the maximum-degree vertex ------------------------
+            # The selector skips its O(n) build once nothing is live,
+            # which it reads off the workspace counter: flush the count.
             workspace._nlive -= dead
-            workspace._live_deg_sum -= deg_sum_drop
             dead = 0
-            deg_sum_drop = 0
-            rule = apply_degree_two_path_reduction(workspace, u)
-            if rule != RULE_IRREDUCIBLE:
-                rule_counts[rule] = rule_counts.get(rule, 0) + 1
-            continue
-        # --- peel the maximum-degree vertex ----------------------------
-        # The selector skips its O(n) build once nothing is live, which
-        # it reads off the workspace counter: flush the local count.
-        workspace._nlive -= dead
-        dead = 0
-        if stop_before_peel and workspace._nlive:
-            # Stall: pop nothing, so a later run resumes right here.
-            consumed = False
-            break
-        u = pop_max_degree()
-        if u is None:
-            break
+            if stop_before_peel and workspace._nlive:
+                # Stall: pop nothing, so a later run resumes right here.
+                consumed = False
+                break
+            top = pop_max_degree()
+            if top is None:
+                break
+            u = top
+            kind = PEEL
+            peel_count += 1
+        # --- delete u ----------------------------------------------------
         alive[u] = 0
         dead += 1
         deg_sum_drop += 2 * deg[u]
-        append_entry((PEEL, (u,)))
+        append_entry((kind, (u,)))
         for w in adj[xadj[u] : xadj[u + 1]]:
             if alive[w]:
                 d = deg[w] - 1
@@ -219,14 +256,14 @@ def _reduce_flat(workspace: FlatWorkspace, stop_before_peel: bool) -> bool:
                     alive[w] = 0
                     dead += 1
                     append_entry((INCLUDE, (w,)))
-        peel_count += 1
     workspace._nlive -= dead
     workspace._live_deg_sum -= deg_sum_drop
     workspace._rounds += batch_rounds
     if degree_one_count:
         log.bump(STAT_DEGREE_ONE, degree_one_count)
-    for rule, count in rule_counts.items():
-        log.bump(rule, count)
+    bump_path_counts(
+        log, cycles, anchor_shared, odd_edge, odd_no_edge, even_edge, even_no_edge
+    )
     if peel_count:
         log.bump(STAT_PEEL, peel_count)
     return consumed

@@ -21,9 +21,10 @@ semantics: :func:`_main_loop` drives any workspace through the dominance
 protocol (the :class:`~repro.core.dominance.TriangleWorkspace` oracle),
 while :func:`_main_loop_flat` binds the
 :class:`~repro.core.flat_dominance.FlatTriangleWorkspace` buffers to
-locals and fuses the pops, the Lemma 5.2 re-check and the deletions.
-Their decision logs are identical.  Telemetry runs the same driver: it
-reads the live counters and the log at the phase boundaries only.
+locals and fuses the pops, the Lemma 4.1 path reductions, the Lemma 5.2
+re-check and the deletions.  Their decision logs are identical.
+Telemetry runs the same driver: it reads the live counters and the log
+at the phase boundaries only.
 """
 
 from __future__ import annotations
@@ -35,7 +36,18 @@ from typing import Any, Callable, List, Optional, Tuple
 import numpy as _np
 
 from ..graphs.static_graph import Graph
-from .degree_two_paths import RULE_IRREDUCIBLE, apply_degree_two_path_reduction
+from .degree_two_paths import (
+    RULE_ANCHOR_SHARED,
+    RULE_CYCLE,
+    RULE_EVEN_EDGE,
+    RULE_IRREDUCIBLE,
+    RULE_ODD_EDGE,
+    RULE_ODD_NO_EDGE,
+    apply_degree_two_path_reduction,
+    bump_path_counts,
+    classify_flat_path,
+    retire_flat_path,
+)
 from .dominance import TriangleWorkspace, one_pass_dominance
 from .flat_dominance import FlatTriangleWorkspace, flat_one_pass_dominance
 from .hotpath import hot_loop
@@ -113,15 +125,23 @@ def _main_loop(workspace: Any, stop_before_peel: bool) -> bool:
 def _main_loop_flat(workspace: FlatTriangleWorkspace, stop_before_peel: bool) -> bool:
     """The same loop specialized to the flat triangle-count buffers.
 
-    The validated pops, the Lemma 5.2 re-check, the degree-one neighbour
-    lookup, the peels and the deletion body of
-    :meth:`~repro.core.flat_dominance.FlatTriangleWorkspace.delete_vertex`
-    run on locals; entries are appended directly, and the degree-one,
-    dominance and peel counters are committed to the log in one batch when
-    the loop exits.  Lemma 4.1 paths stay in the shared driver, which is
-    entered only when it will act: a popped degree-two vertex whose live
-    neighbours both have degree ≠ 2 and are not adjacent is the driver's
-    irreducible case, and is skipped here.
+    The validated pops, the Lemma 4.1 path reductions, the Lemma 5.2
+    re-check, the degree-one neighbour lookup, the peels and the deletion
+    body of :meth:`~repro.core.flat_dominance.FlatTriangleWorkspace.delete_vertex`
+    run on locals; entries are appended directly, and the rule counters
+    are committed to the log in one batch when the loop exits.
+
+    A path is walked and classified by
+    :func:`~repro.core.degree_two_paths.classify_flat_path`.  The anchors
+    of cases 1 and 2 (or a cycle vertex) go through the fused deletion,
+    which keeps the triangle counts exact;
+    :func:`~repro.core.degree_two_paths.retire_flat_path` applies cases
+    3–5, whose rewired slots lie on no triangle (δ stays 0, so ``_tsum``
+    stays in step).  Case 4 then calls ``decrement_degree`` on its
+    anchors, and case 5 settles its new edge with ``settle_new_edge``.
+    A popped degree-two vertex whose live neighbours both have degree ≠ 2
+    and are not adjacent is the irreducible case and is skipped before
+    any walk.
 
     A deletion of ``u`` with ``_tsum[u] == 0`` skips the clock bump, the
     stamping and the δ bookkeeping: δ(u, ·) = 0 means no two neighbours of
@@ -139,6 +159,7 @@ def _main_loop_flat(workspace: FlatTriangleWorkspace, stop_before_peel: bool) ->
     deg = workspace.deg
     alive = workspace.alive
     rend = workspace._rend
+    hint = workspace._hint
     stamp = workspace._stamp
     tsum = workspace._tsum
     v1 = workspace.v1
@@ -151,32 +172,40 @@ def _main_loop_flat(workspace: FlatTriangleWorkspace, stop_before_peel: bool) ->
     v2_append = v2.append
     dominated_append = dominated.append
     pop_max_degree = workspace.pop_max_degree
+    decrement_degree = workspace.decrement_degree
+    settle_new_edge = workspace.settle_new_edge
+    chain: List[int] = []
     neighbours: List[int] = []
     shared: List[int] = []
     neighbours_append = neighbours.append
     shared_append = shared.append
     clock = workspace._clock
+    follow = -1
     dead = 0
     deg_sum_drop = 0
     degree_one_count = 0
     dominance_count = 0
     peel_count = 0
+    cycles = anchor_shared = odd_edge = odd_no_edge = even_edge = even_no_edge = 0
     consumed = True
     while True:
-        # --- degree-one rule: exclude the sole live neighbour of x -----
-        u = -1
-        while v1:
-            x = v1_pop()
-            if alive[x] and deg[x] == 1:
-                for u in adj[xadj[x] : rend[x]]:
-                    if alive[u]:
-                        break
-                break
-        if u >= 0:
-            kind = EXCLUDE
-            degree_one_count += 1
-        else:
-            # --- degree-two path reductions (shared Lemma 4.1 driver) --
+        # An odd path whose anchors are adjacent excludes both, the second
+        # right after the first.
+        u = follow
+        follow = -1
+        kind = EXCLUDE
+        if u < 0:
+            # --- degree-one rule: exclude the sole live neighbour of x --
+            while v1:
+                x = v1_pop()
+                if alive[x] and deg[x] == 1:
+                    for u in adj[xadj[x] : rend[x]]:
+                        if alive[u]:
+                            break
+                    degree_one_count += 1
+                    break
+        if u < 0:
+            # --- degree-two path reductions (Lemma 4.1) ----------------
             while v2:
                 x = v2_pop()
                 if alive[x] and deg[x] == 2:
@@ -194,20 +223,48 @@ def _main_loop_flat(workspace: FlatTriangleWorkspace, stop_before_peel: bool) ->
                 if deg[first] != 2 and deg[second] != 2:
                     # A length-1 path; irreducible unless its anchors are
                     # adjacent (scan the shorter row).
-                    if deg[first] > deg[second]:
-                        first, second = second, first
-                    if second not in adj[xadj[first] : rend[first]]:
+                    a = first
+                    b = second
+                    if deg[a] > deg[b]:
+                        a = second
+                        b = first
+                    if b not in adj[xadj[a] : rend[a]]:
                         continue
-                # The shared driver mutates through workspace methods:
-                # flush the local clock and counters, then re-read the clock.
-                workspace._clock = clock
-                workspace._nlive -= dead
-                workspace._live_deg_sum -= deg_sum_drop
-                dead = 0
-                deg_sum_drop = 0
-                _bump_path_rule(log, apply_degree_two_path_reduction(workspace, u))
-                clock = workspace._clock
-                continue
+                rule = classify_flat_path(
+                    adj, xadj, rend, deg, alive, u, first, second, chain
+                )
+                if rule == RULE_CYCLE:
+                    cycles += 1
+                elif rule == RULE_ANCHOR_SHARED:
+                    anchor_shared += 1
+                    u = chain[0]
+                elif rule == RULE_ODD_EDGE:
+                    odd_edge += 1
+                    u = chain[0]
+                    follow = chain[-1]
+                else:
+                    retired = retire_flat_path(
+                        adj, xadj, rend, hint, alive, append_entry, chain, rule
+                    )
+                    dead += retired
+                    deg_sum_drop += 2 * retired
+                    if rule == RULE_ODD_NO_EDGE:
+                        # v₁ keeps degree two between non-adjacent anchors:
+                        # irreducible, so it is not re-filed (the shared
+                        # driver's re-file is skipped at the very next pop).
+                        odd_no_edge += 1
+                    elif rule == RULE_EVEN_EDGE:
+                        even_edge += 1
+                        decrement_degree(chain[0])
+                        decrement_degree(chain[-1])
+                    else:
+                        even_no_edge += 1
+                        # The settle stamps rows on the workspace clock.
+                        workspace._clock = clock
+                        settle_new_edge(chain[0], chain[-1])
+                        clock = workspace._clock
+                    continue
+        if u < 0:
             # --- dominance: re-check each candidate by Lemma 5.2 -------
             while dominated:
                 x = dominated_pop()
@@ -219,22 +276,20 @@ def _main_loop_flat(workspace: FlatTriangleWorkspace, stop_before_peel: bool) ->
                             u = x
                             break
                     if u >= 0:
+                        dominance_count += 1
                         break
-            if u >= 0:
-                kind = EXCLUDE
-                dominance_count += 1
-            else:
-                # --- peel the maximum-degree vertex --------------------
-                if stop_before_peel and workspace._nlive - dead:
-                    # Stall: pop nothing, so a later run resumes here.
-                    consumed = False
-                    break
-                top = pop_max_degree()
-                if top is None:
-                    break
-                u = top
-                kind = PEEL
-                peel_count += 1
+        if u < 0:
+            # --- peel the maximum-degree vertex ------------------------
+            if stop_before_peel and workspace._nlive - dead:
+                # Stall: pop nothing, so a later run resumes right here.
+                consumed = False
+                break
+            top = pop_max_degree()
+            if top is None:
+                break
+            u = top
+            kind = PEEL
+            peel_count += 1
         # --- delete u (FlatTriangleWorkspace.delete_vertex, fused) -----
         alive[u] = 0
         dead += 1
@@ -306,6 +361,9 @@ def _main_loop_flat(workspace: FlatTriangleWorkspace, stop_before_peel: bool) ->
     workspace._clock = clock
     workspace._nlive -= dead
     workspace._live_deg_sum -= deg_sum_drop
+    bump_path_counts(
+        log, cycles, anchor_shared, odd_edge, odd_no_edge, even_edge, even_no_edge
+    )
     bump = log.bump
     if degree_one_count:
         bump(STAT_DEGREE_ONE, degree_one_count)

@@ -45,6 +45,7 @@ import numpy as _np
 
 from ..graphs.static_graph import Graph
 from .bucket_queue import MaxDegreeSelector
+from .degree_two_paths import rewire_slot
 from .hotpath import hot_loop
 from .trace import EXCLUDE, INCLUDE, DecisionLog
 
@@ -592,7 +593,8 @@ class FlatWorkspace:
     def iter_live_neighbors(self, v: int) -> List[int]:
         """Current neighbours of ``v`` (an iterable; eagerly materialised —
         a list comprehension over the row slice beats generator resumption
-        on the short rows the path driver walks)."""
+        on short rows).  The generic loops and the shared Lemma 4.1 driver
+        read it; the fused drivers scan the rows themselves."""
         alive = self.alive
         xadj = self.xadj
         return [w for w in self.adj[xadj[v] : xadj[v + 1]] if alive[w]]
@@ -688,22 +690,11 @@ class FlatWorkspace:
     def rewire(self, v: int, old: int, new: int) -> None:
         """Replace the adjacency entry ``old`` with ``new`` in ``v``'s row.
 
-        Starts the search at the per-vertex hint — Lemma 4.1 retargets the
-        same anchor slot on consecutive path reductions, so the common case
-        is O(1); otherwise the row (never containing duplicates) is scanned
-        once and the hint updated.
+        The search starts at the per-vertex hint
+        (:func:`~repro.core.degree_two_paths.rewire_slot`).
         """
-        adj = self.adj
-        i = self._hint[v]
-        if adj[i] != old or not self.xadj[v] <= i < self.xadj[v + 1]:
-            i = self.xadj[v]
-            hi = self.xadj[v + 1]
-            while adj[i] != old:
-                i += 1
-                if i >= hi:
-                    raise ValueError(f"{old} is not an adjacency entry of {v}")
-        adj[i] = new
-        self._hint[v] = i
+        xadj = self.xadj
+        rewire_slot(self.adj, self._hint, v, xadj[v], xadj[v + 1], old, new)
 
     def settle_new_edge(self, a: int, b: int) -> None:
         """No-op hook: the flat workspace keeps no per-edge metadata."""

@@ -226,8 +226,10 @@ def test_full_run_logs_identical_on_sparse_large_graphs(graph):
 def test_sparse_large_run_is_pinned(algorithm, factory, digest):
     # Pinned from the implementation whose Lemma 4.1 driver built a path
     # discovery for every degree-two vertex and whose triangle workspace
-    # rescanned every neighbour row on deletion.  Flat and oracle share the
-    # path driver, so only a pin catches a change to it.
+    # rescanned every neighbour row on deletion.  The fused flat drivers
+    # apply Lemma 4.1 on their own buffers and the oracles through the
+    # shared path driver, so the differential tests catch a change to
+    # either one alone; only the pin catches the same change to both.
     seen = []
     result = algorithm(SPARSE_LARGE[0], workspace_factory=_recording(factory, seen))
     entries = repr(list(seen[0].log.entries)).encode()

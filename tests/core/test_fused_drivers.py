@@ -1,14 +1,15 @@
 """Lockstep tests: each fused flat driver against its generic loop.
 
 ``near_linear._main_loop_flat`` and ``linear_time._reduce_flat`` inline
-the worklist pops, the deletions and the Lemma 4.1 irreducible exit that
-the generic loops reach through workspace methods.  Here both drivers of
-a pair run on two copies of the *same* flat workspace and must leave it in
-the same state: decision entries, rule counters, worklists, live flags,
-triangle sums and the exported kernel.  NearLinear runs with
-``preprocess=False`` shapes (the workspace is built on the raw graph), so
-the loop itself meets the triangle deletions, the dominance pops and the
-even-path ``settle_new_edge`` calls that phases 1–2 would otherwise settle.
+the worklist pops, the deletions and every Lemma 4.1 case that the
+generic loops reach through workspace methods and the shared path
+driver.  Here both drivers of a pair run on two copies of the *same*
+flat workspace and must leave it in the same state: decision entries,
+rule counters, worklists, live flags, triangle sums and the exported
+kernel.  NearLinear runs with ``preprocess=False`` shapes (the workspace
+is built on the raw graph), so the loop itself meets the triangle
+deletions, the dominance pops and the even-path ``settle_new_edge``
+calls that phases 1–2 would otherwise settle.
 """
 
 import random
@@ -32,9 +33,10 @@ from repro.core.near_linear import (
     near_linear_checkpoint,
     near_linear_reduce,
 )
-from repro.core.result import STAT_DOMINANCE, STAT_PATH_EVEN_NO_EDGE
+from repro.core.result import KNOWN_STAT_KEYS, STAT_DOMINANCE, STAT_PATH_EVEN_NO_EDGE
+from repro.core.trace import EXCLUDE, INCLUDE
 from repro.core.workspace import ArrayWorkspace, FlatWorkspace
-from repro.graphs import GraphBuilder, gnm_random_graph, power_law_graph
+from repro.graphs import Graph, GraphBuilder, gnm_random_graph, power_law_graph
 
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -84,6 +86,10 @@ def _graph(family: str, seed: int):
             seed=seed,
         )
     return gnm_random_graph(n, int(n * average_degree / 2), seed=seed)
+
+
+# The six Lemma 4.1 case counters.
+PATH_RULES = sorted(key for key in KNOWN_STAT_KEYS if key.startswith("path:"))
 
 
 def _near_linear_state(workspace: FlatTriangleWorkspace):
@@ -150,6 +156,28 @@ class TestNearLinearFusedLoop:
         assert counts["settle_new_edge"] > 0
         assert stats.get(STAT_DOMINANCE, 0) > 0
         assert stats.get(STAT_PATH_EVEN_NO_EDGE, 0) > 0
+        # Each fused driver applies every Lemma 4.1 case itself, and takes
+        # the irreducible skip: a stalled run pops every vertex of V₌₂, so
+        # a degree-two vertex left in its kernel was last popped and
+        # skipped as an irreducible length-1 path.
+        for run, factory in FUSED:
+            stats = {}
+            irreducible = 0
+            for family in FAMILIES:
+                for seed in range(20):
+                    workspace = factory(_graph(family, seed))
+                    run(workspace, False)
+                    for rule, count in workspace.log.stats.items():
+                        stats[rule] = stats.get(rule, 0) + count
+                    workspace = factory(_graph(family, seed))
+                    run(workspace, True)
+                    irreducible += any(
+                        workspace.alive[v] and workspace.deg[v] == 2
+                        for v in range(workspace.n)
+                    )
+            for rule in PATH_RULES:
+                assert stats.get(rule, 0) > 0, (run.__name__, rule)
+            assert irreducible > 0, run.__name__
 
 
 class TestLinearTimeFusedLoop:
@@ -172,6 +200,29 @@ class TestLinearTimeFusedLoop:
         assert _linear_time_state(fused) == _linear_time_state(generic)
 
 
+class TestAnchorOrder:
+    def test_adjacent_anchors_are_excluded_in_row_order(self):
+        # Degree-two vertex 0 between the adjacent anchors 1 (degree 5) and
+        # 2 (degree 3), which hang off the K₄ on 3–6.  The irreducibility
+        # probe scans the row of the lower-degree anchor, 2; Lemma 4.1's
+        # odd-edge case still excludes the anchors in 0's row order, 1
+        # then 2, as the oracle drivers do.
+        edges = [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (1, 5), (2, 6)]
+        edges += [(a, b) for a in range(3, 7) for b in range(a + 1, 7)]
+        graph = Graph.from_edges(7, edges)
+        logs = {}
+        for name, run, factory in DRIVERS:
+            workspace = factory(graph)
+            run(workspace, False)
+            assert workspace.log.entries[:3] == [
+                (EXCLUDE, (1,)),
+                (EXCLUDE, (2,)),
+                (INCLUDE, (0,)),
+            ], name
+            logs[name] = _log_state(workspace)
+        assert logs["linear_time._reduce_flat"] == logs["linear_time._reduce"]
+        assert logs["near_linear._main_loop_flat"] == logs["near_linear._main_loop"]
+
 
 # Every driver with the workspace it runs on in production or as oracle.
 DRIVERS = [
@@ -180,6 +231,10 @@ DRIVERS = [
     ("near_linear._main_loop", _main_loop, TriangleWorkspace),
     ("near_linear._main_loop_flat", _main_loop_flat, FlatTriangleWorkspace),
 ]
+
+
+# The fused drivers with the workspace each one runs on.
+FUSED = [(run, factory) for name, run, factory in DRIVERS if name.endswith("_flat")]
 
 
 def _log_state(workspace):

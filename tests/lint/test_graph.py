@@ -287,15 +287,13 @@ class TestRealRepoResolution:
 
     def test_hot_kernel_reaches_cross_module_helper(self, repo_project):
         # The RL006 motivating edge: the LinearTime flat kernel calls the
-        # degree-two path machinery in a different module.
+        # flat degree-two path walk in a different module.
         graph = repo_project.graph
         reached, _ = graph.reachable_with_parents(
             ["repro.core.linear_time:_reduce_flat"]
         )
-        assert (
-            "repro.core.degree_two_paths:apply_degree_two_path_reduction"
-            in reached
-        )
+        assert "repro.core.degree_two_paths:classify_flat_path" in reached
+        assert "repro.core.degree_two_paths:_walk_flat" in reached
 
     def test_hook_values_include_real_workspace_classes(self, repo_project):
         values = {

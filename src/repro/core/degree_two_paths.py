@@ -168,6 +168,14 @@ def apply_degree_two_path_reduction(workspace: Any, u: int) -> str:
     the same cases on their own buffers (:func:`classify_flat_path`), and
     the lockstep tests hold them to this driver's logs.
 
+    The protocol it drives is ``deg``, ``live_neighbors``,
+    ``iter_live_neighbors``, ``has_live_edge``, ``delete_vertex``,
+    ``remove_silently``, ``rewire``, ``decrement_degree``,
+    ``settle_new_edge`` and ``log.push_path``.  A rewire keeps both
+    endpoints' degrees, so no vertex is re-filed after one: case 3 leaves
+    v₁ irreducible and case 5's anchors keep the degrees they were
+    filed under.
+
     Returns the name of the rule case applied (one of the ``RULE_*``
     constants); :data:`RULE_IRREDUCIBLE` means nothing changed.
 
@@ -217,7 +225,8 @@ def apply_degree_two_path_reduction(workspace: Any, u: int) -> str:
             x = path[i]
             remove_silently(x)
             push_path(x, chain[i], chain[i + 2])
-        workspace.refile(head)  # still degree two: future paths start here
+        # v₁ is not re-filed: it keeps degree two between the
+        # non-adjacent anchors v and w, so it is irreducible.
         return RULE_ODD_NO_EDGE
     chain = [v] + path + [w]
     remove_silently = workspace.remove_silently

@@ -375,13 +375,6 @@ class TriangleWorkspace:
             if count == target:
                 dominated.append(x)
 
-    def refile(self, v: int) -> None:
-        """Public re-file hook after a degree-preserving rewiring."""
-        new_degree = len(self.tri[v])
-        self._live_deg_sum -= self.deg[v] - new_degree
-        self.deg[v] = new_degree
-        self._refile(v)
-
     # ------------------------------------------------------------------
     # Kernel export
     # ------------------------------------------------------------------

@@ -13,9 +13,12 @@ reduction (Section 5) re-implemented over the CSR buffers.
   shared *timestamped mark array* (``stamp[w] == clock``), so no per-step
   set or dict is ever allocated; clearing is O(1) — bump the clock.
 * :func:`flat_one_pass_dominance` is phase 1 of NearLinear over the same
-  CSR rows: the degree-decreasing dominance sweep with a leaf-wave
-  pre-certification and binary-search subset tests instead of per-vertex
-  Python sets.
+  CSR rows: the degree-decreasing dominance sweep.  Whole-array passes
+  certify most vertices before the loop starts: leaf-wave vertices are
+  dominated, and a vertex whose every neighbour has a live witness
+  outside its row is not.  The loop scans only the rest, with
+  binary-search subset tests instead of per-vertex Python sets, and a
+  reverse map re-flags a certified vertex when its witness is removed.
 
 Both are drop-in replacements with **identical decision sequences**: the
 flat slot order is the canonical adjacency order (rows start sorted;
@@ -47,32 +50,89 @@ WEDGES_PER_BLOCK = 1 << 16
 
 
 @hot_loop
-def _sweep_preamble(graph: Graph) -> Tuple[List[int], List[int], bytearray]:
-    """The sweep order, degrees and leaf-wave flags, in whole-array passes.
+def _sweep_plan(
+    graph: Graph,
+) -> Tuple[List[int], bytearray, List[int], List[int], List[int]]:
+    """The sweep's plan, in whole-array passes (see :func:`flat_one_pass_dominance`).
 
-    The set of vertices with an initial leaf neighbour is the
-    (deduplicating) scatter of the leaf partners, so no per-edge pass is
-    needed; a stable argsort on the negated degrees is the order (degree
-    descending, id ascending).
+    Returns the vertices to visit in sweep order, the per-vertex plan
+    (0 = no neighbour can dominate it, 1 = scan at its turn, 2 = removed at
+    its turn), the reverse map as a CSR pair ``watch_at`` / ``watch_targets``
+    (the vertices to flag for a scan when a vertex is removed) and the input
+    degrees.  Only these O(n) lists outlive the call; the per-slot arrays
+    of the plan are freed before the loop runs.  ``graph`` has an edge.
     """
     np = _np
     n = graph.n
     offsets, targets = graph.flat_csr()
     xadj = np.frombuffer(offsets, dtype=np.int64)
-    if len(targets):
-        adj = np.frombuffer(targets, dtype=np.int32)
-    else:
-        adj = np.zeros(0, dtype=np.int32)
+    adj = np.frombuffer(targets, dtype=np.int32)
     degv = np.diff(xadj)
+    order = np.argsort(-degv, kind="stable")  # degree descending, id ascending
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n, dtype=np.int64)
+    # A leaf starts at 0: its partner comes first and is removed, leaving
+    # it isolated.
+    state = (degv == 2).astype(np.uint8)
     is_leaf = degv == 1
     leaf_ids = np.flatnonzero(is_leaf)
-    certified = np.zeros(n, dtype=np.uint8)
     if leaf_ids.size:
-        partner = adj[xadj[leaf_ids]].astype(np.int64)
-        certified[partner[degv[partner] >= 2]] = 1
-        certified[leaf_ids[is_leaf[partner] & (leaf_ids < partner)]] = 1
-    order: List[int] = np.argsort(-degv, kind="stable").tolist()
-    return order, degv.tolist(), bytearray(certified.tobytes())
+        partner = adj[xadj[leaf_ids]]
+        state[partner[degv[partner] >= 2]] = 2
+        state[leaf_ids[is_leaf[partner] & (leaf_ids < partner)]] = 2
+    # z1 / z2 of every vertex (-1: none) from two segmented maxima over
+    # the slot ranks, the second with each row's top slot masked out.
+    rows = np.flatnonzero(degv)
+    starts = xadj[rows]
+    slot_rank = rank[adj]
+    top = np.maximum.reduceat(slot_rank, starts)
+    z1 = np.full(n, -1, dtype=np.int64)
+    z1[rows] = order[top]
+    slot_rank[slot_rank == np.repeat(top, degv[rows])] = -1
+    top = np.maximum.reduceat(slot_rank, starts)
+    del slot_rank
+    z2 = np.full(n, -1, dtype=np.int64)
+    z2[rows] = np.where(top >= 0, order[top], -1)
+    # The witness of every slot (u, v) of the planned rows, in row-major
+    # order.  z2(v) is set for every v here: a leaf v would have made u
+    # a leaf-wave vertex.
+    planned = (state == 0) & (degv >= 3)
+    planned_rows = np.flatnonzero(planned)
+    slot_u = np.repeat(planned_rows, degv[planned_rows])
+    slot_v = adj[np.repeat(planned, degv)]
+    witness = z1[slot_v]
+    own = np.flatnonzero(witness == slot_u)
+    witness[own] = z2[slot_v[own]]
+    # Probe: is the witness adjacent to u?  Edge keys 2(u·n + v) are even
+    # and probe keys 2(u·n + witness) + 1 odd, so after one sort a probe
+    # that names an edge sits right after that edge's key.
+    half = slot_u.size
+    keyed = np.empty(2 * half, dtype=np.int64)
+    slot_u *= n  # the row base u·n of every slot, in place
+    np.add(slot_u, slot_v, out=keyed[:half])
+    np.add(slot_u, witness, out=keyed[half:])
+    keyed *= 2
+    keyed[half:] += 1
+    keyed.sort()
+    hit = keyed[np.flatnonzero(np.diff(keyed) == 1)]
+    flagged = hit[hit % 2 == 0] // (2 * n)
+    state[flagged] = 1
+    planned[flagged] = False
+    # Reverse map z2(v) → z1(v) for every v whose z1 is still certified.
+    # Only a vertex with a nonzero plan or a watch on it can ever be
+    # removed, so only such a z2 needs watching.
+    watched = (z2 >= 0) & planned[z1]
+    target = z1[watched]
+    source = z2[watched]
+    removable = state != 0
+    removable[target] = True
+    keep = removable[source]
+    source = source[keep]
+    watch_targets: List[int] = target[keep][np.argsort(source)].tolist()
+    watch_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(source, minlength=n), out=watch_ptr[1:])
+    visit: List[int] = order[removable[order]].tolist()
+    return visit, bytearray(state.tobytes()), watch_ptr.tolist(), watch_targets, degv.tolist()
 
 
 @hot_loop
@@ -80,47 +140,65 @@ def flat_one_pass_dominance(graph: Graph) -> List[int]:
     """Degree-decreasing dominance sweep over the flat CSR rows.
 
     Returns the same removed-vertex list as
-    :func:`~repro.core.dominance.one_pass_dominance` (the outcome is
-    iteration-order independent: a vertex is removed iff *some* neighbour
-    dominates it on the current residual graph, and the outer scan order —
-    initial degree descending, id ascending — is fixed).
+    :func:`~repro.core.dominance.one_pass_dominance`: the sweep visits the
+    vertices once in initial degree descending, id ascending order, and
+    removes a vertex ``u`` at its own turn iff some live neighbour ``v``
+    dominates it (``N[v] ⊆ N[u]`` on the current residual graph).
 
-    A whole-array preamble (:func:`_sweep_preamble`) computes that order
-    and pre-certifies the *leaf wave*: every vertex with an initial leaf
-    neighbour is dominated at its own turn — a leaf's degree cannot change
-    while its sole neighbour is alive, and the order puts the neighbour's
-    turn first — so it is removed without any subset scan.  For K₂ components the earlier endpoint (smaller id) is
-    certified by the same argument.  Every other vertex runs an exact
-    subset test, restructured three ways, none able to change a decision:
+    Removal happens only at a vertex's own turn, so every vertex after
+    ``u`` in the order is still live at ``u``'s turn.  A whole-array plan
+    (:func:`_sweep_plan`) uses that fact to settle most vertices before
+    the Python loop starts:
+
+    * **leaf wave** — a vertex with an initial leaf neighbour is dominated
+      at its turn (a leaf's degree cannot change while its sole neighbour
+      is alive, and the order puts the neighbour's turn first; of a K₂ the
+      smaller id goes first), so it is removed without a scan;
+    * **witness certificate** — for each neighbour ``v`` of a row ``u`` of
+      input degree ≥ 3, the witness is ``v``'s latest-ordered neighbour
+      ``z1(v)``, or its second-latest ``z2(v)`` when ``z1(v) = u``.  A
+      witness that comes after ``u`` is live at ``u``'s turn; if it is
+      not adjacent to ``u``, ``v`` cannot dominate ``u``.  All probes are
+      answered at once: the row-major edge keys and probe keys are sorted
+      together, and a probe that names an edge lands next to it.  A row
+      whose every slot is so certified is skipped outright;
+    * **reverse map** — the witness ``z2(v)`` comes before ``u = z1(v)``
+      and may be removed first; the map flags ``z1(v)`` for a scan when
+      its watched ``z2(v)`` is removed.
+
+    The loop visits only vertices that may be removed and scans exactly
+    the flagged rows: a failed probe, input degree 2 (such rows are
+    cheaper to scan than to plan) or a fired watch.  A leaf is never
+    removed unless it is the smaller end of a K₂: its partner's turn comes
+    first.  The scan is exact and restructured three ways, none able to
+    change a decision:
 
     * candidates first: rows that produce no candidates (or hold a leaf)
       never reach the subset scans;
     * subset tests by binary search: ``N[v] ⊆ N[u]`` bisects each live
       ``x ∈ N(v)`` into ``u``'s sorted row (the
-      :meth:`~repro.graphs.static_graph.Graph.csr_arrays` contract) instead
-      of marking ``u``'s whole neighbourhood first — the order visits hubs
-      first, whose O(Δ) marking passes almost always certified a
-      *non*-removal;
+      :meth:`~repro.graphs.static_graph.Graph.csr_arrays` contract);
     * liveness folded into ``deg``: a removed vertex gets ``deg 0``, and
       inside any scanned row a live vertex has ``deg ≥ 1`` (it is adjacent
       to the live row owner).  A live vertex that *became* isolated is
       skipped at its turn; it has no neighbour left to be dominated by.
     """
-    if graph.n == 0:
-        return []
-    order, deg, certified = _sweep_preamble(graph)
+    if not graph.m:
+        return []  # no edges: no vertex has a dominator
+    visit, plan, watch_at, watch_targets, deg = _sweep_plan(graph)
     xadj, adj = graph.csr_arrays()  # read-only tuples: the sweep never mutates adjacency
     removed: List[int] = []
     candidates: List[int] = []  # reused across iterations (hot-loop purity)
-    for u in order:
-        du = deg[u]
-        if not du:
+    for u in visit:
+        step = plan[u]
+        if not step:
             continue
         row_u = adj[xadj[u] : xadj[u + 1]]
-        dominated = False
-        if certified[u]:
-            dominated = True
-        else:
+        if step == 1:
+            du = deg[u]
+            if not du:
+                continue
+            dominated = False
             candidates.clear()
             for w in row_u:
                 dw = deg[w]
@@ -146,12 +224,15 @@ def flat_one_pass_dominance(graph: Graph) -> List[int]:
                     else:
                         dominated = True
                         break
-        if dominated:
-            removed.append(u)
-            deg[u] = 0
-            for w in row_u:
-                if deg[w]:
-                    deg[w] -= 1
+            if not dominated:
+                continue
+        removed.append(u)
+        deg[u] = 0
+        for w in row_u:
+            if deg[w]:
+                deg[w] -= 1
+        for t in watch_targets[watch_at[u] : watch_at[u + 1]]:
+            plan[t] = 1
     return removed
 
 
@@ -641,10 +722,6 @@ class FlatTriangleWorkspace:
         for x, count in zip(self.adj[lo:hi], self.tri[lo:hi]):
             if alive[x] and count == target:
                 dominated.append(x)
-
-    def refile(self, v: int) -> None:
-        """Public re-file hook after a degree-preserving rewiring."""
-        self._refile(v)
 
     # ------------------------------------------------------------------
     # Kernel export

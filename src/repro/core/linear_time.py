@@ -213,8 +213,8 @@ def _reduce_flat(workspace: FlatWorkspace, stop_before_peel: bool) -> bool:
                     deg_sum_drop += 2 * retired
                     if rule == RULE_ODD_NO_EDGE:
                         # v₁ keeps degree two between non-adjacent anchors:
-                        # irreducible, so it is not re-filed (the shared
-                        # driver's re-file is skipped at the very next pop).
+                        # irreducible, so it is not re-filed (nor is it by
+                        # the shared driver).
                         odd_no_edge += 1
                     elif rule == RULE_EVEN_EDGE:
                         even_edge += 1

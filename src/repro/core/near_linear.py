@@ -250,8 +250,8 @@ def _main_loop_flat(workspace: FlatTriangleWorkspace, stop_before_peel: bool) ->
                     deg_sum_drop += 2 * retired
                     if rule == RULE_ODD_NO_EDGE:
                         # v₁ keeps degree two between non-adjacent anchors:
-                        # irreducible, so it is not re-filed (the shared
-                        # driver's re-file is skipped at the very next pop).
+                        # irreducible, so it is not re-filed (nor is it by
+                        # the shared driver).
                         odd_no_edge += 1
                     elif rule == RULE_EVEN_EDGE:
                         even_edge += 1
@@ -421,16 +421,9 @@ def _preprocess(
     with phase(
         telemetry, "lp-kernel", algorithm="NearLinear", graph=graph.name
     ) as span:
-        if graph.n >= 2048:
-            mask = _np.ones(graph.n, dtype=bool)
-            if dominated:
-                mask[dominated] = False
-            survivors = _np.flatnonzero(mask).tolist()
-        else:
-            keep = bytearray([1]) * graph.n if graph.n else bytearray()
-            for u in dominated:
-                keep[u] = 0
-            survivors = [v for v in range(graph.n) if keep[v]]
+        mask = _np.ones(graph.n, dtype=bool)
+        mask[dominated] = False
+        survivors = _np.flatnonzero(mask).tolist()
         residual, ids = graph.subgraph(survivors)
         solve_lp = lp_reduction if lp is None else lp
         result = solve_lp(residual)

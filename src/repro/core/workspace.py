@@ -470,10 +470,6 @@ class ArrayWorkspace:
         self._live_deg_sum -= 1
         self._refile(v)
 
-    def refile(self, v: int) -> None:
-        """Public re-file hook (after a rewire that kept the degree)."""
-        self._refile(v)
-
     def _refile(self, w: int) -> None:
         d = self.deg[w]
         if d == 0:
@@ -703,10 +699,6 @@ class FlatWorkspace:
         """Drop ``deg(v)`` by one and re-file ``v`` (endpoint bookkeeping)."""
         self.deg[v] -= 1
         self._live_deg_sum -= 1
-        self._refile(v)
-
-    def refile(self, v: int) -> None:
-        """Public re-file hook (after a rewire that kept the degree)."""
         self._refile(v)
 
     def _refile(self, w: int) -> None:

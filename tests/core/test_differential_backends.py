@@ -15,6 +15,8 @@ determinism, validity and honest exactness on the same inputs.
 import hashlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import assert_valid_solution
 from repro.core.bdone import bdone
@@ -27,6 +29,8 @@ from repro.core.result import STAT_PEEL
 from repro.core.workspace import ArrayWorkspace, FlatWorkspace
 from repro.exact import brute_force_mis
 from repro.graphs.generators import (
+    barabasi_albert_graph,
+    collaboration_graph,
     gnm_random_graph,
     path_graph,
     power_law_graph,
@@ -238,25 +242,112 @@ def test_sparse_large_run_is_pinned(algorithm, factory, digest):
     assert result.upper_bound == 1222
 
 
+#: One named graph per certificate path of the flat sweep (the vertex ids
+#: are chosen so that the sweep order is the one each comment describes).
+SWEEP_GADGETS = [
+    # A triangle of degree-two rows, which are scanned rather than planned:
+    # 1 dominates 0, although 0 is nobody's latest neighbour (no watch).
+    Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)], name="degree-two-triangle"),
+    # Static triangle dominator: v = 1 has N[v] = {0, 1, 2} ⊆ N[0], and its
+    # witness z1(1) = 2 is adjacent to u = 0, so the probe flags row 0.
+    Graph.from_edges(
+        5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)], name="triangle-dominator"
+    ),
+    # A leaf once z2 is removed: v = 2 has neighbours u = 1 = z1(2) and
+    # s = 0 = z2(2).  The leaf wave removes s (it holds leaf 4) before u's
+    # turn, so v becomes u's leaf; only the watch on s flags row 1.
+    Graph.from_edges(
+        9,
+        [(0, 2), (0, 4), (0, 5), (1, 2), (1, 3), (1, 6), (3, 7), (6, 8), (7, 8), (5, 7)],
+        name="leaf-after-z2",
+    ),
+    # v = 3 of degree 3 dominates u = 2 = z1(3) once s = 1 = z2(3) is gone
+    # (the leaf wave removes s for leaf 4): N(3) \ {2} = {0} ⊆ N(2).
+    Graph.from_edges(
+        11,
+        [(0, 2), (0, 3), (0, 8), (0, 9), (1, 3), (1, 4), (1, 5), (2, 3), (2, 6),
+         (6, 7), (5, 7), (8, 10), (9, 10)],
+        name="v-dominates-z1-after-z2",
+    ),
+    # K₂ formed during the sweep: 0 and 1 each lose both other neighbours
+    # (hubs 2-5, each holding three leaves) before their turns; 0 then
+    # sees leaf 1 and is removed, and 1 is left isolated.
+    Graph.from_edges(
+        18,
+        [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]
+        + [(hub, 6 + 3 * i + j) for i, hub in enumerate((2, 3, 4, 5)) for j in range(3)],
+        name="k2-forms",
+    ),
+]
+
+
 def _dominance_graphs():
-    """The corpus plus the degenerate shapes the leaf wave special-cases:
-    no vertices, an isolated vertex, K₂ (both ends leaves), a star and a
-    path (leaf partners of degree ≥ 2)."""
+    """The corpus, larger graphs of the families whose sweeps remove many
+    vertices, and the degenerate shapes the leaf wave special-cases: no
+    vertices, an isolated vertex, K₂ (both ends leaves), a star and a path
+    (leaf partners of degree ≥ 2).  Clique unions (collaboration graphs)
+    hold static triangle dominators.  A triangle on a hub of degree
+    2¹⁶ + 2 checks the order at a degree no 16-bit key holds: the hub
+    (id 2) must still go before the triangle's low-id, degree-two corners."""
     tiny = [
         Graph([0], [], name="empty"),
         Graph([0, 0], [], name="singleton"),
         Graph([0, 1, 2], [1, 0], name="K2"),
         star_graph(6),
         path_graph(7),
+        Graph.from_edges(
+            3 + (1 << 16),
+            [(0, 1), (0, 2), (1, 2)] + [(2, leaf) for leaf in range(3, 3 + (1 << 16))],
+            name="wide-hub",
+        ),
     ]
-    return tiny + CORPUS
+    families = []
+    for seed in range(3):
+        families += [
+            power_law_graph(600, beta=2.1 + 0.3 * seed, average_degree=4.0, seed=seed),
+            web_like_graph(500, attach=2 + seed, seed=seed),
+            barabasi_albert_graph(500, attach=1 + seed, seed=seed),
+            collaboration_graph(400, papers=150 + 100 * seed, seed=seed),
+        ]
+    return tiny + families + CORPUS
 
 
 def test_one_pass_dominance_sweeps_agree():
-    # Phase 1 of NearLinear: the flat sweep (numpy preamble) must remove
-    # the same vertices in the same order as the set-based oracle.
+    # Phase 1 of NearLinear: the flat sweep (whole-array plan, then a loop
+    # over the vertices it could not certify) must remove the same
+    # vertices in the same order as the set-based oracle.
     for graph in _dominance_graphs():
         assert flat_one_pass_dominance(graph) == one_pass_dominance(graph), graph.name
+
+
+@pytest.mark.parametrize("graph", SWEEP_GADGETS, ids=lambda graph: graph.name)
+def test_sweep_gadgets_remove_their_vertex(graph):
+    # Each gadget's certificate path must end in a removal the oracle makes.
+    removed = one_pass_dominance(graph)
+    assert removed
+    assert flat_one_pass_dominance(graph) == removed
+
+
+@st.composite
+def _sweep_graphs(draw):
+    """Up to 60 vertices: sparse random edges plus a few small cliques."""
+    n = draw(st.integers(min_value=0, max_value=60))
+    edges = set()
+    if n >= 2:
+        vertex = st.integers(min_value=0, max_value=n - 1)
+        for a, b in draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n)):
+            if a != b:
+                edges.add((min(a, b), max(a, b)))
+        for clique in draw(st.lists(st.sets(vertex, min_size=2, max_size=5), max_size=n // 5)):
+            members = sorted(clique)
+            edges.update((a, b) for i, a in enumerate(members) for b in members[i + 1 :])
+    return Graph.from_edges(n, sorted(edges))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(graph=_sweep_graphs())
+def test_one_pass_dominance_sweeps_agree_on_random_graphs(graph):
+    assert flat_one_pass_dominance(graph) == one_pass_dominance(graph)
 
 
 def test_bdtwo_deterministic_and_valid_on_corpus():

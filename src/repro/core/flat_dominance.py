@@ -30,7 +30,6 @@ side so the differential tests can assert log-for-log equality.
 from __future__ import annotations
 
 from bisect import bisect_left
-from operator import sub
 from typing import List, Optional, Tuple
 
 import numpy as _np
@@ -39,14 +38,30 @@ from ..graphs.static_graph import Graph
 from .bucket_queue import MaxDegreeSelector
 from .degree_two_paths import rewire_slot
 from .hotpath import hot_loop
-from .trace import DecisionLog
-from .workspace import export_kernel_arrays
+from .trace import INCLUDE, DecisionLog
+from .workspace import export_kernel_arrays, push_entries
 
 __all__ = ["FlatTriangleWorkspace", "flat_one_pass_dominance"]
 
-#: Wedges (length-two paths, Σ_{w∈N(v)} d(w) per row v) one row block of
-#: the triangle count may hold; bounds the block's share of A² in memory.
+#: Wedges (pairs of forward slots in one row) one chunk of the triangle
+#: count may hold; bounds the chunk's probe arrays in memory.
 WEDGES_PER_BLOCK = 1 << 16
+
+
+@hot_loop
+def _edge_hits(keyed: _np.ndarray, edges: int) -> _np.ndarray:
+    """The distinct probe keys that are also edge keys, ascending.
+
+    ``keyed`` holds ``edges`` distinct edge keys followed by the probe
+    keys, all non-negative, and is overwritten.  Edge keys become even
+    (2k) and probe keys odd (2k + 1), so after one sort a probe that names
+    an edge sits right after that edge's key.
+    """
+    keyed *= 2
+    keyed[edges:] += 1
+    keyed.sort()
+    hit = keyed[_np.flatnonzero(_np.diff(keyed) == 1)]
+    return hit[hit % 2 == 0] >> 1
 
 
 @hot_loop
@@ -103,19 +118,14 @@ def _sweep_plan(
     witness = z1[slot_v]
     own = np.flatnonzero(witness == slot_u)
     witness[own] = z2[slot_v[own]]
-    # Probe: is the witness adjacent to u?  Edge keys 2(u·n + v) are even
-    # and probe keys 2(u·n + witness) + 1 odd, so after one sort a probe
-    # that names an edge sits right after that edge's key.
+    # Probe: is the witness adjacent to u?  Edge keys u·n + v, probe keys
+    # u·n + witness.
     half = slot_u.size
     keyed = np.empty(2 * half, dtype=np.int64)
     slot_u *= n  # the row base u·n of every slot, in place
     np.add(slot_u, slot_v, out=keyed[:half])
     np.add(slot_u, witness, out=keyed[half:])
-    keyed *= 2
-    keyed[half:] += 1
-    keyed.sort()
-    hit = keyed[np.flatnonzero(np.diff(keyed) == 1)]
-    flagged = hit[hit % 2 == 0] // (2 * n)
+    flagged = _edge_hits(keyed, half) // n
     state[flagged] = 1
     planned[flagged] = False
     # Reverse map z2(v) → z1(v) for every v whose z1 is still certified.
@@ -301,6 +311,7 @@ class FlatTriangleWorkspace:
     )
 
     def __init__(self, graph: Graph) -> None:
+        np = _np
         self.graph = graph
         n = self.n = graph.n
         offsets, targets = graph.csr_arrays()
@@ -310,95 +321,124 @@ class FlatTriangleWorkspace:
         # ``array('i')`` indexed reads do.
         self.xadj = offsets
         self.adj = list(targets)
-        self.tri = [0] * len(targets)
-        self.deg = list(map(sub, offsets[1:], offsets))
-        self.alive = bytearray([1]) * n if n else bytearray()
+        flat_offsets, flat_targets = graph.flat_csr()
+        deg = np.diff(np.frombuffer(flat_offsets, dtype=np.int64))
+        self.deg = deg.tolist()
+        # The worklists and the isolated vertices' includes in one
+        # whole-array pass, in the ascending order of the oracle's loop.
+        zeros = np.flatnonzero(deg == 0)
+        self.alive = bytearray((deg != 0).astype(np.uint8).tobytes())
         self.log = DecisionLog()
-        self.v1: List[int] = []
-        self.v2: List[int] = []
-        self.dominated: List[int] = []
+        push_entries(self.log.entries, INCLUDE, zeros)
+        self.v1: List[int] = np.flatnonzero(deg == 1).tolist()
+        self.v2: List[int] = np.flatnonzero(deg == 2).tolist()
         self._selector: Optional[MaxDegreeSelector] = None
         self._hint = list(offsets[:-1])
         self._rend = list(offsets[1:])
         self._stamp = [0] * n
         self._stamp_slot = [0] * n
         self._clock = 0
-        self._tsum = [0] * n
-        self._nlive = n
+        self._nlive = n - len(zeros)
         self._live_deg_sum = len(targets)
-        self._count_triangles()
-        deg = self.deg
-        for v in range(n):
-            d = deg[v]
-            if d == 0:
-                self.alive[v] = 0
-                self._nlive -= 1
-                self.log.include(v)
-            elif d == 1:
-                self.v1.append(v)
-            elif d == 2:
-                self.v2.append(v)
+        self.tri = [0] * len(targets)
+        self._tsum = [0] * n
+        self.dominated: List[int] = []
+        if len(targets):
+            self._count_triangles(np.frombuffer(flat_targets, dtype=np.int32), deg)
 
     # ------------------------------------------------------------------
     # Initialisation
     # ------------------------------------------------------------------
-    def _count_triangles(self) -> None:
-        """Fill δ for every adjacency slot and seed ``dominated``.
+    @hot_loop
+    def _count_triangles(self, adj: _np.ndarray, deg: _np.ndarray) -> None:
+        """Fill δ for every adjacency slot, ``_tsum`` and ``dominated``.
 
-        δ is the sparse-matrix identity ``(A² ∘ A)``, evaluated over row
-        blocks ``(A[lo:hi] @ A) ∘ A[lo:hi]`` so the full A² is never held.
-        Row ``v``'s share of A² has at most ``Σ_{w∈N(v)} d(w)`` entries
-        (its wedges); a block takes rows while its wedge total stays within
-        :data:`WEDGES_PER_BLOCK`, and a row above the cap forms a block of
-        its own.  The dominance worklist starts as
-        D = {u | ∃ (v,u) ∈ E with δ(v,u) = d(v) − 1}, and ``_tsum`` as the
-        row sums of δ.
+        The degree-ordered count of
+        :func:`~repro.graphs.properties.triangle_counts` in whole-array
+        passes: with vertices ranked by (degree, id), a triangle's
+        lowest-ranked corner holds the other two as a pair of *forward*
+        slots (towards a higher rank), so each triangle is one of O(m·α)
+        such wedges.  Chunks of at most :data:`WEDGES_PER_BLOCK` wedges are
+        closed at once by :func:`_edge_hits` against the forward rows
+        they read; each triangle then adds one to its six slots.  ``_tsum``
+        is two per triangle at each corner, and the dominance worklist
+        starts as D = {u | ∃ (v,u) ∈ E with δ(v,u) = d(v) − 1}, in the
+        oracle's append order (v ascending, row order).
         """
-        from scipy import sparse  # function-local: keeps ``import repro`` light
-
-        if self.n == 0 or not len(self.adj):
-            return
+        np = _np
         n = self.n
-        indptr = _np.asarray(self.xadj, dtype=_np.int64)
-        indices = _np.asarray(self.adj, dtype=_np.int64)
-        degrees = _np.diff(indptr)
-        adjacency = sparse.csr_matrix(
-            (_np.ones(len(indices), dtype=_np.int64), indices, indptr), shape=(n, n)
-        )
-        # wedges_before[v] = wedges of the rows before v (n + 1 entries).
-        slot_wedges = _np.zeros(len(indices) + 1, dtype=_np.int64)
-        _np.cumsum(degrees[indices], out=slot_wedges[1:])
-        wedges_before = slot_wedges[indptr]
-        row_of_slot = _np.repeat(_np.arange(n, dtype=_np.int64), degrees)
-        tri = _np.zeros(len(indices), dtype=_np.int64)
-        lo = 0
-        while lo < n:
-            cap = wedges_before[lo] + WEDGES_PER_BLOCK
-            hi = max(int(_np.searchsorted(wedges_before, cap, side="right")) - 1, lo + 1)
-            block = adjacency[lo:hi]
-            counts = (block @ adjacency).multiply(block).tocsr()
-            counts.sort_indices()
-            # Scatter the block's counts into the parallel ``tri`` buffer
-            # without a Python-level merge walk.  Both matrices are
-            # row-major with sorted columns, so the composite key
-            # ``row·n + col`` is sorted for each; the counts pattern is a
-            # subset of the adjacency pattern (δ lives on edges), hence
-            # searchsorted yields each count's exact adjacency slot.
-            first, last = indptr[lo], indptr[hi]
-            adj_keys = (row_of_slot[first:last] - lo) * n + indices[first:last]
-            counts_rows = _np.repeat(
-                _np.arange(hi - lo, dtype=_np.int64), _np.diff(counts.indptr)
+        rank = np.empty(n, dtype=np.int32)
+        rank[np.argsort(deg, kind="stable")] = np.arange(n, dtype=np.int32)
+        row = np.repeat(np.arange(n, dtype=np.int32), deg)
+        forward = np.flatnonzero(rank[row] < rank[adj])
+        src = row[forward]
+        dst = adj[forward]
+        del forward
+        keys = src.astype(np.int64) * n + dst  # of the forward slots
+        # first[s]: the wedges of the forward slots before s.  Slot s pairs
+        # with every later forward slot of its row.
+        row_end = np.cumsum(np.bincount(src, minlength=n))
+        first = np.zeros(len(src) + 1, dtype=np.int64)
+        after = row_end[src] - np.arange(1, len(src) + 1, dtype=np.int64)
+        np.cumsum(after, out=first[1:])
+        del row_end, after
+        total = int(first[-1])
+        marked = np.zeros(n, dtype=bool)
+        apexes: List[_np.ndarray] = []  # per chunk: each triangle's apex
+        pairs: List[_np.ndarray] = []  # and its closed probe key
+        for lo in range(0, total, WEDGES_PER_BLOCK):
+            hi = min(lo + WEDGES_PER_BLOCK, total)
+            # Wedge j of the chunk pairs slot s with slot j − first[s] + s + 1.
+            s0 = int(np.searchsorted(first, lo, side="right")) - 1
+            s1 = int(np.searchsorted(first, hi - 1, side="right"))
+            slot = np.repeat(
+                np.arange(s0, s1, dtype=np.int64), np.diff(first[s0 : s1 + 1].clip(lo, hi))
             )
-            count_keys = counts_rows * n + counts.indices
-            tri[first + _np.searchsorted(adj_keys, count_keys)] = counts.data
-            lo = hi
-        self.tri = tri.tolist()
-        row_sums = _np.bincount(row_of_slot, weights=tri, minlength=n)
-        self._tsum = row_sums.astype(_np.int64).tolist()
-        # Seed the dominance worklist in the same pass: a slot (v, u) seeds
-        # ``u`` when δ(v, u) = d(v) − 1.  Selecting by the global slot mask
-        # preserves the oracle's append order (v ascending, row order).
-        self.dominated = indices[tri == degrees[row_of_slot] - 1].tolist()
+            partner = np.arange(lo + 1, hi + 1, dtype=np.int64)
+            partner -= first[slot]
+            partner += slot
+            v = dst[slot].astype(np.int64)
+            w = dst[partner].astype(np.int64)
+            del partner
+            low = np.where(rank[v] < rank[w], v, w)  # the lower-ranked end
+            w += v
+            w -= low  # the other end
+            probes = low * n
+            probes += w
+            del v, w
+            marked[low] = True
+            reads = keys[marked[src]]
+            marked[low] = False
+            closed = _edge_hits(np.concatenate((reads, probes)), len(reads))
+            del reads, low
+            if not closed.size:
+                continue
+            # Only a probe from the row of a closed key can close; match
+            # those few against the closed keys.
+            closing = closed // n
+            marked[closing] = True
+            maybe = np.flatnonzero(marked[probes // n])
+            marked[closing] = False
+            at = np.searchsorted(closed, probes[maybe])
+            at[at == closed.size] = 0
+            hit = maybe[closed[at] == probes[maybe]]
+            apexes.append(src[slot[hit]].astype(np.int64))
+            pairs.append(probes[hit])
+        tri = np.zeros(len(adj), dtype=np.int64)
+        if apexes:
+            # Triangle (u, v, w) adds one at slots uv, vu, uw, wu, vw, wv,
+            # found by their row-major keys tail·n + head.
+            u = np.concatenate(apexes)
+            v, w = np.divmod(np.concatenate(pairs), n)
+            tails = np.concatenate((u, v, u, w, v, w)) * n
+            tails += np.concatenate((v, u, w, u, w, v))
+            slot_keys = row.astype(np.int64) * n + adj
+            tri = np.bincount(np.searchsorted(slot_keys, tails), minlength=len(adj))
+            del slot_keys, tails
+            self.tri = tri.tolist()
+            corners = np.concatenate((u, v, w))
+            self._tsum = (2 * np.bincount(corners, minlength=n)).tolist()
+        self.dominated = adj[tri == deg[row] - 1].tolist()
 
     # ------------------------------------------------------------------
     # Queries

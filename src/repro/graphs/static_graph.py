@@ -126,15 +126,18 @@ class Graph:
 
     @classmethod
     def _from_edge_array(cls, n: int, edges: "_np.ndarray", name: str) -> "Graph":
-        """The graph of an ``(k, 2)`` edge array, from :func:`_csr_from_edge_array`.
-
-        The :meth:`flat_csr` cache is filled from the same buffers, so the
-        first flat workspace does not convert the tuples again.
-        """
+        """The graph of an ``(k, 2)`` edge array, from :func:`_csr_from_edge_array`."""
         offsets, targets = _csr_from_edge_array(n, edges)
+        return cls._from_csr(offsets, targets, name)
+
+    @classmethod
+    def _from_csr(cls, offsets: "_np.ndarray", targets: "_np.ndarray", name: str) -> "Graph":
+        """The graph of numpy CSR buffers, with its :meth:`flat_csr` cache
+        filled from the same buffers, so no flat workspace converts the
+        tuples again."""
         # Each vertex id is one shared int object, as in the builder's rows,
         # rather than a fresh object per CSR slot (2m of them).
-        vertex_ids = _np.arange(n, dtype=_np.int64).astype(object)
+        vertex_ids = _np.arange(len(offsets) - 1, dtype=_np.int64).astype(object)
         graph = cls(offsets.tolist(), vertex_ids[targets].tolist(), name=name)
         graph._flat = (
             array("q", offsets.tobytes()),
@@ -243,8 +246,9 @@ class Graph:
         """Vectorised induced-subgraph extraction (same output as the
         dict-remap path: kept rows in id order, rows stay sorted because the
         id remap is monotone).  Zero-copy views over the cached
-        :meth:`flat_csr` buffers; results come back as plain-int lists so
-        downstream code never sees numpy scalars."""
+        :meth:`flat_csr` buffers; the result carries its own (see
+        :meth:`_from_csr`), and its tuples hold plain ints so downstream
+        code never sees numpy scalars."""
         offs_arr, tgts_arr = self.flat_csr()
         offs = _np.frombuffer(offs_arr, dtype=_np.int64)
         tgts = (
@@ -265,7 +269,7 @@ class Graph:
         )
         offsets = _np.zeros(len(old_ids) + 1, dtype=_np.int64)
         _np.cumsum(per_row, out=offsets[1:])
-        return Graph(offsets.tolist(), kept_targets.tolist(), name=name)
+        return Graph._from_csr(offsets, kept_targets, name)
 
     def complement(self) -> "Graph":
         """The complement graph (dense; intended for small graphs only)."""

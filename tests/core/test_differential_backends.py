@@ -211,6 +211,24 @@ def test_full_run_logs_identical_on_sparse_large_graphs(graph):
         assert flat_result.stats == oracle_result.stats
 
 
+def test_preprocess_free_power_law_log_matches_oracle():
+    # The whole graph's count, not the residual's: a hub-heavy power-law
+    # graph whose wedges fill more than one chunk at the default cap.
+    graph = power_law_graph(4000, 2.1, average_degree=10.0, seed=3)
+    seen = []
+    flat = near_linear(
+        graph, preprocess=False, workspace_factory=_recording(FlatTriangleWorkspace, seen)
+    )
+    oracle = near_linear(
+        graph, preprocess=False, workspace_factory=_recording(TriangleWorkspace, seen)
+    )
+    flat_ws, oracle_ws = seen
+    assert repr(list(flat_ws.log.entries)) == repr(list(oracle_ws.log.entries))
+    assert flat_ws.log.stats == oracle_ws.log.stats
+    assert flat.independent_set == oracle.independent_set
+    assert flat.upper_bound == oracle.upper_bound
+
+
 @pytest.mark.parametrize(
     "algorithm, factory, digest",
     [

@@ -12,10 +12,13 @@ from repro.graphs import (
     complete_graph,
     cycle_graph,
     gnm_random_graph,
+    hypercube_graph,
     isolated_clique_gadget,
     mutual_dominance_gadget,
     paper_figure1_modified,
     petersen_graph,
+    power_law_graph,
+    random_regular_graph,
     star_graph,
     triangle_counts,
 )
@@ -97,6 +100,97 @@ class TestBlockedTriangleCount:
                     assert flat.tri[i] == oracle.tri[v][w], g.name
                     assert flat.tri[i] == reference[(min(v, w), max(v, w))], g.name
             assert flat.dominated == oracle.dominated, g.name
+
+
+def _wheel(spokes):
+    rim = [(i, i % spokes + 1) for i in range(1, spokes + 1)]
+    spokes_ = [(0, i) for i in range(1, spokes + 1)]
+    return Graph.from_edges(spokes + 1, spokes_ + rim, name=f"wheel({spokes})")
+
+
+def _star_joined_to_clique(leaves, size):
+    """A star's centre 0 adjacent to every vertex of a K_size: the hub
+    ranks last, so every clique triangle through it is found from the
+    clique side."""
+    clique = range(leaves + 1, leaves + 1 + size)
+    edges = [(0, v) for v in range(1, leaves + 1)] + [(0, v) for v in clique]
+    edges += [(a, b) for a in clique for b in clique if a < b]
+    return Graph.from_edges(leaves + 1 + size, edges, name=f"star({leaves})+K{size}")
+
+
+#: Graphs for the degree-ordered count: cliques, a wheel, a hub, degree
+#: ties everywhere, isolated vertices, no edges, random and power-law.
+COUNT_GRAPHS = [
+    *(complete_graph(n) for n in (1, 2, 3, 7)),
+    _wheel(9),
+    _star_joined_to_clique(12, 6),
+    random_regular_graph(30, 4, seed=2),
+    hypercube_graph(4),
+    Graph.from_edges(
+        10, [(2, 3), (3, 4), (2, 4), (4, 5), (7, 8)], name="triangle+isolated"
+    ),
+    Graph.empty(6, name="edgeless(6)"),
+    Graph.empty(0, name="empty"),
+    *(gnm_random_graph(60, 300, seed=seed) for seed in range(4)),
+    *(power_law_graph(400, 2.1, average_degree=8.0, seed=seed) for seed in range(3)),
+]
+
+
+def _forward_wedges(graph):
+    """Wedges the count makes: pairs of higher-(degree, id) neighbours."""
+    deg = graph.degrees()
+    wedges = 0
+    for v in range(graph.n):
+        ahead = sum(1 for w in graph.neighbors(v) if (deg[w], w) > (deg[v], v))
+        wedges += ahead * (ahead - 1) // 2
+    return wedges
+
+
+class TestDegreeOrderedCount:
+    """The degree-ordered wedge count against the oracle's scipy count and
+    the reference counter: δ per slot, ``_tsum``, the dominance seed and
+    the worklists filed with it."""
+
+    @pytest.mark.parametrize("graph", COUNT_GRAPHS, ids=lambda g: f"{g.name}-m{g.m}")
+    def test_matches_reference_and_oracle(self, graph):
+        flat = FlatTriangleWorkspace(graph)
+        oracle = TriangleWorkspace(graph)
+        reference = triangle_counts(graph)
+        for v in range(graph.n):
+            row = range(flat.xadj[v], flat.xadj[v + 1])
+            counts = [flat.tri[i] for i in row]
+            assert counts == [oracle.tri[v][flat.adj[i]] for i in row]
+            assert counts == [
+                reference[(min(v, flat.adj[i]), max(v, flat.adj[i]))] for i in row
+            ]
+            assert flat._tsum[v] == sum(counts)
+        assert flat.dominated == oracle.dominated
+        assert flat.v1 == oracle.v1
+        assert flat.v2 == oracle.v2
+        assert flat.log.entries == oracle.log.entries
+        assert bytes(flat.alive) == bytes(oracle.alive)
+        assert flat.live_vertex_count == oracle.live_vertex_count
+
+    @pytest.mark.parametrize("wedges_per_block", [1, 2, 7, 1 << 16])
+    def test_chunks_honour_the_cap(self, monkeypatch, wedges_per_block):
+        # Every chunk's probes reach _edge_hits in one call: together they
+        # are the forward wedges, and no call holds more than the cap.
+        sizes = []
+        edge_hits = flat_dominance._edge_hits
+
+        def spy(keyed, edges):
+            sizes.append(len(keyed) - edges)
+            return edge_hits(keyed, edges)
+
+        monkeypatch.setattr(flat_dominance, "WEDGES_PER_BLOCK", wedges_per_block)
+        monkeypatch.setattr(flat_dominance, "_edge_hits", spy)
+        for graph in COUNT_GRAPHS:
+            sizes.clear()
+            FlatTriangleWorkspace(graph)
+            wedges = _forward_wedges(graph)
+            assert sum(sizes) == wedges, graph.name
+            assert max(sizes, default=0) <= wedges_per_block, graph.name
+            assert len(sizes) == -(-wedges // wedges_per_block), graph.name
 
 
 class TestMaintenanceUnderDeletion:

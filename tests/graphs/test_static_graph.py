@@ -1,10 +1,13 @@
 """Unit tests for the adjacency-array Graph type."""
 
+import random
+from array import array
+
 import numpy as np
 import pytest
 
 from repro.errors import VertexError
-from repro.graphs import Graph, cycle_graph, complete_graph, path_graph
+from repro.graphs import Graph, cycle_graph, complete_graph, gnm_random_graph, path_graph
 
 
 class TestConstruction:
@@ -163,3 +166,40 @@ class TestFromEdgeArray:
     def test_negative_vertex_count_raises(self):
         with pytest.raises(VertexError):
             Graph.from_edges(-1, np.zeros((0, 2), dtype=np.int64))
+
+
+class TestNumpySubgraph:
+    """A subgraph of a graph past the numpy cutoff (n ≥ 2048) carries its
+    flat CSR, filled from the buffers that built it."""
+
+    def _check(self, graph, keep):
+        sub, old_ids = graph.subgraph(keep)
+        assert old_ids == sorted(set(keep))
+        offsets, targets = sub.csr_arrays()
+        assert sub._flat is not None  # filled by subgraph, not on first use
+        assert sub.flat_csr() == (array("q", offsets), array("i", targets))
+        assert all(type(x) is int for x in offsets)
+        for v in range(sub.n):
+            assert all(type(w) is int for w in sub.neighbors(v))
+        # One shared int object per vertex id, whatever its slot count.
+        assert len({id(w) for w in targets}) == len(set(targets))
+        new_of = {old: new for new, old in enumerate(old_ids)}
+        induced = [
+            (new_of[u], new_of[v]) for u, v in graph.edges() if u in new_of and v in new_of
+        ]
+        assert sub == Graph.from_edges(len(old_ids), induced)
+        return sub
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_keep(self, seed):
+        graph = gnm_random_graph(3000, 9000, seed=seed)
+        keep = random.Random(seed).sample(range(graph.n), 2000)
+        assert self._check(graph, keep).m > 0
+
+    def test_empty_keep(self):
+        sub = self._check(cycle_graph(3000), [])
+        assert sub.n == 0
+
+    def test_keep_without_edges(self):
+        sub = self._check(cycle_graph(3000), range(0, 3000, 2))
+        assert sub.n == 1500 and sub.m == 0

@@ -15,10 +15,10 @@ from repro.localsearch import ConvergenceRecorder
 
 class TestImportCost:
     def test_import_repro_does_not_load_scipy(self):
-        # scipy is imported inside the triangle counts and the LP only, and
-        # asyncio (with ssl) inside the serve front-end only: loading them at
-        # package import would add to every process start, file solves
-        # included.
+        # scipy is imported inside the oracle's triangle count and the LP
+        # only (the production count is numpy alone), and asyncio (with
+        # ssl) inside the serve front-end only: loading them at package
+        # import would add to every process start, file solves included.
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ, PYTHONPATH=str(src))
         check = (

@@ -35,15 +35,14 @@ Package map
 ``repro.bench``
     Benchmark datasets and harness utilities.
 ``repro.perf``
-    Performance subsystem: parallel per-component solving over flat CSR
-    buffers and the perf-regression harness (see ``docs/performance.md``).
+    The perf-regression harness (see ``docs/performance.md``).
 ``repro.serve``
     Incremental solving service: register graphs once, mutate them between
     queries, answer from a fingerprint-keyed kernel cache with localized
     repair (see ``docs/serving.md``).
 """
 
-from . import analysis, baselines, bench, core, exact, external, graphs, localsearch, perf, serve
+from . import analysis, baselines, bench, core, exact, graphs, localsearch, perf, serve
 from .analysis import (
     assert_valid_solution,
     is_independent_set,
@@ -86,7 +85,6 @@ from .graphs import (
     web_like_graph,
 )
 from .localsearch import arw, arw_lt, arw_nl
-from .perf import solve_by_components_parallel
 from .serve import DynamicGraph, Mutation, ServeResult, ServiceConfig, SolverService
 
 __version__ = "1.0.0"
@@ -124,7 +122,6 @@ __all__ = [
     "core",
     "du",
     "exact",
-    "external",
     "full_kernelize",
     "gnm_random_graph",
     "gnp_random_graph",
@@ -142,7 +139,6 @@ __all__ = [
     "near_linear",
     "perf",
     "solve_by_components",
-    "solve_by_components_parallel",
     "online_mis",
     "power_law_graph",
     "read_edge_list",

@@ -37,7 +37,13 @@ from typing import List, Optional, Tuple
 
 from .analysis import complement_vertex_cover
 from .baselines import du, greedy, online_mis, redumis, semi_external
-from .core import ALGORITHMS, KERNEL_METHODS, compute_independent_set, kernelize
+from .core import (
+    ALGORITHM_BY_NAME,
+    ALGORITHMS,
+    KERNEL_METHODS,
+    compute_independent_set,
+    kernelize,
+)
 from .errors import ReproError
 from .graphs import (
     Graph,
@@ -626,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--algorithm",
         default="linear_time",
-        choices=["bdone", "linear_time", "near_linear"],
+        choices=sorted(ALGORITHM_BY_NAME),
         help="solver used for cold solves and repairs (default linear_time)",
     )
     serve.add_argument("--cache-capacity", type=int, default=64)

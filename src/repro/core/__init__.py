@@ -4,7 +4,8 @@ Public surface:
 
 * the four algorithms — :func:`bdone`, :func:`bdtwo`, :func:`linear_time`,
   :func:`near_linear` — all returning :class:`MISResult`;
-* :func:`compute_independent_set` / :data:`ALGORITHMS` name-based dispatch;
+* :func:`compute_independent_set` / :data:`ALGORITHMS` name-based dispatch,
+  and :data:`ALGORITHM_BY_NAME`, the serving layer's solver registry;
 * :func:`kernelize` + :class:`KernelResult` for the Reducing-only mode;
 * the stand-alone reduction rules in :mod:`repro.core.reductions` and the
   LP reduction in :mod:`repro.core.lp_reduction`;
@@ -16,7 +17,7 @@ from .bdtwo import bdtwo
 from .components import affected_region, solve_by_components, touched_components
 from .dominance import TriangleWorkspace
 from .flat_dominance import FlatTriangleWorkspace
-from .framework import ALGORITHMS, compute_independent_set
+from .framework import ALGORITHM_BY_NAME, ALGORITHMS, compute_independent_set
 from .hotpath import hot_loop
 from .kernel import KERNEL_METHODS, KernelResult, kernelize
 from .linear_time import linear_time, linear_time_reduce
@@ -29,6 +30,7 @@ from .workspace import ArrayWorkspace, FlatWorkspace
 
 __all__ = [
     "ALGORITHMS",
+    "ALGORITHM_BY_NAME",
     "ArrayWorkspace",
     "affected_region",
     "touched_components",

@@ -37,7 +37,7 @@ class MaxDegreeSelector:
 
     __slots__ = ("_degrees", "_alive", "_buckets", "_current")
 
-    def __init__(self, degrees: Sequence[int], alive: Sequence[int]) -> None:
+    def __init__(self, degrees: Sequence[int], alive: Sequence[int]) -> None:  # reprolint: disable=RL006
         self._degrees = degrees
         self._alive = alive
         max_degree = max(degrees, default=0)

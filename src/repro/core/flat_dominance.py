@@ -520,6 +520,7 @@ class FlatTriangleWorkspace:
                 return u
         return None
 
+    @hot_loop
     def pop_max_degree(self) -> Optional[int]:
         """A live vertex of maximum degree (lazy bucket queue)."""
         if self._selector is None:
@@ -659,6 +660,7 @@ class FlatTriangleWorkspace:
         self._tsum[v] -= self.tri[i]
         self.tri[i] = 0
 
+    @hot_loop
     def settle_new_edge(self, a: int, b: int) -> None:
         """Compute δ(a, b) for a just-created edge and propagate dominance.
 
@@ -740,6 +742,7 @@ class FlatTriangleWorkspace:
         if delta == deg_b_target:
             dominated.append(a)
 
+    @hot_loop
     def decrement_degree(self, v: int) -> None:
         """Degree bookkeeping for an even-path anchor (Figure 4(d)).
 

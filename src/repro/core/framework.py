@@ -12,7 +12,9 @@ re-enter during extension stop counting against the Theorem-6.1 bound.
 
 The four paper instantiations are registered here under their paper names;
 :func:`compute_independent_set` is the single entry point used by the
-benchmark harness and the examples.
+benchmark harness and the examples.  :data:`ALGORITHM_BY_NAME` is the
+serving layer's registry, keyed by the names that service configs and
+snapshots store.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .linear_time import linear_time
 from .near_linear import near_linear
 from .result import MISResult
 
-__all__ = ["ALGORITHMS", "compute_independent_set"]
+__all__ = ["ALGORITHMS", "ALGORITHM_BY_NAME", "compute_independent_set"]
 
 #: The paper's four reducing-peeling algorithms (Table 1), by name.
 ALGORITHMS: Dict[str, Callable[[Graph], MISResult]] = {
@@ -35,6 +37,15 @@ ALGORITHMS: Dict[str, Callable[[Graph], MISResult]] = {
     "BDTwo": bdtwo,
     "LinearTime": linear_time,
     "NearLinear": near_linear,
+}
+
+#: The solvers :class:`~repro.serve.service.SolverService` can run, by the
+#: name its config and snapshots store; :func:`repro.serve.repair.cold_solve`
+#: resolves them.  Keep the spellings: saved snapshots hold them.
+ALGORITHM_BY_NAME: Dict[str, Callable[..., MISResult]] = {
+    "bdone": bdone,
+    "linear_time": linear_time,
+    "near_linear": near_linear,
 }
 
 

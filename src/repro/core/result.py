@@ -35,7 +35,6 @@ __all__ = [
     "STAT_KERNEL_SIZE",
     "STAT_ONE_K_GAIN",
     "STAT_TWO_K_GAIN",
-    "STAT_PASSES",
     "STAT_SERVE_CACHE_HIT",
     "STAT_SERVE_CACHE_MISS",
     "STAT_SERVE_REPAIR",
@@ -77,7 +76,6 @@ STAT_ROUNDS = "rounds"
 STAT_KERNEL_SIZE = "kernel_size"
 STAT_ONE_K_GAIN = "one-k-gain"
 STAT_TWO_K_GAIN = "two-k-gain"
-STAT_PASSES = "passes"
 # Counters emitted by the serving layer (:mod:`repro.serve`): cache traffic,
 # localized-repair scope, and graceful-degradation events.
 STAT_SERVE_CACHE_HIT = "serve:cache-hit"
@@ -121,7 +119,6 @@ SOLVER_STAT_KEYS = frozenset(
         STAT_KERNEL_SIZE,
         STAT_ONE_K_GAIN,
         STAT_TWO_K_GAIN,
-        STAT_PASSES,
     }
 )
 

@@ -25,6 +25,7 @@ from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 import numpy as _np
 
 from ..graphs.static_graph import Graph
+from .hotpath import hot_loop
 
 #: Below this many vertices the numpy prefilter in
 #: :func:`extend_to_maximal` costs more than the scalar pass it saves.
@@ -168,6 +169,7 @@ class DecisionLog:
         ``v`` and ``w``; the supervertex survives under id ``w``."""
         self._entries.append((_FOLD, (u, v, w)))
 
+    @hot_loop
     def bump(self, rule: str, amount: int = 1) -> None:
         """Increment the application counter for ``rule``."""
         self.stats[rule] = self.stats.get(rule, 0) + amount

@@ -639,6 +639,7 @@ class FlatWorkspace:
                 return v
         return None
 
+    @hot_loop
     def include(self, v: int) -> None:
         """Commit ``v`` (degree zero) to the independent set."""
         self.alive[v] = 0
@@ -695,12 +696,14 @@ class FlatWorkspace:
     def settle_new_edge(self, a: int, b: int) -> None:
         """No-op hook: the flat workspace keeps no per-edge metadata."""
 
+    @hot_loop
     def decrement_degree(self, v: int) -> None:
         """Drop ``deg(v)`` by one and re-file ``v`` (endpoint bookkeeping)."""
         self.deg[v] -= 1
         self._live_deg_sum -= 1
         self._refile(v)
 
+    @hot_loop
     def _refile(self, w: int) -> None:
         d = self.deg[w]
         if d == 0:
@@ -713,6 +716,7 @@ class FlatWorkspace:
     # ------------------------------------------------------------------
     # Peeling support
     # ------------------------------------------------------------------
+    @hot_loop
     def pop_max_degree(self) -> Optional[int]:
         """A live vertex of maximum degree (lazy bucket queue; O(m) total).
 

@@ -282,7 +282,7 @@ class Graph:
             offsets.append(len(targets))
         return Graph(offsets, targets, name=f"~{self.name}" if self.name else "")
 
-    def csr_arrays(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    def csr_arrays(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:  # reprolint: disable=RL006
         """The raw CSR arrays ``(offsets, targets)`` (read-only tuples).
 
         Exposed for numeric backends (e.g. building a ``scipy.sparse``
@@ -290,7 +290,7 @@ class Graph:
         """
         return self._offsets, self._targets
 
-    def flat_csr(self) -> Tuple[array, array]:
+    def flat_csr(self) -> Tuple[array, array]:  # reprolint: disable=RL006
         """The CSR layout as flat numeric buffers ``(offsets, targets)``.
 
         ``offsets`` is an ``array('q')`` of length ``n + 1`` and ``targets``

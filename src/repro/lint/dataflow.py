@@ -21,7 +21,8 @@ cycles and predictable cost:
 ========================  ====================================================
 ``("func", qname)``       a project function/method (``module:Class.meth``)
 ``("class", qname)``      a project class
-``("instance", qname)``   a value built by instantiating a project class
+``("instance", qname)``   a value built by instantiating a project class,
+                          or a parameter annotated with one
 ``("result", qname)``     the return value of calling a project function
 ``("registry", qname)``   a module-level dispatch dict (name → callable)
 ``("registry_item", q)``  one value subscripted out of such a dict
@@ -234,6 +235,8 @@ class FunctionScope:
         self.fn = fn
         self.class_qname = class_qname
         self.params: List[str] = []
+        #: parameter name -> its annotation expression, where it has one.
+        self.annotations: Dict[str, ast.expr] = {}
         self.assigns: Dict[str, List[ast.expr]] = {}
         self.local_imports: Dict[str, str] = {}
         if fn is not None:
@@ -244,6 +247,8 @@ class FunctionScope:
         args = fn.args  # type: ignore[attr-defined]
         for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
             self.params.append(arg.arg)
+            if arg.annotation is not None:
+                self.annotations[arg.arg] = arg.annotation
         for extra in (args.vararg, args.kwarg):
             if extra is not None:
                 self.params.append(extra.arg)
@@ -326,7 +331,32 @@ class FunctionScope:
         out: Set[Origin] = {("param", name)}
         if name in HOOK_PARAMS:
             out |= self.index.hook_value_origins(name)  # type: ignore[attr-defined]
+        annotation = self.annotations.get(name)
+        if annotation is not None:
+            out |= self._annotated_instances(annotation)
         return out
+
+    def _annotated_instances(self, annotation: ast.expr) -> Set[Origin]:
+        """``("instance", q)`` for a parameter annotated with project class ``q``.
+
+        ``service: SolverService`` (or the quoted ``"SolverService"``)
+        makes ``service.solve(...)`` an edge to ``SolverService.solve``.
+        Anything else — builtins, generics, external classes — adds
+        nothing.
+        """
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            try:
+                annotation = ast.parse(annotation.value, mode="eval").body
+            except SyntaxError:
+                return set()
+        if not isinstance(annotation, (ast.Name, ast.Attribute)):
+            return set()
+        resolver = self.index.module_resolver(self.module_scope)  # type: ignore[attr-defined]
+        return {
+            ("instance", origin[1])
+            for origin in resolver.origins_of(annotation)
+            if origin[0] == "class"
+        }
 
     def origins_of(
         self,

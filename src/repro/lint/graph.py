@@ -9,10 +9,12 @@ derives:
   registry dicts and oracle-hook value sets the resolver needs;
 * :class:`CallGraph` — caller → callee edges built by resolving every
   call expression through :mod:`repro.lint.dataflow` origins.  Edges
-  cover direct calls, methods on ``self``/known instances, registry
-  dispatch (``ALGORITHM_BY_NAME[name](g)`` *and* the
-  ``_resolve_algorithm(name)(g)`` passthrough shape via per-function
-  return summaries), class instantiation (edge to ``__init__``) and
+  cover direct calls, methods on ``self``/known instances (including
+  parameters annotated with a project class: ``service: SolverService``
+  makes ``service.solve(...)`` an edge), registry dispatch
+  (``ALGORITHM_BY_NAME[name](g)`` *and* the ``_resolve(name)(g)``
+  passthrough shape via per-function return summaries), class
+  instantiation (edge to ``__init__``) and
   ``workspace_factory``/``state_factory`` hook indirection (a call
   through a hook parameter fans out to every value the project passes
   for that hook).
@@ -41,8 +43,8 @@ __all__ = ["CallGraph", "FunctionInfo", "Project", "ProjectIndex"]
 
 _FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
-#: Cap on return-summary passthrough resolution (defensive; real chains
-#: in this repo are one hop: ``_resolve_algorithm(name)(graph)``).
+#: Cap on return-summary passthrough resolution (defensive; the chains
+#: this resolves are one hop: ``_resolve(name)(graph)``).
 _MAX_RETURN_DEPTH = 4
 
 
@@ -318,9 +320,8 @@ class CallGraph:
         elif kind in ("registry", "registry_item"):
             targets |= index.registry_targets(origin[1])
         elif kind == "result" and depth < _MAX_RETURN_DEPTH:
-            # ``factory = _resolve_algorithm(name)`` / direct
-            # ``_resolve_algorithm(name)(graph)``: chase the callee's
-            # return summary.
+            # ``factory = _resolve(name)`` / direct ``_resolve(name)(graph)``:
+            # chase the callee's return summary.
             for returned in self._return_origins(project, origin[1]):
                 if returned[0] == "param" and isinstance(call.func, ast.Call):
                     # Map the passthrough parameter back onto the inner

@@ -2,7 +2,7 @@
 
 PR 8 threaded :class:`~repro.serve.context.RequestContext` through every
 ``SolverService`` verb so request ids, tenants and deadlines reach the
-spans, metrics attribution and the parallel-worker stamps.  The contract
+spans and the metrics attribution.  The contract
 only holds if *every* hop forwards the context — and a per-file linter
 cannot see that ``handle_request`` builds a context which ``solve`` must
 hand to ``_request_scope``.  RL008 checks three cross-procedure

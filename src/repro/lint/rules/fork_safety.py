@@ -1,19 +1,21 @@
-"""RL007 — fork safety of parallel-worker payloads.
+"""RL007 — fork safety of worker payloads.
 
-``solve_by_components_parallel`` ships component subproblems to a
-``multiprocessing`` pool.  On fork, every worker inherits a *copy* of
-process-global state — the :class:`~repro.obs.metrics.MetricsRegistry`,
-the telemetry singleton, module-level caches — so a worker-side mutation
-is silently lost (or, under spawn/threads, races the parent).  The
-sanctioned channel is the one the workers already use: per-worker
-telemetry/metrics *sessions* whose records travel back through the trace
-stamps and are merged by the parent.
+A process-mode shard (:class:`~repro.serve.router.ProcessShardWorker`)
+runs :func:`~repro.serve.router._shard_worker_main` in a forked child,
+and that child runs the solvers: ``handle_request(service: SolverService,
+…)`` → ``SolverService.solve`` → ``cold_solve`` / ``repair_solution``.
+On fork, every worker inherits a *copy* of process-global state — the
+:class:`~repro.obs.metrics.MetricsRegistry`, the telemetry singleton,
+module-level caches — so a worker-side mutation is silently lost (or,
+under spawn/threads, races the parent).  The sanctioned channel is the
+one the shard worker already uses: its own per-child registry, read back
+by the parent through the pipe's counters message.
 
-RL007 finds every function reachable from a pool-worker payload (the
-callable handed to ``pool.map``/``imap``/``apply_async``/… or
-``executor.submit``, the ``target=`` of a ``multiprocessing.Process`` —
-how the shard router boots its worker fleet — or the callable handed to
-``loop.run_in_executor`` by the async front-end's dispatchers) and
+RL007 finds every function reachable from a worker payload — the
+``target=`` of a ``multiprocessing.Process`` (how the shard router boots
+its worker fleet), the callable handed to ``loop.run_in_executor`` by the
+async front-end's dispatchers, or the callable handed to
+``pool.map``/``imap``/``apply_async``/… or ``executor.submit`` — and
 flags, inside that closure:
 
 * calls to ``repro.obs.metrics.get_metrics`` — grabbing the process-
@@ -23,6 +25,10 @@ flags, inside that closure:
 * ``global`` declarations — rebinding module state in a forked child;
 * mutation of module-level containers (caches) via method call,
   subscript or attribute store.
+
+Reaching the solvers from the shard worker rests on the call graph
+resolving ``service.solve(...)`` through the parameter's
+``SolverService`` annotation (:mod:`repro.lint.dataflow`).
 
 Calls to the session APIs themselves (``metrics_session``,
 ``telemetry_session``, ``enable``/``disable``, ``write_trace``) are not
@@ -97,7 +103,7 @@ class ForkSafetyRule(Rule):
     rule_id = "RL007"
     name = "fork-safety"
     summary = (
-        "functions reachable from parallel-worker payloads must not mutate "
+        "functions reachable from worker payloads must not mutate "
         "process-global state (metrics registry, telemetry, module caches)"
     )
 
@@ -187,9 +193,9 @@ class ForkSafetyRule(Rule):
                     "rebound in a forked worker is lost (or races) in the "
                     "parent",
                     fixit=(
-                        "return the value through the worker payload / trace "
-                        "stamps, or waive intentionally worker-local memos "
-                        "with '# reprolint: disable=RL007'"
+                        "return the value through the worker's reply, or "
+                        "waive intentionally worker-local memos with "
+                        "'# reprolint: disable=RL007'"
                     ),
                 )
             elif isinstance(node, ast.Call):
@@ -214,8 +220,8 @@ class ForkSafetyRule(Rule):
                                 f"store into module-level container "
                                 f"'{global_name}' {where}",
                                 fixit=(
-                                    "publish through the sanctioned "
-                                    "session/stamp APIs, or waive with "
+                                    "return it through the worker's reply, "
+                                    "or waive with "
                                     "'# reprolint: disable=RL007'"
                                 ),
                             )
@@ -234,8 +240,8 @@ class ForkSafetyRule(Rule):
                 "fork-inherited copy — worker increments never reach the "
                 "parent",
                 fixit=(
-                    "meter inside the worker's own metrics_session and merge "
-                    "via trace stamps, or waive with "
+                    "meter into the worker's own registry (the shard "
+                    "worker builds one per child), or waive with "
                     "'# reprolint: disable=RL007'"
                 ),
             )

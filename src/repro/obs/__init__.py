@@ -1,12 +1,11 @@
-"""Observability subsystem: phase spans, peeling profiles, trace merging.
+"""Observability subsystem: phase spans, peeling profiles, trace files.
 
 Built for near-zero overhead when off: algorithms ask
 :func:`get_telemetry` once per run, and a ``None`` return makes every phase
 boundary a no-op.  When a sink is active they emit *phase-level*
 spans (setup / reduce / replay / extend / swap-scan …) with rule-counter
-snapshots and peeling-profile samples at the boundaries, and the parallel
-per-component driver merges per-worker trace files into one attributed
-run report.  A traced run runs the same drivers as an untraced one.
+snapshots and peeling-profile samples at the boundaries.  A traced run
+runs the same drivers as an untraced one.
 
 Entry points::
 
@@ -46,7 +45,7 @@ from .telemetry import (
     phase,
     telemetry_session,
 )
-from .trace_io import collect_worker_traces, load_trace, merge_traces, write_trace
+from .trace_io import load_trace, write_trace
 
 __all__ = [
     "METRIC_KEYS",
@@ -55,7 +54,6 @@ __all__ = [
     "MetricsRegistry",
     "Span",
     "Telemetry",
-    "collect_worker_traces",
     "disable",
     "disable_metrics",
     "enable",
@@ -63,7 +61,6 @@ __all__ = [
     "get_metrics",
     "get_telemetry",
     "load_trace",
-    "merge_traces",
     "metrics_session",
     "parse_prometheus",
     "phase",

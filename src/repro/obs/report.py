@@ -2,9 +2,10 @@
 
 Works from raw trace records (live :class:`~repro.obs.telemetry.Telemetry`
 output or a loaded JSONL file) and renders the tables the analyses need:
-the phase-span breakdown, the rule-counter totals, per-component/worker
-attribution for parallel runs, peeling-profile shapes, aggregate timers,
-and memory probes against the Table-1 budgets.
+the phase-span breakdown, the rule-counter totals, per-component
+attribution of a repair's component solves, per-request attribution,
+peeling-profile shapes, aggregate timers, and memory probes against the
+Table-1 budgets.
 """
 
 from __future__ import annotations

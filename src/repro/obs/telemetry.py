@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 __all__ = [
     "Span",
@@ -88,22 +88,22 @@ class _NoopSpan:
 
 
 class Telemetry:
-    """In-memory telemetry sink for one process (or one worker).
+    """In-memory telemetry sink for one process.
 
     Attributes
     ----------
     label:
-        Free-form run label (worker telemetries use ``component-<i>``).
+        Free-form run label.
     spans / counters / timers / profiles / extra:
         The collected primitives; ``extra`` holds free-form records such as
-        memory probes and adopted worker traces.
+        memory probes.
     context:
         Fields stamped onto every span created while set (see
-        :meth:`scoped`) — the parallel driver uses it for per-component
-        attribution of inline solves.
+        :meth:`scoped`) — the service uses it for per-request attribution
+        and repair for per-component attribution.
     """
 
-    def __init__(self, label: str = "", context: Optional[Dict[str, object]] = None) -> None:
+    def __init__(self, label: str = "") -> None:
         self.label = label
         self.pid = os.getpid()
         self.origin = time.perf_counter()
@@ -113,7 +113,7 @@ class Telemetry:
         self.timers: Dict[str, List[float]] = {}  # name -> [count, total]
         self.profiles: List[Dict[str, object]] = []
         self.extra: List[Dict[str, object]] = []
-        self.context: Dict[str, object] = dict(context or {})
+        self.context: Dict[str, object] = {}
         self._depth = 0
 
     # ------------------------------------------------------------------
@@ -208,15 +208,6 @@ class Telemetry:
             )
         self.extra.append(record)
 
-    def adopt(self, records: Iterable[Dict[str, object]]) -> None:
-        """Merge records collected elsewhere (e.g. a worker process).
-
-        ``meta`` records are kept — they carry the worker's pid and label —
-        so a merged trace still shows which process produced what.
-        """
-        for record in records:
-            self.extra.append(record)
-
     # ------------------------------------------------------------------
     # Context stamping
     # ------------------------------------------------------------------
@@ -285,14 +276,13 @@ class Telemetry:
 _ACTIVE: Optional[Telemetry] = None
 
 
-def enable(label: str = "", context: Optional[Dict[str, object]] = None) -> Telemetry:
+def enable(label: str = "") -> Telemetry:
     """Turn telemetry on for this process; returns the active sink.
 
-    Re-enabling replaces the active sink (worker processes do this to start
-    from a clean slate even under the ``fork`` start method).
+    Re-enabling replaces the active sink.
     """
     global _ACTIVE
-    _ACTIVE = Telemetry(label=label, context=context)
+    _ACTIVE = Telemetry(label=label)
     return _ACTIVE
 
 
@@ -313,9 +303,9 @@ def get_telemetry() -> Optional[Telemetry]:
 
 
 @contextmanager
-def telemetry_session(label: str = "", context: Optional[Dict[str, object]] = None):
+def telemetry_session(label: str = ""):
     """Enable telemetry for the block; yields the sink, disables on exit."""
-    telemetry = enable(label=label, context=context)
+    telemetry = enable(label=label)
     try:
         yield telemetry
     finally:

@@ -1,4 +1,4 @@
-"""JSON-lines trace emission, loading, and cross-process merging.
+"""JSON-lines trace emission and loading.
 
 A *trace* is a sequence of JSON records, one per line — the format every
 observability stack speaks natively and ``jq`` chews through.  Record
@@ -6,47 +6,25 @@ observability stack speaks natively and ``jq`` chews through.  Record
 ``profile``, ``memory``, plus anything a caller appends via
 :meth:`~repro.obs.telemetry.Telemetry.record`.
 
-The collector side exists for :func:`repro.perf.parallel.solve_by_components_parallel`:
-each worker process writes its own trace file (telemetry objects are
-per-process by design — workers cannot share the parent's clock or lists),
-and :func:`collect_worker_traces` reads them back so the parent can adopt
-the records into one merged trace.  Worker records carry ``pid`` and
-``component`` fields, which is what lets the merged report attribute every
-component's spans to the worker that ran them.
+Every span and profile record carries the ``pid`` of the process that
+made it, and spans opened under :meth:`~repro.obs.telemetry.Telemetry.scoped`
+carry its fields (``component``, request id, tenant), which is what the
+report's per-component and per-request sections read.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
-__all__ = [
-    "write_trace",
-    "load_trace",
-    "collect_worker_traces",
-    "merge_traces",
-]
+__all__ = ["write_trace", "load_trace"]
 
 
-def write_trace(
-    path: str,
-    records: Iterable[Dict[str, object]],
-    stamp: Optional[Dict[str, object]] = None,
-) -> int:
-    """Write trace records to ``path`` as JSON lines; returns the count.
-
-    ``stamp`` fields are merged into every record that does not already
-    carry them — the worker side uses this to tag records with their
-    component id without threading the id through every span call.
-    """
+def write_trace(path: str, records: Iterable[Dict[str, object]]) -> int:
+    """Write trace records to ``path`` as JSON lines; returns the count."""
     count = 0
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
-            if stamp:
-                merged = dict(stamp)
-                merged.update(record)
-                record = merged
             handle.write(json.dumps(record, sort_keys=True))
             handle.write("\n")
             count += 1
@@ -62,54 +40,3 @@ def load_trace(path: str) -> List[Dict[str, object]]:
             if line:
                 records.append(json.loads(line))
     return records
-
-
-def collect_worker_traces(paths: Iterable[str]) -> List[Dict[str, object]]:
-    """Load every existing worker trace file; missing files are skipped.
-
-    A worker that solved a component *may* legitimately leave no file when
-    it crashed after solving but before flushing — the solve result still
-    arrives through the pool, so the merged trace must tolerate the gap
-    rather than fail the whole run.
-    """
-    records: List[Dict[str, object]] = []
-    for path in paths:
-        if os.path.exists(path):
-            records.extend(load_trace(path))
-    return records
-
-
-def merge_traces(record_lists: Iterable[List[Dict[str, object]]]) -> Dict[str, object]:
-    """Merge per-process record lists into one run report.
-
-    Returns ``{"records": [...], "processes": {pid: label}, "components":
-    {component: {"pid": …, "spans": […], "wall": …}}}`` — the per-component
-    attribution the parallel driver's merged report is built from.  Records
-    without a ``component`` field (the parent's own phases) are attributed
-    to component ``None`` under the parent pid.
-    """
-    merged: List[Dict[str, object]] = []
-    processes: Dict[int, str] = {}
-    components: Dict[object, Dict[str, object]] = {}
-    for records in record_lists:
-        for record in records:
-            merged.append(record)
-            pid = record.get("pid")
-            if record.get("type") == "meta" and pid is not None:
-                processes[pid] = str(record.get("label", ""))
-            if record.get("type") != "span":
-                continue
-            component = record.get("component")
-            if component is None:
-                meta = record.get("meta")
-                if isinstance(meta, dict):
-                    component = meta.get("component")
-            cell = components.setdefault(
-                component, {"pid": pid, "spans": [], "wall": 0.0}
-            )
-            cell["spans"].append(record.get("name"))
-            if record.get("depth", 0) == 0:
-                cell["wall"] += float(record.get("wall", 0.0))
-            if cell["pid"] is None:
-                cell["pid"] = pid
-    return {"records": merged, "processes": processes, "components": components}

@@ -2,10 +2,9 @@
 
 A :class:`RequestContext` travels with one request through
 :class:`~repro.serve.service.SolverService`: the request id and tenant are
-stamped onto every telemetry span the request opens (including solver
-phase spans and, through the worker trace stamps, spans from
-:func:`repro.perf.parallel.solve_by_components_parallel` worker
-processes), and the deadline is the request's absolute time budget.
+stamped onto every telemetry span the request opens (including the
+solver phase spans of its cold solve or repair), and the deadline is the
+request's absolute time budget.
 
 Contexts are cheap frozen dataclasses; callers that do not pass one get an
 auto-numbered context (``req-000001`` …) so traces always correlate, and

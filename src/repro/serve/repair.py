@@ -37,12 +37,12 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..core.components import affected_region
+from ..core.framework import ALGORITHM_BY_NAME
 from ..core.result import MISResult
 from ..core.trace import extend_to_maximal
 from ..graphs.properties import connected_components
 from ..graphs.static_graph import Graph
 from ..obs.telemetry import get_telemetry
-from ..perf.parallel import ALGORITHM_BY_NAME
 
 __all__ = [
     "RepairOutcome",
@@ -59,7 +59,7 @@ def cold_solve(
 ) -> MISResult:
     """Solve ``graph`` from scratch with the service's configured algorithm.
 
-    ``algorithm`` is an :data:`~repro.perf.parallel.ALGORITHM_BY_NAME`
+    ``algorithm`` is an :data:`~repro.core.framework.ALGORITHM_BY_NAME`
     registry name (``"bdone"`` / ``"linear_time"`` / ``"near_linear"``) or
     a callable.  ``workspace_factory`` is forwarded to the driver's oracle
     hook — the differential suite runs the service's solve path under both
@@ -168,7 +168,7 @@ def repair_solution(
         telemetry = get_telemetry()
         for index, part in enumerate(parts):
             piece, piece_ids = subgraph.subgraph(part)
-            # Stamped like solve_by_components_parallel's inline solves.
+            # Stamped so the trace report attributes each piece's spans.
             if telemetry is None:
                 chosen = cold_solve(piece, algorithm).independent_set
             else:

@@ -15,9 +15,9 @@ surface:
 * :class:`InlineShardWorker` — a service in the router's own process.
   Zero dispatch overhead; what tests and single-process serving use.
 * :class:`ProcessShardWorker` — a child process running
-  :func:`_shard_worker_main`, spoken to over a duplex pipe with the same
-  ``(kind, payload)`` message discipline as the component pool.  Each
-  child hosts its own service and metrics registry.
+  :func:`_shard_worker_main`, spoken to over a duplex pipe in
+  ``(kind, payload)`` messages.  Each child hosts its own service and
+  metrics registry.
 
 All workers share one :class:`~repro.serve.cache.SharedCacheTier`
 (a ``multiprocessing.Manager`` dict for process workers, a plain dict for

@@ -24,8 +24,8 @@ a request loop can sit on top of:
 
 Observability: every public entry point opens a phase span (``serve:*``),
 stamped with the request's :class:`~repro.serve.context.RequestContext`
-(request id, tenant) so a query's solver phases — including per-component
-worker spans from the parallel driver — merge into one request span tree.
+(request id, tenant) so a query's solver phases — including the
+per-component spans of a repair — merge into one request span tree.
 Request latency, cache traffic, repair-vs-fresh and timeout-degradation
 counts publish into a :class:`~repro.obs.metrics.MetricsRegistry`; the
 classic :meth:`SolverService.counters` dict is a thin view over it, so the
@@ -40,6 +40,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Set, Union
 
+from ..core.framework import ALGORITHM_BY_NAME
 from ..core.result import (
     STAT_SERVE_CACHE_HIT,
     STAT_SERVE_CACHE_MISS,
@@ -69,7 +70,6 @@ from ..obs.metrics import (
     get_metrics,
 )
 from ..obs.telemetry import get_telemetry, phase
-from ..perf.parallel import ALGORITHM_BY_NAME
 from .cache import CacheEntry, KernelCache
 from .context import RequestContext
 from .dynamic_graph import DynamicGraph, Mutation
@@ -105,9 +105,9 @@ class ServiceConfig:
     Attributes
     ----------
     algorithm:
-        :data:`~repro.perf.parallel.ALGORITHM_BY_NAME` registry name used
+        :data:`~repro.core.framework.ALGORITHM_BY_NAME` registry name used
         for cold solves and repairs (must be a name, not a callable, so
-        snapshots and worker dispatch can serialise it).
+        snapshots and shard configs can serialise it).
     cache_capacity:
         LRU bound of the kernel cache (entries, not bytes).
     dirty_threshold:
@@ -764,8 +764,7 @@ class SolverService:
         """The span-stamping scope of one request.
 
         With telemetry active every span the request opens (including
-        solver phases and parallel worker spans, through the trace stamp)
-        carries the request id and tenant; with telemetry off this is a
+        its solver phases) carries the request id and tenant; with telemetry off this is a
         free pass-through — no context object is even allocated.
         """
         if telemetry is None:

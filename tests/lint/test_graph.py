@@ -6,7 +6,7 @@ registry-dict dispatch (``ALGORITHM_BY_NAME[name](g)`` and the
 return-passthrough ``_resolve(name)(g)`` shape), ``workspace_factory``/
 ``state_factory`` hook indirection, cycle termination — and then checks
 the same machinery against the actual ``src/repro`` tree
-(``ALGORITHM_BY_NAME``, ``KERNEL_METHODS``, the parallel worker), plus
+(``ALGORITHM_BY_NAME``, ``KERNEL_METHODS``, the shard worker), plus
 the RL006–RL009 repo-clean self-check backing the committed baseline.
 """
 
@@ -52,9 +52,9 @@ class TestRegistryDispatch:
         assert "repro.reg:fb" in edges
 
     def test_return_passthrough_resolver_shape(self):
-        # The repro.perf.parallel idiom: _resolve returns either a
-        # registry entry or its callable argument unchanged; calling the
-        # result must produce edges to the registry targets.
+        # The resolver idiom: _resolve returns either a registry entry
+        # or its callable argument unchanged; calling the result must
+        # produce edges to the registry targets.
         project = project_of(
             {
                 "src/repro/reg.py": """
@@ -253,6 +253,35 @@ class TestCyclesAndClosure:
             "repro.cls:Base.step" in project.graph.edges["repro.cls:Child.run"]
         )
 
+    def test_annotated_parameter_method_edges(self):
+        # handle_request(service: SolverService, ...) calls service.solve:
+        # the annotation, plain or quoted, names the receiver's class.
+        project = project_of(
+            {
+                "src/repro/svc.py": """
+                class Service:
+                    def solve(self):
+                        pass
+                """,
+                "src/repro/handler.py": """
+                from .svc import Service
+
+                def handle(service: Service):
+                    service.solve()
+
+                def handle_quoted(service: "Service"):
+                    service.solve()
+
+                def handle_untyped(service):
+                    service.solve()
+                """,
+            }
+        )
+        edges = project.graph.edges
+        assert "repro.svc:Service.solve" in edges["repro.handler:handle"]
+        assert "repro.svc:Service.solve" in edges["repro.handler:handle_quoted"]
+        assert edges["repro.handler:handle_untyped"] == set()
+
 
 @pytest.fixture(scope="module")
 def repo_project():
@@ -267,7 +296,7 @@ def repo_project():
 class TestRealRepoResolution:
     def test_algorithm_registry_is_indexed(self, repo_project):
         index = repo_project.index
-        targets = index.registry_targets("repro.perf.parallel:ALGORITHM_BY_NAME")
+        targets = index.registry_targets("repro.core.framework:ALGORITHM_BY_NAME")
         assert "repro.core.linear_time:linear_time" in targets
         assert any(q.endswith(":near_linear") for q in targets)
 
@@ -279,10 +308,15 @@ class TestRealRepoResolution:
         assert any(q.endswith("linear_time_reduce") for q in targets)
 
     def test_worker_payload_reaches_registry_solvers(self, repo_project):
+        # _shard_worker_main -> handle_request(service: SolverService)
+        # -> SolverService.solve -> cold_solve -> ALGORITHM_BY_NAME[name]:
+        # the annotated parameter is what carries the edge into the service.
         graph = repo_project.graph
         reached, _ = graph.reachable_with_parents(
-            ["repro.perf.parallel:_solve_flat"]
+            ["repro.serve.router:_shard_worker_main"]
         )
+        assert "repro.serve.service:SolverService.solve" in reached
+        assert "repro.serve.repair:repair_solution" in reached
         assert "repro.core.linear_time:linear_time" in reached
 
     def test_hot_kernel_reaches_cross_module_helper(self, repo_project):

@@ -414,9 +414,28 @@ class TestSeededMutations:
             "    \"\"\"Append one ``(kind, (v,))`` record",
         )
         findings = lint_sources(mutated, rules=default_rules(["RL007"]))
-        assert findings, "metric write reachable from pool.map must be flagged"
+        assert findings, "metric write reachable from the shard worker must be flagged"
         assert {f.rule_id for f in findings} == {"RL007"}
         assert all(f.path.endswith("workspace.py") for f in findings)
+
+    def test_metering_in_repair_trips_rl007(self, src_sources):
+        # A process shard runs repairs in its forked child, reached as
+        # _shard_worker_main -> handle_request(service: SolverService)
+        # -> SolverService.solve -> repair_solution.
+        mutated = mutate(
+            src_sources,
+            "src/repro/serve/repair.py",
+            "    start = time.perf_counter()\n    region = affected_region(",
+            "    start = time.perf_counter()\n"
+            "    from repro.obs.metrics import get_metrics\n"
+            "    get_metrics().inc('repro_serve_repairs_total')\n"
+            "    region = affected_region(",
+        )
+        findings = lint_sources(mutated, rules=default_rules(["RL007"]))
+        assert findings, "metric write in repair_solution must be flagged"
+        assert {f.rule_id for f in findings} == {"RL007"}
+        assert all(f.path.endswith("repair.py") for f in findings)
+        assert any("_shard_worker_main" in f.message for f in findings)
 
     def test_dropping_context_forward_trips_rl008(self, src_sources):
         mutated = mutate(

@@ -147,8 +147,3 @@ class TestSerialisation:
             "total": 0.5,
         }
         assert records[4]["samples"] == [(0, 10, 20, 10)]
-
-    def test_adopt_appends_foreign_records(self):
-        tele = Telemetry()
-        tele.adopt([{"type": "span", "name": "reduce", "pid": 99, "wall": 0.1}])
-        assert tele.to_records()[-1]["pid"] == 99

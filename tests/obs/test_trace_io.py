@@ -1,13 +1,8 @@
-"""Trace file round-trips, worker collection, and cross-process merging."""
+"""Trace file round-trips."""
 
 import json
 
-from repro.obs.trace_io import (
-    collect_worker_traces,
-    load_trace,
-    merge_traces,
-    write_trace,
-)
+from repro.obs.trace_io import load_trace, write_trace
 
 
 class TestWriteLoad:
@@ -28,75 +23,8 @@ class TestWriteLoad:
         for line in lines:
             json.loads(line)
 
-    def test_stamp_fills_missing_fields_only(self, tmp_path):
-        path = str(tmp_path / "trace.jsonl")
-        write_trace(
-            path,
-            [{"type": "span", "name": "reduce"}, {"type": "span", "component": 9}],
-            stamp={"component": 3},
-        )
-        loaded = load_trace(path)
-        assert loaded[0]["component"] == 3
-        assert loaded[1]["component"] == 9  # record's own field wins
-
     def test_load_skips_blank_lines(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text('{"a": 1}\n\n{"b": 2}\n')
         assert load_trace(str(path)) == [{"a": 1}, {"b": 2}]
 
-
-class TestCollect:
-    def test_missing_worker_files_are_skipped(self, tmp_path):
-        present = str(tmp_path / "w0.jsonl")
-        write_trace(present, [{"type": "span", "name": "reduce"}])
-        records = collect_worker_traces([present, str(tmp_path / "gone.jsonl")])
-        assert len(records) == 1
-
-
-class TestMerge:
-    def test_components_attributed_to_their_pids(self):
-        parent = [
-            {"type": "meta", "label": "parent", "pid": 1},
-            {"type": "span", "name": "merge", "pid": 1, "wall": 0.1, "depth": 0},
-        ]
-        worker = [
-            {"type": "meta", "label": "worker-component-0", "pid": 2, "component": 0},
-            {
-                "type": "span",
-                "name": "reduce",
-                "pid": 2,
-                "wall": 0.4,
-                "depth": 0,
-                "component": 0,
-            },
-            {
-                "type": "span",
-                "name": "replay",
-                "pid": 2,
-                "wall": 0.2,
-                "depth": 1,
-                "component": 0,
-            },
-        ]
-        merged = merge_traces([parent, worker])
-        assert len(merged["records"]) == 5
-        assert merged["processes"] == {1: "parent", 2: "worker-component-0"}
-        cell = merged["components"][0]
-        assert cell["pid"] == 2
-        assert cell["spans"] == ["reduce", "replay"]
-        assert cell["wall"] == 0.4  # depth-0 spans only
-        assert merged["components"][None]["pid"] == 1
-
-    def test_component_read_from_span_meta(self):
-        records = [
-            {
-                "type": "span",
-                "name": "reduce",
-                "pid": 5,
-                "wall": 0.3,
-                "depth": 0,
-                "meta": {"component": 4},
-            }
-        ]
-        merged = merge_traces([records])
-        assert merged["components"][4]["pid"] == 5

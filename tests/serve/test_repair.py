@@ -13,7 +13,11 @@ import pytest
 
 from repro.analysis import assert_valid_solution
 from repro.core import components as components_module
-from repro.core.components import affected_region
+from repro.core.bdone import bdone
+from repro.core.components import affected_region, solve_by_components
+from repro.core.framework import ALGORITHM_BY_NAME
+from repro.core.linear_time import linear_time
+from repro.core.near_linear import near_linear
 from repro.core.trace import extend_to_maximal
 from repro.core.workspace import ArrayWorkspace
 from repro.graphs import Graph
@@ -24,8 +28,6 @@ from repro.graphs.generators import (
     web_like_graph,
 )
 from repro.graphs.properties import connected_components
-from repro.perf import parallel as parallel_module
-from repro.perf.parallel import solve_by_components_parallel
 from repro.serve import DynamicGraph, Mutation, cold_solve, patch_solution, repair_solution
 from repro.serve import repair as repair_module
 
@@ -40,11 +42,23 @@ def _in_set(graph: Graph, vertices) -> list:
 
 
 class TestColdSolve:
+    def test_registry_names_are_pinned(self):
+        # Service configs and saved snapshots store these names.
+        assert ALGORITHM_BY_NAME == {
+            "bdone": bdone,
+            "linear_time": linear_time,
+            "near_linear": near_linear,
+        }
+
     def test_resolves_registry_names(self):
         g = gnm_random_graph(60, 150, seed=2)
-        for name in ("bdone", "linear_time", "near_linear"):
+        for name, algorithm in sorted(ALGORITHM_BY_NAME.items()):
             result = cold_solve(g, name)
             assert_valid_solution(g, result.independent_set)
+            direct = algorithm(g)
+            assert result.independent_set == direct.independent_set
+            assert result.upper_bound == direct.upper_bound
+            assert result.stats == direct.stats
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
@@ -188,7 +202,7 @@ class TestRepairComponentPass:
     @staticmethod
     def _reference(graph, in_set, seeds):
         # The repair as composed from the public pieces: free region, one
-        # solve_by_components_parallel call inline, extension to maximal.
+        # solve_by_components call, extension to maximal.
         region = affected_region(graph, seeds, radius=1)
         inside = set(region)
         free = [
@@ -199,7 +213,7 @@ class TestRepairComponentPass:
         for v in region:
             repaired[v] = False
         subgraph, old_ids = graph.subgraph(free)
-        result = solve_by_components_parallel(subgraph, "linear_time", processes=1)
+        result = solve_by_components(subgraph, linear_time)
         for v in result.independent_set:
             repaired[old_ids[v]] = True
         extend_to_maximal(repaired, graph)
@@ -218,7 +232,7 @@ class TestRepairComponentPass:
             calls.append(g.n)
             return connected_components(g)
 
-        for module in (repair_module, parallel_module, components_module):
+        for module in (repair_module, components_module):
             if hasattr(module, "connected_components"):
                 monkeypatch.setattr(module, "connected_components", counted)
         outcome = repair_solution(graph, in_set, seeds, "linear_time", radius=1)

@@ -48,7 +48,6 @@ class TestReadme:
             "repro.core.degree_two_paths",
             "repro.core.dominance",
             "repro.core.lp_reduction",
-            "repro.external.semi_external",
             "repro.bench.datasets",
         ):
             importlib.import_module(module)

@@ -147,20 +147,6 @@ class TestExactSolver:
         assert maximum_independent_set(graph).size == brute_force_alpha(graph)
 
 
-class TestSemiExternal:
-    @SETTINGS
-    @given(graph=graphs(max_vertices=12))
-    def test_semi_external_invariants(self, graph):
-        from repro.external import semi_external_bdone
-
-        result = semi_external_bdone(graph)
-        assert is_maximal_independent_set(graph, result.independent_set) or graph.n == 0
-        alpha = brute_force_alpha(graph)
-        assert result.size <= alpha <= result.upper_bound
-        if result.is_exact:
-            assert result.size == alpha
-
-
 class TestVertexCoverDuality:
     @SETTINGS
     @given(graph=graphs(max_vertices=12))

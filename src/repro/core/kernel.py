@@ -15,6 +15,7 @@ of the original graph by replaying the recorded reduction decisions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Dict, FrozenSet, Iterable, List, Tuple
 
 from ..errors import ReproError
@@ -22,7 +23,7 @@ from ..graphs.static_graph import Graph
 from .linear_time import linear_time_reduce
 from .near_linear import near_linear_reduce
 from .result import STAT_DEGREE_ONE
-from .trace import DecisionLog
+from .trace import INCLUDE, DecisionLog
 from .workspace import ArrayWorkspace
 
 __all__ = ["KernelResult", "kernelize", "KERNEL_METHODS"]
@@ -85,8 +86,10 @@ class KernelResult:
         if not is_independent_set(self.kernel, solution):
             raise NotASolutionError("kernel solution is not independent in the kernel")
         log = self.log.copy()
-        for v in solution:
-            log.include(self.old_ids[v])
+        # One include entry per vertex, built and appended in C.
+        log.entries.extend(
+            zip(repeat(INCLUDE), zip(map(self.old_ids.__getitem__, solution)))
+        )
         return log.replay(self.graph).vertices
 
 

@@ -118,7 +118,8 @@ def export_kernel_arrays(
     array is given), remapped through the cumulative-sum id map and sorted
     per row by one sort of the int64 keys ``row·k + target`` (the rows are
     already non-decreasing) — the same sorted-row kernel and ``old_ids``
-    list :meth:`ArrayWorkspace.export_kernel` builds.
+    list :meth:`ArrayWorkspace.export_kernel` builds, with its
+    :meth:`~repro.graphs.static_graph.Graph.flat_csr` cache filled.
     """
     np = _np
     n = graph.n
@@ -141,7 +142,9 @@ def export_kernel_arrays(
     counts = np.bincount(rows, minlength=k)
     offsets = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    return Graph(offsets.tolist(), keys.tolist(), name=name), old_ids
+    # The kernel carries its flat CSR, which ARW's seed projection and
+    # search state read.
+    return Graph._from_csr(offsets, keys, name), old_ids
 
 
 @hot_loop

@@ -18,8 +18,9 @@ a valid (1,2)-swap in O(m), following [2].  The production
 moves but revisits only vertices whose neighbourhood changed, so after the
 first exhaust an iteration costs the rows of the vertices it touches plus
 one whole-array perturbation: a numpy pass over the solution bytes, one
-RNG draw per outside vertex, and an ``np.partition`` selection of the
-picks (no full sort).
+``rng.random()`` value per outside vertex drawn in C as one block
+(:func:`_random_block`), and a selection of the picks from the oldest age
+group (no full sort).
 
 :func:`arw` drives the loop under a time budget and reports every
 improvement through a :class:`~repro.localsearch.events.ConvergenceRecorder`.
@@ -30,7 +31,6 @@ from __future__ import annotations
 import random
 import time
 from array import array
-from itertools import repeat, starmap
 from typing import Iterable, List, Optional, Set, Tuple
 
 import numpy as np
@@ -168,40 +168,76 @@ def _smallest_keys(ages: np.ndarray, draws: np.ndarray, k: int) -> np.ndarray:
     key order: ``np.lexsort((draws, ages))[:k]`` found by selection.
 
     The ``k``-th smallest age splits the keys: every older-than-it key is
-    picked, and the rest of the picks come from its tie group, cut at the
-    draw the tie group needs (``np.partition`` both times).  A stable
-    lexsort of that pool, kept in position order, orders the picks.
+    picked, in key order, and the rest of the picks are the smallest draws
+    of its tie group.  Most outside vertices share the oldest age, so that
+    group usually holds all ``k`` picks; it is tried first, which skips
+    the ``np.partition`` over every age.
     """
     if k >= len(ages):
         return np.lexsort((draws, ages))
+    tied = np.flatnonzero(ages == ages.min())
+    if len(tied) >= k:
+        return tied[_smallest_draws(draws[tied], k)]
     kth_age = np.partition(ages, k - 1)[k - 1]
-    pool = ages < kth_age
+    older = np.flatnonzero(ages < kth_age)
+    older = older[np.lexsort((draws[older], ages[older]))]
     tied = np.flatnonzero(ages == kth_age)
-    need = k - int(np.count_nonzero(pool))
-    if need < len(tied):
-        tied_draws = draws[tied]
-        tied = tied[tied_draws <= np.partition(tied_draws, need - 1)[need - 1]]
-    pool[tied] = True
-    positions = np.flatnonzero(pool)
-    return positions[np.lexsort((draws[positions], ages[positions]))[:k]]
+    return np.concatenate((older, tied[_smallest_draws(draws[tied], k - len(older))]))
 
 
-def _perturb(state, strength: int, rng: random.Random, clock: int) -> bool:
+def _smallest_draws(draws: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the ``k`` smallest ``(draw, position)`` keys, in key
+    order (``1 <= k <= len(draws)``)."""
+    if k < len(draws):
+        (kept,) = np.nonzero(draws <= np.partition(draws, k - 1)[k - 1])
+        return kept[np.argsort(draws[kept], kind="stable")[:k]]
+    return np.argsort(draws, kind="stable")
+
+
+def _random_block(
+    rng: random.Random, mirror: np.random.RandomState, count: int
+) -> np.ndarray:
+    """The next ``count`` values of ``rng.random()``, drawn in C.
+
+    ``random.Random`` and NumPy's legacy ``RandomState`` are the same
+    MT19937 generator, and both turn two 32-bit outputs into a double by
+    the same 53-bit formula (``(a >> 5) * 2**26 + (b >> 6)`` over
+    ``2**53``), so loading ``rng``'s key and position into ``mirror``,
+    drawing there and writing the advanced key and position back returns
+    exactly ``[rng.random() for _ in range(count)]`` and leaves ``rng`` in
+    exactly the state that loop would (``gauss_next`` is carried over
+    untouched).  Both projects keep these streams stable across releases.
+    ``mirror``'s own state is overwritten on every call.
+    """
+    version, internal, gauss_next = rng.getstate()
+    mirror.set_state(("MT19937", internal[:-1], internal[-1]))
+    draws = mirror.random_sample(count)
+    _, key, position, _, _ = mirror.get_state()
+    rng.setstate((version, (*key.tolist(), position), gauss_next))
+    return draws
+
+
+def _perturb(
+    state,
+    strength: int,
+    rng: random.Random,
+    mirror: np.random.RandomState,
+    clock: int,
+) -> bool:
     """Force in the ``strength`` outside vertices least recently inside.
 
     Ties on age break by one ``rng.random()`` draw per outside vertex, in
     index order, then by index — the keys and draw order of sorting the
-    outside list by ``(age, rng.random())``, found with whole-array passes
-    and a selection (:func:`_smallest_keys`) instead.  Returns ``False``
-    when no vertex is outside.
+    outside list by ``(age, rng.random())``, found with whole-array passes,
+    one block of draws (:func:`_random_block` through ``mirror``) and a
+    selection (:func:`_smallest_keys`) instead.  Returns ``False`` when no
+    vertex is outside.
     """
     outside = np.flatnonzero(np.frombuffer(state.in_solution, dtype=np.uint8) == 0)
     count = len(outside)
     if not count:
         return False
-    draws = np.fromiter(
-        starmap(rng.random, repeat((), count)), dtype=np.float64, count=count
-    )
+    draws = _random_block(rng, mirror, count)
     ages = np.frombuffer(state._last_outside, dtype=np.int64)[outside]
     for v in outside[_smallest_keys(ages, draws, strength)].tolist():
         state.force_insert(v, clock=clock)
@@ -230,10 +266,16 @@ def arw(
     :class:`LocalSearchState` to pin the legacy oracle — both produce the
     identical move sequence under the same RNG stream, which the
     differential suite asserts).  ``rng`` injects a pre-seeded
-    ``random.Random`` and takes precedence over ``seed``.
+    ``random.Random`` and takes precedence over ``seed``; the perturbations
+    draw its values in blocks through a ``RandomState`` private to this
+    call, which leaves ``rng`` exactly as one ``rng.random()`` call per
+    value would.
     """
     if rng is None:
         rng = random.Random(seed)
+    # Seeded with a constant (an entropy seed costs more): _random_block
+    # overwrites its state before every draw.
+    mirror = np.random.RandomState(0)
     if state_factory is None:
         state_factory = FlatLocalSearchState
     telemetry = get_telemetry()  # one global check per run
@@ -258,7 +300,7 @@ def arw(
             tick = time.perf_counter()
         # Perturb: force in the f outside vertices least recently inside.
         strength = _perturbation_strength(rng)
-        if not _perturb(state, strength, rng, iteration):
+        if not _perturb(state, strength, rng, mirror, iteration):
             break
         if timer is not None:
             now = time.perf_counter()

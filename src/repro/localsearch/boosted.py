@@ -14,7 +14,7 @@ kernel edge dropped) and re-extended before the search starts.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterable, Optional, Set
+from typing import Callable, Dict, Optional, Sequence, Set
 
 import numpy as np
 
@@ -59,9 +59,12 @@ class BoostedResult:
 
 
 def _induce_on_kernel(
-    kernel_result: KernelResult, full_solution: Iterable[int]
+    kernel_result: KernelResult, full_in_set: Sequence[bool]
 ) -> Set[int]:
     """Project a full-graph solution onto the kernel and make it valid.
+
+    ``full_in_set[v]`` says whether vertex ``v`` of the input graph is in
+    the solution (a replay's :attr:`~repro.core.trace.ReplayOutcome.in_set`).
 
     Intersects, drops one endpoint of every kernel edge the projection
     violates (rewired edges may not exist in the original graph), then
@@ -71,8 +74,7 @@ def _induce_on_kernel(
     vertex with no seeded neighbour is never discarded.
     """
     kernel = kernel_result.kernel
-    selected = np.zeros(kernel_result.graph.n, dtype=np.bool_)
-    selected[np.fromiter(full_solution, dtype=np.int64)] = True
+    selected = np.frombuffer(bytearray(full_in_set), dtype=np.bool_)
     in_set = selected[np.asarray(kernel_result.old_ids, dtype=np.int64)]
     # A kernel that is not solved has edges, so both buffers are non-empty.
     offsets, targets = kernel.flat_csr()
@@ -142,9 +144,9 @@ def boosted_arw(
         full_log = resume()
         if telemetry is not None:
             telemetry.add_counters(full_log.stats)
-        full_solution = full_log.replay(graph).vertices
+        full_in_set = full_log.replay(graph).in_set
     with phase(telemetry, "seed-induce", algorithm="BoostedARW", graph=graph.name):
-        seed_solution = _induce_on_kernel(kernel_result, full_solution)
+        seed_solution = _induce_on_kernel(kernel_result, full_in_set)
 
     with phase(telemetry, "lift", algorithm="BoostedARW", graph=graph.name):
         lifted_best = kernel_result.lift(seed_solution)

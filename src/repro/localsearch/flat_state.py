@@ -30,6 +30,13 @@ restructured for throughput:
   later ones visit the marks in the index order the oracle's ``range(n)``
   scans would reach them, so the move sequence is the oracle's.
 
+* construction is a handful of **whole-array passes** over the graph's
+  flat CSR instead of one :meth:`insert` per initial vertex: the
+  tightness counters are a ``bincount`` of the slots leaving the initial
+  set, and the 1-tight index is read off the slots that reach a 1-tight
+  vertex.  ARW builds a state at its start and at every
+  restart-from-best.
+
 The only non-O(1) index maintenance is the 2→1 tightness transition on
 :meth:`remove`, which rescans the affected neighbourhood to rediscover the
 surviving solution neighbour — removals are rare next to swap scans, which
@@ -41,6 +48,8 @@ from __future__ import annotations
 from array import array
 from heapq import heappop, heappush
 from typing import Iterable, List, Optional, Set, Tuple
+
+import numpy as np
 
 from ..errors import NotASolutionError
 from ..graphs.static_graph import Graph
@@ -70,19 +79,50 @@ class FlatLocalSearchState:
     )
 
     def __init__(self, graph: Graph, initial: Iterable[int]) -> None:
+        """The state of solution ``initial`` (duplicates allowed).
+
+        Raises :class:`~repro.errors.NotASolutionError` if ``initial`` is
+        not an independent set of ``graph``.
+        """
         self.graph = graph
         n = graph.n
         xadj, adj = graph.csr_arrays()
         self.xadj = xadj
         self.adj = adj
-        self.in_solution = bytearray(n)
-        self.tightness = [0] * n
-        self.size = 0
+        flags = np.zeros(n, dtype=np.uint8)
+        flags[np.fromiter(initial, dtype=np.int64)] = 1
+        offsets, targets = graph.flat_csr()
+        rows = np.repeat(
+            np.arange(n, dtype=np.int64),
+            np.diff(np.frombuffer(offsets, dtype=np.int64)),
+        )
+        leaving = flags[rows] != 0
+        # Slot i of a solution row gives vertex reached[i] one solution
+        # neighbour, holders[i].
+        holders = rows[leaving]
+        if len(targets):
+            reached = np.frombuffer(targets, dtype=np.int32)[leaving]
+        else:
+            reached = np.zeros(0, dtype=np.int32)
+        tight = np.bincount(reached, minlength=n)
+        clash = np.flatnonzero((flags != 0) & (tight != 0))
+        if len(clash):
+            raise NotASolutionError(
+                f"initial set is not independent: vertex {int(clash[0])} "
+                "has a solution neighbour"
+            )
+        # A 1-tight vertex is reached by exactly one slot, from its holder.
+        one = tight[reached] == 1
+        holder = np.zeros(n, dtype=np.int64)
+        holder[reached[one]] = holders[one]
+        self.in_solution = bytearray(flags)
+        self.tightness = tight.tolist()
+        self.size = int(np.count_nonzero(flags))
         # Perturbation priority: iteration at which a vertex last left the
         # solution (0 = never been inside); int64 words numpy reads in place.
         self._last_outside = array("q", bytes(8 * n))
-        self._one_tight_count = [0] * n
-        self._one_holder = [0] * n
+        self._one_tight_count = np.bincount(holders[one], minlength=n).tolist()
+        self._one_holder = holder.tolist()
         self._stamp = [0] * n
         self._clock = 0
         # Worklist: candidates for the next free-insertion pass (may repeat)
@@ -91,8 +131,6 @@ class FlatLocalSearchState:
         self._free_marks = list(range(n))
         self._swap_marks = self._free_marks[:]
         self._queued = bytearray(b"\x01") * n
-        for v in initial:
-            self.insert(v)
 
     # ------------------------------------------------------------------
     # Elementary moves
@@ -178,7 +216,8 @@ class FlatLocalSearchState:
 
     def solution(self) -> Set[int]:
         """The current solution as a set."""
-        return {v for v in range(self.graph.n) if self.in_solution[v]}
+        flags = np.frombuffer(self.in_solution, dtype=np.uint8)
+        return set(np.flatnonzero(flags).tolist())
 
     # ------------------------------------------------------------------
     # Moves of the ARW neighbourhood

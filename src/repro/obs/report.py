@@ -10,7 +10,7 @@ Table-1 budgets.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["summarize", "profile_is_monotone", "render_report"]
 
@@ -21,8 +21,9 @@ def summarize(records: Sequence[Dict[str, object]]) -> Dict[str, object]:
     Keys: ``phases`` (per span name: count / wall / top-level wall),
     ``span_total`` (sum of depth-0 span walls — comparable to the run's
     ``MISResult.elapsed``), ``counters``, ``timers``, ``profiles``,
-    ``memory``, ``components`` (pid + wall per component), ``processes``
-    (pid → label) and ``requests`` (per request id: span/wall/source/backend
+    ``memory``, ``components`` (pid, spans and wall per ``(request,
+    component)`` pair; the request is ``None`` for unserved runs),
+    ``processes`` (pid → label) and ``requests`` (per request id: span/wall/source/backend
     attribution, from the serving layer's context stamps).
     """
     phases: Dict[str, Dict[str, float]] = {}
@@ -30,7 +31,9 @@ def summarize(records: Sequence[Dict[str, object]]) -> Dict[str, object]:
     timers: Dict[str, Dict[str, float]] = {}
     profiles: List[Dict[str, object]] = []
     memory: List[Dict[str, object]] = []
-    components: Dict[object, Dict[str, object]] = {}
+    components: Dict[Tuple[object, object], Dict[str, object]] = {}
+    # (start, depth, wall) of every span stamped with each component key.
+    component_spans: Dict[Tuple[object, object], List[Tuple[float, int, float]]] = {}
     processes: Dict[object, str] = {}
     requests: Dict[str, Dict[str, object]] = {}
     span_total = 0.0
@@ -55,14 +58,18 @@ def summarize(records: Sequence[Dict[str, object]]) -> Dict[str, object]:
             component = record.get("component")
             if component is None:
                 component = meta.get("component")
+            request = record.get("request") or meta.get("request")
             if component is not None:
+                # Component indices restart at 0 in every repair, so the
+                # request tells the repairs of a served trace apart.
+                key = (None if request is None else str(request), component)
                 comp = components.setdefault(
-                    component, {"pid": record.get("pid"), "wall": 0.0, "spans": []}
+                    key, {"pid": record.get("pid"), "wall": 0.0, "spans": []}
                 )
                 comp["spans"].append(name)
-                if depth == 0:
-                    comp["wall"] += wall
-            request = record.get("request") or meta.get("request")
+                component_spans.setdefault(key, []).append(
+                    (float(record.get("start", 0.0)), int(depth), wall)
+                )
             if request is not None:
                 req = requests.setdefault(
                     str(request),
@@ -103,6 +110,8 @@ def summarize(records: Sequence[Dict[str, object]]) -> Dict[str, object]:
             profiles.append(record)
         elif kind == "memory":
             memory.append(record)
+    for key, spans in component_spans.items():
+        components[key]["wall"] = _outermost_wall(spans)
     for req in requests.values():
         req["components"] = sorted(req["components"], key=str)  # type: ignore[arg-type]
     return {
@@ -116,6 +125,27 @@ def summarize(records: Sequence[Dict[str, object]]) -> Dict[str, object]:
         "processes": processes,
         "requests": requests,
     }
+
+
+def _outermost_wall(spans: List[Tuple[float, int, float]]) -> float:
+    """Wall of the ``(start, depth, wall)`` spans that no span of the list
+    encloses.
+
+    A component's spans nest at whatever depth its solve was called from
+    (a served repair's sit inside ``serve:solve``), so its wall is the sum
+    over its outermost spans: in start order, a span that starts inside the
+    last credited span at a greater depth is part of it.
+    """
+    total = 0.0
+    end = float("-inf")
+    outer_depth = -1
+    for start, depth, wall in sorted(spans):
+        if start < end and depth > outer_depth:
+            continue
+        total += wall
+        end = start + wall
+        outer_depth = depth
+    return total
 
 
 def profile_is_monotone(profile: Dict[str, object]) -> bool:
@@ -199,13 +229,14 @@ def render_report(records: Sequence[Dict[str, object]], title: str = "") -> str:
     components = summary["components"]
     if components:
         lines.append("per-component attribution:")
-        for component, cell in sorted(
-            components.items(), key=lambda item: str(item[0])
+        for (request, component), cell in sorted(
+            components.items(), key=lambda item: (str(item[0][0]), str(item[0][1]))
         ):
             label = summary["processes"].get(cell.get("pid"), "")
             worker = f"pid {cell.get('pid')}" + (f" ({label})" if label else "")
+            where = "" if request is None else f"{request} "
             lines.append(
-                f"  component {component}: {worker}, "
+                f"  {where}component {component}: {worker}, "
                 f"{len(cell['spans'])} spans, wall {_format_seconds(cell['wall'])}"
             )
     requests = summary["requests"]

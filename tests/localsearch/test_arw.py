@@ -1,5 +1,7 @@
 """Tests for the ARW local search and its data structures."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from repro.graphs import (
     star_graph,
 )
 from repro.localsearch import ConvergenceRecorder, LocalSearchState, arw
-from repro.localsearch.arw import _smallest_keys
+from repro.localsearch.arw import _random_block, _smallest_keys
 
 
 class TestLocalSearchState:
@@ -156,3 +158,29 @@ class TestPerturbationSelection:
         draws = np.array(draws, dtype=np.float64)
         expected = np.lexsort((draws, ages))[:k]
         assert _smallest_keys(ages, draws, k).tolist() == expected.tolist()
+
+    # Around MT19937's 624-word regeneration: a fresh generator sits at
+    # position 624 and each value takes two words.
+    DRAW_COUNTS = (0, 1, 311, 312, 313, 623, 624, 625, 14_500)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**64))
+    def test_random_block_is_the_random_loop(self, seed):
+        # Same values and same generator state afterwards as one
+        # rng.random() call per value: from a fresh seed, and chained after
+        # a gauss() call (which leaves gauss_next set) so every block
+        # starts mid-buffer.
+        mirror = np.random.RandomState(0)
+        chained = random.Random(seed)
+        chained_reference = random.Random(seed)
+        chained.gauss(0.0, 1.0)
+        chained_reference.gauss(0.0, 1.0)
+        assert chained.getstate()[2] is not None
+        for count in self.DRAW_COUNTS:
+            for rng, reference in (
+                (random.Random(seed), random.Random(seed)),
+                (chained, chained_reference),
+            ):
+                expected = [reference.random() for _ in range(count)]
+                assert _random_block(rng, mirror, count).tolist() == expected
+                assert rng.getstate() == reference.getstate()

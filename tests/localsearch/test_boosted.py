@@ -216,7 +216,8 @@ def test_seed_projection_matches_the_loop_reference(method):
             expected = _induce_by_loops(
                 kernel_result.kernel, kernel_result.old_ids, chosen
             )
-            assert _induce_on_kernel(kernel_result, chosen) == expected
+            in_set = [v in chosen for v in range(g.n)]
+            assert _induce_on_kernel(kernel_result, in_set) == expected
             seeded = {
                 new for new, old in enumerate(kernel_result.old_ids) if old in chosen
             }

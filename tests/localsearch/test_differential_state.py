@@ -9,13 +9,16 @@ stream and land on the same solutions.  These tests assert that on 20+
 seeded generator graphs, at every level: elementary moves, the (1,2)-swap
 scan, one local-search exhaust, and full ``arw`` / ``arw_lt`` / ``arw_nl``
 trajectories.  They also check the flat state's dirty-vertex worklist is
-sound (every exhaust leaves nothing for a full-scan oracle to find) and
-that the whole-array perturbation picks what sorting by
+sound (every exhaust leaves nothing for a full-scan oracle to find),
+that the whole-array state build equals one insert() per initial vertex,
+and that the whole-array perturbation picks what sorting by
 ``(age, rng.random())`` picks.
 """
 
 import random
+from array import array
 
+import numpy as np
 import pytest
 
 from repro.analysis import assert_valid_solution
@@ -69,6 +72,68 @@ def _assert_states_equal(flat, oracle, context):
 
 def test_corpus_is_large_enough():
     assert len(CORPUS) >= 20
+
+
+def _insert_loop_build(graph, initial):
+    """The per-vertex construction the whole-array build replaced: empty
+    bookkeeping, every vertex marked, then one insert() per initial vertex."""
+    n = graph.n
+    state = FlatLocalSearchState.__new__(FlatLocalSearchState)
+    state.graph = graph
+    state.xadj, state.adj = graph.csr_arrays()
+    state.in_solution = bytearray(n)
+    state.tightness = [0] * n
+    state.size = 0
+    state._last_outside = array("q", bytes(8 * n))
+    state._one_tight_count = [0] * n
+    state._one_holder = [0] * n
+    state._stamp = [0] * n
+    state._clock = 0
+    state._free_marks = list(range(n))
+    state._swap_marks = state._free_marks[:]
+    state._queued = bytearray(b"\x01") * n
+    for v in initial:
+        state.insert(v)
+    return state
+
+
+def test_whole_array_build_equals_the_insert_loop():
+    # Maximal, non-maximal (free vertices left) and shuffled initial sets,
+    # with repeated ids; the 1-tight holder is only defined, and only
+    # read, for 1-tight vertices.
+    for graph in CORPUS:
+        rng = random.Random(graph.n)
+        greedy = _greedy_maximal(graph)
+        shuffled = rng.sample(greedy, len(greedy))
+        partial = greedy[::2]
+        for initial in (greedy, shuffled, partial + partial[::3], []):
+            built = FlatLocalSearchState(graph, initial)
+            reference = _insert_loop_build(graph, initial)
+            context = (graph.name, len(initial))
+            assert built.in_solution == reference.in_solution, context
+            assert built.tightness == reference.tightness, context
+            assert built.size == reference.size, context
+            assert built._last_outside == reference._last_outside, context
+            assert built._one_tight_count == reference._one_tight_count, context
+            for w in range(graph.n):
+                if built.tightness[w] == 1:
+                    assert built._one_holder[w] == reference._one_holder[w], (
+                        context, w,
+                    )
+            assert built._free_marks == reference._free_marks, context
+            assert built._swap_marks == reference._swap_marks, context
+            assert built._queued == reference._queued, context
+            assert built.solution() == reference.solution() == set(initial)
+
+
+def test_non_independent_initial_is_rejected():
+    for graph in CORPUS[::4]:
+        u = next(v for v in range(graph.n) if graph.degree(v))
+        clashing = _greedy_maximal(graph) + [graph.neighbors(u)[0], u]
+        with pytest.raises(NotASolutionError):
+            _insert_loop_build(graph, clashing)
+        with pytest.raises(NotASolutionError, match="not independent"):
+            FlatLocalSearchState(graph, clashing)
 
 
 def test_elementary_moves_agree():
@@ -203,7 +268,8 @@ def test_perturbation_picks_as_sorting_by_age_then_draw():
                 expected = [(clock, v) for v in outside[:strength]]
                 rng = random.Random(clock)
                 del log[:]
-                assert _perturb(state, strength, rng, clock)
+                mirror = np.random.RandomState(0)
+                assert _perturb(state, strength, rng, mirror, clock)
                 assert log == expected, (graph.name, clock)
                 assert rng.getstate() == reference.getstate()
 

@@ -51,6 +51,53 @@ class TestSummarize:
         assert summarize(_records())["processes"] == {1: "run"}
 
 
+def _repair_records():
+    """Two served repairs, shaped like a traced ``repro serve`` run: each
+    request's component solves nest inside its ``serve:solve`` span, and a
+    component's own spans nest inside one another."""
+
+    def span(name, start, wall, depth, request, component=None):
+        meta = {"request": request}
+        if component is not None:
+            meta["component"] = component
+        return {"type": "span", "name": name, "pid": 7, "start": start,
+                "wall": wall, "depth": depth, "meta": meta}
+
+    return [
+        {"type": "meta", "label": "repro-serve", "pid": 7},
+        # req-1: component 0 has a nested span, component 1 two siblings.
+        span("dominance-sweep", 1.0, 0.25, 2, "req-1", 0),
+        span("solve", 0.9, 0.5, 1, "req-1", 0),
+        span("setup", 1.5, 0.125, 1, "req-1", 1),
+        span("reduce", 1.625, 0.0625, 1, "req-1", 1),
+        span("serve:solve", 0.5, 2.0, 0, "req-1"),
+        # req-2 reuses component index 0.
+        span("setup", 3.0, 0.75, 1, "req-2", 0),
+        span("serve:solve", 2.5, 1.5, 0, "req-2"),
+    ]
+
+
+class TestComponentAttribution:
+    def test_served_components_credit_their_outermost_spans(self):
+        components = summarize(_repair_records())["components"]
+        assert {key: cell["wall"] for key, cell in components.items()} == {
+            ("req-1", 0): 0.5,
+            ("req-1", 1): 0.1875,
+            ("req-2", 0): 0.75,
+        }
+        assert components[("req-1", 0)]["spans"] == ["dominance-sweep", "solve"]
+        assert components[("req-1", 0)]["pid"] == 7
+
+    def test_report_shows_a_wall_for_every_served_component(self):
+        lines = render_report(_repair_records()).splitlines()
+        start = lines.index("per-component attribution:")
+        assert lines[start + 1 : start + 4] == [
+            "  req-1 component 0: pid 7 (repro-serve), 2 spans, wall 500.00ms",
+            "  req-1 component 1: pid 7 (repro-serve), 2 spans, wall 187.50ms",
+            "  req-2 component 0: pid 7 (repro-serve), 1 spans, wall 750.00ms",
+        ]
+
+
 class TestMonotone:
     def test_monotone_profile(self):
         profile = {"samples": [[0, 10, 9, 9], [5, 4, 3, 3], [9, 0, 0, 2]]}

@@ -43,12 +43,16 @@ def _mark(graph: Graph, selected: Set[int]) -> Optional[Tuple[Any, Any]]:
     vertices with at least one selected neighbour.
     """
     n = graph.n
-    if selected and (min(selected) < 0 or max(selected) >= n):
-        return None
     np = _np
+    try:
+        ids = np.fromiter(selected, dtype=np.int64, count=len(selected))
+    except OverflowError:  # an id beyond int64 is outside [0, n) too
+        return None
+    if len(ids) and (ids.min() < 0 or ids.max() >= n):
+        return None
     offsets, targets = graph.flat_csr()
     chosen = np.zeros(n, dtype=bool)
-    chosen[np.fromiter(selected, dtype=np.int64, count=len(selected))] = True
+    chosen[ids] = True
     running = np.zeros(len(targets) + 1, dtype=np.int64)
     if len(targets):
         np.cumsum(chosen[np.frombuffer(targets, dtype=np.int32)], out=running[1:])

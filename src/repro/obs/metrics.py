@@ -46,7 +46,6 @@ __all__ = [
     "METRIC_SERVE_CACHE_MISSES",
     "METRIC_SERVE_CACHE_EVICTIONS",
     "METRIC_SERVE_CACHE_ENTRIES",
-    "METRIC_SERVE_CACHE_SHARED_HITS",
     "METRIC_SERVE_GRAPHS",
     "METRIC_SERVE_MUTATIONS",
     "METRIC_SERVE_REPAIRS",
@@ -95,9 +94,6 @@ METRIC_SERVE_REPAIR_COMPONENTS = "repro_serve_repair_components_total"
 METRIC_SERVE_FULL_RESOLVES = "repro_serve_full_resolves_total"
 #: Timeout degradations: the budget ran out and a patched stale answer shipped.
 METRIC_SERVE_STALE_RETURNS = "repro_serve_stale_returns_total"
-#: Kernel-cache lookups that missed locally but hit the fleet-shared tier
-#: (a graph kernelized by one shard worker answering on another).
-METRIC_SERVE_CACHE_SHARED_HITS = "repro_serve_cache_shared_hits_total"
 #: Requests admitted by the async front-end, labelled ``op`` and ``shard``.
 METRIC_FRONTEND_REQUESTS = "repro_frontend_requests_total"
 #: End-to-end front-end latency (admission to response), labelled ``op``.
@@ -128,7 +124,6 @@ METRIC_KEYS = frozenset(
         METRIC_SERVE_CACHE_MISSES,
         METRIC_SERVE_CACHE_EVICTIONS,
         METRIC_SERVE_CACHE_ENTRIES,
-        METRIC_SERVE_CACHE_SHARED_HITS,
         METRIC_SERVE_GRAPHS,
         METRIC_SERVE_MUTATIONS,
         METRIC_SERVE_REPAIRS,

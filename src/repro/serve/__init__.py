@@ -9,8 +9,8 @@ graph changed, again" without paying a cold solve per query:
 * :class:`~repro.serve.dynamic_graph.DynamicGraph` — the mutable front for
   the immutable CSR :class:`~repro.graphs.static_graph.Graph`;
 * :class:`~repro.serve.cache.KernelCache` — bounded LRU of solved snapshots
-  keyed by :func:`~repro.serve.fingerprint.graph_fingerprint`, with an
-  optional fleet-shared :class:`~repro.serve.cache.SharedCacheTier`;
+  keyed by :func:`~repro.serve.fingerprint.graph_fingerprint`, one per
+  service;
 * :mod:`~repro.serve.repair` — localized repair of a solution around the
   mutated region;
 * :mod:`~repro.serve.requests` — the JSONL request protocol behind
@@ -26,7 +26,7 @@ See ``docs/serving.md`` for the full tour.
 
 from typing import Any
 
-from .cache import CacheEntry, KernelCache, SharedCacheTier
+from .cache import CacheEntry, KernelCache
 from .dynamic_graph import MUTATION_KINDS, DynamicGraph, Mutation
 from .fingerprint import graph_fingerprint
 from .loadgen import (
@@ -76,7 +76,6 @@ __all__ = [
     "ServeResult",
     "ServiceConfig",
     "ShardRouter",
-    "SharedCacheTier",
     "SolverService",
     "build_workload",
     "cold_solve",

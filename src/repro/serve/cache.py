@@ -5,22 +5,19 @@ raw graph — is the asset worth keeping warm: it is what every repeated
 query re-derives and what all the solve time flows through.  The cache
 therefore stores, per ``(fingerprint, algorithm)`` pair, the *outcome* of
 solving a snapshot: the solution in the snapshot's compact id space, the
-Theorem-6.1 bound, and the rule counters.  Two registered graphs that are structurally identical share
-entries — the fingerprint, not the handle, is the key.
+Theorem-6.1 bound, and the rule counters.  Two graphs registered with
+one service that are structurally identical share entries — the
+fingerprint, not the handle, is the key.
 
 The cache is bounded (LRU eviction) because a mutation-heavy workload
 creates a new fingerprint per mutation batch and would otherwise grow the
 map without limit.  Hit/miss/eviction counters feed the service's
 telemetry (``serve:cache-hit`` / ``serve:cache-miss``).
 
-For the sharded front-end (:mod:`repro.serve.frontend`) the per-worker
-LRU grows a second level: a :class:`SharedCacheTier` — a fleet-wide
-fingerprint-keyed map of entry *payloads* living in a
-``multiprocessing.Manager`` dict (process workers) or a plain dict
-(thread workers).  A worker that misses locally consults the tier before
-solving, so a graph solved by one worker is a cache hit for all of
-them; tier hits are promoted into the local LRU and counted separately
-(``repro_serve_cache_shared_hits_total``).
+It is the only cache level.  Each shard worker of the sharded front-end
+(:mod:`repro.serve.router`) hosts its own service and so its own cache;
+a graph id always lands on the same shard, so that shard's LRU is where
+its answers are warm.
 """
 
 from __future__ import annotations
@@ -28,18 +25,17 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, MutableMapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..obs.metrics import (
     METRIC_SERVE_CACHE_ENTRIES,
     METRIC_SERVE_CACHE_EVICTIONS,
     METRIC_SERVE_CACHE_HITS,
     METRIC_SERVE_CACHE_MISSES,
-    METRIC_SERVE_CACHE_SHARED_HITS,
     MetricsRegistry,
 )
 
-__all__ = ["CacheEntry", "KernelCache", "SharedCacheTier"]
+__all__ = ["CacheEntry", "KernelCache"]
 
 
 @dataclass(frozen=True)
@@ -98,71 +94,6 @@ class CacheEntry:
         )
 
 
-class SharedCacheTier:
-    """A fleet-wide second cache level: fingerprint-keyed entry payloads.
-
-    The store is any mutable mapping of ``"fingerprint|algorithm"`` →
-    :meth:`CacheEntry.to_payload` dicts: a plain dict for thread-mode shard
-    workers, a ``multiprocessing.Manager().dict()`` proxy for process
-    workers (the proxy pickles, so the tier rides the worker spawn payload).
-    Eviction is bounded but deliberately coarse — payloads carry an
-    insertion sequence number and the oldest is dropped when the tier is
-    full; the precise LRU lives in each worker's local
-    :class:`KernelCache`.
-    """
-
-    _SEQ_KEY = "__tier_seq__"
-
-    def __init__(
-        self,
-        store: Optional[MutableMapping] = None,
-        lock: Optional[object] = None,
-        capacity: int = 512,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError(f"tier capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._store: MutableMapping = store if store is not None else {}
-        self._lock = lock if lock is not None else threading.Lock()
-
-    @staticmethod
-    def _key(fingerprint: str, algorithm: str) -> str:
-        return f"{fingerprint}|{algorithm}"
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._store) - (1 if self._SEQ_KEY in self._store else 0)
-
-    def get(self, fingerprint: str, algorithm: str) -> Optional[CacheEntry]:
-        """Look up an entry; ``None`` when the fleet has not solved it."""
-        with self._lock:
-            payload = self._store.get(self._key(fingerprint, algorithm))
-        if payload is None:
-            return None
-        return CacheEntry.from_payload(payload)
-
-    def put(self, entry: CacheEntry) -> None:
-        """Publish an entry payload for the whole fleet, evicting oldest."""
-        payload = entry.to_payload()
-        with self._lock:
-            seq = int(self._store.get(self._SEQ_KEY, 0)) + 1
-            self._store[self._SEQ_KEY] = seq
-            payload["__seq"] = seq
-            self._store[self._key(entry.fingerprint, entry.algorithm)] = payload
-            while len(self._store) - 1 > self.capacity:
-                oldest = min(
-                    (
-                        (value.get("__seq", 0), key)
-                        for key, value in self._store.items()
-                        if key != self._SEQ_KEY
-                    ),
-                )[1]
-                del self._store[oldest]
-
-    def __repr__(self) -> str:
-        return f"<SharedCacheTier {len(self)}/{self.capacity}>"
-
-
 class KernelCache:
     """Bounded LRU map ``(fingerprint, algorithm) -> CacheEntry``.
 
@@ -173,10 +104,6 @@ class KernelCache:
     the dict-style :meth:`counters` and a Prometheus scrape can never
     disagree.
 
-    With a :class:`SharedCacheTier` attached, a local miss consults the
-    tier before reporting a miss: a tier hit is promoted into the local LRU
-    and counted as ``shared_hits`` (never double-counted as a miss), so
-    ``hits + shared_hits + misses`` always equals the number of lookups.
     All operations are thread-safe: thread-mode shard dispatchers share one
     process and hammer their caches concurrently.
     """
@@ -185,7 +112,6 @@ class KernelCache:
         self,
         capacity: int = 64,
         metrics: Optional[MetricsRegistry] = None,
-        tier: Optional[SharedCacheTier] = None,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
@@ -194,30 +120,15 @@ class KernelCache:
         self.metrics = metrics if metrics is not None else MetricsRegistry(
             label="kernel-cache"
         )
-        self._tier = tier
         self._lock = threading.Lock()
-
-    def attach_tier(self, tier: Optional[SharedCacheTier]) -> None:
-        """Attach (or detach, with ``None``) the fleet-shared second level."""
-        self._tier = tier
-
-    @property
-    def tier(self) -> Optional[SharedCacheTier]:
-        """The attached shared tier, if any."""
-        return self._tier
 
     def __len__(self) -> int:
         return len(self._entries)
 
     @property
     def hits(self) -> int:
-        """Local lookup hits (registry view)."""
+        """Lookup hits (registry view)."""
         return int(self.metrics.value(METRIC_SERVE_CACHE_HITS))
-
-    @property
-    def shared_hits(self) -> int:
-        """Lookups answered by the shared tier (registry view)."""
-        return int(self.metrics.value(METRIC_SERVE_CACHE_SHARED_HITS))
 
     @property
     def misses(self) -> int:
@@ -230,11 +141,7 @@ class KernelCache:
         return int(self.metrics.value(METRIC_SERVE_CACHE_EVICTIONS))
 
     def get(self, fingerprint: str, algorithm: str) -> Optional[CacheEntry]:
-        """Look up an entry, refreshing its LRU position on a hit.
-
-        Falls through to the shared tier on a local miss; only a miss in
-        *both* levels counts as a miss.
-        """
+        """Look up an entry, refreshing its LRU position on a hit."""
         key = (fingerprint, algorithm)
         with self._lock:
             entry = self._entries.get(key)
@@ -242,17 +149,12 @@ class KernelCache:
                 self._entries.move_to_end(key)
         if entry is not None:
             self.metrics.inc(METRIC_SERVE_CACHE_HITS)
-            return entry
-        if self._tier is not None:
-            shared = self._tier.get(fingerprint, algorithm)
-            if shared is not None:
-                self._put_local(shared)
-                self.metrics.inc(METRIC_SERVE_CACHE_SHARED_HITS)
-                return shared
-        self.metrics.inc(METRIC_SERVE_CACHE_MISSES)
-        return None
+        else:
+            self.metrics.inc(METRIC_SERVE_CACHE_MISSES)
+        return entry
 
-    def _put_local(self, entry: CacheEntry) -> None:
+    def put(self, entry: CacheEntry) -> None:
+        """Insert (or refresh) an entry, evicting the LRU tail if full."""
         key = (entry.fingerprint, entry.algorithm)
         evicted = 0
         with self._lock:
@@ -267,29 +169,11 @@ class KernelCache:
             self.metrics.inc(METRIC_SERVE_CACHE_EVICTIONS, evicted)
         self.metrics.set_gauge(METRIC_SERVE_CACHE_ENTRIES, entries)
 
-    def put(self, entry: CacheEntry) -> None:
-        """Insert (or refresh) an entry, evicting the LRU tail if full.
-
-        The entry is also published to the shared tier (when attached) so
-        sibling workers see it on their next lookup.
-        """
-        self._put_local(entry)
-        if self._tier is not None:
-            self._tier.put(entry)
-
-    def clear(self) -> None:
-        """Drop every local entry (counters are kept — they describe
-        traffic; the shared tier is left for the rest of the fleet)."""
-        with self._lock:
-            self._entries.clear()
-        self.metrics.set_gauge(METRIC_SERVE_CACHE_ENTRIES, 0)
-
     @property
     def hit_rate(self) -> float:
-        """Hits (local + shared) over total lookups (0.0 before any)."""
-        served = self.hits + self.shared_hits
-        total = served + self.misses
-        return served / total if total else 0.0
+        """Hits over total lookups (0.0 before any)."""
+        total = self.hits + self.misses
+        return self.hits / total if total else 0.0
 
     def counters(self) -> Dict[str, object]:
         """A JSON-serialisable stats view for reports and snapshots."""
@@ -297,7 +181,6 @@ class KernelCache:
             "capacity": self.capacity,
             "entries": len(self._entries),
             "hits": self.hits,
-            "shared_hits": self.shared_hits,
             "misses": self.misses,
             "evictions": self.evictions,
             "hit_rate": self.hit_rate,

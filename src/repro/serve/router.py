@@ -19,10 +19,10 @@ surface:
   ``(kind, payload)`` messages.  Each child hosts its own service and
   metrics registry.
 
-All workers share one :class:`~repro.serve.cache.SharedCacheTier`
-(a ``multiprocessing.Manager`` dict for process workers, a plain dict for
-inline ones), so a graph solved by any worker is a cache hit for the
-whole fleet — the "one kernel-cache tier" half of the sharding story.
+Every worker keeps its own :class:`~repro.serve.cache.KernelCache`, and
+there is no second level: a graph id is pinned to one shard, so that
+shard's LRU already holds the graph's answers.  A process-mode router
+runs exactly ``shards`` child processes.
 """
 
 from __future__ import annotations
@@ -31,11 +31,10 @@ import dataclasses
 import multiprocessing
 import threading
 import zlib
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import ReproError
 from ..obs.metrics import MetricsRegistry
-from .cache import SharedCacheTier
 from .service import ServiceConfig, SolverService
 
 __all__ = [
@@ -77,20 +76,15 @@ def _config_payload(config: ServiceConfig) -> Dict[str, Any]:
 
 
 def _shard_worker_main(
-    conn: Any,
-    shard: int,
-    config_payload: Dict[str, Any],
-    tier_store: Any,
-    tier_lock: Any,
-    tier_capacity: int,
+    conn: Any, shard: int, config_payload: Dict[str, Any]
 ) -> None:
     """Child-process shard loop: one service, one pipe, batches in FIFO.
 
     Module-level so both fork and spawn start methods can import it by
     reference.  The worker builds its *own* service and metrics registry
-    (a child must never write the parent's), attaches the fleet-shared
-    cache tier, and then answers ``(kind, payload)`` messages until a
-    ``stop`` arrives or the pipe closes.
+    (a child must never write the parent's), and then answers
+    ``(kind, payload)`` messages until a ``stop`` arrives or the pipe
+    closes.
     """
     # Imported here, not at module top, purely for symmetry with the
     # handler's lazy CLI import chain; requests -> cli is cycle-prone.
@@ -99,9 +93,6 @@ def _shard_worker_main(
     service = SolverService(
         ServiceConfig(**config_payload),
         metrics=MetricsRegistry(label=f"shard-{shard}"),
-    )
-    service.cache.attach_tier(
-        SharedCacheTier(tier_store, tier_lock, capacity=tier_capacity)
     )
     while True:
         try:
@@ -126,21 +117,15 @@ class InlineShardWorker:
     """A shard worker hosted in the router's own process.
 
     ``submit`` is serialized by a lock: the front-end runs one dispatcher
-    per shard, but tests and the sync comparison path may call in from
-    several threads at once.
+    per shard, but its ``stats`` aggregation (:meth:`counters`, from an
+    executor thread) and tests may call in from other threads at once.
     """
 
-    def __init__(
-        self,
-        shard: int,
-        config: ServiceConfig,
-        tier: SharedCacheTier,
-    ) -> None:
+    def __init__(self, shard: int, config: ServiceConfig) -> None:
         self.shard = shard
         self.service = SolverService(
             config, metrics=MetricsRegistry(label=f"shard-{shard}")
         )
-        self.service.cache.attach_tier(tier)
         self._lock = threading.Lock()
 
     def submit(self, batch: List[Dict[str, object]]) -> List[Dict[str, object]]:
@@ -162,28 +147,12 @@ class InlineShardWorker:
 class ProcessShardWorker:
     """A shard worker living in a child process behind a duplex pipe."""
 
-    def __init__(
-        self,
-        shard: int,
-        config: ServiceConfig,
-        tier_store: Any,
-        tier_lock: Any,
-        tier_capacity: int,
-        start_method: Optional[str] = None,
-    ) -> None:
+    def __init__(self, shard: int, config: ServiceConfig) -> None:
         self.shard = shard
-        ctx = multiprocessing.get_context(start_method)
-        self._conn, child_conn = ctx.Pipe(duplex=True)
-        self._process = ctx.Process(
+        self._conn, child_conn = multiprocessing.Pipe(duplex=True)
+        self._process = multiprocessing.Process(
             target=_shard_worker_main,
-            args=(
-                child_conn,
-                shard,
-                _config_payload(config),
-                tier_store,
-                tier_lock,
-                tier_capacity,
-            ),
+            args=(child_conn, shard, _config_payload(config)),
             name=f"repro-shard-{shard}",
             daemon=True,
         )
@@ -238,11 +207,7 @@ class ShardRouter:
         Per-worker :class:`ServiceConfig`; every shard gets the same one.
     mode:
         ``"thread"`` hosts every shard in-process (cheap, what tests use);
-        ``"process"`` forks one child per shard for real CPU isolation.
-    tier_capacity:
-        Entry bound of the fleet-shared cache tier.
-    start_method:
-        Process-mode only; forwarded to :func:`multiprocessing.get_context`.
+        ``"process"`` starts one child per shard for real CPU isolation.
     """
 
     def __init__(
@@ -250,8 +215,6 @@ class ShardRouter:
         shards: int = 1,
         config: Optional[ServiceConfig] = None,
         mode: str = "thread",
-        tier_capacity: int = 512,
-        start_method: Optional[str] = None,
     ) -> None:
         if shards < 1:
             raise ReproError(f"shard count must be >= 1, got {shards}")
@@ -260,29 +223,12 @@ class ShardRouter:
         self.shards = shards
         self.mode = mode
         self.config = config or ServiceConfig()
-        self._manager: Optional[Any] = None
-        if mode == "process":
-            self._manager = multiprocessing.Manager()
-            tier_store: Any = self._manager.dict()
-            tier_lock: Any = self._manager.Lock()
-            self.tier = SharedCacheTier(tier_store, tier_lock, tier_capacity)
-            self._workers: List[Any] = [
-                ProcessShardWorker(
-                    shard,
-                    self.config,
-                    tier_store,
-                    tier_lock,
-                    tier_capacity,
-                    start_method=start_method,
-                )
-                for shard in range(shards)
-            ]
-        else:
-            self.tier = SharedCacheTier(capacity=tier_capacity)
-            self._workers = [
-                InlineShardWorker(shard, self.config, self.tier)
-                for shard in range(shards)
-            ]
+        worker: Callable[[int, ServiceConfig], Any] = (
+            ProcessShardWorker if mode == "process" else InlineShardWorker
+        )
+        self._workers: List[Any] = [
+            worker(shard, self.config) for shard in range(shards)
+        ]
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -301,28 +247,6 @@ class ShardRouter:
         """Run a batch on one shard worker, in order; blocks for answers."""
         return self._workers[shard].submit(batch)
 
-    def dispatch_all(
-        self, requests: List[Dict[str, object]]
-    ) -> List[Dict[str, object]]:
-        """Route a mixed request list, preserving input order in the output.
-
-        Requests are grouped per shard (keeping each shard's FIFO order),
-        dispatched shard by shard, and the responses reassembled into the
-        input's positions.  This is the synchronous routing path — the
-        async front-end drives :meth:`dispatch` itself for overlap.
-        """
-        by_shard: Dict[int, List[Tuple[int, Dict[str, object]]]] = {}
-        for position, request in enumerate(requests):
-            by_shard.setdefault(self.shard_for(request), []).append(
-                (position, request)
-            )
-        responses: List[Optional[Dict[str, object]]] = [None] * len(requests)
-        for shard, items in sorted(by_shard.items()):
-            answers = self.dispatch(shard, [request for _, request in items])
-            for (position, _), answer in zip(items, answers):
-                responses[position] = answer
-        return [response for response in responses if response is not None]
-
     # ------------------------------------------------------------------
     # Introspection and lifecycle
     # ------------------------------------------------------------------
@@ -335,32 +259,28 @@ class ShardRouter:
             graphs += int(counters.get("graphs", 0))  # type: ignore[arg-type]
             cache = counters.get("cache", {})
             if isinstance(cache, dict):
-                for key in ("hits", "shared_hits", "misses", "evictions", "entries"):
+                for key in ("hits", "misses", "evictions", "entries"):
                     totals[key] = totals.get(key, 0) + int(cache.get(key, 0))
-        served = totals.get("hits", 0) + totals.get("shared_hits", 0)
-        lookups = served + totals.get("misses", 0)
+        hits = totals.get("hits", 0)
+        lookups = hits + totals.get("misses", 0)
         return {
             "shards": self.shards,
             "mode": self.mode,
             "graphs": graphs,
             "cache": {
                 **{key: int(value) for key, value in totals.items()},
-                "hit_rate": (served / lookups) if lookups else 0.0,
-                "tier_entries": len(self.tier),
+                "hit_rate": (hits / lookups) if lookups else 0.0,
             },
             "per_shard": per_shard,
         }
 
     def close(self) -> None:
-        """Stop every worker and the manager (idempotent)."""
+        """Stop every worker (idempotent)."""
         if self._closed:
             return
         self._closed = True
         for worker in self._workers:
             worker.close()
-        if self._manager is not None:
-            self._manager.shutdown()
-            self._manager = None
 
     def __enter__(self) -> "ShardRouter":
         return self

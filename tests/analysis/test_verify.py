@@ -116,19 +116,22 @@ def _candidate_sets(graph):
     yield solution + [-1]  # negative id
     yield solution + [graph.n]  # id == n
     yield [graph.n + 7]  # id > n only
+    yield solution + [2**70]  # beyond int64
+    yield solution + [-(2**70)]  # below int64
 
 
 @pytest.fixture(params=["numpy", "loop"])
 def verify_path(request):
     """How a test passes its ids: plain ints take the whole-array pass, and
-    ``numpy.int64`` ids take the per-vertex loop."""
+    ``numpy.int64`` ids take the per-vertex loop (an id beyond int64 stays a
+    plain ``int``; the mixed set still takes the loop)."""
     from repro.analysis.verify import _on_array_path
 
     if request.param == "numpy":
         return list
 
     def as_numpy_ids(vertices):
-        ids = [np.int64(v) for v in vertices]
+        ids = [np.int64(v) if -(2**63) <= v < 2**63 else v for v in vertices]
         assert not ids or not _on_array_path(set(ids))
         return ids
 
@@ -158,6 +161,8 @@ class TestWholeArrayVerification:
         assert not is_independent_set(g, ids([-1, 2]))  # negative id
         assert not is_independent_set(g, ids([0, 6]))  # id == n
         assert not is_maximal_independent_set(g, ids([0, 2, 4, 9]))  # id > n
+        assert not is_independent_set(g, ids([0, 2**70]))  # beyond int64
+        assert not is_maximal_independent_set(g, ids([0, 2, 4, -(2**70)]))
         assert is_maximal_independent_set(path_graph(0), ids([]))
 
     def test_whole_array_path_taken_for_plain_ints(self):
@@ -174,6 +179,8 @@ class TestWholeArrayVerification:
         # An int outside [0, n) fails without any pass over the graph.
         assert _mark(g, {0, 9}) is None
         assert _mark(g, {-1}) is None
+        assert _mark(g, {0, 2**70}) is None
+        assert _mark(g, {-(2**70)}) is None
 
     def test_numpy_integer_ids_answer_like_ints(self):
         g = cycle_graph(6)

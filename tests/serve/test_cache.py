@@ -84,14 +84,6 @@ class TestKernelCache:
         with pytest.raises(ValueError):
             KernelCache(capacity=0)
 
-    def test_clear_keeps_traffic_counters(self):
-        cache = KernelCache()
-        cache.put(_entry("a"))
-        cache.get("a", "linear_time")
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.hits == 1
-
     def test_entries_snapshot_order(self):
         cache = KernelCache(capacity=3)
         for tag in ("a", "b", "c"):

@@ -7,9 +7,9 @@ process: every dispatcher thread hammers its worker's
 invariants the sharded front-end leans on:
 
 * registry counters never lose updates under contention;
-* ``hits + shared_hits + misses == lookups`` exactly — no lookup is
-  double-counted (e.g. a tier hit also booked as a miss) or dropped;
-* the LRU never exceeds capacity, and the shared tier stays bounded;
+* ``hits + misses == lookups`` exactly — no lookup is double-counted or
+  dropped;
+* the LRU never exceeds capacity;
 * a cache and a service sharing a registry agree with the registry —
   the classic double-count drift a second accounting path would cause.
 """
@@ -20,11 +20,10 @@ from repro.obs.metrics import (
     METRIC_FRONTEND_REQUESTS,
     METRIC_SERVE_CACHE_HITS,
     METRIC_SERVE_CACHE_MISSES,
-    METRIC_SERVE_CACHE_SHARED_HITS,
     METRIC_SERVE_REQUESTS,
     MetricsRegistry,
 )
-from repro.serve.cache import CacheEntry, KernelCache, SharedCacheTier
+from repro.serve.cache import CacheEntry, KernelCache
 
 
 def make_entry(tag: str, algorithm: str = "linear_time") -> CacheEntry:
@@ -90,36 +89,11 @@ class TestKernelCacheUnderContention:
 
         run_threads(worker, threads)
         lookups = per_thread * threads
-        assert cache.hits + cache.shared_hits + cache.misses == lookups
-        assert cache.shared_hits == 0  # no tier attached
+        assert cache.hits + cache.misses == lookups
         assert len(cache) <= cache.capacity
-
-    def test_tier_hits_never_double_count(self):
-        tier = SharedCacheTier(capacity=64)
-        for tag in range(16):
-            tier.put(make_entry(f"shared{tag}"))
-        cache = KernelCache(capacity=4, tier=tier)
-        per_thread, threads = 300, 8
-
-        def worker(i):
-            for step in range(per_thread):
-                if step % 3 == 0:
-                    cache.get(f"fp-missing{i}-{step}", "linear_time")
-                else:
-                    # Tiny LRU + 16 shared keys: resolves sometimes
-                    # locally, sometimes via the tier — never both.
-                    cache.get(f"fp-shared{step % 16}", "linear_time")
-
-        run_threads(worker, threads)
-        lookups = per_thread * threads
-        assert cache.hits + cache.shared_hits + cache.misses == lookups
-        assert cache.shared_hits > 0
-        assert len(cache) <= cache.capacity
-        assert len(tier) <= tier.capacity
 
     def test_concurrent_puts_keep_lru_bounded(self):
-        tier = SharedCacheTier(capacity=32)
-        cache = KernelCache(capacity=8, tier=tier)
+        cache = KernelCache(capacity=8)
 
         def worker(i):
             for step in range(200):
@@ -127,7 +101,6 @@ class TestKernelCacheUnderContention:
 
         run_threads(worker, 8)
         assert len(cache) <= cache.capacity
-        assert len(tier) <= tier.capacity
         assert cache.counters()["entries"] <= cache.capacity
 
     def test_shared_registry_has_no_drift(self):
@@ -147,7 +120,6 @@ class TestKernelCacheUnderContention:
         run_threads(worker, 8)
         assert cache.hits == registry.value(METRIC_SERVE_CACHE_HITS)
         assert cache.misses == registry.value(METRIC_SERVE_CACHE_MISSES)
-        assert cache.shared_hits == registry.value(METRIC_SERVE_CACHE_SHARED_HITS)
         assert cache.hits == 2000
         assert cache.misses == 2000
         assert registry.value(METRIC_SERVE_REQUESTS) == 2000

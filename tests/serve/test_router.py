@@ -1,4 +1,6 @@
-"""Shard routing: deterministic placement, dispatch, the shared tier."""
+"""Shard routing: deterministic placement, dispatch, one cache per shard."""
+
+import multiprocessing
 
 import pytest
 
@@ -53,29 +55,14 @@ class TestThreadRouter:
             assert counters["graphs"] == 4
             assert counters["shards"] == 3
 
-    def test_dispatch_all_preserves_order(self):
-        with ShardRouter(shards=2, config=ServiceConfig()) as router:
-            requests = [register("a", "r0"), register("b", "r1")]
-            requests += [solve("a", f"ra{i}") for i in range(3)]
-            requests += [solve("b", f"rb{i}") for i in range(3)]
-            interleaved = requests[:2] + [
-                req
-                for pair in zip(requests[2:5], requests[5:8])
-                for req in pair
-            ]
-            responses = router.dispatch_all(interleaved)
-            assert [r.get("rid") for r in responses] == [
-                req["rid"] for req in interleaved
-            ]
-            assert all(r["ok"] for r in responses)
-
     def test_requests_without_id_go_to_shard_zero(self):
         with ShardRouter(shards=4, config=ServiceConfig()) as router:
             assert router.shard_for({"op": "stats"}) == 0
 
-    def test_shared_tier_serves_siblings(self):
+    def test_identical_graphs_on_two_shards_each_solve_cold(self):
         # Same structure registered under ids living on different shards:
-        # the second shard's cold solve is answered by the tier.
+        # each shard keeps its own cache, so both solve cold, and the
+        # deterministic solve gives both the same set.
         with ShardRouter(shards=2, config=ServiceConfig()) as router:
             ids = ["g0", "g4"]
             shards = [router.shard_for(solve(g)) for g in ids]
@@ -85,10 +72,11 @@ class TestThreadRouter:
             first = router.dispatch(shards[0], [solve(ids[0])])[0]
             second = router.dispatch(shards[1], [solve(ids[1])])[0]
             assert first["ok"] and second["ok"]
-            assert first["size"] == second["size"]
-            counters = router.counters()
-            assert counters["cache"]["shared_hits"] >= 1
-            assert counters["cache"]["tier_entries"] >= 1
+            assert first["source"] == second["source"] == "cold"
+            assert first["independent_set"] == second["independent_set"]
+            cache = router.counters()["cache"]
+            assert set(cache) == {"hits", "misses", "evictions", "entries", "hit_rate"}
+            assert cache["hits"] + cache["misses"] == 2
 
     def test_errors_stay_structured(self):
         with ShardRouter(shards=2, config=ServiceConfig()) as router:
@@ -108,6 +96,14 @@ class TestProcessRouter:
             counters = router.counters()
             assert counters["graphs"] == 3
             assert counters["mode"] == "process"
+
+    def test_runs_exactly_one_child_per_shard(self):
+        before = set(multiprocessing.active_children())
+        with ShardRouter(shards=2, config=ServiceConfig(), mode="process") as router:
+            started = set(multiprocessing.active_children()) - before
+            assert sorted(p.name for p in started) == ["repro-shard-0", "repro-shard-1"]
+            assert router.dispatch(0, [{"op": "ping"}])[0]["ok"]
+        assert not started & set(multiprocessing.active_children())
 
     def test_workspace_factory_config_is_rejected(self):
         config = ServiceConfig(workspace_factory=lambda: None)

@@ -8,7 +8,9 @@ harness:
 
 * ``legacy`` — the reference oracles (list-of-lists
   :class:`~repro.core.workspace.ArrayWorkspace`, list-of-dicts
-  :class:`~repro.core.dominance.TriangleWorkspace`);
+  :class:`~repro.core.dominance.TriangleWorkspace`, which NearLinear
+  builds as ``TriangleWorkspace(graph, keep)`` over its phase 1–2
+  survivors);
 * ``flat``   — the flat CSR buffers (the default).
 
 Only the three algorithms with multi-backend drivers are swapped; BDTwo

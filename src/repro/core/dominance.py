@@ -17,6 +17,7 @@ first to shrink Δ in O(m · a(G)) time.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as _np
@@ -88,24 +89,33 @@ class TriangleWorkspace:
         "_live_deg_sum",
     )
 
-    def __init__(self, graph: Graph) -> None:
+    def __init__(self, graph: Graph, keep: Optional[_np.ndarray] = None) -> None:
         self.graph = graph
-        self.n = graph.n
-        self.tri: List[dict] = [dict.fromkeys(graph.neighbors(v), 0) for v in range(graph.n)]
-        self.deg: List[int] = graph.degrees()
-        self.alive = bytearray([1]) * graph.n if graph.n else bytearray()
+        n = self.n = graph.n
+        # ``keep`` restricts the workspace to the subgraph induced by the
+        # kept vertices, in the input's ids; a removed vertex starts dead.
+        alive = self.alive = (
+            bytearray([1]) * n if keep is None else bytearray(keep.astype(_np.uint8).tobytes())
+        )
+        self.tri: List[dict] = [
+            dict.fromkeys([w for w in graph.neighbors(v) if alive[w]], 0) if alive[v] else {}
+            for v in range(n)
+        ]
+        self.deg: List[int] = [len(row) for row in self.tri]
         self.log = DecisionLog()
         self.v1: List[int] = []
         self.v2: List[int] = []
         self.dominated: List[int] = []
         self._selector: Optional[MaxDegreeSelector] = None
-        self._nlive = self.n
-        self._live_deg_sum = 2 * graph.m
+        self._nlive = sum(alive)
+        self._live_deg_sum = sum(self.deg)
         self._count_triangles()
-        for v in range(self.n):
+        for v in range(n):
+            if not alive[v]:
+                continue
             d = self.deg[v]
             if d == 0:
-                self.alive[v] = 0
+                alive[v] = 0
                 self._nlive -= 1
                 self.log.include(v)
             elif d == 1:
@@ -124,9 +134,11 @@ class TriangleWorkspace:
 
         if self.n == 0:
             return
-        offsets, targets = self.graph.csr_arrays()
-        indptr = _np.asarray(offsets, dtype=_np.int64)
-        indices = _np.asarray(targets, dtype=_np.int64)
+        indptr = _np.zeros(self.n + 1, dtype=_np.int64)
+        _np.cumsum(self.deg, out=indptr[1:])
+        indices = _np.fromiter(
+            chain.from_iterable(self.tri), dtype=_np.int64, count=int(indptr[-1])
+        )
         data = _np.ones(len(indices), dtype=_np.int64)
         adjacency = sparse.csr_matrix((data, indices, indptr), shape=(self.n, self.n))
         counts = (adjacency @ adjacency).multiply(adjacency).tocsr()

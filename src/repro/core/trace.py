@@ -174,6 +174,12 @@ class DecisionLog:
         """Increment the application counter for ``rule``."""
         self.stats[rule] = self.stats.get(rule, 0) + amount
 
+    def extend(self, other: "DecisionLog") -> None:
+        """Append another log's entries (in the same ids) and merge its stats."""
+        self._entries.extend(other._entries)
+        for rule, amount in other.stats.items():
+            self.bump(rule, amount)
+
     def extend_mapped(self, other: "DecisionLog", id_map: Sequence[int]) -> None:
         """Append another log's entries with vertex ids translated.
 

@@ -232,7 +232,8 @@ class Graph:
                 self._check_vertex(v)
         name = f"{self.name}[{len(old_ids)}]" if self.name else ""
         if self.n >= _SUBGRAPH_NUMPY_CUTOFF:
-            return self._subgraph_numpy(old_ids, name), old_ids
+            keep_ids = _np.fromiter(old_ids, dtype=_np.int64, count=len(old_ids))
+            return self._induced(keep_ids, name), old_ids
         new_id = {old: new for new, old in enumerate(old_ids)}
         offsets = [0]
         targets: list[int] = []
@@ -242,34 +243,52 @@ class Graph:
             offsets.append(len(targets))
         return Graph(offsets, targets, name=name), old_ids
 
-    def _subgraph_numpy(self, old_ids: list[int], name: str) -> "Graph":
-        """Vectorised induced-subgraph extraction (same output as the
-        dict-remap path: kept rows in id order, rows stay sorted because the
-        id remap is monotone).  Zero-copy views over the cached
-        :meth:`flat_csr` buffers; the result carries its own (see
+    def _induced(self, keep_ids: "_np.ndarray", name: str) -> "Graph":
+        """The subgraph induced by the ascending ``int64`` ids ``keep_ids``.
+
+        The same output as the dict-remap path of :meth:`subgraph`: kept
+        rows in id order, rows still sorted because the relabel is
+        monotone.  The result carries its own flat CSR (see
         :meth:`_from_csr`), and its tuples hold plain ints so downstream
         code never sees numpy scalars."""
+        k = len(keep_ids)
+        # The relabel table is one C-level fill of n words; only kept ids
+        # get a new id, every other entry stays -1.
+        relabel = _np.full(self.n, -1, dtype=_np.int64)
+        relabel[keep_ids] = _np.arange(k, dtype=_np.int64)
+        offsets = _np.zeros(k + 1, dtype=_np.int64)
+        offsets[1:], targets = self._induced_rows(keep_ids, relabel)
+        return Graph._from_csr(offsets, targets, name)
+
+    def _induced_rows(
+        self, keep_ids: "_np.ndarray", label: "_np.ndarray"
+    ) -> Tuple["_np.ndarray", "_np.ndarray"]:
+        """The rows of the ascending ``int64`` ids ``keep_ids``, each cut to
+        its kept neighbours, in O(|keep| + the kept rows' slots).
+
+        ``label`` maps every vertex to its id in the result, or to −1 when
+        it is not kept.  Returns the running slot count at each kept row's
+        end and the labelled targets, rows concatenated in ``keep_ids``
+        order and each in its row order.  Only the kept rows are gathered
+        from the cached :meth:`flat_csr` buffers, so no pass touches the
+        rest of the graph's slots."""
         offs_arr, tgts_arr = self.flat_csr()
         offs = _np.frombuffer(offs_arr, dtype=_np.int64)
-        tgts = (
-            _np.frombuffer(tgts_arr, dtype=_np.int32)
-            if len(tgts_arr)
-            else _np.zeros(0, dtype=_np.int32)
-        )
-        n = self.n
-        mask = _np.zeros(n, dtype=bool)
-        keep_arr = _np.fromiter(old_ids, dtype=_np.int64, count=len(old_ids))
-        mask[keep_arr] = True
-        new_id = _np.cumsum(mask) - 1
-        row_of_slot = _np.repeat(_np.arange(n, dtype=_np.int64), _np.diff(offs))
-        slot_keep = mask[row_of_slot] & mask[tgts]
-        kept_targets = new_id[tgts[slot_keep]]
-        per_row = _np.bincount(
-            new_id[row_of_slot[slot_keep]], minlength=len(old_ids)
-        )
-        offsets = _np.zeros(len(old_ids) + 1, dtype=_np.int64)
-        _np.cumsum(per_row, out=offsets[1:])
-        return Graph._from_csr(offsets, kept_targets, name)
+        starts = offs[keep_ids]
+        lengths = offs[keep_ids + 1] - starts
+        ends = _np.cumsum(lengths)
+        total = int(ends[-1]) if len(ends) else 0
+        if not total:
+            return _np.zeros(len(keep_ids), dtype=_np.int64), _np.zeros(0, dtype=_np.int64)
+        # Slot j of the gathered rows sits at its row's start plus its
+        # place in the row.
+        slots = _np.arange(total, dtype=_np.int64)
+        slots += _np.repeat(starts - ends + lengths, lengths)
+        targets = label[_np.frombuffer(tgts_arr, dtype=_np.int32)[slots]]
+        kept = targets >= 0
+        hits = _np.zeros(total + 1, dtype=_np.int64)
+        _np.cumsum(kept, out=hits[1:])
+        return hits[ends], targets[kept]
 
     def complement(self) -> "Graph":
         """The complement graph (dense; intended for small graphs only)."""

@@ -171,8 +171,11 @@ def _time_backends(
     """Time ``algorithm`` end-to-end under its flat and oracle backends.
 
     ``oracle_factory`` is the reference workspace passed through the
-    algorithm's ``workspace_factory`` hook (the default backend is always
-    the flat one); the two runs must agree on the solution.  The one
+    algorithm's ``workspace_factory`` hook, which calls it as the
+    algorithm calls its default (``(graph, track_degree_two=...)`` for
+    BDOne/LinearTime, ``(graph, keep)`` for NearLinear); the default
+    backend is always the flat one, and the two runs must agree on the
+    solution.  The one
     allowed exception: a flat BDOne/LinearTime run that batched a
     degree-one round (a worklist of
     :data:`~repro.core.workspace.BATCH_MIN_FRONTIER` or more vertices,

@@ -14,6 +14,7 @@ calls that phases 1–2 would otherwise settle.
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -36,7 +37,15 @@ from repro.core.near_linear import (
 from repro.core.result import KNOWN_STAT_KEYS, STAT_DOMINANCE, STAT_PATH_EVEN_NO_EDGE
 from repro.core.trace import EXCLUDE, INCLUDE
 from repro.core.workspace import ArrayWorkspace, FlatWorkspace
-from repro.graphs import Graph, GraphBuilder, gnm_random_graph, power_law_graph
+from repro.graphs import (
+    Graph,
+    GraphBuilder,
+    cycle_graph,
+    gnm_random_graph,
+    path_graph,
+    power_law_graph,
+    star_graph,
+)
 
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -131,19 +140,34 @@ class TestNearLinearFusedLoop:
     def test_families_reach_every_inlined_branch(self):
         # The generic loop reaches the same events the fused one inlines;
         # count them on a subclass (which the fused loop never sees).
-        counts = {"triangle_deletions": 0, "settle_new_edge": 0}
+        counts = {
+            "triangle_deletions": 0,
+            "settle_new_edge": 0,
+            "settle_shared": 0,
+            "zero_after_triangle_deletion": 0,
+            "zero_after_plain_deletion": 0,
+        }
 
         class Counting(FlatTriangleWorkspace):
             __slots__ = ()
 
             def delete_vertex(self, u, reason="exclude"):
+                # A live neighbour of degree one reaches degree 0 here.
+                zeros = sum(self.deg[v] == 1 for v in self.live_neighbors(u))
                 if self._tsum[u]:
                     counts["triangle_deletions"] += 1
+                    counts["zero_after_triangle_deletion"] += zeros
+                else:
+                    counts["zero_after_plain_deletion"] += zeros
                 super().delete_vertex(u, reason)
 
             def settle_new_edge(self, a, b):
                 counts["settle_new_edge"] += 1
                 super().settle_new_edge(a, b)
+
+            def _settle_shared(self, a, b):
+                counts["settle_shared"] += 1
+                super()._settle_shared(a, b)
 
         stats = {}
         for family in FAMILIES:
@@ -153,7 +177,13 @@ class TestNearLinearFusedLoop:
                 for rule, count in workspace.log.stats.items():
                     stats[rule] = stats.get(rule, 0) + count
         assert counts["triangle_deletions"] > 0
-        assert counts["settle_new_edge"] > 0
+        # Both settle paths: a new edge closing no triangle (δ = 0) and one
+        # whose ends share a neighbour.
+        assert counts["settle_shared"] > 0
+        assert counts["settle_new_edge"] > counts["settle_shared"]
+        # Both deletion branches leave a neighbour at degree 0.
+        assert counts["zero_after_triangle_deletion"] > 0
+        assert counts["zero_after_plain_deletion"] > 0
         assert stats.get(STAT_DOMINANCE, 0) > 0
         assert stats.get(STAT_PATH_EVEN_NO_EDGE, 0) > 0
         # Each fused driver applies every Lemma 4.1 case itself, and takes
@@ -178,6 +208,50 @@ class TestNearLinearFusedLoop:
             for rule in PATH_RULES:
                 assert stats.get(rule, 0) > 0, (run.__name__, rule)
             assert irreducible > 0, run.__name__
+
+    def test_degree_zero_neighbours_skip_their_row(self):
+        # The fused deletion includes a neighbour that reached degree 0
+        # without compacting its row (no slot of it is live), where the
+        # generic loop's delete_vertex compacts it; the states a reader
+        # sees are equal (test_lockstep_with_generic_loop).
+        skipped = 0
+        for family in FAMILIES:
+            for seed in range(20):
+                graph = _graph(family, seed)
+                generic = FlatTriangleWorkspace(graph)
+                fused = FlatTriangleWorkspace(graph)
+                _main_loop(generic, False)
+                _main_loop_flat(fused, False)
+                for kind, data in fused.log.entries:
+                    v = data[0]
+                    if kind == INCLUDE and generic._rend[v] == generic.xadj[v]:
+                        skipped += fused._rend[v] > fused.xadj[v]
+        assert skipped > 0
+
+    @pytest.mark.parametrize(
+        "graph, preprocess",
+        [
+            (path_graph(60), False),
+            (cycle_graph(11), False),
+            (star_graph(20), False),
+            (power_law_graph(2000, 2.1, average_degree=3.0, seed=4), True),
+        ],
+        ids=["path", "cycle", "star", "powerlaw"],
+    )
+    def test_consumed_graph_builds_no_selector(self, graph, preprocess):
+        # The main loop empties these graphs with exact rules; the peel
+        # step then finds nothing live and must not build the O(n)
+        # max-degree buckets.
+        seen = []
+
+        def build(g, keep):
+            seen.append(FlatTriangleWorkspace(g, keep))
+            return seen[-1]
+
+        result = near_linear(graph, preprocess=preprocess, workspace_factory=build)
+        assert result.peeled == 0 and result.is_exact
+        assert seen[0].log.entries  # the main loop did work
+        assert seen[0]._selector is None
 
 
 class TestLinearTimeFusedLoop:

@@ -1,11 +1,16 @@
 """Tests for NearLinear's triangle-count workspace and dominance machinery."""
 
+import hashlib
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import flat_dominance
 from repro.core.dominance import TriangleWorkspace, one_pass_dominance
 from repro.core.flat_dominance import FlatTriangleWorkspace
-from repro.core.near_linear import near_linear
+from repro.core.near_linear import near_linear, near_linear_checkpoint
 from repro.exact import brute_force_alpha
 from repro.graphs import (
     Graph,
@@ -22,6 +27,8 @@ from repro.graphs import (
     star_graph,
     triangle_counts,
 )
+
+from .test_differential_backends import CORPUS
 
 
 def _assert_triangle_counts_consistent(workspace):
@@ -285,3 +292,122 @@ class TestNearLinearPhases:
         assert rule == "path:even-no-edge"
         assert ws.tri[0][3] == 1  # triangle (0, 3, 4)
         _assert_triangle_counts_consistent(ws)
+
+
+def _keep_masks(graph, seed):
+    """Three masks over ``graph``: all, none and a seeded random half."""
+    rng = np.random.default_rng(seed)
+    return [
+        np.ones(graph.n, dtype=bool),
+        np.zeros(graph.n, dtype=bool),
+        rng.random(graph.n) < 0.6,
+    ]
+
+
+@st.composite
+def _masked_graphs(draw):
+    n = draw(st.integers(min_value=0, max_value=40))
+    pairs = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+    edges = draw(st.lists(pairs, max_size=4 * n)) if n else []
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return Graph.from_edges(n, edges), np.array(keep, dtype=bool)
+
+
+class TestMaskedWorkspace:
+    """A workspace over the input graph masked to ``keep`` equals the one
+    built on the induced subgraph, under the monotone relabel: the same
+    rows, δ, sums, worklists, live flags and initial includes, in input
+    ids, and every removed vertex dead with an empty row."""
+
+    def _compact(self, factory, graph, keep):
+        sub, old_ids = graph.subgraph(np.flatnonzero(keep).tolist())
+        return factory(graph, keep), factory(sub), old_ids
+
+    def _assert_common(self, masked, compact, old_ids, keep):
+        up = old_ids.__getitem__
+        assert [masked.deg[v] for v in old_ids] == list(compact.deg)
+        assert [masked.alive[v] for v in old_ids] == list(compact.alive)
+        removed = np.flatnonzero(~keep).tolist()
+        assert not any(masked.alive[v] or masked.deg[v] for v in removed)
+        assert masked.dominated == list(map(up, compact.dominated))
+        assert masked.v1 == list(map(up, compact.v1))
+        assert masked.v2 == list(map(up, compact.v2))
+        assert masked.log.entries == [
+            (kind, tuple(map(up, data))) for kind, data in compact.log.entries
+        ]
+        assert masked.live_vertex_count == compact.live_vertex_count
+        assert masked.live_edge_count() == compact.live_edge_count()
+
+    def _check_flat(self, graph, keep):
+        masked, compact, old_ids = self._compact(FlatTriangleWorkspace, graph, keep)
+        self._assert_common(masked, compact, old_ids, keep)
+        assert [masked._tsum[v] for v in old_ids] == compact._tsum
+        up = old_ids.__getitem__
+        for new, v in enumerate(old_ids):
+            lo, hi = masked.xadj[v], masked._rend[v]
+            c_lo, c_hi = compact.xadj[new], compact._rend[new]
+            assert masked.adj[lo:hi] == list(map(up, compact.adj[c_lo:c_hi]))
+            assert masked.tri[lo:hi] == compact.tri[c_lo:c_hi]
+        for v in np.flatnonzero(~keep).tolist():
+            assert masked.xadj[v] == masked._rend[v]
+
+    def _check_oracle(self, graph, keep):
+        masked, compact, old_ids = self._compact(TriangleWorkspace, graph, keep)
+        self._assert_common(masked, compact, old_ids, keep)
+        up = old_ids.__getitem__
+        for new, v in enumerate(old_ids):
+            assert list(masked.tri[v].items()) == [
+                (up(w), count) for w, count in compact.tri[new].items()
+            ]
+        assert not any(masked.tri[v] for v in np.flatnonzero(~keep).tolist())
+
+    @pytest.mark.parametrize("check", ["_check_flat", "_check_oracle"])
+    def test_corpus(self, check):
+        for seed, graph in enumerate(CORPUS + COUNT_GRAPHS):
+            for keep in _keep_masks(graph, seed):
+                getattr(self, check)(graph, keep)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_masked_graphs())
+    def test_random_masks(self, case):
+        graph, keep = case
+        self._check_flat(graph, keep)
+        self._check_oracle(graph, keep)
+
+
+#: ``near_linear_checkpoint`` on G(2000, 6000), seeds 0–2: the kernel's CSR,
+#: its ``old_ids`` and the log at the stall (sha256 of their ``repr``),
+#: taken when the main loop ran on a relabelled residual and remapped its log.
+CHECKPOINT_PINS = {
+    0: (
+        "f45b36aa6c31eaf39439f7fd9ddd476f63ac1cdc0258064b66839320a5d0ee33",
+        "ca070a06649f4636684c43f195b00dc7c12be6438fa959e41ba3fabc4d35403c",
+        "dc34e384e58122778be5cc7be7edf1fbe8d78eb8c7a0a2842ec625d7792271e0",
+    ),
+    1: (
+        "91cea3aa6f82e28ee998a10a6b27a8c77dacf1281082146c8074dbb0c5f8129f",
+        "32d5759fad397bcd743607903127fac7e9780f2878f3ada58dc0d047f8f28e1e",
+        "a4fd5bc8351980bef70ef6e58c57344db70665750464897960b41c86fc06122e",
+    ),
+    2: (
+        "b9e5c2ba793cb488eea41aefbe2f3aa6d21b717694dd7eea6228f660f6fd275a",
+        "a67efbed1d785e944376cf51c380fd2caace875c2b3dbf368bdc381d779220d7",
+        "ac4b42437d249bc66a9051e20e754c8d58962d60da8bc8ba936ba628ece35203",
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CHECKPOINT_PINS))
+def test_checkpoint_kernel_is_pinned(seed):
+    graph = gnm_random_graph(2000, 6000, seed=seed)
+    checkpoint = near_linear_checkpoint(graph)
+
+    def sha(value):
+        return hashlib.sha256(repr(value).encode()).hexdigest()
+
+    assert (
+        sha(checkpoint.kernel.csr_arrays()),
+        sha(checkpoint.old_ids),
+        sha(checkpoint.log.entries),
+    ) == CHECKPOINT_PINS[seed]
+    assert checkpoint.kernel.name == f"{graph.name}-kernel"

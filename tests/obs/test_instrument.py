@@ -5,6 +5,7 @@ import pytest
 from repro.core.bdone import _run_flat, bdone
 from repro.core.bdtwo import bdtwo
 from repro.core.dominance import TriangleWorkspace
+from repro.core.flat_dominance import FlatTriangleWorkspace
 from repro.core.linear_time import linear_time, linear_time_checkpoint
 from repro.core.near_linear import near_linear, near_linear_checkpoint
 from repro.core.result import STAT_LP_INCLUDED
@@ -166,6 +167,27 @@ class TestPeelingProfiles:
             assert flat_stall[-1][1] == paused.kernel.n
             assert flat_done[-1][1] == flat_done[-1][2] == 0
         assert flat_stall[-1][1] > 0  # the sparse graph stalls with a kernel
+
+    def test_wrapped_near_linear_factory_takes_the_same_path(self, graph, kernel_graph):
+        # A profiler times the set-up by wrapping the default workspace
+        # class; NearLinear calls every factory as factory(graph, keep), so
+        # the wrapped run builds the same masked workspace and takes the
+        # same fused loop (a workspace of the exact class).
+        built = []
+
+        def timed(g, keep):
+            built.append(FlatTriangleWorkspace(g, keep))
+            return built[-1]
+
+        for g in (graph, kernel_graph):
+            runs = []
+            for factory in (None, timed):
+                with telemetry_session() as tele:
+                    result = near_linear(g, workspace_factory=factory)
+                runs.append((tele.profiles[0]["samples"], result.independent_set))
+            assert runs[0] == runs[1], g.name
+            assert built[-1].n == g.n  # the input's id space
+        assert len(built) == 2
 
     @pytest.mark.parametrize("factory", [None, TriangleWorkspace])
     def test_near_linear_bound_counts_the_lp_includes(

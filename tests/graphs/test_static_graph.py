@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from repro.errors import VertexError
-from repro.graphs import Graph, cycle_graph, complete_graph, gnm_random_graph, path_graph
+from repro.graphs import (
+    Graph,
+    complete_graph,
+    cycle_graph,
+    gnm_random_graph,
+    path_graph,
+    power_law_graph,
+)
 
 
 class TestConstruction:
@@ -203,3 +210,19 @@ class TestNumpySubgraph:
     def test_keep_without_edges(self):
         sub = self._check(cycle_graph(3000), range(0, 3000, 2))
         assert sub.n == 1500 and sub.m == 0
+
+    @pytest.mark.parametrize("size", [1, 20, 200])
+    def test_small_keep_of_a_large_graph(self, size):
+        # A repair region: only the kept rows are gathered.
+        graph = power_law_graph(8000, beta=2.1, average_degree=4.0, seed=1)
+        rng = random.Random(size)
+        for _ in range(5):
+            self._check(graph, rng.sample(range(graph.n), size))
+        hubs = sorted(range(graph.n), key=graph.degree)[-size:]
+        assert self._check(graph, hubs).m > 0 or size == 1
+
+    def test_keep_with_empty_rows_first(self):
+        # Isolated kept vertices before and between the rows with edges.
+        graph = Graph.from_edges(3000, [(5, 7), (7, 9), (5, 9), (2000, 2999)])
+        sub = self._check(graph, [0, 1, 5, 6, 7, 9, 1000, 2000, 2999])
+        assert sub.m == 4

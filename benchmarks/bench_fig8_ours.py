@@ -11,27 +11,23 @@ from conftest import emit
 
 from repro.analysis import model_words
 from repro.bench import dataset_names, format_seconds, load, render_table
-from repro.core import bdtwo
+from repro.core import bdone, bdtwo, linear_time, near_linear
 from repro.errors import BudgetExceededError
 from repro.exact import maximum_independent_set
 
-#: Display name -> solver-family key; BDTwo has a single-backend driver and
-#: is fetched directly, the rest resolve through the ``--backend`` option
-#: (see ``conftest.solvers``).
 ALGORITHMS = {
-    "BDOne": "bdone",
-    "BDTwo": None,
-    "LinearTime": "linear_time",
-    "NearLinear": "near_linear",
+    "BDOne": bdone,
+    "BDTwo": bdtwo,
+    "LinearTime": linear_time,
+    "NearLinear": near_linear,
 }
 
 _timings = {}
 
 
 @pytest.mark.parametrize("name", list(ALGORITHMS))
-def test_fig8_our_algorithms_sweep(benchmark, name, solvers):
-    key = ALGORITHMS[name]
-    algorithm = bdtwo if key is None else solvers[key]
+def test_fig8_our_algorithms_sweep(benchmark, name):
+    algorithm = ALGORITHMS[name]
     graphs = [load(graph_name) for graph_name in dataset_names("easy")]
 
     def sweep():

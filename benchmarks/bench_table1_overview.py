@@ -20,16 +20,16 @@ from repro.graphs import power_law_graph
 SIZES = [10_000, 20_000, 40_000]
 
 
-def test_table1_time_scaling(benchmark, solvers):
+def test_table1_time_scaling(benchmark):
     def sweep():
         out = {}
         for n in SIZES:
             graph = power_law_graph(n, 2.2, average_degree=6.0, seed=42)
             out[n] = {
                 "m": graph.m,
-                "BDOne": solvers["bdone"](graph).elapsed,
-                "LinearTime": solvers["linear_time"](graph).elapsed,
-                "NearLinear": solvers["near_linear"](graph).elapsed,
+                "BDOne": bdone(graph).elapsed,
+                "LinearTime": linear_time(graph).elapsed,
+                "NearLinear": near_linear(graph).elapsed,
                 "BDTwo": bdtwo(graph).elapsed,
             }
         return out

@@ -10,17 +10,14 @@ from conftest import emit
 
 from repro.baselines import du, greedy, semi_external
 from repro.bench import render_table
-from repro.core import bdtwo
+from repro.core import bdone, bdtwo, linear_time, near_linear
 from repro.graphs import power_law_sequence_graph
 
 N = 20_000
 BETAS = [1.9, 2.0, 2.1, 2.2, 2.3, 2.4, 2.5, 2.6, 2.7]
 
 
-def _table(solvers):
-    bdone = solvers["bdone"]
-    linear_time = solvers["linear_time"]
-    near_linear = solvers["near_linear"]
+def _table():
     rows = []
     all_certified = True
     for index, beta in enumerate(BETAS):
@@ -42,10 +39,8 @@ def _table(solvers):
     return rows, all_certified
 
 
-def test_table5_power_law(benchmark, solvers):
-    rows, all_certified = benchmark.pedantic(
-        _table, args=(solvers,), rounds=1, iterations=1
-    )
+def test_table5_power_law(benchmark):
+    rows, all_certified = benchmark.pedantic(_table, rounds=1, iterations=1)
     emit(
         "table5_powerlaw",
         render_table(

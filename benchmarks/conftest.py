@@ -13,33 +13,11 @@ import os
 
 import pytest
 
-from repro.bench import load, resolve_backend
+from repro.bench import load
 from repro.errors import BudgetExceededError
 from repro.exact import maximum_independent_set
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--backend",
-        default="flat",
-        choices=["legacy", "flat"],
-        help="execution backend for the reducing-peeling family "
-        "(bdone / linear_time / near_linear) in the benchmark scripts",
-    )
-
-
-@pytest.fixture(scope="session")
-def backend(request) -> str:
-    """The ``--backend`` name selected for this benchmark run."""
-    return request.config.getoption("--backend")
-
-
-@pytest.fixture(scope="session")
-def solvers(backend):
-    """The reducing-peeling solver family for the selected backend."""
-    return resolve_backend(backend)
 
 
 def emit(name: str, text: str, data=None) -> None:

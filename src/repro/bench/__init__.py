@@ -1,6 +1,5 @@
 """Benchmark harness support: datasets, runners, table/plot rendering."""
 
-from .backends import BACKENDS, resolve_backend
 from .convergence import ConvergenceRun, render_convergence, run_convergence_suite
 from .datasets import (
     ALL_DATASETS,
@@ -15,7 +14,6 @@ from .tables import format_number, format_seconds, render_table
 
 __all__ = [
     "ALL_DATASETS",
-    "BACKENDS",
     "ConvergenceRun",
     "DatasetSpec",
     "EASY_DATASETS",
@@ -27,7 +25,6 @@ __all__ = [
     "load",
     "render_convergence",
     "render_table",
-    "resolve_backend",
     "run_algorithms",
     "run_convergence_suite",
     "time_call",

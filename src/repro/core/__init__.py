@@ -18,7 +18,7 @@ from .components import affected_region, solve_by_components, touched_components
 from .dominance import TriangleWorkspace
 from .flat_dominance import FlatTriangleWorkspace
 from .framework import ALGORITHM_BY_NAME, ALGORITHMS, compute_independent_set
-from .hotpath import hot_loop
+from ..hotpath import hot_loop
 from .kernel import KERNEL_METHODS, KernelResult, kernelize
 from .linear_time import linear_time, linear_time_reduce
 from .lp_reduction import LPReductionResult, lp_reduction, lp_upper_bound

@@ -29,7 +29,7 @@ import time
 from typing import Any, Callable, Optional
 
 from ..graphs.static_graph import Graph
-from .hotpath import hot_loop
+from ..hotpath import hot_loop
 from .result import STAT_DEGREE_ONE, STAT_PEEL, MISResult
 from .trace import EXCLUDE, INCLUDE, PEEL
 from .workspace import BATCH_MIN_FRONTIER, FlatWorkspace, _degree_one_rounds

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Tuple
 
-from .hotpath import hot_loop
+from ..hotpath import hot_loop
 from .trace import PATH
 from .result import (
     STAT_PATH_ANCHOR_SHARED,

@@ -37,7 +37,7 @@ import numpy as _np
 from ..graphs.static_graph import Graph
 from .bucket_queue import MaxDegreeSelector
 from .degree_two_paths import rewire_slot
-from .hotpath import hot_loop
+from ..hotpath import hot_loop
 from .trace import INCLUDE, DecisionLog
 from .workspace import export_kernel_arrays, push_entries
 
@@ -187,7 +187,7 @@ def flat_one_pass_dominance(graph: Graph) -> List[int]:
       never reach the subset scans;
     * subset tests by binary search: ``N[v] ⊆ N[u]`` bisects each live
       ``x ∈ N(v)`` into ``u``'s sorted row (the
-      :meth:`~repro.graphs.static_graph.Graph.csr_arrays` contract);
+      :meth:`~repro.graphs.static_graph.Graph.flat_csr` contract);
     * liveness folded into ``deg``: a removed vertex gets ``deg 0``, and
       inside any scanned row a live vertex has ``deg ≥ 1`` (it is adjacent
       to the live row owner).  A live vertex that *became* isolated is
@@ -196,7 +196,7 @@ def flat_one_pass_dominance(graph: Graph) -> List[int]:
     if not graph.m:
         return []  # no edges: no vertex has a dominator
     visit, plan, watch_at, watch_targets, deg = _sweep_plan(graph)
-    xadj, adj = graph.csr_arrays()  # read-only tuples: the sweep never mutates adjacency
+    xadj, adj = graph.flat_csr()  # the graph's own buffers: the sweep never mutates adjacency
     removed: List[int] = []
     candidates: List[int] = []  # reused across iterations (hot-loop purity)
     for u in visit:

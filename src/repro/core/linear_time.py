@@ -35,7 +35,7 @@ import time
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..graphs.static_graph import Graph
-from .hotpath import hot_loop
+from ..hotpath import hot_loop
 from .degree_two_paths import (
     RULE_ANCHOR_SHARED,
     RULE_CYCLE,

@@ -50,7 +50,7 @@ from .degree_two_paths import (
 )
 from .dominance import TriangleWorkspace, one_pass_dominance
 from .flat_dominance import FlatTriangleWorkspace, flat_one_pass_dominance
-from .hotpath import hot_loop
+from ..hotpath import hot_loop
 from .lp_reduction import LPReductionResult, lp_reduction
 from .result import (
     STAT_DEGREE_ONE,

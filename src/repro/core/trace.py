@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 import numpy as _np
 
 from ..graphs.static_graph import Graph
-from .hotpath import hot_loop
+from ..hotpath import hot_loop
 
 #: Below this many vertices the numpy prefilter in
 #: :func:`extend_to_maximal` costs more than the scalar pass it saves.

@@ -46,7 +46,7 @@ import numpy as _np
 from ..graphs.static_graph import Graph
 from .bucket_queue import MaxDegreeSelector
 from .degree_two_paths import rewire_slot
-from .hotpath import hot_loop
+from ..hotpath import hot_loop
 from .trace import EXCLUDE, INCLUDE, DecisionLog
 
 __all__ = ["ArrayWorkspace", "BATCH_MIN_FRONTIER", "FlatWorkspace", "compact_remap"]
@@ -118,8 +118,7 @@ def export_kernel_arrays(
     array is given), remapped through the cumulative-sum id map and sorted
     per row by one sort of the int64 keys ``row·k + target`` (the rows are
     already non-decreasing) — the same sorted-row kernel and ``old_ids``
-    list :meth:`ArrayWorkspace.export_kernel` builds, with its
-    :meth:`~repro.graphs.static_graph.Graph.flat_csr` cache filled.
+    list :meth:`ArrayWorkspace.export_kernel` builds.
     """
     np = _np
     n = graph.n
@@ -142,9 +141,7 @@ def export_kernel_arrays(
     counts = np.bincount(rows, minlength=k)
     offsets = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    # The kernel carries its flat CSR, which ARW's seed projection and
-    # search state read.
-    return Graph._from_csr(offsets, keys, name), old_ids
+    return Graph(offsets, keys, name=name), old_ids
 
 
 @hot_loop
@@ -521,7 +518,7 @@ class FlatWorkspace:
 
     ``adj``
         Every adjacency entry in one flat ``int32`` buffer, a mutable copy
-        of the graph's cached CSR target buffer (2m words).
+        of the graph's CSR target buffer (2m words).
     ``xadj``
         The graph's CSR offsets (``array('q')``, shared read-only);
         vertex ``v``'s entries live at ``adj[xadj[v] : xadj[v + 1]]``.

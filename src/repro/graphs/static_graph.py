@@ -2,27 +2,30 @@
 
 The paper (Section 2, "Graph Representation") stores every neighbourhood
 consecutively in one large array with a per-vertex start pointer, i.e. a CSR
-layout using ``2m + n`` integers.  :class:`Graph` mirrors that layout with two
-flat lists (``_offsets`` of length ``n + 1`` and ``_targets`` of length
-``2m``), which keeps the memory model honest for the paper's space accounting
-(see :mod:`repro.analysis.memory`) and makes neighbourhood iteration cheap.
+layout using ``2m + n`` integers.  :class:`Graph` *is* that layout: two flat
+numeric buffers, an ``array('q')`` of ``n + 1`` row offsets and an
+``array('i')`` of ``2m`` concatenated neighbour ids, and nothing else.  The
+solvers, the verifier, the LP and the fingerprint read the buffers in place
+(:meth:`Graph.flat_csr`), which keeps the memory model honest for the
+paper's space accounting (see :mod:`repro.analysis.memory`).
 
 Graphs are simple (no self-loops, no parallel edges) and undirected; every
 edge ``(u, v)`` appears in both ``neighbors(u)`` and ``neighbors(v)``.
 Instances are immutable: all mutation happens either in
 :class:`repro.graphs.builder.GraphBuilder` (construction time) or inside the
-per-algorithm workspaces (run time).
+per-algorithm workspaces (run time), which copy the buffers they write.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Sequence, Tuple
 
 import numpy as _np
 
 from ..errors import VertexError
+from ..hotpath import hot_loop
 
 __all__ = ["Graph"]
 
@@ -38,7 +41,7 @@ def _csr_from_edge_array(n: int, edges: "_np.ndarray") -> Tuple["_np.ndarray", "
 
     Raises the :class:`VertexError` the builder would raise first.  A
     function of its own so that its sort buffers (several times the size of
-    ``targets``) are freed before the caller builds the Python tuples.
+    ``targets``) are freed before the caller builds the graph's buffers.
     """
     if n < 0:
         raise VertexError(n, 0)
@@ -67,6 +70,19 @@ def _csr_from_edge_array(n: int, edges: "_np.ndarray") -> Tuple["_np.ndarray", "
     return offsets, targets
 
 
+def _buffer(typecode: str, dtype: type, values: Sequence[int]) -> array:
+    """``values`` as an ``array(typecode)``: an array of that typecode as
+    is, a numpy array by one cast into an exactly sized array of ``dtype``
+    words, any other sequence by one pass."""
+    if isinstance(values, array) and values.typecode == typecode:
+        return values
+    if isinstance(values, _np.ndarray):
+        buffer = array(typecode, [0]) * len(values)
+        _np.frombuffer(buffer, dtype=dtype)[:] = values
+        return buffer
+    return array(typecode, values)
+
+
 class Graph:
     """An immutable, simple, undirected graph in adjacency-array form.
 
@@ -80,17 +96,21 @@ class Graph:
     name:
         Optional human-readable name used in reports and benchmarks.
 
+    The graph holds the two buffers of :meth:`flat_csr` and its name, and
+    nothing else.  Any integer sequence (list, tuple, numpy array) is
+    converted once; an ``array('q')`` / ``array('i')`` is kept as given, so
+    the caller must not write into it afterwards.
+
     Use :class:`repro.graphs.builder.GraphBuilder` or
     :meth:`Graph.from_edges` instead of calling this constructor directly;
     both validate and normalise their input, the constructor trusts it.
     """
 
-    __slots__ = ("_offsets", "_targets", "_flat", "name")
+    __slots__ = ("_offsets", "_targets", "name")
 
     def __init__(self, offsets: Sequence[int], targets: Sequence[int], name: str = "") -> None:
-        self._offsets: Tuple[int, ...] = tuple(offsets)
-        self._targets: Tuple[int, ...] = tuple(targets)
-        self._flat: Optional[Tuple[array, array]] = None
+        self._offsets = _buffer("q", _np.int64, offsets)
+        self._targets = _buffer("i", _np.int32, targets)
         self.name = name
 
     # ------------------------------------------------------------------
@@ -105,7 +125,7 @@ class Graph:
         in ``[0, n)``.
 
         A signed-integer numpy array of shape ``(k, 2)`` is built in
-        whole-array passes (see :meth:`_from_edge_array`); any other
+        whole-array passes (see :func:`_csr_from_edge_array`); any other
         iterable goes through :class:`~repro.graphs.builder.GraphBuilder`.
         Both produce the same graph.
         """
@@ -115,7 +135,7 @@ class Graph:
             and edges.shape[1] == 2
             and _np.issubdtype(edges.dtype, _np.signedinteger)
         ):
-            return cls._from_edge_array(n, edges, name)
+            return cls(*_csr_from_edge_array(n, edges), name=name)
         # Import here to avoid a circular import at module load time.
         from .builder import GraphBuilder
 
@@ -125,33 +145,13 @@ class Graph:
         return builder.build()
 
     @classmethod
-    def _from_edge_array(cls, n: int, edges: "_np.ndarray", name: str) -> "Graph":
-        """The graph of an ``(k, 2)`` edge array, from :func:`_csr_from_edge_array`."""
-        offsets, targets = _csr_from_edge_array(n, edges)
-        return cls._from_csr(offsets, targets, name)
-
-    @classmethod
-    def _from_csr(cls, offsets: "_np.ndarray", targets: "_np.ndarray", name: str) -> "Graph":
-        """The graph of numpy CSR buffers, with its :meth:`flat_csr` cache
-        filled from the same buffers, so no flat workspace converts the
-        tuples again."""
-        # Each vertex id is one shared int object, as in the builder's rows,
-        # rather than a fresh object per CSR slot (2m of them).
-        vertex_ids = _np.arange(len(offsets) - 1, dtype=_np.int64).astype(object)
-        graph = cls(offsets.tolist(), vertex_ids[targets].tolist(), name=name)
-        graph._flat = (
-            array("q", offsets.tobytes()),
-            array("i", targets.astype(_np.int32).tobytes()),
-        )
-        return graph
-
-    @classmethod
     def empty(cls, n: int, name: str = "") -> "Graph":
         """Return the edgeless graph on ``n`` vertices."""
         return cls([0] * (n + 1), [], name=name)
 
     def renamed(self, name: str) -> "Graph":
-        """A copy of this graph carrying a different display name."""
+        """A graph carrying a different display name; it shares this
+        graph's buffers."""
         return Graph(self._offsets, self._targets, name=name)
 
     # ------------------------------------------------------------------
@@ -174,8 +174,7 @@ class Graph:
 
     def degrees(self) -> list[int]:
         """Degrees of all vertices, indexed by vertex id."""
-        offs = self._offsets
-        return [offs[v + 1] - offs[v] for v in range(self.n)]
+        return _np.diff(_np.frombuffer(self._offsets, dtype=_np.int64)).tolist()
 
     def max_degree(self) -> int:
         """Maximum vertex degree Δ (0 for the empty graph)."""
@@ -190,9 +189,9 @@ class Graph:
         return 2.0 * self.m / self.n
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
-        """The sorted neighbourhood N(v) as a tuple."""
+        """The sorted neighbourhood N(v) as a tuple of plain ints."""
         self._check_vertex(v)
-        return self._targets[self._offsets[v] : self._offsets[v + 1]]
+        return tuple(self._targets[self._offsets[v] : self._offsets[v + 1]])
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the edge ``(u, v)`` is present (binary search, O(log d))."""
@@ -248,9 +247,7 @@ class Graph:
 
         The same output as the dict-remap path of :meth:`subgraph`: kept
         rows in id order, rows still sorted because the relabel is
-        monotone.  The result carries its own flat CSR (see
-        :meth:`_from_csr`), and its tuples hold plain ints so downstream
-        code never sees numpy scalars."""
+        monotone."""
         k = len(keep_ids)
         # The relabel table is one C-level fill of n words; only kept ids
         # get a new id, every other entry stays -1.
@@ -258,7 +255,7 @@ class Graph:
         relabel[keep_ids] = _np.arange(k, dtype=_np.int64)
         offsets = _np.zeros(k + 1, dtype=_np.int64)
         offsets[1:], targets = self._induced_rows(keep_ids, relabel)
-        return Graph._from_csr(offsets, targets, name)
+        return Graph(offsets, targets, name=name)
 
     def _induced_rows(
         self, keep_ids: "_np.ndarray", label: "_np.ndarray"
@@ -270,10 +267,9 @@ class Graph:
         it is not kept.  Returns the running slot count at each kept row's
         end and the labelled targets, rows concatenated in ``keep_ids``
         order and each in its row order.  Only the kept rows are gathered
-        from the cached :meth:`flat_csr` buffers, so no pass touches the
-        rest of the graph's slots."""
-        offs_arr, tgts_arr = self.flat_csr()
-        offs = _np.frombuffer(offs_arr, dtype=_np.int64)
+        from the graph's buffers, so no pass touches the rest of its
+        slots."""
+        offs = _np.frombuffer(self._offsets, dtype=_np.int64)
         starts = offs[keep_ids]
         lengths = offs[keep_ids + 1] - starts
         ends = _np.cumsum(lengths)
@@ -284,7 +280,7 @@ class Graph:
         # place in the row.
         slots = _np.arange(total, dtype=_np.int64)
         slots += _np.repeat(starts - ends + lengths, lengths)
-        targets = label[_np.frombuffer(tgts_arr, dtype=_np.int32)[slots]]
+        targets = label[_np.frombuffer(self._targets, dtype=_np.int32)[slots]]
         kept = targets >= 0
         hits = _np.zeros(total + 1, dtype=_np.int64)
         _np.cumsum(kept, out=hits[1:])
@@ -301,35 +297,27 @@ class Graph:
             offsets.append(len(targets))
         return Graph(offsets, targets, name=f"~{self.name}" if self.name else "")
 
-    def csr_arrays(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:  # reprolint: disable=RL006
-        """The raw CSR arrays ``(offsets, targets)`` (read-only tuples).
-
-        Exposed for numeric backends (e.g. building a ``scipy.sparse``
-        matrix without re-walking the adjacency).
-        """
-        return self._offsets, self._targets
-
-    def flat_csr(self) -> Tuple[array, array]:  # reprolint: disable=RL006
-        """The CSR layout as flat numeric buffers ``(offsets, targets)``.
+    @hot_loop
+    def flat_csr(self) -> Tuple[array, array]:
+        """The graph's CSR buffers ``(offsets, targets)``.
 
         ``offsets`` is an ``array('q')`` of length ``n + 1`` and ``targets``
         an ``array('i')`` of length ``2m`` — exactly the 2m + O(n) words of
         the paper's accounting, with no per-vertex Python list objects.
-        The arrays are built once and cached on the graph; they are shared,
-        so callers that mutate (the run-time workspaces) must take a copy
-        (``targets[:]`` is a C-level memcpy).
+        They are the graph itself, not a copy, so callers that mutate (the
+        run-time workspaces) must take a copy (``targets[:]`` is a C-level
+        memcpy).
         """
-        if self._flat is None:
-            self._flat = (array("q", self._offsets), array("i", self._targets))
-        return self._flat
+        return self._offsets, self._targets
 
     def adjacency_lists(self) -> list[list[int]]:
         """A fresh mutable list-of-lists copy of the adjacency structure."""
-        return [list(self.neighbors(v)) for v in range(self.n)]
+        offsets, targets = self._offsets, self._targets.tolist()
+        return [targets[offsets[v] : offsets[v + 1]] for v in range(self.n)]
 
     def adjacency_sets(self) -> list[set[int]]:
         """A fresh mutable list-of-sets copy of the adjacency structure."""
-        return [set(self.neighbors(v)) for v in range(self.n)]
+        return [set(row) for row in self.adjacency_lists()]
 
     # ------------------------------------------------------------------
     # Dunder plumbing
@@ -340,7 +328,7 @@ class Graph:
         return self._offsets == other._offsets and self._targets == other._targets
 
     def __hash__(self) -> int:
-        return hash((self._offsets, self._targets))
+        return hash((self._offsets.tobytes(), self._targets.tobytes()))
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""

@@ -3,7 +3,7 @@
 The flat kernels get their speed from a strict shape: a *prelude* that
 binds every needed attribute/bound-method to a local, then loops whose
 bodies touch only locals and flat buffers.  RL001 enforces that shape on
-any function carrying the :func:`repro.core.hotpath.hot_loop` marker:
+any function carrying the :func:`repro.hotpath.hot_loop` marker:
 
 * **anywhere in the function** — no nested functions or lambdas (closure
   cells defeat CPython's fast locals), no ``try``/``except`` (pushes a

@@ -53,7 +53,7 @@ import numpy as np
 
 from ..errors import NotASolutionError
 from ..graphs.static_graph import Graph
-from ..core.hotpath import hot_loop
+from ..hotpath import hot_loop
 
 __all__ = ["FlatLocalSearchState"]
 
@@ -86,12 +86,11 @@ class FlatLocalSearchState:
         """
         self.graph = graph
         n = graph.n
-        xadj, adj = graph.csr_arrays()
-        self.xadj = xadj
-        self.adj = adj
+        offsets, targets = graph.flat_csr()
+        self.xadj = offsets
+        self.adj = targets
         flags = np.zeros(n, dtype=np.uint8)
         flags[np.fromiter(initial, dtype=np.int64)] = 1
-        offsets, targets = graph.flat_csr()
         rows = np.repeat(
             np.arange(n, dtype=np.int64),
             np.diff(np.frombuffer(offsets, dtype=np.int64)),

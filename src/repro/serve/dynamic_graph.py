@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
+import numpy as _np
+
 from ..errors import ReproError, VertexError
 from ..graphs.static_graph import Graph
 from .fingerprint import graph_fingerprint
@@ -245,9 +247,10 @@ class DynamicGraph:
         ``old_ids[compact_id] = dynamic_id``; the result is cached until
         the next mutation, so repeated warm queries reuse one compaction.
         When the live vertex set is unchanged since the last build, only
-        the mutated rows are re-sorted — unchanged CSR rows are reused
-        from the previous snapshot, so an edge flip on a large graph
-        costs far less than a full O(n + m) recompaction.
+        the mutated rows are re-sorted; every unchanged row is spliced from
+        the previous snapshot's buffers in whole-array passes, so an edge
+        flip on a large graph costs far less than a full O(n + m)
+        recompaction in Python.
         """
         cached = self._snapshot
         if cached is not None and cached[0] == self.version:
@@ -256,34 +259,48 @@ class DynamicGraph:
         base = self._base
         if base is not None and not self._liveness_dirty:
             base_graph, old_ids, compact = base
-            changed = self._dirty_rows
-            # Slice the frozen CSR tuples directly: one bounds-checked
-            # neighbors() call per row would dominate on large graphs.
-            base_offsets, base_targets = base_graph.csr_arrays()
-            rows: List[Tuple[int, ...]] = [
-                tuple(sorted(compact[w] for w in adj[old]))
-                if old in changed
-                else base_targets[base_offsets[new] : base_offsets[new + 1]]
-                for new, old in enumerate(old_ids)
-            ]
+            graph = self._splice(base_graph, old_ids, compact)
         else:
             old_ids = [v for v in range(len(adj)) if self._alive[v]]
             compact = {old: new for new, old in enumerate(old_ids)}
             if len(old_ids) == len(adj):  # every id live: identity map
-                rows = [tuple(sorted(row)) for row in adj]
+                rows = [sorted(row) for row in adj]
             else:
-                rows = [
-                    tuple(sorted(compact[w] for w in adj[old]))
-                    for old in old_ids
-                ]
-        offsets = list(accumulate(chain((0,), map(len, rows))))
-        targets = tuple(chain.from_iterable(rows))
-        graph = Graph(offsets, targets, name=self.name)
+                rows = [sorted(compact[w] for w in adj[old]) for old in old_ids]
+            offsets = list(accumulate(chain((0,), map(len, rows))))
+            graph = Graph(offsets, list(chain.from_iterable(rows)), name=self.name)
         self._base = (graph, old_ids, compact)
         self._dirty_rows = set()
         self._liveness_dirty = False
         self._snapshot = (self.version, graph, old_ids)
         return graph, old_ids
+
+    def _splice(self, base: Graph, old_ids: List[int], compact: Dict[int, int]) -> Graph:
+        """``base`` with the rows of :attr:`_dirty_rows` rebuilt from the
+        adjacency sets; the vertex set and id map are unchanged."""
+        np = _np
+        dirty = sorted(compact[v] for v in self._dirty_rows)
+        adj = self._adj
+        rows = [sorted(compact[w] for w in adj[old_ids[new]]) for new in dirty]
+        base_offsets, base_targets = base.flat_csr()
+        old_lengths = np.diff(np.frombuffer(base_offsets, dtype=np.int64))
+        lengths = old_lengths.copy()
+        lengths[dirty] = [len(row) for row in rows]
+        offsets = np.zeros(len(old_ids) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        rewritten = np.zeros(len(old_ids), dtype=bool)
+        rewritten[dirty] = True
+        # Unchanged rows keep their slots in the same order in both
+        # buffers, so one masked gather moves all of them; the dirty rows
+        # fill the remaining slots.
+        targets = np.empty(int(offsets[-1]), dtype=np.int32)
+        fresh = np.repeat(rewritten, lengths)
+        kept = np.repeat(~rewritten, old_lengths)
+        targets[~fresh] = np.frombuffer(base_targets, dtype=np.int32)[kept]
+        targets[fresh] = np.fromiter(
+            chain.from_iterable(rows), dtype=np.int32, count=int(lengths[dirty].sum())
+        )
+        return Graph(offsets, targets, name=self.name)
 
     def fingerprint(self) -> str:
         """The structural fingerprint of the current snapshot (cached)."""

@@ -8,9 +8,54 @@ compacted kernel-id round trip.
 
 import random
 
+import pytest
+
+from repro.core import KERNEL_METHODS, bdone, bdtwo, linear_time, near_linear
 from repro.core.workspace import ArrayWorkspace, FlatWorkspace
 from repro.graphs import Graph, cycle_graph, path_graph, star_graph
-from repro.graphs.generators import gnm_random_graph
+from repro.graphs.generators import gnm_random_graph, power_law_graph, web_like_graph
+from repro.localsearch import arw_lt
+from repro.serve import SolverService
+
+
+def _storage(graph):
+    """What a writer into the graph's buffers would change."""
+    offsets, targets = graph.flat_csr()
+    return offsets.tobytes(), targets.tobytes(), hash(graph)
+
+
+def _serve_round(graph):
+    """Solve, add one edge, solve again (a repair); the snapshot the repair
+    splices from must be as untouched as the registered graph."""
+    service = SolverService()
+    gid = service.register(graph)
+    service.solve(gid)
+    base, _ = service.dynamic_graph(gid).snapshot()
+    before = _storage(base)
+    neighbours = set(graph.neighbors(0))
+    service.add_edge(gid, 0, next(w for w in range(1, graph.n) if w not in neighbours))
+    assert service.solve(gid).source == "repair"
+    assert _storage(base) == before
+
+
+#: Every production path that reads a caller's graph, each run for effect.
+PRODUCTION_PATHS = {
+    "bdone": bdone,
+    "linear_time": linear_time,
+    "near_linear": near_linear,
+    "bdtwo": bdtwo,
+    "arw_lt": lambda graph: arw_lt(graph, max_iterations=5, rng=random.Random(0)),
+    **{f"kernel-{name}": reduce for name, reduce in KERNEL_METHODS.items()},
+    "subgraph": lambda graph: graph.subgraph(range(0, graph.n, 3)),
+    "serve": _serve_round,
+}
+
+#: Past the numpy subgraph cutoff (2,048 vertices) and below it.
+INPUTS = [
+    gnm_random_graph(500, 1500, seed=1),
+    power_law_graph(3000, beta=2.1, average_degree=4.0, seed=2),
+    web_like_graph(400, attach=3, seed=3),
+]
 
 
 class TestInitialisation:
@@ -37,6 +82,15 @@ class TestInitialisation:
         ws1.remove_silently(1)
         ws1.rewire(0, 1, 2)
         assert list(ws2.adj) == list(g.flat_csr()[1])  # untouched
+
+    @pytest.mark.parametrize("path", sorted(PRODUCTION_PATHS))
+    def test_no_production_path_writes_into_its_input(self, path):
+        # The buffers are the graph's only copy: a workspace that worked
+        # in them instead of a copy would corrupt the graph and its hash.
+        for graph in INPUTS:
+            before = _storage(graph)
+            PRODUCTION_PATHS[path](graph)
+            assert _storage(graph) == before, graph.name
 
 
 class TestDeletion:

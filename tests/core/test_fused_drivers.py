@@ -371,7 +371,7 @@ class TestStallAndResume:
                     graph, workspace_factory=factory
                 )
                 r_kernel, r_ids, r_log = reduce(graph, workspace_factory=factory)
-                assert kernel.csr_arrays() == r_kernel.csr_arrays()
+                assert kernel.flat_csr() == r_kernel.flat_csr()
                 assert old_ids == r_ids
                 stall = (list(log.entries), dict(log.stats))
                 assert stall == (list(r_log.entries), dict(r_log.stats))
@@ -402,7 +402,7 @@ class TestTriangleExport:
         _main_loop(oracle, stop_before_peel)
         kernel, old_ids = flat.export_kernel()
         o_kernel, o_ids = oracle.export_kernel()
-        assert kernel.csr_arrays() == o_kernel.csr_arrays()
+        assert kernel.flat_csr() == o_kernel.flat_csr()
         assert old_ids == o_ids
 
     def test_families_rewire_before_export(self):

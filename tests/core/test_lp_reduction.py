@@ -136,7 +136,7 @@ def _scipy_matching(graph):
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
-    xadj, adj = graph.csr_arrays()
+    xadj, adj = graph.flat_csr()
     matrix = csr_matrix(([1] * len(adj), adj, xadj), shape=(graph.n, graph.n))
     return maximum_bipartite_matching(matrix, perm_type="column").tolist()
 

@@ -406,7 +406,7 @@ def test_checkpoint_kernel_is_pinned(seed):
         return hashlib.sha256(repr(value).encode()).hexdigest()
 
     assert (
-        sha(checkpoint.kernel.csr_arrays()),
+        sha(tuple(tuple(buffer) for buffer in checkpoint.kernel.flat_csr())),
         sha(checkpoint.old_ids),
         sha(checkpoint.log.entries),
     ) == CHECKPOINT_PINS[seed]

@@ -222,8 +222,8 @@ def _oracle(n, edges):
 def _assert_same_graph(graph, expected):
     assert graph == expected
     assert graph.flat_csr() == expected.flat_csr()
-    offsets, targets = graph.csr_arrays()
-    assert all(type(x) is int for x in offsets + targets)
+    offsets, targets = graph.flat_csr()
+    assert (offsets.typecode, targets.typecode) == ("q", "i")
 
 
 def _line_loop_error(text):

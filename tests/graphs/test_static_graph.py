@@ -1,7 +1,8 @@
 """Unit tests for the adjacency-array Graph type."""
 
+import gc
 import random
-from array import array
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,6 +140,57 @@ class TestDunder:
         assert "m=4" in repr(g)
 
 
+class TestStorage:
+    """A graph is its two CSR buffers, once: ``8(n + 1)`` bytes of offsets
+    and ``4 · 2m`` of targets, plus a few object headers."""
+
+    OVERHEAD = 1024  # the Graph and two array headers, and the name
+
+    @staticmethod
+    def _retained(build):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            graph = build()
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return graph, retained
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: gnm_random_graph(25000, 75000, seed=1),
+            lambda: power_law_graph(50000, 2.2, average_degree=6.0, seed=1),
+        ],
+        ids=["gnm-25k", "chung-lu-50k"],
+    )
+    def test_graph_holds_one_copy(self, build):
+        graph, retained = self._retained(build)
+        assert retained <= 8 * (graph.n + 1) + 8 * graph.m + self.OVERHEAD
+        # The whole-array build from an edge array sizes its buffers exactly.
+        edges = np.array(list(graph.edges()), dtype=np.int64)
+        rebuilt, retained = self._retained(lambda: Graph.from_edges(graph.n, edges))
+        assert rebuilt == graph
+        assert retained <= 8 * (graph.n + 1) + 8 * graph.m + self.OVERHEAD
+
+    def test_slots_are_the_buffers_and_the_name(self):
+        assert Graph.__slots__ == ("_offsets", "_targets", "name")
+
+    def test_renamed_shares_the_buffers(self):
+        graph = cycle_graph(6)
+        twin = graph.renamed("twin")
+        assert twin.name == "twin" and twin == graph and hash(twin) == hash(graph)
+        assert all(a is b for a, b in zip(twin.flat_csr(), graph.flat_csr()))
+
+    def test_any_integer_sequence_builds_the_same_buffers(self):
+        graph = cycle_graph(6)
+        offsets, targets = graph.flat_csr()
+        for convert in (list, tuple, lambda a: np.array(a, dtype=np.int64)):
+            assert Graph(convert(offsets), convert(targets)).flat_csr() == (offsets, targets)
+
+
 class TestFromEdgeArray:
     """The whole-array build must match the GraphBuilder path entry for entry."""
 
@@ -150,9 +202,9 @@ class TestFromEdgeArray:
         expected = Graph.from_edges(n, edges.tolist())
         graph = Graph.from_edges(n, edges)
         assert graph == expected
-        assert graph.flat_csr() == Graph(*expected.csr_arrays()).flat_csr()
-        offsets, targets = graph.csr_arrays()
-        assert all(type(x) is int for x in offsets + targets)
+        offsets, targets = graph.flat_csr()
+        assert (offsets, targets) == expected.flat_csr()
+        assert (offsets.typecode, targets.typecode) == ("q", "i")
 
     @pytest.mark.parametrize("n", [0, 3])
     def test_no_edges(self, n):
@@ -176,20 +228,16 @@ class TestFromEdgeArray:
 
 
 class TestNumpySubgraph:
-    """A subgraph of a graph past the numpy cutoff (n ≥ 2048) carries its
-    flat CSR, filled from the buffers that built it."""
+    """A subgraph of a graph past the numpy cutoff (n ≥ 2048) holds the
+    same buffers as the builder's graph of the induced edges."""
 
     def _check(self, graph, keep):
         sub, old_ids = graph.subgraph(keep)
         assert old_ids == sorted(set(keep))
-        offsets, targets = sub.csr_arrays()
-        assert sub._flat is not None  # filled by subgraph, not on first use
-        assert sub.flat_csr() == (array("q", offsets), array("i", targets))
-        assert all(type(x) is int for x in offsets)
+        offsets, targets = sub.flat_csr()
+        assert (offsets.typecode, targets.typecode) == ("q", "i")
         for v in range(sub.n):
             assert all(type(w) is int for w in sub.neighbors(v))
-        # One shared int object per vertex id, whatever its slot count.
-        assert len({id(w) for w in targets}) == len(set(targets))
         new_of = {old: new for new, old in enumerate(old_ids)}
         induced = [
             (new_of[u], new_of[v]) for u, v in graph.edges() if u in new_of and v in new_of

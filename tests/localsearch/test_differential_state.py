@@ -80,7 +80,7 @@ def _insert_loop_build(graph, initial):
     n = graph.n
     state = FlatLocalSearchState.__new__(FlatLocalSearchState)
     state.graph = graph
-    state.xadj, state.adj = graph.csr_arrays()
+    state.xadj, state.adj = graph.flat_csr()
     state.in_solution = bytearray(n)
     state.tightness = [0] * n
     state.size = 0

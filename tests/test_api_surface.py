@@ -70,9 +70,9 @@ class TestReduceFunctions:
 
 
 class TestGraphCSR:
-    def test_csr_arrays_shape(self):
+    def test_flat_csr_shape(self):
         g = cycle_graph(5)
-        offsets, targets = g.csr_arrays()
+        offsets, targets = g.flat_csr()
         assert len(offsets) == 6
         assert len(targets) == 10
         assert offsets[-1] == len(targets)

@@ -11,9 +11,10 @@ test:
 quicktest:
 	pytest tests/ -x -q -p no:randomly -k "not hypothesis"
 
-# reprolint (the repo's own contract checker) always runs; ruff and mypy
-# run when installed and are skipped otherwise, so `make lint` works in the
-# minimal container while CI (which installs both) gets the full gate.
+# reprolint (the repo's own contract checker, rules RL001-RL008) always
+# runs; ruff and mypy run when installed and are skipped otherwise, so
+# `make lint` works in the minimal container while CI (which installs
+# both) gets the full gate.
 # All four project trees are linted strictly in one uncached pass; the
 # committed lint-baseline.json absorbs the accepted pre-existing advice.
 lint:

@@ -62,12 +62,9 @@ def _mark(graph: Graph, selected: Set[int]) -> Optional[Tuple[Any, Any]]:
 
 
 def _independent_by_loop(graph: Graph, selected: Set[int]) -> bool:
-    # Deterministic scan order (the verifier sits on decision-log paths,
-    # and RL009 cannot know the boolean is order-independent).
-    ordered = sorted(selected)
-    if any(not 0 <= v < graph.n for v in ordered):
+    if any(not 0 <= v < graph.n for v in selected):
         return False
-    for v in ordered:
+    for v in selected:
         for w in graph.neighbors(v):
             if w in selected:
                 return False

@@ -326,7 +326,9 @@ class FlatTriangleWorkspace:
         # Each kept row holds only its kept neighbours, in input row order;
         # a removed vertex has an empty row and starts dead.
         rows = np.flatnonzero(keep)
-        ends, adj = graph._induced_rows(rows, np.where(keep, np.arange(n), -1))
+        ends, adj = graph._induced_rows(
+            rows, np.where(keep, np.arange(n, dtype=np.int64), -1)
+        )
         deg = np.zeros(n, dtype=np.int64)
         deg[rows] = np.diff(ends, prepend=0)
         xadj = np.zeros(n + 1, dtype=np.int64)

@@ -12,12 +12,13 @@ instead of a perf run three PRs later.
 Since PR 9 the engine is *whole-project*: it indexes every function
 across the run, builds a call graph (direct calls, registry dispatch,
 oracle-hook indirection — :mod:`repro.lint.graph`) over a dataflow
-substrate (:mod:`repro.lint.dataflow`), and runs four cross-module
-rules on top: RL006 transitive hot-loop purity, RL007 fork safety,
-RL008 request-context propagation, RL009 decision-log determinism.
-Every run is one linear pass over the named trees (a few seconds for
-the whole repo) and subtracts the checked-in baseline of
-accepted findings (:mod:`repro.lint.baseline`).
+substrate (:mod:`repro.lint.dataflow`), and runs three cross-module
+rules on top: RL006 transitive hot-loop purity, RL007 fork safety and
+RL008 request-context propagation.  Every run is one linear pass over
+the named trees (a few seconds for the whole repo) and subtracts the
+checked-in baseline of accepted findings (:mod:`repro.lint.baseline`).
+Each rule is kept because the ablation in ``docs/static-analysis.md``
+found defects it catches that the rest of the test suite misses.
 
 Layout mirrors :mod:`repro.obs`:
 
@@ -26,7 +27,7 @@ Layout mirrors :mod:`repro.obs`:
   (``# reprolint: disable=RL001``), rule driving;
 * :mod:`repro.lint.dataflow` / :mod:`repro.lint.graph` — name
   resolution, function index, call graph;
-* :mod:`repro.lint.rules` — one module per rule (RL001–RL009);
+* :mod:`repro.lint.rules` — one module per rule (RL001–RL008);
 * :mod:`repro.lint.baseline` — accepted findings;
 * :mod:`repro.lint.cli` — the ``python -m repro.lint`` / ``repro lint``
   front end.

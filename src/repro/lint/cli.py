@@ -39,8 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro lint",
         description=(
             "reprolint: per-file and whole-project AST checks for the repo's "
-            "hot-path, telemetry, stat-key, oracle-hook, dtype, fork-safety, "
-            "request-context and determinism contracts"
+            "hot-path, telemetry, stat-key, oracle-hook, dtype, fork-safety "
+            "and request-context contracts"
         ),
     )
     parser.add_argument(

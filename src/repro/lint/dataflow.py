@@ -1,6 +1,6 @@
 """Name-resolution and reaching-assignment substrate for project rules.
 
-The cross-module rules (RL006–RL009) need answers a single-file AST walk
+The cross-module rules (RL006–RL008) need answers a single-file AST walk
 cannot give: *what does this name refer to?* — through imports and
 re-exports, registry dicts (``ALGORITHM_BY_NAME[name]``), factory-hook
 defaults (``factory = FlatWorkspace if workspace_factory is None else
@@ -26,15 +26,11 @@ cycles and predictable cost:
 ``("result", qname)``     the return value of calling a project function
 ``("registry", qname)``   a module-level dispatch dict (name → callable)
 ``("registry_item", q)``  one value subscripted out of such a dict
-``("module", dotted)``    an imported module alias (``np`` → ``numpy``)
-``("external", dotted)``  an imported symbol the project does not define
+``("module", dotted)``    an imported project module (``obs`` → ``repro.obs``)
 ``("param", name)``       a parameter of the enclosing function
-``("param_attr", p, a)``  attribute ``a`` of parameter ``p`` (``ws.log``)
 ``("global_mutable", q)`` a module-level dict/list/set (cache) binding
-``("container", kind)``   a locally-built set/dict/list/generator
-``("builtin", name)``     a container-constructing builtin
-``("const",)``            a literal constant
-``("unknown",)``          everything else
+``("unknown",)``          everything else, including symbols the
+                          project does not define
 ========================  ====================================================
 
 Resolution is *unioning*: a name assigned on two branches yields both
@@ -66,16 +62,6 @@ UNKNOWN: Origin = ("unknown",)
 #: Oracle-hook parameter names (shared with RL004): a call through one of
 #: these resolves to every value the project passes for that hook.
 HOOK_PARAMS = frozenset({"workspace_factory", "state_factory"})
-
-#: Builtins that construct containers, mapped to the container kind.
-_CONTAINER_BUILTINS: Dict[str, str] = {
-    "set": "set",
-    "frozenset": "set",
-    "dict": "dict",
-    "list": "list",
-    "sorted": "list",
-    "tuple": "tuple",
-}
 
 #: Call targets at module level that build a mutable module global.
 _MUTABLE_FACTORIES = frozenset(
@@ -323,8 +309,6 @@ class FunctionScope:
             if name in scope.mutable_globals:
                 out.add(("global_mutable", f"{scope.name}:{name}"))
             return out or {UNKNOWN}
-        if name in _CONTAINER_BUILTINS:
-            return {("builtin", name)}
         return {UNKNOWN}
 
     def _param_origins(self, name: str) -> Set[Origin]:
@@ -388,18 +372,6 @@ class FunctionScope:
             for value in expr.values:
                 out |= self.origins_of(value, _depth + 1, _stack)
             return out or {UNKNOWN}
-        if isinstance(expr, (ast.Set, ast.SetComp)):
-            return {("container", "set")}
-        if isinstance(expr, (ast.Dict, ast.DictComp)):
-            return {("container", "dict")}
-        if isinstance(expr, (ast.List, ast.ListComp)):
-            return {("container", "list")}
-        if isinstance(expr, ast.GeneratorExp):
-            return {("container", "generator")}
-        if isinstance(expr, ast.Tuple):
-            return {("container", "tuple")}
-        if isinstance(expr, ast.Constant):
-            return {("const",)}
         if isinstance(expr, ast.Await):
             return self.origins_of(expr.value, _depth + 1, _stack)
         return {UNKNOWN}
@@ -413,14 +385,10 @@ class FunctionScope:
             kind = origin[0]
             if kind == "module":
                 out |= self.index.resolve_symbol(f"{origin[1]}.{expr.attr}")  # type: ignore[attr-defined]
-            elif kind == "external":
-                out.add(("external", f"{origin[1]}.{expr.attr}"))
             elif kind in ("instance", "class"):
                 method = self.index.lookup_method(origin[1], expr.attr)  # type: ignore[attr-defined]
                 if method is not None:
                     out.add(method)
-            elif kind == "param":
-                out.add(("param_attr", origin[1], expr.attr))
         return out or {UNKNOWN}
 
     def _call_origins(
@@ -433,6 +401,4 @@ class FunctionScope:
                 out.add(("instance", origin[1]))
             elif kind == "func":
                 out.add(("result", origin[1]))
-            elif kind == "builtin":
-                out.add(("container", _CONTAINER_BUILTINS[origin[1]]))
         return out or {UNKNOWN}

@@ -7,7 +7,7 @@ parsed suppression comments) and drives the rules from
 * ``check_module`` — per-file rules (RL001–RL003, RL005);
 * ``check_project`` — cross-file rules over all modules (RL004);
 * ``check_graph`` — call-graph rules over a lazily built
-  :class:`~repro.lint.graph.Project` (RL006–RL009).
+  :class:`~repro.lint.graph.Project` (RL006–RL008).
 
 :func:`lint_paths` is the one path-based pipeline: it reads and parses
 every file (unreadable, undecodable or unparseable files become ``RL000``

@@ -32,6 +32,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .dataflow import (
     HOOK_PARAMS,
+    UNKNOWN,
     FunctionScope,
     ModuleScope,
     Origin,
@@ -169,20 +170,20 @@ class ProjectIndex:
         cached = self._symbol_cache.get(dotted)
         if cached is not None:
             return cached
-        self._symbol_cache[dotted] = {("unknown",)}  # cycle guard
+        self._symbol_cache[dotted] = {UNKNOWN}  # cycle guard
         result = self._resolve_symbol_uncached(dotted, _depth)
         self._symbol_cache[dotted] = result
         return result
 
     def _resolve_symbol_uncached(self, dotted: str, depth: int) -> Set[Origin]:
         if depth > 5:
-            return {("external", dotted)}
+            return {UNKNOWN}
         if dotted in self.scopes_by_name:
             return {("module", dotted)}
         head, _, tail = dotted.rpartition(".")
         scope = self.scopes_by_name.get(head) if head else None
         if scope is None:
-            return {("external", dotted)}
+            return {UNKNOWN}
         if tail in scope.registries:
             return {("registry", f"{scope.name}:{tail}")}
         if tail in scope.defs:
@@ -198,7 +199,7 @@ class ProjectIndex:
             if tail in scope.mutable_globals:
                 out.add(("global_mutable", f"{scope.name}:{tail}"))
             return out
-        return {("external", dotted)}
+        return {UNKNOWN}
 
     def lookup_method(self, class_qname: str, attr: str) -> Optional[Origin]:
         """Resolve ``attr`` on a class, walking declared project bases."""

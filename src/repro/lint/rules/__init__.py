@@ -14,12 +14,13 @@ RL005     flat-buffer-dtype            numpy constructions pin ``dtype=``
 RL006     transitive-hot-loop          @hot_loop closure stays @hot_loop
 RL007     fork-safety                  worker payloads leave global state alone
 RL008     request-context-propagation  serve verbs thread RequestContext/timeout
-RL009     decision-log-determinism     log paths avoid set order / global RNGs
 ========  ===========================  ========================================
 
 RL001–RL005 are per-file (``check_module``/``check_project``);
-RL006–RL009 are cross-module (``check_graph``) and run over the project
-call graph built by :mod:`repro.lint.graph`.
+RL006–RL008 are cross-module (``check_graph``) and run over the project
+call graph built by :mod:`repro.lint.graph`.  RL009 is retired and is
+not reused: the ablation in ``docs/static-analysis.md`` found that the
+differential and pinned-digest tests catch every defect it targeted.
 
 To add a rule: write ``rules/<name>.py`` subclassing
 :class:`~repro.lint.rules.base.Rule`, give it a fresh ``RLxxx`` id, and
@@ -33,7 +34,6 @@ from typing import Dict, List, Optional, Sequence, Type
 
 from .base import Rule, decorator_names, is_hot_loop
 from .context_flow import RequestContextRule
-from .determinism import DecisionLogDeterminismRule
 from .dtype import DtypeDisciplineRule
 from .fork_safety import ForkSafetyRule
 from .hot_loop import HotLoopPurityRule
@@ -46,7 +46,6 @@ __all__ = [
     "ALL_RULES",
     "RULES_BY_ID",
     "Rule",
-    "DecisionLogDeterminismRule",
     "DtypeDisciplineRule",
     "ForkSafetyRule",
     "HotLoopPurityRule",
@@ -70,7 +69,6 @@ ALL_RULES: Sequence[Type[Rule]] = (
     TransitiveHotLoopRule,
     ForkSafetyRule,
     RequestContextRule,
-    DecisionLogDeterminismRule,
 )
 
 #: Rule classes keyed by their ``RLxxx`` identifier.

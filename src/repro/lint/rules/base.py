@@ -9,7 +9,7 @@ A rule is a small stateless object with a class-level identity
   cross-reference files (RL004 walks the test ASTs to certify the source
   modules); receives every module of the run.
 * :meth:`Rule.check_graph` — call-graph analysis for the cross-module
-  rules (RL006–RL009); receives a :class:`~repro.lint.graph.Project`
+  rules (RL006–RL008); receives a :class:`~repro.lint.graph.Project`
   exposing the function index, dataflow scopes and call graph.  The
   engine only builds the project view when at least one active rule
   overrides this hook.

@@ -9,11 +9,12 @@ construction in ``src/`` to pin ``dtype=`` explicitly.
 
 The rule resolves numpy aliases from the module's own imports (``import
 numpy``, ``import numpy as _np``, ``from numpy import zeros``) — at any
-nesting level, so a function-local import is resolved too — and flags calls to the constructing functions (``zeros``,
-``empty``, ``ones``, ``full``, ``arange``, ``array``, ``asarray``,
-``fromiter``, ``frombuffer``) whose keywords lack ``dtype``.  The
-``*_like`` constructors inherit their dtype from the template array and
-are exempt.
+nesting level, so a function-local import is resolved too, as is a
+rebinding such as ``np = _np`` — and flags calls to the constructing
+functions (``zeros``, ``empty``, ``ones``, ``full``, ``arange``,
+``array``, ``asarray``, ``fromiter``, ``frombuffer``) whose keywords
+lack ``dtype``.  The ``*_like`` constructors inherit their dtype from
+the template array and are exempt.
 """
 
 from __future__ import annotations
@@ -34,7 +35,12 @@ _CONSTRUCTORS = frozenset(
 
 
 def _numpy_aliases(module: LintModule) -> Set[str]:
-    """Local names bound to the numpy module (``numpy``, ``np``, ``_np`` …)."""
+    """Local names bound to the numpy module (``numpy``, ``np``, ``_np`` …).
+
+    A plain rebinding of an alias (the function-local ``np = _np``) binds
+    its target too; ``ast.walk`` reaches an import before any rebinding
+    nested deeper or later in the same body.
+    """
     aliases: Set[str] = set()
     for node in ast.walk(module.tree):
         if isinstance(node, ast.Import):
@@ -42,6 +48,14 @@ def _numpy_aliases(module: LintModule) -> Set[str]:
                 alias.asname or alias.name
                 for alias in node.names
                 if alias.name == "numpy"
+            )
+        elif (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        ):
+            aliases.update(
+                target.id for target in node.targets if isinstance(target, ast.Name)
             )
     return aliases
 

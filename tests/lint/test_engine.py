@@ -134,7 +134,6 @@ class TestRegistry:
             "RL006",
             "RL007",
             "RL008",
-            "RL009",
         ]
 
     def test_default_rules_subset_and_unknown(self):

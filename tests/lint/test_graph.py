@@ -7,7 +7,7 @@ return-passthrough ``_resolve(name)(g)`` shape), ``workspace_factory``/
 ``state_factory`` hook indirection, cycle termination — and then checks
 the same machinery against the actual ``src/repro`` tree
 (``ALGORITHM_BY_NAME``, ``KERNEL_METHODS``, the shard worker), plus
-the RL006–RL009 repo-clean self-check backing the committed baseline.
+the RL006–RL008 repo-clean self-check.
 """
 
 import os
@@ -343,10 +343,10 @@ class TestRealRepoResolution:
 
 
 class TestRepoCleanOnGraphRules:
-    def test_src_is_clean_under_rl006_to_rl009(self):
+    def test_src_is_clean_under_rl006_to_rl008(self):
         findings = lint_paths(
             [os.path.join(REPO_ROOT, "src")],
-            rules=default_rules(["RL006", "RL007", "RL008", "RL009"]),
+            rules=default_rules(["RL006", "RL007", "RL008"]),
         )
         offenders = blocking(findings)
         assert offenders == [], "\n".join(f.render() for f in offenders)

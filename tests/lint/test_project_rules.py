@@ -1,4 +1,4 @@
-"""Cross-module rule fixtures (RL006–RL009) and seeded-mutation checks.
+"""Cross-module rule fixtures (RL006–RL008) and seeded-mutation checks.
 
 Two layers of evidence that the whole-project rules earn their keep:
 
@@ -10,6 +10,8 @@ Two layers of evidence that the whole-project rules earn their keep:
   a historical class of bug (dropping a ``@hot_loop`` marker, metering
   inside a forked worker, dropping the request context from a service
   verb), and assert the matching rule catches exactly that regression.
+  ``PLANTED`` holds the graph-rule defects of the ablation in
+  ``docs/static-analysis.md`` that no other test catches.
 """
 
 import os
@@ -322,46 +324,6 @@ class TestRequestContextAsyncVerbs:
         assert run_rules(sources, ["RL008"]) == []
 
 
-class TestDecisionLogDeterminism:
-    SOURCES = {
-        "src/repro/core/driver.py": """
-        from .pick import pick_vertex
-
-        def reduce_round(ws):
-            v = pick_vertex(ws)
-            ws.log.include(v)
-        """,
-        "src/repro/core/pick.py": """
-        def pick_vertex(ws):
-            candidates = set(ws.frontier)
-            for v in candidates:
-                return v
-            return -1
-        """,
-    }
-
-    def test_set_iteration_behind_log_appender_is_flagged(self):
-        findings = run_rules(self.SOURCES, ["RL009"])
-        assert [f.rule_id for f in findings] == ["RL009"]
-        finding = findings[0]
-        assert finding.path == "src/repro/core/pick.py"
-
-    def test_helper_alone_is_silent(self):
-        sources = {"src/repro/core/pick.py": self.SOURCES["src/repro/core/pick.py"]}
-        assert run_rules(sources, ["RL009"]) == []
-
-    def test_sorted_iteration_is_clean(self):
-        fixed = dict(self.SOURCES)
-        fixed["src/repro/core/pick.py"] = """
-        def pick_vertex(ws):
-            candidates = set(ws.frontier)
-            for v in sorted(candidates):
-                return v
-            return -1
-        """
-        assert run_rules(fixed, ["RL009"]) == []
-
-
 @pytest.fixture(scope="module")
 def src_sources():
     sources = {}
@@ -370,6 +332,39 @@ def src_sources():
         with open(path, "r", encoding="utf-8") as handle:
             sources[rel] = handle.read()
     return sources
+
+
+#: Ablation plants (ids as in docs/static-analysis.md) that pass every
+#: non-lint test: ``id -> (rule, path, [(old, new), ...])``.
+PLANTED = {
+    "rl007-list-serve": ("RL007", "src/repro/serve/repair.py", [
+        ("\ndef repair_solution(", "\n_REPAIRS: List[int] = []\n\n\ndef repair_solution("),
+        ("    region = affected_region(",
+         "    _REPAIRS.append(len(seeds))\n    region = affected_region("),
+    ]),
+    "rl007-global-core": ("RL007", "src/repro/core/linear_time.py", [
+        ("\n\n@hot_loop\ndef _reduce_flat(", "\n\n_RUNS = 0\n\n\n@hot_loop\ndef _reduce_flat("),
+        ("    workspace, _ = _set_up_and_run(graph, workspace_factory, telemetry, \"LinearTime\"",
+         "    global _RUNS\n    _RUNS += 1\n"
+         "    workspace, _ = _set_up_and_run(graph, workspace_factory, telemetry, \"LinearTime\""),
+    ]),
+    "rl007-store-core": ("RL007", "src/repro/core/near_linear.py", [
+        ("\ndef _run(workspace: Any, stop_before_peel: bool) -> bool:\n"
+         '    """Dispatch to the specialized or the generic main loop."""\n',
+         "\n_RUNS: dict = {}\n\n\ndef _run(workspace: Any, stop_before_peel: bool) -> bool:\n"
+         '    """Dispatch to the specialized or the generic main loop."""\n'
+         '    _RUNS["near_linear"] = _RUNS.get("near_linear", 0) + 1\n'),
+    ]),
+    "rl008-timeout-service": ("RL008", "src/repro/serve/service.py", [
+        ("result = self.solve(graph_id, timeout=timeout, context=context)",
+         "result = self.solve(graph_id, context=context)"),
+    ]),
+    "rl008-verb": ("RL008", "src/repro/serve/service.py", [
+        ("self, graph_id: str, v: int, context: Optional[RequestContext] = None\n",
+         "self, graph_id: str, v: int\n"),
+        ('[Mutation("remove_vertex", v)], context)', '[Mutation("remove_vertex", v)], None)'),
+    ]),
+}
 
 
 def mutate(sources, rel_path, old, new):
@@ -450,9 +445,20 @@ class TestSeededMutations:
         assert all(f.path.endswith("service.py") for f in findings)
         assert any("upper_bound" in f.message for f in findings)
 
+    @pytest.mark.parametrize("plant", sorted(PLANTED))
+    def test_planted_defect_trips_its_rule(self, src_sources, plant):
+        rule, path, edits = PLANTED[plant]
+        mutated = src_sources
+        for old, new in edits:
+            assert mutated[path].count(old) == 1, f"plant anchor moved in {path}"
+            mutated = mutate(mutated, path, old, new)
+        findings = lint_sources(mutated, rules=default_rules([rule]))
+        assert findings, f"{rule} missed the planted defect"
+        assert {f.path for f in findings} == {path}
+
     def test_unmutated_src_is_clean_on_graph_rules(self, src_sources):
         findings = lint_sources(
             src_sources,
-            rules=default_rules(["RL006", "RL007", "RL008", "RL009"]),
+            rules=default_rules(["RL006", "RL007", "RL008"]),
         )
         assert findings == [], "\n".join(f.render() for f in findings)

@@ -136,11 +136,12 @@ class TestTelemetryDiscipline:
             def run(telemetry):
                 span = phase("reduce")
                 timer = telemetry.span("peel")
+                telemetry.scoped(component=0)
             """,
             TelemetryDisciplineRule,
         )
         assert rule_ids(findings) == ["RL002"]
-        assert len(findings) == 2
+        assert len(findings) == 3
 
     def test_with_usage_is_clean(self):
         findings = findings_for(
@@ -435,6 +436,21 @@ class TestDtypeDiscipline:
             DtypeDisciplineRule,
         )
         assert len(findings) == 3
+        assert rule_ids(findings) == ["RL005"]
+
+    def test_flags_function_local_alias(self):
+        # The workspaces bind ``np = _np`` at the top of a function body.
+        findings = findings_for(
+            """
+            import numpy as _np
+
+            def build(n):
+                np = _np
+                return np.zeros(3)
+            """,
+            DtypeDisciplineRule,
+        )
+        assert [f.line for f in findings] == [6]
         assert rule_ids(findings) == ["RL005"]
 
     def test_pinned_dtype_is_clean(self):

@@ -28,6 +28,7 @@ from repro.serve import (
     ServiceConfig,
     SolverService,
     cold_solve,
+    handle_request,
     run_requests,
 )
 
@@ -203,6 +204,11 @@ class TestTimeout:
         assert stale.source == "stale"
         _validate(service, gid, stale)
         assert stale.size >= SIZE_TOLERANCE * good.size
+        # A served request carries the same budget down to the verb.
+        served = handle_request(service, {"op": "solve", "id": gid, "timeout": 0.0})
+        assert served["ok"]
+        assert served["source"] == "stale"
+        assert served["stale"]
         # Dirty state is retained, so a budgeted retry repairs for real.
         retry = service.solve(gid)
         assert retry.source == "repair"

@@ -15,12 +15,13 @@ per-object overhead would drown the structural signal, so
 :func:`model_words` reports the paper's structural word counts (preserving
 the 3× BDTwo-vs-rest ratio, which is a data-structure property) and
 :func:`measure_peak_bytes` offers a tracemalloc-based live measurement for
-anyone who wants raw interpreter numbers.
+anyone who wants raw interpreter numbers (through
+:class:`~repro.obs.memory.MemoryProbe`, so it nests inside an enclosing
+trace).
 """
 
 from __future__ import annotations
 
-import tracemalloc
 from typing import Callable, Dict, Tuple
 
 from ..errors import ReproError
@@ -68,11 +69,15 @@ def model_words(algorithm: str, graph: Graph) -> int:
 
 
 def measure_peak_bytes(fn: Callable[[], object]) -> Tuple[object, int]:
-    """Run ``fn`` and return ``(result, peak_heap_bytes)`` via tracemalloc."""
-    tracemalloc.start()
-    try:
+    """Run ``fn`` and return ``(result, peak_heap_bytes)`` via tracemalloc.
+
+    An enclosing trace (a :class:`~repro.obs.memory.MemoryProbe`, or a
+    caller's own ``tracemalloc.start()``) keeps running and keeps its peak.
+    """
+    # Imported here: repro.obs imports the core drivers, which import
+    # repro.analysis.
+    from ..obs.memory import MemoryProbe
+
+    with MemoryProbe() as probe:
         result = fn()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, peak
+    return result, probe.peak_bytes

@@ -25,15 +25,19 @@ The subcommands cover the library's everyday uses:
 * ``lint``      — reprolint, the repo's contract checker; its arguments
   go unchanged to :mod:`repro.lint.cli`.
 
-Graph files are auto-detected by extension: ``.metis``/``.graph`` (METIS),
+Graph files are auto-detected by extension (:func:`repro.graphs.read_graph`
+/ :func:`~repro.graphs.write_graph`): ``.metis``/``.graph`` (METIS),
 ``.col``/``.dimacs`` (DIMACS), anything else as a SNAP edge list.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import signal
 import sys
-from typing import List, Optional, Tuple
+from contextlib import ExitStack, contextmanager
+from typing import Callable, Iterator, List, Optional, TextIO, Tuple
 
 from .analysis import complement_vertex_cover
 from .baselines import du, greedy, online_mis, redumis, semi_external
@@ -46,16 +50,13 @@ from .core import (
 )
 from .errors import ReproError
 from .graphs import (
-    Graph,
     gnm_random_graph,
     power_law_graph,
-    read_dimacs,
-    read_edge_list,
-    read_metis,
+    read_graph,
     web_like_graph,
-    write_edge_list,
-    write_metis,
+    write_graph,
 )
+from .serve import ServiceConfig
 
 __all__ = ["main", "build_parser"]
 
@@ -68,24 +69,8 @@ _BASELINES = {
 }
 
 
-def load_graph(path: str) -> Tuple[Graph, Optional[List[int]]]:
-    """Read a graph file, dispatching on the extension.
-
-    Returns ``(graph, labels)``; ``labels`` maps compacted ids back to the
-    file's original labels for edge lists, and is ``None`` for the
-    1-indexed formats.
-    """
-    lower = path.lower()
-    if lower.endswith((".metis", ".graph")):
-        return read_metis(path, name=path), None
-    if lower.endswith((".col", ".dimacs")):
-        return read_dimacs(path, name=path), None
-    graph, labels = read_edge_list(path, name=path)
-    return graph, labels
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
-    graph, labels = load_graph(args.graph)
+    graph, labels = read_graph(args.graph)
     name = args.algorithm
 
     def run():
@@ -140,17 +125,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_kernelize(args: argparse.Namespace) -> int:
-    graph, _ = load_graph(args.graph)
+    graph, _ = read_graph(args.graph)
     kernel_result = kernelize(graph, method=args.method)
     kernel = kernel_result.kernel
     print(f"# input : n={graph.n} m={graph.m}")
     print(f"# kernel: n={kernel.n} m={kernel.m} (method={args.method})")
     print(f"# rules fired: {dict(kernel_result.log.stats)}")
     if args.output:
-        if args.output.lower().endswith((".metis", ".graph")):
-            write_metis(kernel, args.output)
-        else:
-            write_edge_list(kernel, args.output)
+        write_graph(kernel, args.output)
         print(f"# wrote kernel to {args.output}")
     return 0
 
@@ -158,7 +140,7 @@ def _cmd_kernelize(args: argparse.Namespace) -> int:
 def _cmd_info(args: argparse.Namespace) -> int:
     from .graphs import connected_components, degeneracy, degree_histogram
 
-    graph, _ = load_graph(args.graph)
+    graph, _ = read_graph(args.graph)
     histogram = degree_histogram(graph)
     components = connected_components(graph)
     print(f"vertices        : {graph.n}")
@@ -183,10 +165,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         graph = web_like_graph(
             args.n, attach=max(1, round(args.avg_degree / 2)), seed=args.seed
         )
-    if args.output.lower().endswith((".metis", ".graph")):
-        write_metis(graph, args.output)
-    else:
-        write_edge_list(graph, args.output)
+    write_graph(graph, args.output)
     print(f"# wrote {args.family} graph n={graph.n} m={graph.m} to {args.output}")
     return 0
 
@@ -198,12 +177,60 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import json
-    import signal
-    from contextlib import ExitStack
+def _service_config(args: argparse.Namespace) -> ServiceConfig:
+    return ServiceConfig(
+        algorithm=args.algorithm,
+        cache_capacity=args.cache_capacity,
+        dirty_threshold=args.dirty_threshold,
+        repair_radius=args.repair_radius,
+        default_timeout=args.timeout,
+    )
 
-    from .serve import SolverService, ServiceConfig
+
+@contextmanager
+def _serve_streams(
+    args: argparse.Namespace, on_signal: Callable[[int, object], None]
+) -> Iterator[Tuple[TextIO, TextIO]]:
+    """``repro serve``'s request source and response sink, with
+    ``on_signal`` installed for SIGTERM/SIGINT while they are open.
+
+    The source is the request file (stdin for ``-``), the sink
+    ``--output`` (stdout when unset); files are closed and the previous
+    signal handlers restored on exit, however the block ends.
+    """
+    with ExitStack() as stack:
+        for signum in (signal.SIGTERM, signal.SIGINT):
+            try:
+                previous = signal.signal(signum, on_signal)
+            except ValueError:  # pragma: no cover - non-main thread (tests)
+                continue
+            stack.callback(signal.signal, signum, previous)
+        source = (
+            sys.stdin
+            if args.requests == "-"
+            else stack.enter_context(open(args.requests, "r", encoding="utf-8"))
+        )
+        sink = (
+            stack.enter_context(open(args.output, "w", encoding="utf-8"))
+            if args.output
+            else sys.stdout
+        )
+        yield source, sink
+
+
+def _write_metrics(registry, path: str) -> None:
+    """``--metrics-out``: JSON lines for ``.jsonl``, else Prometheus text."""
+    if path.endswith(".jsonl"):
+        count = registry.write_jsonl(path)
+        print(f"# metrics: {count} records to {path}", file=sys.stderr)
+    else:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(registry.to_prometheus())
+        print(f"# metrics: Prometheus exposition to {path}", file=sys.stderr)
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    from .serve import SolverService
     from .serve.requests import serve_stream
 
     if getattr(args, "use_async", False):
@@ -225,13 +252,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
 
-    previous_handlers = {}
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            previous_handlers[signum] = signal.signal(signum, _on_signal)
-        except ValueError:  # pragma: no cover - non-main thread (tests)
-            pass
-
     with ExitStack() as stack:
         telemetry = None
         if args.metrics_out:
@@ -251,43 +271,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         else:
-            service = SolverService(
-                ServiceConfig(
-                    algorithm=args.algorithm,
-                    cache_capacity=args.cache_capacity,
-                    dirty_threshold=args.dirty_threshold,
-                    repair_radius=args.repair_radius,
-                    default_timeout=args.timeout,
-                )
-            )
-        if args.requests == "-":
-            source = sys.stdin
-            close_source = None
-        else:
-            close_source = open(args.requests, "r", encoding="utf-8")
-            source = close_source
-        if args.output:
-            sink = open(args.output, "w", encoding="utf-8")
-        else:
-            sink = sys.stdout
+            service = SolverService(_service_config(args))
         try:
-            failed = serve_stream(
-                service,
-                source,
-                sink,
-                should_stop=lambda: stop_requested["flag"],
-            )
+            with _serve_streams(args, _on_signal) as (source, sink):
+                failed = serve_stream(
+                    service,
+                    source,
+                    sink,
+                    should_stop=lambda: stop_requested["flag"],
+                )
         except KeyboardInterrupt:
             # Second signal while blocked on a read: treat as a completed
             # drain so the epilogue still flushes and the exit code is 0.
             failed = 0
-        finally:
-            for signum, handler in previous_handlers.items():
-                signal.signal(signum, handler)
-            if close_source is not None:
-                close_source.close()
-            if args.output:
-                sink.close()
         if args.snapshot:
             service.save(args.snapshot)
             print(f"# snapshot written to {args.snapshot}", file=sys.stderr)
@@ -297,19 +293,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         if args.metrics_out:
-            if args.metrics_out.endswith(".jsonl"):
-                count = service.metrics.write_jsonl(args.metrics_out)
-                print(
-                    f"# metrics: {count} records to {args.metrics_out}",
-                    file=sys.stderr,
-                )
-            else:
-                with open(args.metrics_out, "w", encoding="utf-8") as handle:
-                    handle.write(service.metrics.to_prometheus())
-                print(
-                    f"# metrics: Prometheus exposition to {args.metrics_out}",
-                    file=sys.stderr,
-                )
+            _write_metrics(service.metrics, args.metrics_out)
         if args.trace_out and telemetry is not None:
             from .obs import write_trace
 
@@ -332,11 +316,8 @@ def _serve_async(args: argparse.Namespace) -> int:
     modulo provenance fields.
     """
     import asyncio
-    import json
-    import signal
-    from contextlib import ExitStack
 
-    from .serve import AsyncFrontend, ServiceConfig, ShardRouter, serve_forever
+    from .serve import AsyncFrontend, ShardRouter, serve_forever
     from .serve.requests import error_response, parse_request_line, salvage_rid
 
     if args.restore or args.snapshot:
@@ -349,13 +330,7 @@ def _serve_async(args: argparse.Namespace) -> int:
             "--trace-out applies to the single-process mode only; use "
             "--metrics-out for the frontend's repro_frontend_* series"
         )
-    config = ServiceConfig(
-        algorithm=args.algorithm,
-        cache_capacity=args.cache_capacity,
-        dirty_threshold=args.dirty_threshold,
-        repair_radius=args.repair_radius,
-        default_timeout=args.timeout,
-    )
+    config = _service_config(args)
     failed = 0
     with ExitStack() as stack:
         if args.metrics_out:
@@ -382,18 +357,17 @@ def _serve_async(args: argparse.Namespace) -> int:
                     except (NotImplementedError, RuntimeError):
                         pass  # pragma: no cover - non-main thread / platform
 
-                class _Announce:
-                    def put(self, bound: tuple) -> None:
-                        print(
-                            f"# listening on {bound[0]}:{bound[1]} "
-                            f"({args.shards} shard(s), mode={args.mode}); "
-                            "SIGTERM/SIGINT drains and exits 0",
-                            file=sys.stderr,
-                        )
+                def _announce(bound: Tuple[str, int]) -> None:
+                    print(
+                        f"# listening on {bound[0]}:{bound[1]} "
+                        f"({args.shards} shard(s), mode={args.mode}); "
+                        "SIGTERM/SIGINT drains and exits 0",
+                        file=sys.stderr,
+                    )
 
                 await serve_forever(
                     frontend, host=args.host, port=args.port,
-                    ready=_Announce(), stop=stop,
+                    ready=_announce, stop=stop,
                 )
                 final_stats.update(frontend.snapshot())
 
@@ -404,21 +378,7 @@ def _serve_async(args: argparse.Namespace) -> int:
             def _on_signal(signum: int, _frame: object) -> None:
                 stop_requested["flag"] = True
 
-            previous = {}
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                try:
-                    previous[signum] = signal.signal(signum, _on_signal)
-                except ValueError:  # pragma: no cover - non-main thread
-                    pass
-            if args.requests == "-":
-                source = sys.stdin
-                close_source = None
-            else:
-                close_source = open(args.requests, "r", encoding="utf-8")
-                source = close_source
-            sink = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
-
-            async def _replay() -> None:
+            async def _replay(source: TextIO, sink: TextIO) -> None:
                 nonlocal failed
                 await frontend.start()
                 try:
@@ -443,40 +403,19 @@ def _serve_async(args: argparse.Namespace) -> int:
                 finally:
                     await frontend.drain()
 
-            try:
-                asyncio.run(_replay())
-            finally:
-                for signum, handler in previous.items():
-                    signal.signal(signum, handler)
-                if close_source is not None:
-                    close_source.close()
-                if args.output:
-                    sink.close()
+            with _serve_streams(args, _on_signal) as (source, sink):
+                asyncio.run(_replay(source, sink))
         if args.stats:
             print(
                 f"# frontend: {json.dumps(final_stats, sort_keys=True)}",
                 file=sys.stderr,
             )
         if args.metrics_out:
-            if args.metrics_out.endswith(".jsonl"):
-                count = frontend.metrics.write_jsonl(args.metrics_out)
-                print(
-                    f"# metrics: {count} records to {args.metrics_out}",
-                    file=sys.stderr,
-                )
-            else:
-                with open(args.metrics_out, "w", encoding="utf-8") as handle:
-                    handle.write(frontend.metrics.to_prometheus())
-                print(
-                    f"# metrics: Prometheus exposition to {args.metrics_out}",
-                    file=sys.stderr,
-                )
+            _write_metrics(frontend.metrics, args.metrics_out)
     return 1 if failed else 0
 
 
 def _cmd_loadgen(args: argparse.Namespace) -> int:
-    import json
-
     from .serve.loadgen import LoadgenConfig, run_serve_load_benchmark
 
     config = LoadgenConfig(
@@ -521,8 +460,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 
 def _cmd_snapshot(args: argparse.Namespace) -> int:
-    import json
-
     with open(args.snapshot, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     config = payload.get("config", {})

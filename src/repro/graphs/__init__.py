@@ -33,9 +33,11 @@ from .io import (
     loads_edge_list,
     read_dimacs,
     read_edge_list,
+    read_graph,
     read_metis,
     write_dimacs,
     write_edge_list,
+    write_graph,
     write_metis,
 )
 from .named import (
@@ -90,9 +92,11 @@ __all__ = [
     "loads_edge_list",
     "read_dimacs",
     "read_edge_list",
+    "read_graph",
     "read_metis",
     "write_dimacs",
     "write_edge_list",
+    "write_graph",
     "write_metis",
     # named
     "bdtwo_lower_bound_family",

@@ -11,6 +11,10 @@ inputs from:
 * **DIMACS** — the clique/colouring benchmark format: ``p edge n m`` header
   and ``e u v`` lines, 1-indexed.
 
+:func:`read_graph` / :func:`write_graph` pick the format from a path's
+extension: ``.metis``/``.graph`` (METIS), ``.col``/``.dimacs`` (DIMACS),
+anything else an edge list.
+
 An edge list takes one of three routes, all giving the same graph and
 labels.  A plain file (a block of whole-line comments, then ``u v`` lines
 with one space or tab) is parsed by one ``numpy.fromstring`` pass whose
@@ -32,6 +36,8 @@ from ..errors import GraphFormatError
 from .static_graph import Graph
 
 __all__ = [
+    "read_graph",
+    "write_graph",
     "read_edge_list",
     "write_edge_list",
     "read_metis",
@@ -428,3 +434,37 @@ def write_dimacs(graph: Graph, target: PathOrFile) -> None:
     finally:
         if close:
             handle.close()
+
+
+# ----------------------------------------------------------------------
+# Format by file extension
+# ----------------------------------------------------------------------
+_METIS_SUFFIXES = (".metis", ".graph")
+_DIMACS_SUFFIXES = (".col", ".dimacs")
+
+
+def read_graph(path: str) -> Tuple[Graph, Optional[List[int]]]:
+    """Read a graph file in the format its extension names.
+
+    Returns ``(graph, labels)``; ``labels`` maps compacted ids back to the
+    file's original labels for edge lists, and is ``None`` for the
+    1-indexed METIS and DIMACS formats.
+    """
+    lower = path.lower()
+    if lower.endswith(_METIS_SUFFIXES):
+        return read_metis(path, name=path), None
+    if lower.endswith(_DIMACS_SUFFIXES):
+        return read_dimacs(path, name=path), None
+    return read_edge_list(path, name=path)
+
+
+def write_graph(graph: Graph, path: str) -> None:
+    """Write ``graph`` in the format the extension of ``path`` names
+    (the same dispatch as :func:`read_graph`)."""
+    lower = path.lower()
+    if lower.endswith(_METIS_SUFFIXES):
+        write_metis(graph, path)
+    elif lower.endswith(_DIMACS_SUFFIXES):
+        write_dimacs(graph, path)
+    else:
+        write_edge_list(graph, path)

@@ -1,8 +1,8 @@
 """RL008 — request-context propagation in the serving layer.
 
 PR 8 threaded :class:`~repro.serve.context.RequestContext` through every
-``SolverService`` verb so request ids, tenants and deadlines reach the
-spans and the metrics attribution.  The contract
+``SolverService`` verb so request ids and tenants reach the spans and
+the metrics attribution.  The contract
 only holds if *every* hop forwards the context — and a per-file linter
 cannot see that ``handle_request`` builds a context which ``solve`` must
 hand to ``_request_scope``.  RL008 checks three cross-procedure
@@ -19,10 +19,9 @@ properties, scoped to ``repro/serve/`` on **both** ends of each edge
 * **No drops** — a function that *binds* a request context (parameter,
   or a local built via ``RequestContext(...)``/``RequestContext.create``)
   must pass it to every context-accepting serve callee it invokes.
-* **Deadline composition** — a function that binds a ``timeout`` must
-  forward it to every timeout-accepting serve callee, so per-call
-  timeouts keep composing with context deadlines into the stale-return
-  degradation path.
+* **Timeout forwarding** — a function that binds a ``timeout`` must
+  forward it to every timeout-accepting serve callee, so the request's
+  budget reaches the stale-return degradation path.
 """
 
 from __future__ import annotations
@@ -146,8 +145,8 @@ class RequestContextRule(Rule):
                                 node,
                                 f"'{info.display_name}' holds a RequestContext "
                                 f"but calls '{_tail(sorted(ctx_callees)[0])}' "
-                                "without forwarding it — the request id/tenant/"
-                                "deadline are dropped on this hop",
+                                "without forwarding it — the request id/tenant "
+                                "are dropped on this hop",
                                 fixit="pass context=context through the call",
                             )
                         )
@@ -163,8 +162,8 @@ class RequestContextRule(Rule):
                             node,
                             f"'{info.display_name}' holds a timeout but calls "
                             f"'{_tail(sorted(timeout_callees)[0])}' without "
-                            "forwarding it — deadline composition breaks on "
-                            "this hop",
+                            "forwarding it — the request's time budget is "
+                            "lost on this hop",
                             fixit="pass timeout=timeout through the call",
                         )
                     )

@@ -20,14 +20,13 @@ proven-good.  Any other dynamic expression (``bump(rule)`` forwarding a
 rule tag) cannot be resolved statically and is reported as **advice**:
 visible under ``--strict``, non-blocking otherwise.
 
-The same discipline covers **metric names**: the serving layer's metrics
-(:mod:`repro.obs.metrics`) publish through ``inc(...)`` / ``observe(...)``
-/ ``set_gauge(...)``, whose first argument must be a registered
-``METRIC_*`` constant (the registry in ``repro.obs.metrics.METRIC_KEYS``
-— checked at runtime too, but RL003 catches the typo before it runs).
+Metric names are not checked here: ``MetricsRegistry`` raises
+``KeyError`` at run time for any name outside
+``repro.obs.metrics.METRIC_KEYS``, and the serving tests drive every
+metric write site.
 
-The registry modules themselves and :mod:`repro.core.trace` (which
-implements ``bump``) are exempt, as are test modules.
+The registry module itself and :mod:`repro.core.trace` (which implements
+``bump``) are exempt, as are test modules.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ import ast
 from typing import Iterator, Optional
 
 from repro.core.result import ALL_STAT_KEYS
-from repro.obs.metrics import METRIC_KEYS
 
 from ..engine import LintModule
 from ..findings import ADVICE, Finding
@@ -46,13 +44,10 @@ __all__ = ["StatKeyRegistryRule"]
 
 #: Mapping names whose subscript stores are treated as stat-key writes.
 _STAT_MAPPING_NAMES = frozenset({"stats", "rule_counts"})
-#: Registry write methods whose first argument is a metric name.
-_METRIC_WRITE_NAMES = frozenset({"inc", "observe", "set_gauge"})
 #: Files that define rather than consume the registry protocol.
 _EXEMPT_SUFFIXES = (
     "repro/core/result.py",
     "repro/core/trace.py",
-    "repro/obs/metrics.py",
 )
 
 
@@ -63,9 +58,7 @@ class StatKeyRegistryRule(Rule):
     name = "stat-key-registry"
     summary = (
         "stat keys written via bump()/stats[...]/stats={...} must be "
-        "registered STAT_* constants, and metric names passed to "
-        "inc()/observe()/set_gauge() must be registered METRIC_* "
-        "constants (dynamic keys are advice)"
+        "registered STAT_* constants (dynamic keys are advice)"
     )
 
     def check_module(self, module: LintModule) -> Iterator[Finding]:
@@ -91,8 +84,6 @@ class StatKeyRegistryRule(Rule):
         )
         if callee == "bump" and call.args:
             yield from self._check_key(module, call.args[0], "bump()")
-        if callee in _METRIC_WRITE_NAMES and call.args:
-            yield from self._check_metric_key(module, call.args[0], f"{callee}()")
         for keyword in call.keywords:
             if keyword.arg == "stats" and isinstance(keyword.value, ast.Dict):
                 for key in keyword.value.keys:
@@ -118,34 +109,6 @@ class StatKeyRegistryRule(Rule):
                             yield from self._check_key(
                                 module, key, f"{target.id} = {{...}}"
                             )
-
-    def _check_metric_key(
-        self, module: LintModule, key: ast.AST, context: str
-    ) -> Iterator[Finding]:
-        if isinstance(key, ast.Constant) and isinstance(key.value, str):
-            if key.value not in METRIC_KEYS:
-                yield self.finding(
-                    module,
-                    key,
-                    f"metric name '{key.value}' passed to {context} is not in "
-                    "the registry (repro.obs.metrics.METRIC_KEYS)",
-                    fixit="register a METRIC_* constant in repro/obs/metrics.py "
-                    "and pass the constant here",
-                )
-        elif isinstance(key, ast.Name):
-            if not key.id.startswith("METRIC_"):
-                yield self.finding(
-                    module,
-                    key,
-                    f"metric name '{key.id}' passed to {context} cannot be "
-                    "resolved statically; use a METRIC_* registry constant "
-                    "where possible",
-                    severity=ADVICE,
-                )
-        # Other expressions (attribute lookups, f-strings, locals computed
-        # from registry constants) stay silent: unlike stat keys, the
-        # metric registry is enforced at runtime by MetricsRegistry._check,
-        # so a dynamic name cannot silently mint an unregistered series.
 
     def _check_key(
         self, module: LintModule, key: ast.AST, context: str

@@ -41,7 +41,6 @@ from .requests import (
     error_response,
     handle_request,
     parse_request_line,
-    run_requests,
     salvage_rid,
     serve_stream,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "parse_request_line",
     "patch_solution",
     "repair_solution",
-    "run_requests",
     "run_serve_load_benchmark",
     "salvage_rid",
     "serve_forever",

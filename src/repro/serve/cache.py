@@ -97,12 +97,10 @@ class CacheEntry:
 class KernelCache:
     """Bounded LRU map ``(fingerprint, algorithm) -> CacheEntry``.
 
-    Traffic accounting lives in a :class:`~repro.obs.metrics.MetricsRegistry`
-    — pass the owning service's registry to share one source of truth, or
-    let the cache build a private one.  The classic ``hits`` / ``misses`` /
-    ``evictions`` attributes are thin read-only views over the registry, so
-    the dict-style :meth:`counters` and a Prometheus scrape can never
-    disagree.
+    Traffic accounting (hits, misses, evictions, entries) lives only in a
+    :class:`~repro.obs.metrics.MetricsRegistry` — pass the owning service's
+    registry to share one source of truth, or let the cache build a private
+    one.
 
     All operations are thread-safe: thread-mode shard dispatchers share one
     process and hammer their caches concurrently.
@@ -124,21 +122,6 @@ class KernelCache:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @property
-    def hits(self) -> int:
-        """Lookup hits (registry view)."""
-        return int(self.metrics.value(METRIC_SERVE_CACHE_HITS))
-
-    @property
-    def misses(self) -> int:
-        """Lookup misses (registry view)."""
-        return int(self.metrics.value(METRIC_SERVE_CACHE_MISSES))
-
-    @property
-    def evictions(self) -> int:
-        """LRU evictions (registry view)."""
-        return int(self.metrics.value(METRIC_SERVE_CACHE_EVICTIONS))
 
     def get(self, fingerprint: str, algorithm: str) -> Optional[CacheEntry]:
         """Look up an entry, refreshing its LRU position on a hit."""
@@ -169,29 +152,9 @@ class KernelCache:
             self.metrics.inc(METRIC_SERVE_CACHE_EVICTIONS, evicted)
         self.metrics.set_gauge(METRIC_SERVE_CACHE_ENTRIES, entries)
 
-    @property
-    def hit_rate(self) -> float:
-        """Hits over total lookups (0.0 before any)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def counters(self) -> Dict[str, object]:
-        """A JSON-serialisable stats view for reports and snapshots."""
-        return {
-            "capacity": self.capacity,
-            "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-        }
-
     def entries(self) -> Tuple[CacheEntry, ...]:
         """The cached entries, LRU-oldest first (snapshot order)."""
         return tuple(self._entries.values())
 
     def __repr__(self) -> str:
-        return (
-            f"<KernelCache {len(self._entries)}/{self.capacity} "
-            f"hits={self.hits} misses={self.misses}>"
-        )
+        return f"<KernelCache {len(self._entries)}/{self.capacity}>"

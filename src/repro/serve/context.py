@@ -1,10 +1,10 @@
-"""Per-request identity and budget: the tracing handle of the serving layer.
+"""Per-request identity: the tracing handle of the serving layer.
 
 A :class:`RequestContext` travels with one request through
 :class:`~repro.serve.service.SolverService`: the request id and tenant are
 stamped onto every telemetry span the request opens (including the
-solver phase spans of its cold solve or repair), and the deadline is the
-request's absolute time budget.
+solver phase spans of its cold solve or repair).  The request's time
+budget is the verbs' own ``timeout`` argument, not part of the context.
 
 Contexts are cheap frozen dataclasses; callers that do not pass one get an
 auto-numbered context (``req-000001`` …) so traces always correlate, and
@@ -15,7 +15,6 @@ fields ``rid`` / ``tenant`` onto them.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -31,7 +30,7 @@ def next_request_id() -> str:
 
 @dataclass(frozen=True)
 class RequestContext:
-    """Identity and budget of one service request.
+    """Identity of one service request.
 
     Attributes
     ----------
@@ -40,42 +39,17 @@ class RequestContext:
     tenant:
         Free-form namespace owner (multi-tenant deployments; empty for
         single-tenant use).
-    deadline:
-        Absolute ``time.perf_counter()`` instant the request must answer
-        by, or ``None`` for unbounded.  Absolute (not a duration) so the
-        budget survives being handed between service internals without
-        double-counting elapsed time.
     """
 
     request_id: str
     tenant: str = ""
-    deadline: Optional[float] = None
 
     @classmethod
     def create(
-        cls,
-        request_id: Optional[str] = None,
-        tenant: str = "",
-        timeout: Optional[float] = None,
+        cls, request_id: Optional[str] = None, tenant: str = ""
     ) -> "RequestContext":
-        """Build a context, auto-numbering the id and converting a relative
-        ``timeout`` (seconds from now) into the absolute deadline."""
-        return cls(
-            request_id=request_id or next_request_id(),
-            tenant=tenant,
-            deadline=None if timeout is None else time.perf_counter() + timeout,
-        )
-
-    def remaining(self) -> Optional[float]:
-        """Seconds until the deadline (negative when blown); ``None`` if
-        unbounded."""
-        if self.deadline is None:
-            return None
-        return self.deadline - time.perf_counter()
-
-    def expired(self) -> bool:
-        """Whether the deadline has already passed."""
-        return self.deadline is not None and time.perf_counter() >= self.deadline
+        """Build a context, auto-numbering the id when none is given."""
+        return cls(request_id=request_id or next_request_id(), tenant=tenant)
 
     def trace_fields(self) -> Dict[str, object]:
         """The span-stamp fields (request id always, tenant when set)."""

@@ -44,7 +44,7 @@ import asyncio
 import json
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..errors import ReproError
 from ..obs.metrics import (
@@ -551,26 +551,18 @@ async def serve_forever(
     frontend: AsyncFrontend,
     host: str = "127.0.0.1",
     port: int = 0,
-    ready: Optional[Any] = None,
+    ready: Optional[Callable[[Tuple[str, int]], None]] = None,
     stop: Optional[asyncio.Event] = None,
 ) -> Tuple[str, int]:
     """Boot the socket server and run until ``stop`` is set, then drain.
 
-    ``ready`` (any object with ``put``/``set``) is signalled with the bound
-    ``(host, port)`` once listening — how the CLI and tests learn the
-    ephemeral port.  Returns the bound address after shutdown.
+    ``ready`` is called with the bound ``(host, port)`` once listening —
+    how the CLI and tests learn the ephemeral port.  Returns the bound
+    address after shutdown.
     """
     bound = await frontend.start_server(host, port)
     if ready is not None:
-        # Duck-typed: asyncio.Queue (put_nowait — .put is a coroutine),
-        # plain queues/announcers (put), events (set).
-        put_nowait = getattr(ready, "put_nowait", None)
-        if put_nowait is not None:
-            put_nowait(bound)
-        elif hasattr(ready, "put"):
-            ready.put(bound)
-        elif hasattr(ready, "set"):
-            ready.set()
+        ready(bound)
     if stop is None:
         stop = asyncio.Event()
     await stop.wait()

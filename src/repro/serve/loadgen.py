@@ -250,11 +250,6 @@ def normalize_response(response: Dict[str, object]) -> Dict[str, object]:
     }
 
 
-def _sync_cache_hit_rate(service: SolverService) -> float:
-    counters = service.cache.counters()
-    return float(counters.get("hit_rate", 0.0))  # type: ignore[arg-type]
-
-
 def replay_sync(
     workload: List[Dict[str, object]],
     service_config: Optional[ServiceConfig] = None,
@@ -299,7 +294,8 @@ def replay_sync(
         if index >= window:
             rolling -= service_seconds[index - window]
         report.latencies.append(rolling)
-    report.cache_hit_rate = _sync_cache_hit_rate(service)
+    cache = service.counters()["cache"]
+    report.cache_hit_rate = float(cache["hit_rate"])  # type: ignore[index]
     return report
 
 

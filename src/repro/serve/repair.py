@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence
 
 from ..core.components import affected_region
 from ..core.framework import ALGORITHM_BY_NAME
@@ -52,32 +52,21 @@ __all__ = [
 ]
 
 
-def cold_solve(
-    graph: Graph,
-    algorithm: Union[str, Callable[[Graph], MISResult]],
-    workspace_factory: Optional[Callable[..., object]] = None,
-) -> MISResult:
+def cold_solve(graph: Graph, algorithm: str) -> MISResult:
     """Solve ``graph`` from scratch with the service's configured algorithm.
 
     ``algorithm`` is an :data:`~repro.core.framework.ALGORITHM_BY_NAME`
-    registry name (``"bdone"`` / ``"linear_time"`` / ``"near_linear"``) or
-    a callable.  ``workspace_factory`` is forwarded to the driver's oracle
-    hook — the differential suite runs the service's solve path under both
-    the flat and the legacy backend and asserts identical answers.
+    registry name (``"bdone"`` / ``"linear_time"`` / ``"near_linear"``);
+    the driver runs on its flat production workspace.
     """
-    if isinstance(algorithm, str):
-        try:
-            solver = ALGORITHM_BY_NAME[algorithm]
-        except KeyError:
-            raise ValueError(
-                f"unknown algorithm name {algorithm!r}; "
-                f"registered: {sorted(ALGORITHM_BY_NAME)}"
-            ) from None
-    else:
-        solver = algorithm
-    if workspace_factory is None:
-        return solver(graph)
-    return solver(graph, workspace_factory=workspace_factory)
+    try:
+        solver = ALGORITHM_BY_NAME[algorithm]
+    except KeyError:
+        raise ValueError(
+            f"unknown algorithm name {algorithm!r}; "
+            f"registered: {sorted(ALGORITHM_BY_NAME)}"
+        ) from None
+    return solver(graph)
 
 
 def patch_solution(graph: Graph, in_set: List[bool]) -> List[bool]:
@@ -131,7 +120,7 @@ def repair_solution(
     graph: Graph,
     in_set: Sequence[bool],
     seeds: Sequence[int],
-    algorithm: Union[str, Callable[[Graph], MISResult]],
+    algorithm: str,
     radius: int = 2,
 ) -> RepairOutcome:
     """Repair ``in_set`` around the dirty ``seeds`` on the current snapshot.

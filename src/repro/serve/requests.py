@@ -36,9 +36,10 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, TextIO
+from typing import Callable, Dict, Iterable, List, Optional, TextIO
 
 from ..errors import ReproError
+from ..graphs.io import read_graph
 from ..graphs.static_graph import Graph
 from .context import RequestContext
 from .dynamic_graph import Mutation
@@ -49,7 +50,6 @@ __all__ = [
     "error_response",
     "handle_request",
     "parse_request_line",
-    "run_requests",
     "salvage_rid",
     "serve_stream",
 ]
@@ -68,12 +68,7 @@ _RID_PATTERN = re.compile(r'"rid"\s*:\s*"([^"\\]{1,128})"')
 
 def _load_request_graph(request: Dict[str, object]) -> Graph:
     if "path" in request:
-        # Imported lazily: repro.cli imports this module's package via
-        # repro.__init__, and the reverse import at module load would cycle.
-        from ..cli import load_graph
-
-        graph, _ = load_graph(str(request["path"]))
-        return graph
+        return read_graph(str(request["path"]))[0]
     if "edges" in request:
         n = int(request.get("n", 0))  # type: ignore[arg-type]
         edges = [(int(u), int(v)) for u, v in request["edges"]]  # type: ignore[union-attr]
@@ -204,14 +199,6 @@ def handle_request(
         response["ok"] = False
         response["error"] = f"InternalError({type(exc).__name__}): {exc}"
     return response
-
-
-def run_requests(
-    service: SolverService, requests: Iterable[Dict[str, object]]
-) -> Iterator[Dict[str, object]]:
-    """Lazily map a request stream to responses (one per request)."""
-    for request in requests:
-        yield handle_request(service, request)
 
 
 def parse_request_line(line: str) -> Dict[str, object]:

@@ -35,6 +35,9 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import ReproError
 from ..obs.metrics import MetricsRegistry
+# Called through the module, so a wrapper installed on
+# ``requests.handle_request`` (a profiler's) also sees shard traffic.
+from . import requests
 from .service import ServiceConfig, SolverService
 
 __all__ = [
@@ -60,21 +63,6 @@ def shard_for(graph_id: str, shards: int) -> int:
     return zlib.crc32(graph_id.encode("utf-8")) % shards
 
 
-def _config_payload(config: ServiceConfig) -> Dict[str, Any]:
-    """The picklable field subset of a :class:`ServiceConfig`.
-
-    ``workspace_factory`` is a live callable and cannot ride a spawn
-    payload; process shards refuse it loudly rather than dropping it.
-    """
-    payload = dataclasses.asdict(config)
-    if payload.pop("workspace_factory", None) is not None:
-        raise ReproError(
-            "process shard workers cannot ship a workspace_factory; "
-            "use thread-mode shards for oracle workspaces"
-        )
-    return payload
-
-
 def _shard_worker_main(
     conn: Any, shard: int, config_payload: Dict[str, Any]
 ) -> None:
@@ -86,10 +74,6 @@ def _shard_worker_main(
     ``(kind, payload)`` messages until a ``stop`` arrives or the pipe
     closes.
     """
-    # Imported here, not at module top, purely for symmetry with the
-    # handler's lazy CLI import chain; requests -> cli is cycle-prone.
-    from .requests import handle_request
-
     service = SolverService(
         ServiceConfig(**config_payload),
         metrics=MetricsRegistry(label=f"shard-{shard}"),
@@ -104,7 +88,9 @@ def _shard_worker_main(
             break
         try:
             if kind == _MSG_BATCH:
-                conn.send(("ok", [handle_request(service, r) for r in payload]))
+                conn.send(
+                    ("ok", [requests.handle_request(service, r) for r in payload])
+                )
             elif kind == _MSG_COUNTERS:
                 conn.send(("ok", service.counters()))
             else:
@@ -130,10 +116,10 @@ class InlineShardWorker:
 
     def submit(self, batch: List[Dict[str, object]]) -> List[Dict[str, object]]:
         """Handle a request batch in order, returning one response each."""
-        from .requests import handle_request
-
         with self._lock:
-            return [handle_request(self.service, request) for request in batch]
+            return [
+                requests.handle_request(self.service, request) for request in batch
+            ]
 
     def counters(self) -> Dict[str, object]:
         """This shard's service + cache counters."""
@@ -152,7 +138,7 @@ class ProcessShardWorker:
         self._conn, child_conn = multiprocessing.Pipe(duplex=True)
         self._process = multiprocessing.Process(
             target=_shard_worker_main,
-            args=(child_conn, shard, _config_payload(config)),
+            args=(child_conn, shard, dataclasses.asdict(config)),
             name=f"repro-shard-{shard}",
             daemon=True,
         )

@@ -28,17 +28,18 @@ stamped with the request's :class:`~repro.serve.context.RequestContext`
 per-component spans of a repair — merge into one request span tree.
 Request latency, cache traffic, repair-vs-fresh and timeout-degradation
 counts publish into a :class:`~repro.obs.metrics.MetricsRegistry`; the
-classic :meth:`SolverService.counters` dict is a thin view over it, so the
-headless stats and a Prometheus scrape can never drift apart.
+:meth:`SolverService.counters` dict is read from it, so the headless stats
+and a Prometheus scrape can never drift apart.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from ..core.framework import ALGORITHM_BY_NAME
 from ..core.result import (
@@ -54,6 +55,7 @@ from ..core.result import (
 from ..errors import ReproError
 from ..graphs.static_graph import Graph
 from ..obs.metrics import (
+    METRIC_SERVE_CACHE_EVICTIONS,
     METRIC_SERVE_CACHE_HITS,
     METRIC_SERVE_CACHE_MISSES,
     METRIC_SERVE_FULL_RESOLVES,
@@ -77,8 +79,8 @@ from .repair import cold_solve, patch_solution, repair_solution
 
 __all__ = ["ServeResult", "ServiceConfig", "SolverService", "SNAPSHOT_VERSION"]
 
-#: Old-style event keys (``serve:*`` stat counters, kept for telemetry and
-#: the :attr:`SolverService.events` view) mapped to their registry series.
+#: ``serve:*`` event keys (telemetry counters, and the ``events`` dict of
+#: :meth:`SolverService.counters`) mapped to their registry series.
 _EVENT_METRICS: Dict[str, str] = {
     STAT_SERVE_CACHE_HIT: METRIC_SERVE_CACHE_HITS,
     STAT_SERVE_CACHE_MISS: METRIC_SERVE_CACHE_MISSES,
@@ -118,9 +120,6 @@ class ServiceConfig:
     default_timeout:
         Per-request budget in seconds applied when the call site passes
         none (``None`` = unbounded).
-    workspace_factory:
-        Oracle hook forwarded to :func:`repro.serve.repair.cold_solve`;
-        ``None`` keeps the flat production backends.
     """
 
     algorithm: str = "linear_time"
@@ -128,7 +127,6 @@ class ServiceConfig:
     dirty_threshold: float = 0.25
     repair_radius: int = 2
     default_timeout: Optional[float] = None
-    workspace_factory: Optional[Callable[..., object]] = None
 
 
 @dataclass(frozen=True)
@@ -141,9 +139,8 @@ class ServeResult:
     patched last-known-good solution; ``stale`` is True only here).
     ``exact_bound`` marks ``upper_bound`` as a Theorem-6.1 certificate
     rather than the trivial live-vertex count.  ``backend`` attributes the
-    answer to the backend the service solves with (``"flat"``, or
-    ``"oracle"`` when ``ServiceConfig.workspace_factory`` pins an oracle
-    workspace; ``"none"`` for stale returns, where no solver ran).
+    answer to the backend that solved it: ``"flat"`` (the production
+    drivers), or ``"none"`` for stale returns, where no solver ran.
     """
 
     graph_id: str
@@ -188,6 +185,20 @@ class _GraphState:
         self.stale = False
 
 
+def _previous_flags(
+    state: _GraphState, snapshot: Graph, old_ids: List[int]
+) -> Tuple[Dict[int, int], List[bool]]:
+    """The last solution as flags over the snapshot's compact ids, plus
+    the dynamic-to-compact id map (vertices that died are dropped)."""
+    compact = {old: new for new, old in enumerate(old_ids)}
+    in_set = [False] * snapshot.n
+    for v in state.solution or ():
+        new = compact.get(v)
+        if new is not None:
+            in_set[new] = True
+    return compact, in_set
+
+
 class SolverService:
     """A long-lived, mutation-aware independent-set solving service."""
 
@@ -202,8 +213,6 @@ class SolverService:
                 f"unknown algorithm name {self.config.algorithm!r}; "
                 f"registered: {sorted(ALGORITHM_BY_NAME)}"
             )
-        #: Span/metric label of the backend that solves (see ServeResult).
-        self._backend = "flat" if self.config.workspace_factory is None else "oracle"
         #: One registry shared by the service, its cache, and — when the
         #: process enabled metrics globally — the exposition endpoints.
         #: Sharing is load-bearing: it is what keeps :meth:`counters` and a
@@ -216,22 +225,6 @@ class SolverService:
         self.cache = KernelCache(self.config.cache_capacity, metrics=self.metrics)
         self._graphs: Dict[str, _GraphState] = {}
         self._counter = 0
-
-    @property
-    def events(self) -> Dict[str, int]:
-        """Classic ``serve:*`` event counters — a view over the registry.
-
-        Only events that fired appear (matching the historical dict-of-
-        bumps behaviour); cache hit/miss counts are the cache's own
-        registry series, so this view and ``cache.counters()`` agree by
-        construction.
-        """
-        view: Dict[str, int] = {}
-        for key, metric in _EVENT_METRICS.items():
-            value = int(self.metrics.total(metric))
-            if value:
-                view[key] = value
-        return view
 
     # ------------------------------------------------------------------
     # Registration and mutation
@@ -369,9 +362,8 @@ class SolverService:
         Resolution order: fingerprint cache hit → localized repair (when
         only a bounded region is dirty) → full cold solve.
         ``timeout`` (seconds, default ``config.default_timeout``) bounds
-        the work; a ``context`` deadline tightens it further.  On
-        exhaustion the last-known-good solution is patched to feasibility
-        and returned with ``stale=True``.
+        the work.  On exhaustion the last-known-good solution is patched
+        to feasibility and returned with ``stale=True``.
         """
         start = time.perf_counter()
         telemetry = get_telemetry()
@@ -379,12 +371,6 @@ class SolverService:
         if timeout is None:
             timeout = self.config.default_timeout
         deadline = None if timeout is None else start + timeout
-        if context is not None and context.deadline is not None:
-            deadline = (
-                context.deadline
-                if deadline is None
-                else min(deadline, context.deadline)
-            )
         with self._request_scope(telemetry, context):
             with phase(telemetry, "serve:solve", graph=graph_id) as span:
                 result = self._solve_locked(state, deadline, telemetry, start)
@@ -453,7 +439,7 @@ class SolverService:
                 is_exact=entry.is_exact,
                 exact_bound=entry.exact_bound,
                 source="cache",
-                backend=self._backend,
+                backend="flat",
                 elapsed=time.perf_counter() - start,
             )
         self._bump(STAT_SERVE_CACHE_MISS, 1, telemetry)
@@ -466,7 +452,7 @@ class SolverService:
         )
         if can_repair and (deadline is None or time.perf_counter() < deadline):
             return self._repair(
-                state, snapshot, old_ids, fingerprint, deadline, telemetry, start
+                state, snapshot, old_ids, fingerprint, telemetry, start
             )
         if (
             deadline is not None
@@ -484,17 +470,13 @@ class SolverService:
         snapshot: Graph,
         old_ids: List[int],
         fingerprint: str,
-        deadline: Optional[float],
         telemetry,
         start: float,
     ) -> ServeResult:
-        compact = {old: new for new, old in enumerate(old_ids)}
-        in_set = [False] * snapshot.n
-        for v in state.solution or ():
-            new = compact.get(v)
-            if new is not None:
-                in_set[new] = True
+        compact, in_set = _previous_flags(state, snapshot, old_ids)
         seeds = sorted(compact[v] for v in state.dirty if v in compact)
+        # A repair that overruns the budget is still returned: it is the
+        # best answer available (only a pre-repair overrun goes stale).
         outcome = repair_solution(
             snapshot,
             in_set,
@@ -502,12 +484,6 @@ class SolverService:
             algorithm=self.config.algorithm,
             radius=self.config.repair_radius,
         )
-        if deadline is not None and time.perf_counter() > deadline:
-            # The repair finished but blew the budget: the answer is still
-            # the best available, so return it; only *future* queries see
-            # the fresher state.  (A pre-repair overrun takes the stale
-            # path in _solve_locked instead.)
-            pass
         solution = frozenset(
             old_ids[v] for v in range(snapshot.n) if outcome.in_set[v]
         )
@@ -533,7 +509,7 @@ class SolverService:
             METRIC_SERVE_SOLVER_SECONDS,
             outcome.solver_elapsed,
             mode="repair",
-            backend=self._backend,
+            backend="flat",
         )
         return ServeResult(
             graph_id=state.graph_id,
@@ -543,7 +519,7 @@ class SolverService:
             is_exact=False,
             exact_bound=False,
             source="repair",
-            backend=self._backend,
+            backend="flat",
             elapsed=time.perf_counter() - start,
             repair_scope=outcome.scope(),
         )
@@ -556,12 +532,7 @@ class SolverService:
         telemetry,
         start: float,
     ) -> ServeResult:
-        compact = {old: new for new, old in enumerate(old_ids)}
-        in_set = [False] * snapshot.n
-        for v in state.solution or ():
-            new = compact.get(v)
-            if new is not None:
-                in_set[new] = True
+        _, in_set = _previous_flags(state, snapshot, old_ids)
         patched = patch_solution(snapshot, in_set)
         solution = frozenset(
             old_ids[v] for v in range(snapshot.n) if patched[v]
@@ -605,7 +576,7 @@ class SolverService:
             is_exact=entry.is_exact,
             exact_bound=True,
             source="cold",
-            backend=self._backend,
+            backend="flat",
             elapsed=time.perf_counter() - start,
         )
 
@@ -622,17 +593,13 @@ class SolverService:
         if fingerprint is None:
             fingerprint = state.dynamic.fingerprint()
         with phase(telemetry, "serve:full-solve", graph=state.graph_id):
-            result = cold_solve(
-                snapshot,
-                self.config.algorithm,
-                workspace_factory=self.config.workspace_factory,
-            )
+            result = cold_solve(snapshot, self.config.algorithm)
         self._bump(STAT_SERVE_FULL_RESOLVE, 1, telemetry)
         self.metrics.observe(
             METRIC_SERVE_SOLVER_SECONDS,
             result.elapsed,
             mode="cold",
-            backend=self._backend,
+            backend="flat",
         )
         entry = CacheEntry(
             fingerprint=fingerprint,
@@ -651,11 +618,30 @@ class SolverService:
     # Introspection and persistence
     # ------------------------------------------------------------------
     def counters(self) -> Dict[str, object]:
-        """Service + cache counters as a JSON-serialisable dict."""
+        """Service + cache counters, read from the registry, as a
+        JSON-serialisable dict.
+
+        ``events`` holds only the ``serve:*`` events that fired; the cache
+        hit/miss events are the cache's own registry series.
+        """
+        value = self.metrics.value
+        hits = int(value(METRIC_SERVE_CACHE_HITS))
+        misses = int(value(METRIC_SERVE_CACHE_MISSES))
+        events = {
+            key: int(self.metrics.total(metric))
+            for key, metric in _EVENT_METRICS.items()
+        }
         return {
             "graphs": len(self._graphs),
-            "events": dict(self.events),
-            "cache": self.cache.counters(),
+            "events": {key: count for key, count in events.items() if count},
+            "cache": {
+                "capacity": self.cache.capacity,
+                "entries": len(self.cache),
+                "hits": hits,
+                "misses": misses,
+                "evictions": int(value(METRIC_SERVE_CACHE_EVICTIONS)),
+                "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
+            },
         }
 
     def snapshot_payload(self) -> Dict[str, object]:
@@ -671,13 +657,7 @@ class SolverService:
             }
         return {
             "version": SNAPSHOT_VERSION,
-            "config": {
-                "algorithm": self.config.algorithm,
-                "cache_capacity": self.config.cache_capacity,
-                "dirty_threshold": self.config.dirty_threshold,
-                "repair_radius": self.config.repair_radius,
-                "default_timeout": self.config.default_timeout,
-            },
+            "config": dataclasses.asdict(self.config),
             "counter": self._counter,
             "graphs": graphs,
             "cache": [entry.to_payload() for entry in self.cache.entries()],

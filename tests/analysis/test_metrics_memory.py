@@ -1,5 +1,7 @@
 """Tests for metrics and the memory model."""
 
+import tracemalloc
+
 import pytest
 
 from repro.analysis import (
@@ -14,6 +16,7 @@ from repro.analysis import (
 )
 from repro.errors import ReproError
 from repro.graphs import cycle_graph
+from repro.obs.memory import MemoryProbe
 
 
 class TestMetrics:
@@ -61,3 +64,10 @@ class TestMemoryModel:
         result, peak = measure_peak_bytes(lambda: [0] * 100_000)
         assert len(result) == 100_000
         assert peak > 100_000  # a list of 100k elements is > 100kB
+
+    def test_measure_peak_bytes_keeps_an_enclosing_trace(self):
+        with MemoryProbe() as outer:
+            _, peak = measure_peak_bytes(lambda: [0] * 100_000)
+            assert tracemalloc.is_tracing()
+        assert peak > 100_000
+        assert outer.peak_bytes >= peak

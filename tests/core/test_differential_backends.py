@@ -52,6 +52,10 @@ def _graph_corpus():
         )
     for seed in range(25):
         graphs.append(web_like_graph(35 + seed, attach=2 + seed % 3, seed=seed))
+    # The default-degree power-law graphs the serving layer's cold solve
+    # is checked on.
+    for seed in range(8):
+        graphs.append(power_law_graph(80 + seed, beta=2.2, seed=seed))
     return graphs
 
 

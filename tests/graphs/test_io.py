@@ -18,9 +18,11 @@ from repro.graphs import (
     petersen_graph,
     read_dimacs,
     read_edge_list,
+    read_graph,
     read_metis,
     write_dimacs,
     write_edge_list,
+    write_graph,
     write_metis,
 )
 from repro.graphs import io as graph_io
@@ -117,6 +119,28 @@ class TestDimacs:
     def test_out_of_range_edge_raises(self):
         with pytest.raises(GraphFormatError):
             read_dimacs(io.StringIO("p edge 2 1\ne 1 5\n"))
+
+
+class TestExtensionDispatch:
+    @pytest.mark.parametrize(
+        "name, first_line, labelled",
+        [
+            ("g.txt", "# repro graph", True),
+            ("g.METIS", "15 30", False),
+            ("g.graph", "15 30", False),
+            ("g.col", "p edge 15 30", False),
+            ("g.dimacs", "p edge 15 30", False),
+        ],
+    )
+    def test_write_then_read_round_trips(self, tmp_path, name, first_line, labelled):
+        g = gnm_random_graph(15, 30, seed=9)
+        path = str(tmp_path / name)
+        write_graph(g, path)
+        with open(path, encoding="utf-8") as handle:
+            assert handle.readline().startswith(first_line)
+        graph, labels = read_graph(path)
+        assert graph == g
+        assert (labels is not None) == labelled
 
 
 class TestEdgeListDeclaredCount:

@@ -173,32 +173,6 @@ class TestTelemetryDiscipline:
         )
         assert findings == []
 
-    def test_flags_unpaired_enable(self):
-        findings = findings_for(
-            """
-            def run(telemetry):
-                telemetry.enable()
-                work()
-            """,
-            TelemetryDisciplineRule,
-        )
-        assert len(findings) == 1
-        assert "disable" in findings[0].message
-
-    def test_enable_with_finally_disable_is_clean(self):
-        findings = findings_for(
-            """
-            def run(telemetry):
-                telemetry.enable()
-                try:
-                    work()
-                finally:
-                    telemetry.disable()
-            """,
-            TelemetryDisciplineRule,
-        )
-        assert findings == []
-
     def test_hot_loop_telemetry_needs_guard(self):
         findings = findings_for(
             """
@@ -300,72 +274,6 @@ class TestStatKeyRegistry:
             )
             == []
         )
-
-    def test_flags_unregistered_metric_literals(self):
-        findings = findings_for(
-            """
-            def record(metrics, wall):
-                metrics.inc("bogus_metric_total")
-                metrics.observe("made_up_seconds", wall)
-                metrics.set_gauge("fake_gauge", 3)
-            """,
-            StatKeyRegistryRule,
-        )
-        assert len(findings) == 3
-        assert all(f.severity == "error" for f in findings)
-        assert all("METRIC_KEYS" in f.message for f in findings)
-
-    def test_registered_metric_constants_and_literals_are_clean(self):
-        findings = findings_for(
-            """
-            from repro.obs.metrics import (
-                METRIC_SERVE_CACHE_ENTRIES,
-                METRIC_SERVE_REQUESTS,
-            )
-
-            def record(metrics, wall):
-                metrics.inc(METRIC_SERVE_REQUESTS, op="solve")
-                metrics.observe("repro_serve_request_seconds", wall, op="solve")
-                metrics.set_gauge(METRIC_SERVE_CACHE_ENTRIES, 5)
-            """,
-            StatKeyRegistryRule,
-        )
-        assert findings == []
-
-    def test_dynamic_metric_names_are_advice(self):
-        findings = findings_for(
-            """
-            def record(metrics, name):
-                metrics.inc(name)
-            """,
-            StatKeyRegistryRule,
-        )
-        assert len(findings) == 1
-        assert findings[0].severity == "advice"
-        assert "METRIC_*" in findings[0].message
-
-    def test_metric_registry_module_is_exempt(self):
-        findings = findings_for(
-            """
-            def record(metrics):
-                metrics.inc("repro_internal_bootstrap_total")
-            """,
-            StatKeyRegistryRule,
-            path="src/repro/obs/metrics.py",
-        )
-        assert findings == []
-
-    def test_metric_subscript_forwarding_stays_silent(self):
-        # _EVENT_METRICS[key] style forwarding is runtime-checked by the
-        # registry itself, so RL003 does not second-guess it.
-        findings = findings_for(
-            """
-            def forward(metrics, mapping, key):
-                metrics.inc(mapping[key], 2)
-            """,
-            StatKeyRegistryRule,
-        )
-        assert findings == []
 
 
 class TestOracleHookParity:

@@ -4,6 +4,11 @@ import pytest
 
 from repro.graphs import Graph
 from repro.graphs.generators import gnm_random_graph
+from repro.obs.metrics import (
+    METRIC_SERVE_CACHE_EVICTIONS,
+    METRIC_SERVE_CACHE_HITS,
+    METRIC_SERVE_CACHE_MISSES,
+)
 from repro.serve import CacheEntry, KernelCache, graph_fingerprint
 
 
@@ -53,8 +58,8 @@ class TestKernelCache:
         cache.put(_entry("fp"))
         hit = cache.get("fp", "linear_time")
         assert hit is not None and hit.size == 3
-        assert cache.hits == 1 and cache.misses == 1
-        assert cache.hit_rate == 0.5
+        assert cache.metrics.value(METRIC_SERVE_CACHE_HITS) == 1
+        assert cache.metrics.value(METRIC_SERVE_CACHE_MISSES) == 1
 
     def test_algorithm_is_part_of_key(self):
         cache = KernelCache(capacity=4)
@@ -71,14 +76,14 @@ class TestKernelCache:
         assert cache.get("b", "linear_time") is None
         assert cache.get("a", "linear_time") is not None
         assert cache.get("c", "linear_time") is not None
-        assert cache.evictions == 1
+        assert cache.metrics.value(METRIC_SERVE_CACHE_EVICTIONS) == 1
 
     def test_put_refresh_does_not_grow(self):
         cache = KernelCache(capacity=2)
         cache.put(_entry("a"))
         cache.put(_entry("a"))
         assert len(cache) == 1
-        assert cache.evictions == 0
+        assert cache.metrics.value(METRIC_SERVE_CACHE_EVICTIONS) == 0
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):

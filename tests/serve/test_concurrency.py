@@ -18,6 +18,7 @@ import threading
 
 from repro.obs.metrics import (
     METRIC_FRONTEND_REQUESTS,
+    METRIC_SERVE_CACHE_ENTRIES,
     METRIC_SERVE_CACHE_HITS,
     METRIC_SERVE_CACHE_MISSES,
     METRIC_SERVE_REQUESTS,
@@ -89,7 +90,9 @@ class TestKernelCacheUnderContention:
 
         run_threads(worker, threads)
         lookups = per_thread * threads
-        assert cache.hits + cache.misses == lookups
+        metrics = cache.metrics
+        hits = metrics.value(METRIC_SERVE_CACHE_HITS)
+        assert hits + metrics.value(METRIC_SERVE_CACHE_MISSES) == lookups
         assert len(cache) <= cache.capacity
 
     def test_concurrent_puts_keep_lru_bounded(self):
@@ -101,12 +104,11 @@ class TestKernelCacheUnderContention:
 
         run_threads(worker, 8)
         assert len(cache) <= cache.capacity
-        assert cache.counters()["entries"] <= cache.capacity
+        assert cache.metrics.value(METRIC_SERVE_CACHE_ENTRIES) <= cache.capacity
 
     def test_shared_registry_has_no_drift(self):
-        # A cache wired to an external registry must not keep a second,
-        # private account: the attribute views and the registry series
-        # are the same numbers.
+        # A cache wired to an external registry counts every lookup into
+        # it exactly once, with no private second account.
         registry = MetricsRegistry(label="svc")
         cache = KernelCache(capacity=8, metrics=registry)
         cache.put(make_entry("a"))
@@ -118,11 +120,7 @@ class TestKernelCacheUnderContention:
                 registry.inc(METRIC_SERVE_REQUESTS)
 
         run_threads(worker, 8)
-        assert cache.hits == registry.value(METRIC_SERVE_CACHE_HITS)
-        assert cache.misses == registry.value(METRIC_SERVE_CACHE_MISSES)
-        assert cache.hits == 2000
-        assert cache.misses == 2000
+        assert cache.metrics is registry
+        assert registry.value(METRIC_SERVE_CACHE_HITS) == 2000
+        assert registry.value(METRIC_SERVE_CACHE_MISSES) == 2000
         assert registry.value(METRIC_SERVE_REQUESTS) == 2000
-        counters = cache.counters()
-        assert counters["hits"] == cache.hits
-        assert counters["misses"] == cache.misses

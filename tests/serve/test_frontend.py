@@ -217,7 +217,7 @@ class TestServeForever:
             ready: asyncio.Queue = asyncio.Queue()
             stop = asyncio.Event()
             task = asyncio.create_task(
-                serve_forever(frontend, port=0, ready=ready, stop=stop)
+                serve_forever(frontend, port=0, ready=ready.put_nowait, stop=stop)
             )
             host, port = await ready.get()
             reader, writer = await asyncio.open_connection(host, port)

@@ -3,8 +3,7 @@
 The load-bearing property: after any mutation batch, ``repair_solution``
 returns an assignment that is (a) independent, (b) maximal, and (c) within
 the differential tolerance of a cold solve — on every graph family and
-seed swept here.  ``cold_solve`` is additionally exercised through its
-``workspace_factory`` oracle hook against the legacy array backend.
+seed swept here.
 """
 
 import random
@@ -19,7 +18,6 @@ from repro.core.framework import ALGORITHM_BY_NAME
 from repro.core.linear_time import linear_time
 from repro.core.near_linear import near_linear
 from repro.core.trace import extend_to_maximal
-from repro.core.workspace import ArrayWorkspace
 from repro.graphs import Graph
 from repro.graphs.generators import (
     cycle_graph,
@@ -28,6 +26,7 @@ from repro.graphs.generators import (
     web_like_graph,
 )
 from repro.graphs.properties import connected_components
+from repro.obs.telemetry import telemetry_session
 from repro.serve import DynamicGraph, Mutation, cold_solve, patch_solution, repair_solution
 from repro.serve import repair as repair_module
 
@@ -63,19 +62,6 @@ class TestColdSolve:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown algorithm"):
             cold_solve(Graph.from_edges(2, [(0, 1)]), "quantum")
-
-    def test_cold_solve_workspace_factory_oracle_parity(self):
-        # The RL004 hook: cold_solve under the legacy ArrayWorkspace must
-        # reproduce the flat default exactly.
-        for seed in range(8):
-            g = power_law_graph(80 + seed, beta=2.2, seed=seed)
-            flat = cold_solve(g, "linear_time")
-            oracle = cold_solve(
-                g, "linear_time", workspace_factory=ArrayWorkspace
-            )
-            assert flat.independent_set == oracle.independent_set
-            assert flat.upper_bound == oracle.upper_bound
-            assert flat.stats == oracle.stats
 
 
 class TestPatchSolution:
@@ -239,3 +225,18 @@ class TestRepairComponentPass:
         assert len(calls) == 1
         assert outcome.components == expected_components
         assert outcome.in_set == expected
+
+    def test_component_spans_are_stamped(self):
+        # Each component's solver spans carry its index for the report.
+        graph = power_law_graph(400, beta=2.2, seed=3)
+        in_set = _in_set(graph, cold_solve(graph, "linear_time").independent_set)
+        seeds = list(range(0, graph.n, 40))
+        with telemetry_session("test") as telemetry:
+            outcome = repair_solution(graph, in_set, seeds, "linear_time", radius=1)
+        stamped = {
+            record["meta"]["component"]
+            for record in telemetry.to_records()
+            if record.get("type") == "span" and "component" in record["meta"]
+        }
+        assert outcome.components >= 2
+        assert stamped == set(range(outcome.components))

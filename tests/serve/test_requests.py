@@ -3,7 +3,7 @@
 import io
 import json
 
-from repro.serve import SolverService, handle_request, run_requests, serve_stream
+from repro.serve import SolverService, handle_request, serve_stream
 
 
 def _service():
@@ -125,25 +125,6 @@ class TestErrorIsolation:
 
 
 class TestStreaming:
-    def test_run_requests_is_lazy_and_ordered(self):
-        service = _service()
-        responses = list(
-            run_requests(
-                service,
-                [
-                    {
-                        "op": "register",
-                        "id": "g",
-                        "n": 3,
-                        "edges": [[0, 1], [1, 2]],
-                    },
-                    {"op": "solve", "id": "g"},
-                ],
-            )
-        )
-        assert [r["op"] for r in responses] == ["register", "solve"]
-        assert responses[1]["size"] == 2
-
     def test_serve_stream_counts_failures_and_skips_comments(self):
         service = _service()
         source = [

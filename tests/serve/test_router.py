@@ -105,11 +105,6 @@ class TestProcessRouter:
             assert router.dispatch(0, [{"op": "ping"}])[0]["ok"]
         assert not started & set(multiprocessing.active_children())
 
-    def test_workspace_factory_config_is_rejected(self):
-        config = ServiceConfig(workspace_factory=lambda: None)
-        with pytest.raises(ReproError):
-            ShardRouter(shards=2, config=config, mode="process")
-
 
 class TestRouterValidation:
     def test_bad_shard_count(self):

@@ -22,6 +22,7 @@ from repro.graphs.generators import (
     gnm_random_graph,
     power_law_graph,
 )
+from repro.obs.metrics import METRIC_SERVE_CACHE_HITS, METRIC_SERVE_STALE_RETURNS
 from repro.obs.telemetry import disable, enable
 from repro.serve import (
     Mutation,
@@ -29,7 +30,6 @@ from repro.serve import (
     SolverService,
     cold_solve,
     handle_request,
-    run_requests,
 )
 
 from .gauntlet import GRAPH_ID, SIZE_TOLERANCE, check_responses, gauntlet_requests
@@ -108,7 +108,7 @@ class TestCachePath:
         assert first.source == "cold"
         assert second.source == "cache"
         assert second.independent_set == first.independent_set
-        assert service.cache.hits == 1
+        assert service.metrics.value(METRIC_SERVE_CACHE_HITS) == 1
 
     def test_structural_twins_share_cache_entries(self):
         service = SolverService()
@@ -237,6 +237,19 @@ class TestUpperBound:
         assert bound == cold.upper_bound
         assert bound < snapshot.n  # certified, not the trivial bound
 
+    def test_exhausted_budget_still_returns_certified_bound(self):
+        # The budget reaches the inner solve, which goes stale; the bound
+        # is then certified by a cold solve all the same.
+        service = SolverService()
+        gid = service.register(gnm_random_graph(120, 300, seed=8))
+        service.solve(gid)
+        service.remove_vertex(gid, 5)
+        bound = service.upper_bound(gid, timeout=0.0)
+        assert service.metrics.total(METRIC_SERVE_STALE_RETURNS) == 1
+        snapshot, _ = service.dynamic_graph(gid).snapshot()
+        assert bound == cold_solve(snapshot, "linear_time").upper_bound
+        assert bound < snapshot.n
+
 
 class TestTelemetry:
     def test_counters_flow_to_sink(self):
@@ -259,8 +272,9 @@ class TestTelemetry:
         gid = service.register(cycle_graph(7))
         service.solve(gid)
         service.solve(gid)
-        assert service.events["serve:cache-hit"] == 1
-        assert service.counters()["cache"]["hits"] == 1
+        counters = service.counters()
+        assert counters["events"]["serve:cache-hit"] == 1
+        assert counters["cache"]["hits"] == 1
 
 
 class TestPersistence:
@@ -367,16 +381,15 @@ class TestPersistence:
         path = tmp_path / "svc.json"
         service.save(str(path))
         restored = SolverService.load(str(path))
-        # Every field but the in-process oracle hook is persisted.
+        # Every field is persisted.
         fields = [f.name for f in dataclasses.fields(ServiceConfig)]
-        assert set(service.snapshot_payload()["config"]) == set(fields[:-1])
+        assert set(service.snapshot_payload()["config"]) == set(fields)
         assert fields == [
             "algorithm",
             "cache_capacity",
             "dirty_threshold",
             "repair_radius",
             "default_timeout",
-            "workspace_factory",
         ]
         assert restored.config.algorithm == "near_linear"
         assert restored.config.cache_capacity == 7
@@ -431,7 +444,7 @@ class TestPropertyDifferential:
         # deaths, every served answer checked against a cold solve.
         requests = gauntlet_requests(n=2_000, mutations=100, batch=10, seed=7)
         service = SolverService(ServiceConfig(algorithm=algorithm))
-        responses = list(run_requests(service, requests))
+        responses = [handle_request(service, request) for request in requests]
         assert check_responses(requests, responses, algorithm) == []
         assert "repair" in {r["source"] for r in responses if r["op"] == "solve"}
 

@@ -4,7 +4,8 @@ import os
 
 import pytest
 
-from repro.cli import load_graph, main
+from repro.cli import main
+from repro.graphs import read_graph
 from repro.graphs import cycle_graph, petersen_graph, write_edge_list, write_metis
 
 
@@ -24,12 +25,12 @@ def metis_file(tmp_path):
 
 class TestLoadGraph:
     def test_edge_list_detection(self, edge_list_file):
-        graph, labels = load_graph(edge_list_file)
+        graph, labels = read_graph(edge_list_file)
         assert graph.n == 10
         assert labels is not None
 
     def test_metis_detection(self, metis_file):
-        graph, labels = load_graph(metis_file)
+        graph, labels = read_graph(metis_file)
         assert graph.n == 8
         assert labels is None
 
@@ -90,7 +91,7 @@ class TestInfoAndGenerate:
         assert (
             main(["generate", out_path, "--family", family, "--n", "200", "--seed", "1"]) == 0
         )
-        graph, _ = load_graph(out_path)
+        graph, _ = read_graph(out_path)
         assert graph.n <= 200 and graph.m > 0
 
     def test_generate_then_solve_round_trip(self, tmp_path, capsys):
@@ -103,8 +104,8 @@ class TestInfoAndGenerate:
         dense = str(tmp_path / "dense.txt")
         main(["generate", sparse, "--family", "gnm", "--n", "500", "--avg-degree", "2"])
         main(["generate", dense, "--family", "gnm", "--n", "500", "--avg-degree", "8"])
-        g_sparse, _ = load_graph(sparse)
-        g_dense, _ = load_graph(dense)
+        g_sparse, _ = read_graph(sparse)
+        g_dense, _ = read_graph(dense)
         assert g_dense.m > 2 * g_sparse.m
 
     def test_info_on_dimacs(self, tmp_path, capsys):
@@ -120,7 +121,7 @@ class TestInfoAndGenerate:
         assert main(
             ["kernelize", edge_list_file, "--method", "degree_one", "--output", out_path]
         ) == 0
-        graph, _ = load_graph(out_path)
+        graph, _ = read_graph(out_path)
         assert graph.n == 10  # Petersen is degree-one-irreducible
 
     def test_solve_baseline_names(self, edge_list_file):

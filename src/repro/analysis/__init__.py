@@ -9,6 +9,7 @@ from .verify import (
     is_independent_set,
     is_maximal_independent_set,
     is_vertex_cover,
+    verify_result,
 )
 
 __all__ = [
@@ -26,4 +27,5 @@ __all__ = [
     "measure_peak_bytes",
     "model_words",
     "speedup_to_reach",
+    "verify_result",
 ]

@@ -14,7 +14,7 @@ id outside ``[0, n)`` fails both checks at once.  Ids that are not plain
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Set, Tuple
+from typing import Any, Collection, Iterable, List, Optional, Set, Tuple
 
 import numpy as _np
 
@@ -28,6 +28,7 @@ __all__ = [
     "assert_valid_solution",
     "complement_vertex_cover",
     "greedy_maximal_extension",
+    "verify_result",
 ]
 
 
@@ -36,7 +37,7 @@ def _on_array_path(selected: Set[int]) -> bool:
     return not selected or set(map(type, selected)) == {int}
 
 
-def _mark(graph: Graph, selected: Set[int]) -> Optional[Tuple[Any, Any]]:
+def _mark(graph: Graph, selected: Collection[int]) -> Optional[Tuple[Any, Any]]:
     """``(chosen, covered)`` boolean arrays, or ``None`` for an id outside ``[0, n)``.
 
     ``chosen[v]`` marks the selected vertices and ``covered[v]`` the
@@ -113,6 +114,31 @@ def assert_valid_solution(graph: Graph, vertices: Iterable[int], maximal: bool =
         raise NotASolutionError(f"{sorted(selected)} is not an independent set")
     if maximal and not is_maximal_independent_set(graph, selected):
         raise NotASolutionError(f"{sorted(selected)} is not maximal")
+
+
+def verify_result(graph: Graph, result: Any, alpha: Optional[int] = None) -> None:
+    """Check one answer the way every path's answers are held to.
+
+    ``result`` is anything with ``independent_set``, ``upper_bound`` and
+    ``is_exact`` (an :class:`~repro.core.result.MISResult`, or a served
+    :class:`~repro.serve.service.ServeResult` translated to ``graph``'s
+    ids); ``exact_bound`` defaults to True when it has none.  Raises
+    :class:`~repro.errors.NotASolutionError` unless the set is independent
+    and maximal, ``|I| <= upper_bound``, ``is_exact`` comes only with a
+    certified bound equal to ``|I|``, and, when α is given,
+    ``|I| <= α <= upper_bound``.
+    """
+    selected = set(result.independent_set)
+    assert_valid_solution(graph, selected)
+    size, bound = len(selected), result.upper_bound
+    if bound < size:
+        raise NotASolutionError(f"upper bound {bound} < |I| {size}")
+    if result.is_exact and not getattr(result, "exact_bound", True):
+        raise NotASolutionError("flagged exact without a certified bound")
+    if result.is_exact and bound != size:
+        raise NotASolutionError(f"flagged exact but |I| {size} != bound {bound}")
+    if alpha is not None and not size <= alpha <= bound:
+        raise NotASolutionError(f"α {alpha} outside [|I| {size}, bound {bound}]")
 
 
 def complement_vertex_cover(graph: Graph, independent_set: Iterable[int]) -> Set[int]:

@@ -15,6 +15,8 @@ import time
 from collections import deque
 from typing import Callable, Iterable, List
 
+import numpy as _np
+
 from ..graphs.properties import connected_components
 from ..graphs.static_graph import Graph
 from .result import MISResult
@@ -31,26 +33,28 @@ def affected_region(graph: Graph, seeds: Iterable[int], radius: int = 2) -> List
     decisions revisited — everything further away keeps its previous
     status.  ``radius=0`` returns the (live, deduplicated) seeds themselves.
     """
-    seen = bytearray(graph.n)
-    frontier: List[int] = []
-    for v in seeds:
-        if 0 <= v < graph.n and not seen[v]:
-            seen[v] = 1
-            frontier.append(v)
-    region = list(frontier)
+    return _region_ids(graph, seeds, radius).tolist()
+
+
+def _region_ids(graph: Graph, seeds: Iterable[int], radius: int = 2) -> "_np.ndarray":
+    """:func:`affected_region` as an ascending ``int64`` array.
+
+    One frontier gather per hop (:meth:`Graph._gather_rows`), so the cost
+    is the region's rows, not the graph's: seeds outside ``[0, n)`` are
+    dropped, and each hop keeps the gathered neighbours not yet seen.
+    """
+    np = _np
+    wanted = np.fromiter(seeds, dtype=np.int64)
+    seen = np.zeros(graph.n, dtype=bool)
+    frontier = np.unique(wanted[(wanted >= 0) & (wanted < graph.n)])
+    seen[frontier] = True
     for _ in range(radius):
-        if not frontier:
+        if not len(frontier):
             break
-        next_frontier: List[int] = []
-        for u in frontier:
-            for v in graph.neighbors(u):
-                if not seen[v]:
-                    seen[v] = 1
-                    next_frontier.append(v)
-        region.extend(next_frontier)
-        frontier = next_frontier
-    region.sort()
-    return region
+        _, neighbours = graph._gather_rows(frontier)
+        frontier = np.unique(neighbours[~seen[neighbours]].astype(np.int64))
+        seen[frontier] = True
+    return np.flatnonzero(seen)
 
 
 def touched_components(graph: Graph, seeds: Iterable[int]) -> List[List[int]]:

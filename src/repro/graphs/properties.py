@@ -12,8 +12,9 @@ These are the substrate analytics the algorithms and benchmarks rely on:
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, List, Tuple
+
+import numpy as _np
 
 from .static_graph import Graph
 
@@ -64,26 +65,48 @@ def count_triangles(graph: Graph) -> int:
 
 
 def connected_components(graph: Graph) -> List[List[int]]:
-    """Connected components as sorted vertex lists, largest first."""
-    seen = bytearray(graph.n)
-    components: List[List[int]] = []
-    for start in range(graph.n):
-        if seen[start]:
-            continue
-        seen[start] = 1
-        queue = deque([start])
-        component = [start]
-        while queue:
-            u = queue.popleft()
-            for v in graph.neighbors(u):
-                if not seen[v]:
-                    seen[v] = 1
-                    component.append(v)
-                    queue.append(v)
-        component.sort()
-        components.append(component)
-    components.sort(key=len, reverse=True)
-    return components
+    """Connected components as sorted vertex lists, largest first.
+
+    Components of equal size come in order of their smallest vertex.
+    Whole-array passes over the CSR buffers: every vertex starts as its
+    own root; each round hooks every root that has an edge to a smaller
+    root onto the smallest such root, then pointer jumping flattens the
+    forest.  Labels only fall, so the rounds stop with each component
+    labelled by its smallest vertex.
+    """
+    np = _np
+    n = graph.n
+    if n == 0:
+        return []
+    offsets, targets = graph.flat_csr()
+    label = np.arange(n, dtype=np.int64)
+    if len(targets):
+        # One direction of every edge suffices: a slot (u, w) with u > w
+        # and its twin (w, u) see the same two roots.
+        heads = np.repeat(label, np.diff(np.frombuffer(offsets, dtype=np.int64)))
+        tails = np.frombuffer(targets, dtype=np.int32).astype(np.int64)
+        forward = heads > tails
+        heads, tails = heads[forward], tails[forward]
+        while len(heads):
+            high = np.maximum(label[heads], label[tails])
+            low = np.minimum(label[heads], label[tails])
+            apart = high != low
+            if not apart.any():
+                break
+            heads, tails, high, low = heads[apart], tails[apart], high[apart], low[apart]
+            np.minimum.at(label, high, low)
+            while True:
+                jumped = label[label]
+                if np.array_equal(jumped, label):
+                    break
+                label = jumped
+    sizes = np.bincount(label, minlength=n)
+    roots = np.flatnonzero(sizes)
+    members = np.argsort(label, kind="stable").tolist()
+    ends = np.cumsum(sizes[roots]).tolist()
+    pieces = [members[end - size : end] for end, size in zip(ends, sizes[roots].tolist())]
+    order = np.lexsort((roots, -sizes[roots])).tolist()
+    return [pieces[k] for k in order]
 
 
 def largest_component(graph: Graph) -> Tuple[Graph, List[int]]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as _np
 
@@ -242,19 +242,25 @@ class Graph:
             offsets.append(len(targets))
         return Graph(offsets, targets, name=name), old_ids
 
-    def _induced(self, keep_ids: "_np.ndarray", name: str) -> "Graph":
+    def _induced(
+        self, keep_ids: "_np.ndarray", name: str, label: "Optional[_np.ndarray]" = None
+    ) -> "Graph":
         """The subgraph induced by the ascending ``int64`` ids ``keep_ids``.
 
         The same output as the dict-remap path of :meth:`subgraph`: kept
         rows in id order, rows still sorted because the relabel is
-        monotone."""
-        k = len(keep_ids)
-        # The relabel table is one C-level fill of n words; only kept ids
-        # get a new id, every other entry stays -1.
-        relabel = _np.full(self.n, -1, dtype=_np.int64)
-        relabel[keep_ids] = _np.arange(k, dtype=_np.int64)
-        offsets = _np.zeros(k + 1, dtype=_np.int64)
-        offsets[1:], targets = self._induced_rows(keep_ids, relabel)
+        monotone.  ``label`` is the relabel table of
+        :meth:`_induced_rows`; without one, a table of n words is filled
+        here.  A caller that cuts many pieces closed under adjacency (the
+        connected components of one graph) passes one table shared by all
+        of them: each vertex's rank inside its own piece."""
+        if label is None:
+            # One C-level fill of n words; only kept ids get a new id,
+            # every other entry stays -1.
+            label = _np.full(self.n, -1, dtype=_np.int64)
+            label[keep_ids] = _np.arange(len(keep_ids), dtype=_np.int64)
+        offsets = _np.zeros(len(keep_ids) + 1, dtype=_np.int64)
+        offsets[1:], targets = self._induced_rows(keep_ids, label)
         return Graph(offsets, targets, name=name)
 
     def _induced_rows(
@@ -266,25 +272,35 @@ class Graph:
         ``label`` maps every vertex to its id in the result, or to −1 when
         it is not kept.  Returns the running slot count at each kept row's
         end and the labelled targets, rows concatenated in ``keep_ids``
-        order and each in its row order.  Only the kept rows are gathered
-        from the graph's buffers, so no pass touches the rest of its
-        slots."""
+        order and each in its row order."""
+        ends, neighbours = self._gather_rows(keep_ids)
+        if not len(neighbours):
+            return _np.zeros(len(keep_ids), dtype=_np.int64), _np.zeros(0, dtype=_np.int64)
+        targets = label[neighbours]
+        kept = targets >= 0
+        hits = _np.zeros(len(targets) + 1, dtype=_np.int64)
+        _np.cumsum(kept, out=hits[1:])
+        return hits[ends], targets[kept]
+
+    def _gather_rows(self, ids: "_np.ndarray") -> Tuple["_np.ndarray", "_np.ndarray"]:
+        """The rows of the ``int64`` vertex ids ``ids``, concatenated.
+
+        Returns the running slot count at each row's end and the
+        ``int32`` neighbour ids, rows in ``ids`` order and each in its
+        row order.  Only those rows are read from the buffers, so the
+        cost is O(|ids| + their degrees), whatever the graph's size."""
         offs = _np.frombuffer(self._offsets, dtype=_np.int64)
-        starts = offs[keep_ids]
-        lengths = offs[keep_ids + 1] - starts
+        starts = offs[ids]
+        lengths = offs[ids + 1] - starts
         ends = _np.cumsum(lengths)
         total = int(ends[-1]) if len(ends) else 0
         if not total:
-            return _np.zeros(len(keep_ids), dtype=_np.int64), _np.zeros(0, dtype=_np.int64)
+            return ends, _np.zeros(0, dtype=_np.int32)
         # Slot j of the gathered rows sits at its row's start plus its
         # place in the row.
         slots = _np.arange(total, dtype=_np.int64)
         slots += _np.repeat(starts - ends + lengths, lengths)
-        targets = label[_np.frombuffer(self._targets, dtype=_np.int32)[slots]]
-        kept = targets >= 0
-        hits = _np.zeros(total + 1, dtype=_np.int64)
-        _np.cumsum(kept, out=hits[1:])
-        return hits[ends], targets[kept]
+        return ends, _np.frombuffer(self._targets, dtype=_np.int32)[slots]
 
     def complement(self) -> "Graph":
         """The complement graph (dense; intended for small graphs only)."""

@@ -45,8 +45,9 @@ class CacheEntry:
     ``solution`` uses compact ids (``0 .. n-1`` of the fingerprinted
     snapshot) so the entry is handle-independent; callers translate through
     their own ``old_ids`` map.  ``exact_bound`` records whether
-    ``upper_bound`` is a Theorem-6.1 certificate (cold solves) or the
-    trivial ``n`` (repaired solutions, which carry no certificate).
+    ``upper_bound`` is a Theorem-6.1 certificate (cold solves) or a
+    carried bound (repaired solutions; see
+    :class:`~repro.serve.service.ServeResult`).
     """
 
     fingerprint: str

@@ -6,21 +6,29 @@ front of that world: callers register a graph once and then mutate it
 between queries (``add_edge`` / ``remove_edge`` / ``add_vertex`` /
 ``remove_vertex``, or a batched :meth:`DynamicGraph.apply`).
 
-:class:`DynamicGraph` keeps the mutable adjacency as a list of sets over a
-stable *dynamic id* space: ids are never reused, removed vertices stay
-allocated-but-dead, and every mutation reports the set of live vertices
-whose neighbourhood changed — the **dirty seeds** that drive localized
-repair (:mod:`repro.serve.repair`).  :meth:`snapshot` compacts the live
-vertices into a fresh immutable :class:`Graph` plus an id map, cached until
-the next mutation so repeated warm queries pay nothing beyond a version
-check.
+:class:`DynamicGraph` works over a stable *dynamic id* space: ids are never
+reused, removed vertices stay allocated-but-dead, and every mutation
+reports the set of live vertices whose neighbourhood changed — the **dirty
+seeds** that drive localized repair (:mod:`repro.serve.repair`).
+
+Storage is one CSR plus copy-on-write rows.  The *base* is the last
+materialised snapshot, an immutable :class:`Graph` whose compact ids map
+to dynamic ids through an ascending id array (none while the two agree);
+a freshly registered graph is its own base, so registering copies nothing
+and the first snapshot is the registered graph.  A write copies only the
+rows it touches into an overlay of Python sets.  :meth:`snapshot` splices
+the overlay rows into the base's buffers in whole-array passes, and
+compacts through :meth:`Graph._induced` only when a vertex died since the
+base was built.  The result becomes the new base and the overlay empties,
+so repeated warm queries pay nothing beyond a check.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, chain
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as _np
 
@@ -77,42 +85,39 @@ class DynamicGraph:
     __slots__ = (
         "name",
         "version",
-        "_adj",
+        "_base",
+        "_base_ids",
+        "_base_span",
+        "_rows",
         "_alive",
         "_live",
         "_edges",
-        "_snapshot",
-        "_fingerprint",
-        "_base",
-        "_dirty_rows",
         "_liveness_dirty",
+        "_fingerprint",
     )
 
     def __init__(self, graph: Optional[Graph] = None, name: str = "") -> None:
-        if graph is not None:
-            self._adj: List[Set[int]] = graph.adjacency_sets()
-            self._alive = bytearray([1]) * graph.n if graph.n else bytearray()
-            self._live = graph.n
-            self._edges = graph.m
-            self.name = name or graph.name
-        else:
-            self._adj = []
-            self._alive = bytearray()
-            self._live = 0
-            self._edges = 0
-            self.name = name
-        #: Bumped on every effective mutation; snapshot/fingerprint caches
-        #: are valid only for the version they were computed at.
-        self.version = 0
-        self._snapshot: Optional[Tuple[int, Graph, List[int]]] = None
-        self._fingerprint: Optional[Tuple[int, str]] = None
-        # Incremental-rebuild state: the last materialised snapshot
-        # (graph, old_ids, dynamic->compact map), the dynamic ids whose
-        # neighbourhood changed since it was built, and whether the live
-        # vertex set itself changed (which invalidates the id map).
-        self._base: Optional[Tuple[Graph, List[int], Dict[int, int]]] = None
-        self._dirty_rows: Set[int] = set()
+        if graph is None:
+            graph = Graph.empty(0)
+        self.name = name or graph.name
+        #: The last materialised snapshot; its compact id ``i`` is dynamic
+        #: id ``_base_ids[i]``, or ``i`` itself while ``_base_ids`` is None.
+        self._base = graph if graph.name == self.name else graph.renamed(self.name)
+        self._base_ids: Optional["_np.ndarray"] = None
+        #: Ids allocated when the base was built; larger ones were born since.
+        self._base_span = graph.n
+        #: Copy-on-write overlay: the rows (dynamic ids) written since the
+        #: base was built, including every vertex born or removed since.
+        self._rows: Dict[int, Set[int]] = {}
+        self._alive = bytearray(b"\x01") * graph.n
+        self._live = graph.n
+        self._edges = graph.m
+        #: Whether a vertex was born or removed since the base was built.
         self._liveness_dirty = False
+        #: Bumped on every effective mutation; the fingerprint cache is
+        #: valid only for the version it was computed at.
+        self.version = 0
+        self._fingerprint: Optional[Tuple[int, str]] = None
 
     # ------------------------------------------------------------------
     # Queries
@@ -120,7 +125,7 @@ class DynamicGraph:
     @property
     def n_allocated(self) -> int:
         """Total ids ever allocated (live + dead)."""
-        return len(self._adj)
+        return len(self._alive)
 
     @property
     def n(self) -> int:
@@ -134,37 +139,45 @@ class DynamicGraph:
 
     def is_live(self, v: int) -> bool:
         """Whether dynamic id ``v`` is currently a vertex of the graph."""
-        return 0 <= v < len(self._adj) and bool(self._alive[v])
+        return 0 <= v < len(self._alive) and bool(self._alive[v])
 
     def live_vertices(self) -> Iterator[int]:
         """Iterate over the live dynamic ids in ascending order."""
         alive = self._alive
-        return (v for v in range(len(self._adj)) if alive[v])
+        return (v for v in range(len(alive)) if alive[v])
 
     def degree(self, v: int) -> int:
         """Degree of live vertex ``v``."""
         self._check_live(v)
-        return len(self._adj[v])
+        row = self._rows.get(v)
+        if row is not None:
+            return len(row)
+        offsets, _ = self._base.flat_csr()
+        i = self._compact_id(v)
+        return offsets[i + 1] - offsets[i]
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
         """The sorted neighbourhood of live vertex ``v`` (dynamic ids)."""
         self._check_live(v)
-        return tuple(sorted(self._adj[v]))
+        row = self._rows.get(v)
+        if row is not None:
+            return tuple(sorted(row))
+        return tuple(self._base_row(v))
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the live edge ``(u, v)`` is present."""
         self._check_live(u)
         self._check_live(v)
-        return v in self._adj[u]
+        return self._has(u, v)
 
     # ------------------------------------------------------------------
     # Mutations — each returns the set of dirty live seeds
     # ------------------------------------------------------------------
     def add_vertex(self) -> int:
         """Allocate a fresh isolated vertex; returns its dynamic id."""
-        v = len(self._adj)
-        self._adj.append(set())
+        v = len(self._alive)
         self._alive.append(1)
+        self._rows[v] = set()
         self._live += 1
         self._liveness_dirty = True
         self._bump()
@@ -178,11 +191,12 @@ class DynamicGraph:
         never reused.
         """
         self._check_live(v)
-        dirty = set(self._adj[v])
+        row = self._rows.get(v)
+        dirty = set(row) if row is not None else set(self._base_row(v))
         for w in dirty:
-            self._adj[w].discard(v)
+            self._writable(w).discard(v)
         self._edges -= len(dirty)
-        self._adj[v] = set()
+        self._rows[v] = set()
         self._alive[v] = 0
         self._live -= 1
         self._liveness_dirty = True
@@ -195,12 +209,11 @@ class DynamicGraph:
         self._check_live(v)
         if u == v:
             raise ReproError(f"self-loop ({u}, {v}) not allowed")
-        if v in self._adj[u]:
+        if self._has(u, v):
             return set()
-        self._adj[u].add(v)
-        self._adj[v].add(u)
+        self._writable(u).add(v)
+        self._writable(v).add(u)
         self._edges += 1
-        self._dirty_rows.update((u, v))
         self._bump()
         return {u, v}
 
@@ -208,12 +221,11 @@ class DynamicGraph:
         """Delete the edge ``(u, v)``; no-op (empty dirty set) if absent."""
         self._check_live(u)
         self._check_live(v)
-        if v not in self._adj[u]:
+        if not self._has(u, v):
             return set()
-        self._adj[u].discard(v)
-        self._adj[v].discard(u)
+        self._writable(u).discard(v)
+        self._writable(v).discard(u)
         self._edges -= 1
-        self._dirty_rows.update((u, v))
         self._bump()
         return {u, v}
 
@@ -241,74 +253,93 @@ class DynamicGraph:
     # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------
+    def _compact(self) -> Tuple[Graph, Optional["_np.ndarray"]]:
+        """The current graph as ``(immutable_graph, ids)``.
+
+        ``ids`` is the ascending ``int64`` array with ``ids[compact_id] =
+        dynamic_id``, or None when the two agree.  The graph is rebuilt
+        only after a mutation; until the next one every call returns the
+        same objects.
+        """
+        if self._rows or self._liveness_dirty:
+            self._rebuild()
+        return self._base, self._base_ids
+
     def snapshot(self) -> Tuple[Graph, List[int]]:
         """The current graph as ``(immutable_graph, old_ids)``.
 
-        ``old_ids[compact_id] = dynamic_id``; the result is cached until
-        the next mutation, so repeated warm queries reuse one compaction.
-        When the live vertex set is unchanged since the last build, only
-        the mutated rows are re-sorted; every unchanged row is spliced from
-        the previous snapshot's buffers in whole-array passes, so an edge
-        flip on a large graph costs far less than a full O(n + m)
-        recompaction in Python.
+        ``old_ids[compact_id] = dynamic_id``, as a list; :meth:`_compact`
+        gives the same map as an array.  The graph is cached until the
+        next mutation, so repeated warm queries reuse one compaction.
         """
-        cached = self._snapshot
-        if cached is not None and cached[0] == self.version:
-            return cached[1], cached[2]
-        adj = self._adj
-        base = self._base
-        if base is not None and not self._liveness_dirty:
-            base_graph, old_ids, compact = base
-            graph = self._splice(base_graph, old_ids, compact)
-        else:
-            old_ids = [v for v in range(len(adj)) if self._alive[v]]
-            compact = {old: new for new, old in enumerate(old_ids)}
-            if len(old_ids) == len(adj):  # every id live: identity map
-                rows = [sorted(row) for row in adj]
-            else:
-                rows = [sorted(compact[w] for w in adj[old]) for old in old_ids]
-            offsets = list(accumulate(chain((0,), map(len, rows))))
-            graph = Graph(offsets, list(chain.from_iterable(rows)), name=self.name)
-        self._base = (graph, old_ids, compact)
-        self._dirty_rows = set()
-        self._liveness_dirty = False
-        self._snapshot = (self.version, graph, old_ids)
-        return graph, old_ids
+        graph, ids = self._compact()
+        return graph, list(range(graph.n)) if ids is None else ids.tolist()
 
-    def _splice(self, base: Graph, old_ids: List[int], compact: Dict[int, int]) -> Graph:
-        """``base`` with the rows of :attr:`_dirty_rows` rebuilt from the
-        adjacency sets; the vertex set and id map are unchanged."""
+    def _rebuild(self) -> None:
+        """Splice the overlay into the base; compact if a vertex died.
+
+        The rows are first laid out over the *extended* ids: the base's
+        dynamic ids, then every id born since, which is ascending in
+        dynamic id.  Unchanged rows keep their slots in the same order,
+        so one masked gather moves all of them and the overlay rows fill
+        the remaining slots.
+        """
         np = _np
-        dirty = sorted(compact[v] for v in self._dirty_rows)
-        adj = self._adj
-        rows = [sorted(compact[w] for w in adj[old_ids[new]]) for new in dirty]
+        base, ids, span = self._base, self._base_ids, self._base_span
+        n_allocated = len(self._alive)
+        extended = base.n + n_allocated - span
+        written = sorted(self._rows)
+        rows = [sorted(self._rows[v]) for v in written]
         base_offsets, base_targets = base.flat_csr()
         old_lengths = np.diff(np.frombuffer(base_offsets, dtype=np.int64))
-        lengths = old_lengths.copy()
-        lengths[dirty] = [len(row) for row in rows]
-        offsets = np.zeros(len(old_ids) + 1, dtype=np.int64)
+        lengths = np.zeros(extended, dtype=np.int64)
+        lengths[: base.n] = old_lengths
+        where = self._extended_ids(np.array(written, dtype=np.int64))
+        lengths[where] = [len(row) for row in rows]
+        offsets = np.zeros(extended + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
-        rewritten = np.zeros(len(old_ids), dtype=bool)
-        rewritten[dirty] = True
-        # Unchanged rows keep their slots in the same order in both
-        # buffers, so one masked gather moves all of them; the dirty rows
-        # fill the remaining slots.
+        rewritten = np.zeros(extended, dtype=bool)
+        rewritten[where] = True
         targets = np.empty(int(offsets[-1]), dtype=np.int32)
         fresh = np.repeat(rewritten, lengths)
-        kept = np.repeat(~rewritten, old_lengths)
-        targets[~fresh] = np.frombuffer(base_targets, dtype=np.int32)[kept]
-        targets[fresh] = np.fromiter(
-            chain.from_iterable(rows), dtype=np.int32, count=int(lengths[dirty].sum())
+        if len(base_targets):
+            kept = np.repeat(~rewritten[: base.n], old_lengths)
+            targets[~fresh] = np.frombuffer(base_targets, dtype=np.int32)[kept]
+        targets[fresh] = self._extended_ids(
+            np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(fresh.sum()))
         )
-        return Graph(offsets, targets, name=self.name)
+        graph = Graph(offsets, targets, name=self.name)
+        if self._liveness_dirty:
+            # The dynamic id of every extended id, and which died.
+            alive = np.frombuffer(self._alive, dtype=np.uint8)
+            if ids is not None:
+                ids = np.concatenate((ids, np.arange(span, n_allocated, dtype=np.int64)))
+                alive = alive[ids]
+            dead = alive == 0
+            del alive  # no export of the flags may outlive this call
+            if dead.any():
+                keep = np.flatnonzero(~dead)
+                graph = graph._induced(keep, self.name)
+                ids = keep if ids is None else ids[keep]
+        self._base, self._base_ids, self._base_span = graph, ids, n_allocated
+        self._rows = {}
+        self._liveness_dirty = False
+
+    def _extended_ids(self, dynamic: "_np.ndarray") -> "_np.ndarray":
+        """The extended ids (see :meth:`_rebuild`) of ``int64`` dynamic ids
+        that were live at the base or born since."""
+        ids, span = self._base_ids, self._base_span
+        if ids is None:
+            return dynamic
+        born = dynamic >= span
+        return _np.where(born, dynamic - span + len(ids), _np.searchsorted(ids, dynamic))
 
     def fingerprint(self) -> str:
         """The structural fingerprint of the current snapshot (cached)."""
         cached = self._fingerprint
         if cached is not None and cached[0] == self.version:
             return cached[1]
-        graph, _ = self.snapshot()
-        value = graph_fingerprint(graph)
+        value = graph_fingerprint(self._compact()[0])
         self._fingerprint = (self.version, value)
         return value
 
@@ -317,50 +348,102 @@ class DynamicGraph:
     # ------------------------------------------------------------------
     def to_payload(self) -> Dict[str, object]:
         """A JSON-serialisable dump preserving the dynamic-id space."""
+        np = _np
+        graph, ids = self._compact()
+        offsets, targets = graph.flat_csr()
+        heads = np.repeat(
+            np.arange(graph.n, dtype=np.int64),
+            np.diff(np.frombuffer(offsets, dtype=np.int64)),
+        )
+        tails = np.frombuffer(targets, dtype=np.int32) if len(targets) else heads
+        upper = heads < tails
+        pairs = np.stack((heads[upper], tails[upper].astype(np.int64)), axis=1)
+        if ids is not None:
+            pairs = ids[pairs]
         return {
             "name": self.name,
-            "n_allocated": len(self._adj),
-            "alive": [v for v in range(len(self._adj)) if self._alive[v]],
-            "edges": [
-                [u, v]
-                for u in range(len(self._adj))
-                if self._alive[u]
-                for v in sorted(self._adj[u])
-                if u < v
-            ],
+            "n_allocated": len(self._alive),
+            "alive": [v for v in range(len(self._alive)) if self._alive[v]],
+            "edges": pairs.tolist(),
         }
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "DynamicGraph":
         """Rebuild a graph dumped with :meth:`to_payload`."""
-        dynamic = cls(name=str(payload.get("name", "")))
+        np = _np
         n_allocated = int(payload["n_allocated"])  # type: ignore[arg-type]
-        alive = {int(v) for v in payload.get("alive", [])}  # type: ignore[union-attr]
-        dynamic._adj = [set() for _ in range(n_allocated)]
-        dynamic._alive = bytearray(
-            1 if v in alive else 0 for v in range(n_allocated)
-        )
-        dynamic._live = len(alive)
-        for u, v in payload.get("edges", []):  # type: ignore[union-attr]
-            u, v = int(u), int(v)
-            if u not in alive or v not in alive:
-                raise ReproError(f"snapshot edge ({u}, {v}) touches a dead vertex")
-            dynamic._adj[u].add(v)
-            dynamic._adj[v].add(u)
-            dynamic._edges += 1
+        alive = bytearray(n_allocated)
+        for v in payload.get("alive", []):  # type: ignore[union-attr]
+            if not 0 <= int(v) < n_allocated:
+                raise ReproError(f"snapshot vertex {v} is outside {n_allocated} ids")
+            alive[int(v)] = 1
+        edges = np.array(payload.get("edges", []), dtype=np.int64).reshape(-1, 2)
+        flags = np.frombuffer(bytes(alive), dtype=np.uint8)
+        inside = (edges >= 0) & (edges < n_allocated)
+        ends_live = inside.all(axis=1)
+        ends_live[ends_live] = (flags[edges[ends_live]] != 0).all(axis=1)
+        if not ends_live.all():
+            u, v = edges[int(np.argmin(ends_live))].tolist()
+            raise ReproError(f"snapshot edge ({u}, {v}) touches a dead vertex")
+        graph = Graph.from_edges(n_allocated, edges)
+        dynamic = cls(graph, name=str(payload.get("name", "")))
+        dynamic._alive = alive
+        dynamic._live = int(np.count_nonzero(flags))
+        dynamic._liveness_dirty = dynamic._live < n_allocated
         return dynamic
 
     # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
+    def _compact_id(self, v: int) -> int:
+        """The base id of dynamic id ``v`` (live at the base)."""
+        ids = self._base_ids
+        return v if ids is None else int(_np.searchsorted(ids, v))
+
+    def _base_row(self, v: int) -> Sequence[int]:
+        """The row of ``v`` in the base, as ascending dynamic ids; ``v``
+        must be live and have no overlay row."""
+        offsets, targets = self._base.flat_csr()
+        i = self._compact_id(v)
+        row = targets[offsets[i] : offsets[i + 1]]
+        ids = self._base_ids
+        if ids is None or not len(row):
+            return row
+        return ids[_np.frombuffer(row, dtype=_np.int32)].tolist()
+
+    def _has(self, u: int, v: int) -> bool:
+        """Whether live ``u`` and ``v`` are adjacent (binary search in the
+        base row when ``u`` has no overlay row)."""
+        row = self._rows.get(u)
+        if row is not None:
+            return v in row
+        ids = self._base_ids
+        if ids is None:
+            target = v
+        else:
+            target = int(_np.searchsorted(ids, v))
+            if target == len(ids) or ids[target] != v:
+                return False  # born since the base: in no base row
+        offsets, targets = self._base.flat_csr()
+        i = self._compact_id(u)
+        lo, hi = offsets[i], offsets[i + 1]
+        at = bisect_left(targets, target, lo, hi)
+        return at < hi and targets[at] == target
+
+    def _writable(self, v: int) -> Set[int]:
+        """The overlay row of live ``v``, copied from the base on first write."""
+        row = self._rows.get(v)
+        if row is None:
+            row = self._rows[v] = set(self._base_row(v))
+        return row
+
     def _bump(self) -> None:
         self.version += 1
-        self._snapshot = None
         self._fingerprint = None
 
     def _check_live(self, v: int) -> None:
-        if not 0 <= v < len(self._adj):
-            raise VertexError(v, len(self._adj))
+        if not 0 <= v < len(self._alive):
+            raise VertexError(v, len(self._alive))
         if not self._alive[v]:
             raise ReproError(f"vertex {v} was removed and its id is retired")
 

@@ -32,10 +32,15 @@ import json
 import time
 from dataclasses import dataclass, field
 from random import Random
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import ReproError
+import numpy as _np
+
+from ..analysis.verify import verify_result
+from ..errors import NotASolutionError, ReproError
 from ..graphs.generators import gnp_random_graph
+from ..graphs.static_graph import Graph
 from .requests import handle_request
 from .router import ShardRouter
 from .service import ServiceConfig, SolverService
@@ -48,6 +53,7 @@ __all__ = [
     "replay_async",
     "replay_sync",
     "run_serve_load_benchmark",
+    "verify_answer",
 ]
 
 #: Response fields that legitimately differ between serving paths:
@@ -259,7 +265,10 @@ def replay_sync(
 
     The setup prefix is executed untimed; the clock covers only the
     request stream.  Setup responses are still recorded so the
-    equivalence check spans every rid.
+    equivalence check spans every rid.  Every solve answer is checked by
+    :func:`verify_answer` on the snapshot it answered, as soon as it is
+    served and with the clock paused; the async replays must match these
+    answers rid by rid, so theirs are held to the same check.
 
     Latency is reported under the same closed-loop client model the async
     replay uses — ``window`` callers, each sending its next request when
@@ -272,21 +281,30 @@ def replay_sync(
     service = SolverService(service_config or ServiceConfig())
     report = LoadgenReport(label="sync", wall=0.0)
     setup, stream = split_workload(workload)
+
+    def check(request: Dict[str, object], response: Dict[str, object]) -> None:
+        if not response.get("ok"):
+            report.errors += 1
+        elif response.get("op") == "solve":
+            graph_id = str(request["id"])
+            verify_answer(*service.dynamic_graph(graph_id)._compact(), response)
+
     for request in setup:
         response = handle_request(service, request)
         report.responses.append(response)
-        if not response.get("ok"):
-            report.errors += 1
+        check(request, response)
     service_seconds: List[float] = []
+    checking = 0.0  # the checks run between requests, off the clock
     started = time.perf_counter()
     for request in stream:
         t0 = time.perf_counter()
         response = handle_request(service, request)
-        service_seconds.append(time.perf_counter() - t0)
+        t1 = time.perf_counter()
+        service_seconds.append(t1 - t0)
         report.responses.append(response)
-        if not response.get("ok"):
-            report.errors += 1
-    report.wall = time.perf_counter() - started
+        check(request, response)
+        checking += time.perf_counter() - t1
+    report.wall = time.perf_counter() - started - checking
     report.measured = len(stream)
     rolling = 0.0
     for index, seconds in enumerate(service_seconds):
@@ -297,6 +315,33 @@ def replay_sync(
     cache = service.counters()["cache"]
     report.cache_hit_rate = float(cache["hit_rate"])  # type: ignore[index]
     return report
+
+
+def verify_answer(
+    graph: Graph, ids: Optional["_np.ndarray"], response: Dict[str, object]
+) -> None:
+    """Hold one served solve answer to :func:`~repro.analysis.verify_result`
+    on the snapshot it answered (``ids`` maps its compact ids to dynamic
+    ids, None when they agree); raises :class:`ReproError` if it fails."""
+    members = _np.array(response["independent_set"], dtype=_np.int64)
+    if ids is not None:
+        # A dead or unknown id maps to -1, which the check rejects.
+        compact = _np.searchsorted(ids, members)
+        found = ids[_np.minimum(compact, len(ids) - 1)] == members if len(ids) else False
+        members = _np.where(found, compact, -1)
+    answer = SimpleNamespace(
+        independent_set=members.tolist(),
+        upper_bound=response["upper_bound"],
+        is_exact=response["is_exact"],
+        exact_bound=response["exact_bound"],
+    )
+    try:
+        verify_result(graph, answer)
+    except NotASolutionError as exc:
+        raise ReproError(
+            f"loadgen answer {response.get('rid')} for graph {response.get('id')!r} "
+            f"fails verification: {str(exc)[:200]}"
+        ) from None
 
 
 def replay_async(

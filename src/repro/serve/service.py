@@ -41,6 +41,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
+import numpy as _np
+
+from ..analysis.verify import _mark
 from ..core.framework import ALGORITHM_BY_NAME
 from ..core.result import (
     STAT_SERVE_CACHE_HIT,
@@ -99,6 +102,10 @@ _CACHE_COUNTED = frozenset({STAT_SERVE_CACHE_HIT, STAT_SERVE_CACHE_MISS})
 
 SNAPSHOT_VERSION = 1
 
+#: The mutation kinds that can raise α (by at most one each); adding an
+#: edge or removing a vertex never does.
+_RAISING_KINDS = frozenset({"remove_edge", "add_vertex"})
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -137,8 +144,12 @@ class ServeResult:
     hit), ``"cold"`` (fresh solve, also the full-solve fallback),
     ``"repair"`` (localized repair) or ``"stale"`` (budget exhausted — the
     patched last-known-good solution; ``stale`` is True only here).
-    ``exact_bound`` marks ``upper_bound`` as a Theorem-6.1 certificate
-    rather than the trivial live-vertex count.  ``backend`` attributes the
+    ``exact_bound`` marks ``upper_bound`` as a freshly certified
+    Theorem-6.1 bound; repaired and stale answers (and cache hits on
+    repaired entries) carry ``min(n, B + k)`` instead, where B is the last
+    certified bound and k counts the ``remove_edge`` / ``add_vertex``
+    writes since — each raises α by at most one, and no other write
+    raises it, so the carried bound is sound.  ``backend`` attributes the
     answer to the backend that solved it: ``"flat"`` (the production
     drivers), or ``"none"`` for stale returns, where no solver ran.
     """
@@ -171,7 +182,7 @@ class ServeResult:
 class _GraphState:
     """Per-registered-graph mutable state (internal)."""
 
-    __slots__ = ("graph_id", "dynamic", "dirty", "solution", "stale")
+    __slots__ = ("graph_id", "dynamic", "dirty", "flags", "stale", "bound", "raises")
 
     def __init__(self, graph_id: str, dynamic: DynamicGraph) -> None:
         self.graph_id = graph_id
@@ -180,23 +191,99 @@ class _GraphState:
         #: successful solve (cleared on cold solve and repair, kept on a
         #: stale return so the next query retries the repair).
         self.dirty: Set[int] = set()
-        #: Last returned solution, as dynamic ids; None before first solve.
-        self.solution: Optional[frozenset] = None
+        #: Last returned solution as a ``uint8`` flag buffer over dynamic
+        #: ids (ids born since read as 0); None before the first solve.
+        self.flags: Optional["_np.ndarray"] = None
         self.stale = False
+        #: The carried bound: ``bound`` is the last certified bound B, and
+        #: ``raises`` counts the writes since it was set that can raise α
+        #: (each ``remove_edge`` / ``add_vertex`` by at most one).
+        self.bound = dynamic.n
+        self.raises = 0
+
+    def carried_bound(self, n: int) -> int:
+        """min(n, B + k): α of the current graph is at most this."""
+        return min(n, self.bound + self.raises)
+
+    def certify(self, bound: int) -> None:
+        """A certified bound of the current graph: B = ``bound``, k = 0."""
+        self.bound = bound
+        self.raises = 0
+
+    def previous(self, ids: Optional["_np.ndarray"], n: int) -> "_np.ndarray":
+        """The last solution as flags over the snapshot's ``n`` compact
+        ids; ``ids`` maps compact to dynamic ids (None: the same ids)."""
+        flags = self.flags
+        span = self.dynamic.n_allocated
+        if len(flags) < span:  # type: ignore[arg-type]
+            flags = _np.concatenate((flags, _np.zeros(span - len(flags), dtype=_np.uint8)))
+        return flags[:n] if ids is None else flags[ids]
+
+    def answer(self, solution: Tuple[int, ...], ids: Optional["_np.ndarray"]) -> frozenset:
+        """Record the ascending compact ids ``solution`` as the last
+        solution; returns it as dynamic ids."""
+        chosen = _np.fromiter(solution, dtype=_np.int64, count=len(solution))
+        flags = _np.zeros(self.dynamic.n_allocated, dtype=_np.uint8)
+        if ids is None:
+            flags[chosen] = 1
+            self.flags = flags
+            return frozenset(solution)
+        members = ids[chosen]
+        flags[members] = 1
+        self.flags = flags
+        return frozenset(members.tolist())
+
+    def solution(self) -> Optional[List[int]]:
+        """The last solution's dynamic ids, ascending (None before one)."""
+        return None if self.flags is None else _np.flatnonzero(self.flags).tolist()
 
 
-def _previous_flags(
-    state: _GraphState, snapshot: Graph, old_ids: List[int]
-) -> Tuple[Dict[int, int], List[bool]]:
-    """The last solution as flags over the snapshot's compact ids, plus
-    the dynamic-to-compact id map (vertices that died are dropped)."""
-    compact = {old: new for new, old in enumerate(old_ids)}
-    in_set = [False] * snapshot.n
-    for v in state.solution or ():
-        new = compact.get(v)
-        if new is not None:
-            in_set[new] = True
-    return compact, in_set
+def _ids_array(values: Iterable[int]) -> "_np.ndarray":
+    return _np.fromiter(values, dtype=_np.int64)
+
+
+def _restored_flags(graph_id: str, state: _GraphState, solution: Iterable[int]) -> "_np.ndarray":
+    """The flag buffer of a snapshot's stored solution, checked as a
+    repair needs it: independent outside the dirty vertices and maximal
+    outside their closed neighbourhood.  Raises :class:`ReproError`
+    otherwise."""
+    np = _np
+    dynamic = state.dynamic
+    members = _ids_array(int(v) for v in solution)
+    if len(members) and (members.min() < 0 or members.max() >= dynamic.n_allocated):
+        raise ReproError(f"snapshot solution for graph {graph_id!r} names unknown ids")
+    flags = np.zeros(dynamic.n_allocated, dtype=np.uint8)
+    flags[members] = 1
+    snapshot, ids = dynamic._compact()
+    seeds = _ids_array(sorted(state.dirty))
+    if ids is not None:
+        seeds = np.searchsorted(ids, seeds)
+    kept = flags[:snapshot.n].copy() if ids is None else flags[ids]
+    kept[seeds] = 0
+    chosen, covered = _mark(snapshot, np.flatnonzero(kept))
+    dirty, near = _mark(snapshot, seeds)
+    if (chosen & covered).any() or not (chosen | covered | dirty | near).all():
+        raise ReproError(
+            f"snapshot solution for graph {graph_id!r} is not an independent "
+            "set maximal outside its dirty vertices; the payload is corrupted"
+        )
+    return flags
+
+
+def _check_carried_bound(graph_id: str, state: _GraphState) -> None:
+    """Refuse a restored B or k that cannot be sound: both are counts, and
+    B + k bounds α of every graph since B was set, so it is at least the
+    size of the last answer.  (B may exceed n: a removed vertex lowers n
+    and leaves B as it was.)"""
+    stored = 0
+    if state.flags is not None:
+        snapshot, ids = state.dynamic._compact()
+        stored = int(_np.count_nonzero(state.previous(ids, snapshot.n)))
+    if state.bound < 0 or state.raises < 0 or state.bound + state.raises < stored:
+        raise ReproError(
+            f"snapshot bound {state.bound} + {state.raises} for graph {graph_id!r} "
+            f"cannot bound its {stored}-vertex solution; the payload is corrupted"
+        )
 
 
 class SolverService:
@@ -333,7 +420,18 @@ class SolverService:
             with phase(
                 telemetry, "serve:mutate", graph=graph_id, mutations=len(mutations)
             ) as span:
-                dirty = state.dynamic.apply(mutations)
+                # Only these can raise α, each by at most one; counted
+                # first, so a batch that fails part-way still counts.
+                state.raises += sum(
+                    mutation.kind in _RAISING_KINDS for mutation in mutations
+                )
+                try:
+                    dirty = state.dynamic.apply(mutations)
+                except ReproError:
+                    # The writes before the failing one landed with no
+                    # dirty seeds recorded, so the next query solves cold.
+                    state.flags = None
+                    raise
                 # Seeds that died inside the batch were already folded into
                 # their neighbours' dirtiness by DynamicGraph.apply; stale
                 # survivors from previous batches are re-validated here.
@@ -392,9 +490,8 @@ class SolverService:
         """A certified Theorem-6.1 upper bound for the current graph.
 
         Served from the cache when the cached entry carries a certificate;
-        otherwise forces a cold solve (repaired solutions only carry the
-        trivial bound, which this endpoint refuses to return unless the
-        timeout leaves no alternative).
+        otherwise (a repaired or stale answer, which carries a sound but
+        uncertified bound) forces a cold solve, whatever the timeout.
         """
         result = self.solve(graph_id, timeout=timeout, context=context)
         if result.exact_bound:
@@ -404,8 +501,9 @@ class SolverService:
         with self._request_scope(telemetry, context):
             with phase(telemetry, "serve:upper-bound", graph=graph_id):
                 entry = self._cold_entry(state, telemetry)
-        snapshot, old_ids = state.dynamic.snapshot()
-        state.solution = frozenset(old_ids[v] for v in entry.solution)
+        _, ids = state.dynamic._compact()
+        state.answer(entry.solution, ids)
+        state.certify(entry.upper_bound)
         state.stale = False
         state.dirty.clear()
         return entry.upper_bound
@@ -424,11 +522,12 @@ class SolverService:
         algorithm = self.config.algorithm
         fingerprint = dynamic.fingerprint()
         entry = self.cache.get(fingerprint, algorithm)
-        snapshot, old_ids = dynamic.snapshot()
+        snapshot, ids = dynamic._compact()
         if entry is not None:
             self._bump(STAT_SERVE_CACHE_HIT, 1, telemetry)
-            solution = frozenset(old_ids[v] for v in entry.solution)
-            state.solution = solution
+            solution = state.answer(entry.solution, ids)
+            if entry.exact_bound:
+                state.certify(entry.upper_bound)
             state.stale = False
             state.dirty.clear()
             return ServeResult(
@@ -445,58 +544,51 @@ class SolverService:
         self._bump(STAT_SERVE_CACHE_MISS, 1, telemetry)
 
         can_repair = (
-            state.solution is not None
+            state.flags is not None
             and state.dirty
             and snapshot.n > 0
             and len(state.dirty) <= self.config.dirty_threshold * snapshot.n
         )
         if can_repair and (deadline is None or time.perf_counter() < deadline):
-            return self._repair(
-                state, snapshot, old_ids, fingerprint, telemetry, start
-            )
+            return self._repair(state, snapshot, ids, fingerprint, telemetry, start)
         if (
             deadline is not None
-            and state.solution is not None
+            and state.flags is not None
             and time.perf_counter() >= deadline
         ):
-            return self._stale_return(state, snapshot, old_ids, telemetry, start)
-        return self._full_solve(
-            state, snapshot, old_ids, fingerprint, telemetry, start
-        )
+            return self._stale_return(state, snapshot, ids, telemetry, start)
+        return self._full_solve(state, snapshot, ids, fingerprint, telemetry, start)
 
     def _repair(
         self,
         state: _GraphState,
         snapshot: Graph,
-        old_ids: List[int],
+        ids: Optional["_np.ndarray"],
         fingerprint: str,
         telemetry,
         start: float,
     ) -> ServeResult:
-        compact, in_set = _previous_flags(state, snapshot, old_ids)
-        seeds = sorted(compact[v] for v in state.dirty if v in compact)
+        dirty = _ids_array(sorted(state.dirty))
+        seeds = dirty if ids is None else _np.searchsorted(ids, dirty)
         # A repair that overruns the budget is still returned: it is the
         # best answer available (only a pre-repair overrun goes stale).
         outcome = repair_solution(
             snapshot,
-            in_set,
+            state.previous(ids, snapshot.n),
             seeds,
             algorithm=self.config.algorithm,
             radius=self.config.repair_radius,
         )
-        solution = frozenset(
-            old_ids[v] for v in range(snapshot.n) if outcome.in_set[v]
-        )
-        state.solution = solution
+        chosen = tuple(_np.flatnonzero(outcome.in_set).tolist())
+        solution = state.answer(chosen, ids)
         state.stale = False
         state.dirty.clear()
+        bound = state.carried_bound(snapshot.n)
         entry = CacheEntry(
             fingerprint=fingerprint,
             algorithm=self.config.algorithm,
-            solution=tuple(
-                v for v in range(snapshot.n) if outcome.in_set[v]
-            ),
-            upper_bound=snapshot.n,
+            solution=chosen,
+            upper_bound=bound,
             is_exact=False,
             exact_bound=False,
             solver_elapsed=outcome.solver_elapsed,
@@ -515,7 +607,7 @@ class SolverService:
             graph_id=state.graph_id,
             algorithm=self.config.algorithm,
             independent_set=solution,
-            upper_bound=snapshot.n,
+            upper_bound=bound,
             is_exact=False,
             exact_bound=False,
             source="repair",
@@ -528,24 +620,20 @@ class SolverService:
         self,
         state: _GraphState,
         snapshot: Graph,
-        old_ids: List[int],
+        ids: Optional["_np.ndarray"],
         telemetry,
         start: float,
     ) -> ServeResult:
-        _, in_set = _previous_flags(state, snapshot, old_ids)
-        patched = patch_solution(snapshot, in_set)
-        solution = frozenset(
-            old_ids[v] for v in range(snapshot.n) if patched[v]
-        )
+        patched = patch_solution(snapshot, state.previous(ids, snapshot.n))
+        solution = state.answer(tuple(_np.flatnonzero(patched).tolist()), ids)
         # Keep the dirty set: the next query (with budget) retries repair.
-        state.solution = solution
         state.stale = True
         self._bump(STAT_SERVE_STALE_RETURN, 1, telemetry)
         return ServeResult(
             graph_id=state.graph_id,
             algorithm=self.config.algorithm,
             independent_set=solution,
-            upper_bound=snapshot.n,
+            upper_bound=state.carried_bound(snapshot.n),
             is_exact=False,
             exact_bound=False,
             source="stale",
@@ -558,14 +646,14 @@ class SolverService:
         self,
         state: _GraphState,
         snapshot: Graph,
-        old_ids: List[int],
+        ids: Optional["_np.ndarray"],
         fingerprint: str,
         telemetry,
         start: float,
     ) -> ServeResult:
         entry = self._cold_entry(state, telemetry, snapshot, fingerprint)
-        solution = frozenset(old_ids[v] for v in entry.solution)
-        state.solution = solution
+        solution = state.answer(entry.solution, ids)
+        state.certify(entry.upper_bound)
         state.stale = False
         state.dirty.clear()
         return ServeResult(
@@ -589,7 +677,7 @@ class SolverService:
     ) -> CacheEntry:
         """Cold solve the current snapshot and cache it."""
         if snapshot is None:
-            snapshot, _ = state.dynamic.snapshot()
+            snapshot, _ = state.dynamic._compact()
         if fingerprint is None:
             fingerprint = state.dynamic.fingerprint()
         with phase(telemetry, "serve:full-solve", graph=state.graph_id):
@@ -650,8 +738,10 @@ class SolverService:
         for graph_id, state in self._graphs.items():
             graphs[graph_id] = {
                 "dynamic": state.dynamic.to_payload(),
-                "solution": sorted(state.solution) if state.solution is not None else None,
+                "solution": state.solution(),
                 "stale": state.stale,
+                "bound": state.bound,
+                "raises": state.raises,
                 "dirty": sorted(state.dirty),
                 "fingerprint": state.dynamic.fingerprint(),
             }
@@ -674,11 +764,13 @@ class SolverService:
         """Rebuild a service from a :meth:`snapshot_payload` dump.
 
         Fingerprints are recomputed and verified against the recorded
-        ones, so a corrupted or hand-edited snapshot fails loudly instead
-        of serving wrong answers.  Keys this build no longer writes (older
-        snapshots carry a per-graph kernel record, three retired config
-        fields and cache-entry kernel sizes) are ignored, so those
-        snapshots still load.
+        ones, and each stored solution must be independent outside its
+        dirty seeds and maximal outside their closed neighbourhood (the
+        next repair extends it only there), so a corrupted or hand-edited
+        snapshot fails loudly instead of serving wrong answers.  Keys this
+        build no longer writes (older snapshots carry a per-graph kernel
+        record, three retired config fields and cache-entry kernel sizes)
+        are ignored, so those snapshots still load.
         """
         version = payload.get("version")
         if version != SNAPSHOT_VERSION:
@@ -709,12 +801,17 @@ class SolverService:
                     "the payload is corrupted"
                 )
             state = _GraphState(str(graph_id), dynamic)
-            solution = record.get("solution")
-            state.solution = (
-                frozenset(int(v) for v in solution) if solution is not None else None
-            )
             state.stale = bool(record.get("stale", False))
-            state.dirty = {int(v) for v in record.get("dirty", [])}
+            state.dirty = {
+                int(v) for v in record.get("dirty", []) if dynamic.is_live(int(v))
+            }
+            # Snapshots written before the carried bound restore with B = n.
+            state.bound = int(record.get("bound", dynamic.n))
+            state.raises = int(record.get("raises", 0))
+            solution = record.get("solution")
+            if solution is not None:
+                state.flags = _restored_flags(str(graph_id), state, solution)
+            _check_carried_bound(str(graph_id), state)
             service._graphs[str(graph_id)] = state
         for entry_payload in payload.get("cache", []):  # type: ignore[union-attr]
             service.cache.put(CacheEntry.from_payload(entry_payload))

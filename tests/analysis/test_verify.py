@@ -10,7 +10,9 @@ from repro.analysis import (
     is_independent_set,
     is_maximal_independent_set,
     is_vertex_cover,
+    verify_result,
 )
+from repro.core import linear_time
 from repro.errors import NotASolutionError
 from repro.graphs import cycle_graph, paper_figure1, path_graph, star_graph
 
@@ -187,3 +189,42 @@ class TestWholeArrayVerification:
         ids = [np.int64(0), np.int32(2), np.int64(4)]
         assert is_maximal_independent_set(g, ids)
         assert not is_independent_set(g, [np.int64(0), np.int64(1)])
+
+
+class TestVerifyResult:
+    """One answer held to every check: set, bound, certificate, α."""
+
+    @staticmethod
+    def _answer(independent_set, upper_bound, is_exact=False, exact_bound=True):
+        from types import SimpleNamespace
+
+        return SimpleNamespace(
+            independent_set=independent_set,
+            upper_bound=upper_bound,
+            is_exact=is_exact,
+            exact_bound=exact_bound,
+        )
+
+    def test_solver_result_passes(self):
+        graph = cycle_graph(7)
+        verify_result(graph, linear_time(graph), alpha=3)
+
+    @pytest.mark.parametrize(
+        "answer, alpha, message",
+        [
+            (dict(independent_set={0, 1}, upper_bound=3), None, "not an independent set"),
+            (dict(independent_set={0}, upper_bound=3), None, "not maximal"),
+            (dict(independent_set={0, 2, 4}, upper_bound=2), None, "upper bound 2 < |I| 3"),
+            (dict(independent_set={0, 2, 4}, upper_bound=3, is_exact=True, exact_bound=False),
+             None, "without a certified bound"),
+            (dict(independent_set={0, 3}, upper_bound=3, is_exact=True), None, "flagged exact"),
+            (dict(independent_set={0, 3}, upper_bound=4), 1, "outside"),
+            (dict(independent_set={0, 2, 4}, upper_bound=4), 5, "outside"),
+        ],
+    )
+    def test_each_failure_is_named(self, answer, alpha, message):
+        with pytest.raises(NotASolutionError, match=message):
+            verify_result(cycle_graph(6), self._answer(**answer), alpha=alpha)
+
+    def test_alpha_inside_the_sandwich_passes(self):
+        verify_result(cycle_graph(6), self._answer({0, 2, 4}, 4), alpha=3)

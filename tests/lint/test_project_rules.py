@@ -339,8 +339,8 @@ def src_sources():
 PLANTED = {
     "rl007-list-serve": ("RL007", "src/repro/serve/repair.py", [
         ("\ndef repair_solution(", "\n_REPAIRS: List[int] = []\n\n\ndef repair_solution("),
-        ("    region = affected_region(",
-         "    _REPAIRS.append(len(seeds))\n    region = affected_region("),
+        ("    region = _region_ids(",
+         "    _REPAIRS.append(len(seeds))\n    region = _region_ids("),
     ]),
     "rl007-global-core": ("RL007", "src/repro/core/linear_time.py", [
         ("\n\n@hot_loop\ndef _reduce_flat(", "\n\n_RUNS = 0\n\n\n@hot_loop\ndef _reduce_flat("),
@@ -420,11 +420,11 @@ class TestSeededMutations:
         mutated = mutate(
             src_sources,
             "src/repro/serve/repair.py",
-            "    start = time.perf_counter()\n    region = affected_region(",
+            "    start = time.perf_counter()\n    region = _region_ids(",
             "    start = time.perf_counter()\n"
             "    from repro.obs.metrics import get_metrics\n"
             "    get_metrics().inc('repro_serve_repairs_total')\n"
-            "    region = affected_region(",
+            "    region = _region_ids(",
         )
         findings = lint_sources(mutated, rules=default_rules(["RL007"]))
         assert findings, "metric write in repair_solution must be flagged"

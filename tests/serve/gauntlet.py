@@ -12,7 +12,11 @@ one ``mutate`` (edge churn plus vertex births and deaths) and one
 ``solve`` per batch.  ``check`` replays the mutations on its own copy of
 the graph and gates every response: each request succeeded, and each
 served solution is independent, maximal and at least
-:data:`SIZE_TOLERANCE` of a cold solve of the same snapshot.  Optional
+:data:`SIZE_TOLERANCE` of a cold solve of the same snapshot, and each
+served bound is sound: no smaller than that cold solve's set, and
+``is_exact`` only with a certified (``exact_bound``) bound.  Three in
+ten drawn mutations remove an edge and some add a vertex, so repaired
+answers carry bounds above the last certified one.  Optional
 gates cover what the other ``repro serve`` flags wrote:
 
 * ``--metrics`` (a ``--metrics-out`` file, Prometheus text or ``.jsonl``
@@ -144,6 +148,17 @@ def check_responses(
                 failures.append(
                     f"request {index}: served {response['size']} "
                     f"({response['source']}) < {SIZE_TOLERANCE} x cold {cold.size}"
+                )
+            # No independent set exceeds a sound bound, a cold one included.
+            if response["upper_bound"] < max(cold.size, response["size"]):
+                failures.append(
+                    f"request {index}: served bound {response['upper_bound']} "
+                    f"({response['source']}) < an independent set of size "
+                    f"{max(cold.size, response['size'])}"
+                )
+            if response["is_exact"] and not response["exact_bound"]:
+                failures.append(
+                    f"request {index}: flagged exact without a certified bound"
                 )
     return failures
 

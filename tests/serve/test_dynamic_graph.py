@@ -1,12 +1,17 @@
 """DynamicGraph: mutation semantics, dirty seeds, snapshots, serialisation."""
 
+import gc
+import tracemalloc
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ReproError, VertexError
 from repro.graphs import Graph
 from repro.graphs.generators import cycle_graph, gnm_random_graph
 from repro.graphs.named import petersen_graph
-from repro.serve import DynamicGraph, Mutation
+from repro.serve import MUTATION_KINDS, DynamicGraph, Mutation
 
 
 def _path5() -> Graph:
@@ -194,3 +199,104 @@ class TestPayload:
         payload["edges"].append([0, 99])
         with pytest.raises((ReproError, IndexError)):
             DynamicGraph.from_payload(payload)
+
+
+class TestStorage:
+    """A registered graph is the base CSR, not a copy of it."""
+
+    def test_register_retains_only_liveness_flags(self):
+        graph = gnm_random_graph(20000, 60000, seed=3)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            dynamic = DynamicGraph(graph)
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dynamic.n == graph.n
+        assert retained <= graph.n + 1024
+
+    def test_first_snapshot_is_the_registered_graph(self):
+        graph = gnm_random_graph(40, 80, seed=5)
+        dynamic = DynamicGraph(graph)
+        snapshot, old_ids = dynamic.snapshot()
+        assert snapshot is graph
+        assert old_ids == list(range(40))
+
+    def test_reverted_write_rebuilds_an_equal_graph(self):
+        graph = gnm_random_graph(40, 80, seed=5)
+        dynamic = DynamicGraph(graph)
+        dynamic.add_edge(0, 39) if not dynamic.has_edge(0, 39) else dynamic.remove_edge(0, 39)
+        changed, _ = dynamic.snapshot()
+        assert changed != graph
+        dynamic.add_edge(0, 39) if not dynamic.has_edge(0, 39) else dynamic.remove_edge(0, 39)
+        assert dynamic.snapshot()[0] == graph
+
+
+_OPS = st.lists(
+    st.tuples(st.sampled_from(MUTATION_KINDS), st.integers(0, 60), st.integers(0, 60)),
+    max_size=40,
+)
+
+
+class TestAgainstMirror:
+    """After any mutation sequence the snapshot is the mirror's graph."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        n=st.integers(0, 25),
+        edges=st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24)), max_size=60),
+        ops=_OPS,
+        snapshot_every=st.integers(1, 5),
+    )
+    def test_snapshot_equals_mirror_graph(self, n, edges, ops, snapshot_every):
+        edges = [(u, v) for u, v in edges if u < n and v < n]
+        dynamic = DynamicGraph(Graph.from_edges(n, edges))
+        alive = set(range(n))
+        mirror = {frozenset(edge) for edge in edges if edge[0] != edge[1]}
+        for step, (kind, a, b) in enumerate(ops):
+            live = sorted(alive)
+            if kind == "add_vertex":
+                alive.add(dynamic.add_vertex())
+            elif not live:
+                continue
+            elif kind == "remove_vertex":
+                v = live[a % len(live)]
+                dynamic.remove_vertex(v)
+                alive.discard(v)
+                mirror = {edge for edge in mirror if v not in edge}
+            else:
+                u, v = live[a % len(live)], live[b % len(live)]
+                if u == v:
+                    continue
+                if kind == "add_edge":
+                    dynamic.add_edge(u, v)
+                    mirror.add(frozenset((u, v)))
+                else:
+                    dynamic.remove_edge(u, v)
+                    mirror.discard(frozenset((u, v)))
+            if step % snapshot_every == 0:
+                self._check(dynamic, alive, mirror)
+        self._check(dynamic, alive, mirror)
+        restored = DynamicGraph.from_payload(dynamic.to_payload())
+        assert restored.snapshot() == dynamic.snapshot()
+        assert restored.fingerprint() == dynamic.fingerprint()
+
+    @staticmethod
+    def _check(dynamic, alive, mirror):
+        live = sorted(alive)
+        compact = {old: new for new, old in enumerate(live)}
+        expected = Graph.from_edges(
+            len(live), [tuple(compact[v] for v in edge) for edge in mirror]
+        )
+        snapshot, old_ids = dynamic.snapshot()
+        assert old_ids == live
+        assert snapshot == expected
+        assert (dynamic.n, dynamic.m) == (len(live), len(mirror))
+        for v in live:
+            row = tuple(sorted(w for edge in mirror if v in edge for w in edge - {v}))
+            assert dynamic.neighbors(v) == row
+            assert dynamic.degree(v) == len(row)
+        for edge in list(mirror)[:10]:
+            assert dynamic.has_edge(*edge)

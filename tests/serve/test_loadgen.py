@@ -13,7 +13,9 @@ from repro.serve.loadgen import (
     run_serve_load_benchmark,
     split_workload,
     validate_shed_answers,
+    verify_answer,
 )
+from repro.graphs.generators import cycle_graph
 
 TINY = LoadgenConfig(
     seed=11,
@@ -125,3 +127,33 @@ class TestConfigValidation:
     def test_bad_counts_rejected(self):
         with pytest.raises(ReproError):
             LoadgenConfig(graphs=0).graph_specs()
+
+
+class TestVerifyAnswer:
+    """Every sync answer is checked; a wrong one stops the run."""
+
+    def test_valid_answer_passes(self):
+        verify_answer(
+            cycle_graph(6),
+            None,
+            {"independent_set": [0, 2, 4], "upper_bound": 3, "is_exact": True,
+             "exact_bound": True},
+        )
+
+    @pytest.mark.parametrize(
+        "members, bound, ids",
+        [
+            ([0, 1, 3], 3, None),  # not independent
+            ([0, 2], 3, None),  # not maximal
+            ([0, 2, 4], 2, None),  # bound below |I|
+            ([0, 2, 9], 3, [0, 1, 2, 4, 5, 6]),  # names a dead id
+        ],
+    )
+    def test_wrong_answer_raises(self, members, bound, ids):
+        import numpy as np
+
+        response = {"rid": "r1", "id": "g", "independent_set": members, "upper_bound": bound,
+                    "is_exact": False, "exact_bound": False}
+        ids = None if ids is None else np.array(ids, dtype=np.int64)
+        with pytest.raises(ReproError, match="r1 for graph 'g' fails verification"):
+            verify_answer(cycle_graph(6), ids, response)

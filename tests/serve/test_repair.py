@@ -224,7 +224,7 @@ class TestRepairComponentPass:
         outcome = repair_solution(graph, in_set, seeds, "linear_time", radius=1)
         assert len(calls) == 1
         assert outcome.components == expected_components
-        assert outcome.in_set == expected
+        assert outcome.in_set.astype(bool).tolist() == expected
 
     def test_component_spans_are_stamped(self):
         # Each component's solver spans carry its index for the report.

@@ -9,14 +9,23 @@ snapshot.
 import dataclasses
 import importlib
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.analysis import assert_valid_solution
+from repro.analysis import assert_valid_solution, verify_result
 from repro.cli import main as cli_main
+from repro.core.components import affected_region
 from repro.core.kernel import kernelize
 from repro.errors import ReproError
+from repro.exact import maximum_independent_set
+from repro.graphs import Graph
 from repro.graphs.generators import (
     cycle_graph,
     gnm_random_graph,
@@ -446,7 +455,12 @@ class TestPropertyDifferential:
         service = SolverService(ServiceConfig(algorithm=algorithm))
         responses = [handle_request(service, request) for request in requests]
         assert check_responses(requests, responses, algorithm) == []
-        assert "repair" in {r["source"] for r in responses if r["op"] == "solve"}
+        solves = [r for r in responses if r["op"] == "solve"]
+        assert "repair" in {r["source"] for r in solves}
+        # The stream removes edges, so repaired answers carry bounds above
+        # the certified one, and the check above found them sound.
+        certified = solves[0]["upper_bound"]
+        assert any(r["upper_bound"] > certified for r in solves if r["source"] == "repair")
 
         path = tmp_path / "service.json"
         service.save(str(path))
@@ -454,3 +468,272 @@ class TestPropertyDifferential:
         replay = restored.solve(GRAPH_ID)
         _validate(restored, GRAPH_ID, replay)
         assert replay.independent_set == service.solve(GRAPH_ID).independent_set
+
+
+class TestCarriedBound:
+    """Repaired and stale answers carry min(n, B + k), never n blindly."""
+
+    @staticmethod
+    def _served(seed=8):
+        service = SolverService()
+        gid = service.register(gnm_random_graph(300, 600, seed=seed))
+        cold = service.solve(gid)
+        return service, gid, cold
+
+    @staticmethod
+    def _absent_edge(dynamic):
+        for u in range(dynamic.n_allocated):
+            for v in range(u + 1, dynamic.n_allocated):
+                if dynamic.is_live(u) and dynamic.is_live(v) and not dynamic.has_edge(u, v):
+                    return u, v
+        raise AssertionError("complete graph")
+
+    def test_edge_insertions_keep_the_certified_bound(self):
+        service, gid, cold = self._served()
+        service.add_edge(gid, *self._absent_edge(service.dynamic_graph(gid)))
+        repaired = service.solve(gid)
+        assert repaired.source == "repair"
+        assert repaired.upper_bound == cold.upper_bound
+        assert not repaired.exact_bound and not repaired.is_exact
+
+    def test_each_raising_write_adds_one(self):
+        service, gid, cold = self._served()
+        dynamic = service.dynamic_graph(gid)
+        u = next(v for v in range(dynamic.n) if dynamic.degree(v))
+        service.apply(
+            gid,
+            [
+                Mutation("remove_edge", u, dynamic.neighbors(u)[0]),
+                Mutation("add_vertex"),
+                Mutation("remove_vertex", 7),
+            ],
+        )
+        repaired = service.solve(gid)
+        assert repaired.source == "repair"
+        assert repaired.upper_bound == cold.upper_bound + 2
+        # A cache hit on the repaired entry repeats its bound.
+        assert service.solve(gid).upper_bound == repaired.upper_bound
+        # A stale answer carries it too.
+        service.add_vertex(gid)
+        stale = service.solve(gid, timeout=0.0)
+        assert stale.source == "stale"
+        assert stale.upper_bound == cold.upper_bound + 3
+        assert not stale.exact_bound
+
+    def test_bound_is_capped_at_n(self):
+        # A matching on 6 vertices: B = 3; four edge removals make B + k = 7.
+        service = SolverService(ServiceConfig(cache_capacity=1, dirty_threshold=1.0))
+        gid = service.register(Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)]))
+        assert service.solve(gid).upper_bound == 3
+        for raises, (u, v) in enumerate([(0, 1), (2, 3), (4, 5)], start=1):
+            service.remove_edge(gid, u, v)
+            assert service.solve(gid).upper_bound == 3 + raises
+        service.add_edge(gid, 0, 2)
+        assert service.solve(gid).upper_bound == 6
+        service.remove_edge(gid, 0, 2)
+        capped = service.solve(gid)
+        assert capped.source == "repair"
+        assert capped.upper_bound == 6
+
+    def test_cold_solve_resets_the_carried_bound(self):
+        service, gid, cold = self._served()
+        dynamic = service.dynamic_graph(gid)
+        u = next(v for v in range(dynamic.n) if dynamic.degree(v))
+        service.remove_edge(gid, u, dynamic.neighbors(u)[0])
+        assert service.solve(gid).upper_bound == cold.upper_bound + 1
+        certified = service.upper_bound(gid)
+        service.add_edge(gid, *self._absent_edge(dynamic))
+        assert service.solve(gid).upper_bound == certified
+
+    def test_snapshot_keeps_the_carried_bound(self):
+        service, gid, cold = self._served()
+        dynamic = service.dynamic_graph(gid)
+        u = next(v for v in range(dynamic.n) if dynamic.degree(v))
+        service.remove_edge(gid, u, dynamic.neighbors(u)[0])
+        payload = json.loads(json.dumps(service.snapshot_payload()))
+        assert (payload["graphs"][gid]["bound"], payload["graphs"][gid]["raises"]) == (
+            cold.upper_bound,
+            1,
+        )
+        assert SolverService.restore(payload).solve(gid).upper_bound == cold.upper_bound + 1
+
+    def test_parent_snapshots_restore_with_the_trivial_bound(self):
+        service, gid, _ = self._served()
+        service.add_edge(gid, *self._absent_edge(service.dynamic_graph(gid)))
+        payload = service.snapshot_payload()
+        for key in ("bound", "raises"):
+            del payload["graphs"][gid][key]
+        restored = SolverService.restore(payload)
+        answer = restored.solve(gid)
+        assert answer.source == "repair"
+        assert answer.upper_bound == restored.dynamic_graph(gid).n
+        assert answer.independent_set == service.solve(gid).independent_set
+
+
+class TestRestoreChecksTheSolution:
+    """A stored solution must be one a repair can extend from."""
+
+    @staticmethod
+    def _payload():
+        service = SolverService()
+        gid = service.register(gnm_random_graph(200, 400, seed=4))
+        service.solve(gid)
+        service.add_edge(gid, 0, 1) if not service.dynamic_graph(gid).has_edge(0, 1) else (
+            service.remove_edge(gid, 0, 1)
+        )
+        return service, gid, json.loads(json.dumps(service.snapshot_payload()))
+
+    def test_untouched_payload_restores(self):
+        _, gid, payload = self._payload()
+        SolverService.restore(payload).solve(gid)
+
+    def test_dropped_member_far_from_the_dirty_vertices_is_rejected(self):
+        service, gid, payload = self._payload()
+        dynamic = service.dynamic_graph(gid)
+        near = {0, 1}.union(dynamic.neighbors(0), dynamic.neighbors(1))
+        record = payload["graphs"][gid]
+        victim = next(v for v in record["solution"] if v not in near)
+        record["solution"].remove(victim)
+        with pytest.raises(ReproError, match="not an independent set maximal"):
+            SolverService.restore(payload)
+
+    def test_conflicting_member_is_rejected(self):
+        service, gid, payload = self._payload()
+        dynamic = service.dynamic_graph(gid)
+        record = payload["graphs"][gid]
+        members = set(record["solution"])
+        intruder = next(
+            v
+            for v in range(dynamic.n)
+            if v not in members and v not in (0, 1) and dynamic.degree(v)
+        )
+        record["solution"] = sorted(members | {intruder})
+        with pytest.raises(ReproError, match="not an independent set maximal"):
+            SolverService.restore(payload)
+
+    def test_unknown_member_is_rejected(self):
+        _, gid, payload = self._payload()
+        payload["graphs"][gid]["solution"].append(10**6)
+        with pytest.raises(ReproError, match="unknown ids"):
+            SolverService.restore(payload)
+
+    @pytest.mark.parametrize("field, value", [("bound", 0), ("raises", -5), ("bound", -1)])
+    def test_unsound_carried_bound_is_rejected(self, field, value):
+        _, gid, payload = self._payload()
+        payload["graphs"][gid][field] = value
+        with pytest.raises(ReproError, match="cannot bound"):
+            SolverService.restore(payload)
+
+    def test_bound_above_n_after_a_removal_restores(self):
+        # A removed vertex lowers n and leaves B as it was; the carried
+        # bound min(n, B + k) is still sound, so the snapshot must load.
+        service = SolverService()
+        gid = service.register(Graph.empty(6))
+        service.solve(gid)
+        service.remove_vertex(gid, 0)
+        payload = json.loads(json.dumps(service.snapshot_payload()))
+        assert payload["graphs"][gid]["bound"] > service.dynamic_graph(gid).n
+        restored = SolverService.restore(payload)
+        assert restored.solve(gid).upper_bound == 5
+
+
+_WRITES = st.lists(
+    st.tuples(
+        st.sampled_from(["add_edge", "remove_edge", "add_vertex", "remove_vertex", "solve"]),
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+class TestServedAnswersAgainstAlpha:
+    """Every served answer passes verify_result against the exact α."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        n=st.integers(2, 40),
+        density=st.floats(0.02, 0.3),
+        seed=st.integers(0, 2**16),
+        steps=_WRITES,
+        timeout=st.sampled_from([None, 0.0]),
+    )
+    def test_every_answer_is_sound(self, n, density, seed, steps, timeout):
+        rng = random.Random(seed)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+        service = SolverService()
+        gid = service.register(Graph.from_edges(n, edges))
+        dynamic = service.dynamic_graph(gid)
+        self._check(service, gid, service.solve(gid))
+        for kind, a, b in steps:
+            live = list(dynamic.live_vertices())
+            if kind == "solve":
+                self._check(service, gid, service.solve(gid, timeout=timeout))
+            elif kind == "add_vertex" or not live:
+                service.add_vertex(gid)
+            elif kind == "remove_vertex" and len(live) > 1:
+                service.remove_vertex(gid, live[a % len(live)])
+            elif kind in ("add_edge", "remove_edge") and len(live) > 1:
+                u, v = live[a % len(live)], live[b % len(live)]
+                if u != v:
+                    getattr(service, kind)(gid, u, v)
+        self._check(service, gid, service.solve(gid))
+
+    @staticmethod
+    def _check(service, gid, result):
+        snapshot, old_ids = service.dynamic_graph(gid).snapshot()
+        compact = {old: new for new, old in enumerate(old_ids)}
+        answer = dataclasses.replace(
+            result, independent_set=frozenset(compact[v] for v in result.independent_set)
+        )
+        alpha = maximum_independent_set(snapshot).size
+        verify_result(snapshot, answer, alpha=alpha)
+
+
+def test_repairs_import_no_scipy():
+    # The serve path is numpy only: a replay through repairs and stale
+    # answers must not load scipy.
+    script = (
+        "import sys\n"
+        "from repro.serve import SolverService, handle_request\n"
+        "from tests.serve.gauntlet import gauntlet_requests\n"
+        "service = SolverService()\n"
+        "sources = set()\n"
+        "for request in gauntlet_requests(n=1500, mutations=60, batch=6, seed=3):\n"
+        "    response = handle_request(service, request)\n"
+        "    assert response['ok'], response\n"
+        "    sources.add(response.get('source'))\n"
+        "service.add_vertex('g')\n"
+        "sources.add(service.solve('g', timeout=0.0).source)\n"
+        "assert {'cold', 'repair', 'stale'} <= sources, sources\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    root = pathlib.Path(__file__).resolve().parents[2]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def test_failed_batch_forces_a_cold_solve():
+    # The writes before a failing one land untracked; a repair around the
+    # recorded seeds could miss them, so the next query solves cold.
+    service = SolverService()
+    graph = gnm_random_graph(200, 400, seed=6)
+    gid = service.register(graph)
+    first = service.solve(gid)
+    dynamic = service.dynamic_graph(gid)
+    w = dynamic.neighbors(0)[0]
+    near = set(affected_region(graph, [0, w], radius=3))
+    service.remove_edge(gid, 0, w)  # a tracked write
+    # Two members far from it: a repair around 0 and w would keep both.
+    u, v = [x for x in sorted(first.independent_set) if x not in near][:2]
+    with pytest.raises(ReproError):
+        service.apply(gid, [Mutation("add_edge", u, v), Mutation("add_edge", 0, 10**6)])
+    result = service.solve(gid)
+    assert result.source == "cold"
+    _validate(service, gid, result)
